@@ -11,10 +11,14 @@ maintained over the sparse cut terms, the penalty part is reconstructed in
 O(1) per variable from running chain sums.  This keeps sweeps linear in the
 number of variables even though the squared penalties couple all pairs.
 
-Two engines produce bit-identical results: a compiled kernel (numba) and a
-plain numpy fallback.  Both consume the same MT19937 stream with the same
-draw discipline (one uniform per variable per sweep, plus one to pick among
-acceptors), so results are reproducible across engines and platforms.
+Two engines produce bit-identical results: a compiled kernel (numba, an
+optional dependency) and a numpy engine that runs when numba is absent.  Both
+consume the same MT19937 stream with the same draw discipline (one uniform
+per variable per sweep, plus one to pick among acceptors), so results are
+reproducible across engines and platforms.  The numpy engine makes the
+Metropolis test for all variables at once with ``np.exp`` and re-decides the
+rare draws within a few ulps of their threshold with the scalar
+``math.exp`` rule, so its acceptor sets equal the kernel's exactly.
 Replica r of a solve seeds its stream from SHA-256 of (seed, r), making
 replicas independent and the whole solve deterministic.  Solves are not
 reentrant: run them one at a time per process.
@@ -27,7 +31,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -35,13 +38,21 @@ try:
     import numba
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is an optional extra; the numpy engine runs without it
     numba = None
     HAVE_NUMBA = False
 
 from .qubo import INDICATOR, SLACK, QuboModel, energy
 
-BATCH_SWEEPS = 1024  # time-limit polling granularity
+BATCH_SWEEPS = 1024  # most sweeps per engine call
+
+# np.exp (AVX-512 build, numpy 2.4) and math.exp (glibc) differed by at most
+# 1 ulp over 1.2e7 arguments in [-745, 0], the range of -eff/t.  A draw
+# closer to its threshold than this window, 4 ulps relative plus a floor that
+# covers subnormal thresholds, is re-decided with math.exp.
+# tests/test_anneal.py checks the bound on the platform it runs on.
+_EXP_REL_WINDOW = 2.0 ** -50
+_EXP_ABS_WINDOW = 2.0 ** -1072
 
 
 @dataclass
@@ -138,6 +149,8 @@ class CompiledModel:
     mem_var: np.ndarray
     mem_chain: np.ndarray
     mem_coeff: np.ndarray
+    mem_lin: np.ndarray  # 2 * pen[g] * c per membership
+    mem_const: np.ndarray  # pen[g] * c * c per membership
 
     def base_local_fields(self, bits: np.ndarray) -> np.ndarray:
         contrib = self.csr_data * bits[self.csr_cols]
@@ -150,10 +163,10 @@ class CompiledModel:
         """Flip gain of every variable at the current state."""
         dlt = 1.0 - 2.0 * bits
         if len(self.mem_var):
-            g = self.mem_chain
-            c = self.mem_coeff
-            contrib = 2.0 * self.pen[g] * c * dlt[self.mem_var] * (s[g] - self.rhs[g]) \
-                + self.pen[g] * c * c
+            # same operations in the same order as the kernel's
+            # 2*pen*c*dlt*(s - rhs) + pen*c*c, so the gains are bit-identical
+            contrib = self.mem_lin * dlt[self.mem_var] * (s - self.rhs)[self.mem_chain] \
+                + self.mem_const
             chain_part = np.bincount(self.mem_var, weights=contrib, minlength=self.nv)
         else:
             chain_part = np.zeros(self.nv)
@@ -191,92 +204,27 @@ def compile_model(model: QuboModel) -> CompiledModel:
     return CompiledModel(model=model, nv=nv, base_lin=model.base_linear.astype(np.float64),
                          csr_indptr=indptr, csr_rows=rows, csr_cols=cols.astype(np.int64),
                          csr_data=data, pen=pen, rhs=rhs, mem_indptr=mem_indptr,
-                         mem_var=mv, mem_chain=mg, mem_coeff=mc)
-
-
-# ---------------------------------------------------------------------------
-# Spec-level single-flip primitives over the fully expanded quadratic form.
-# These are the reference semantics; the solve engines below are the fast
-# factored equivalent.
-
-
-@dataclass(eq=False)
-class ExpandedNeighbors:
-    """Symmetric CSR over the expanded quadratic terms of a model."""
-
-    nv: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-
-
-def expanded_neighbors(model: QuboModel, max_terms: int | None = None) -> ExpandedNeighbors:
-    kwargs = {} if max_terms is None else {"max_terms": max_terms}
-    qi, qj, qc = model.quadratic_terms(**kwargs)
-    nv = model.num_vars
-    rows = np.concatenate([qi, qj])
-    cols = np.concatenate([qj, qi])
-    data = np.concatenate([qc, qc])
-    order = np.lexsort((cols, rows))
-    rows, cols, data = rows[order], cols[order], data[order]
-    indptr = np.zeros(nv + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=nv), out=indptr[1:])
-    return ExpandedNeighbors(nv=nv, indptr=indptr, indices=cols, data=data)
-
-
-def local_fields(model: QuboModel, bits: Sequence[int] | np.ndarray,
-                 nbrs: ExpandedNeighbors | None = None) -> np.ndarray:
-    """local_field[j] = linear_j + sum_l quad_jl * a_l over the expanded model."""
-    a = np.asarray(bits, dtype=np.float64)
-    if nbrs is None:
-        nbrs = expanded_neighbors(model)
-    contrib = nbrs.data * a[nbrs.indices]
-    return model.linear + np.bincount(
-        np.repeat(np.arange(nbrs.nv), np.diff(nbrs.indptr)), weights=contrib, minlength=nbrs.nv)
-
-
-def delta_energy(model: QuboModel, bits: np.ndarray, i: int,
-                 local_field: np.ndarray) -> float:
-    """Energy change of flipping bit i, O(1) given the local fields."""
-    return (1.0 - 2.0 * bits[i]) * local_field[i]
-
-
-def apply_flip(nbrs: ExpandedNeighbors, bits: np.ndarray, i: int,
-               local_field: np.ndarray) -> None:
-    """Flip bit i in place and update local fields along its quadratic row."""
-    dlt = 1.0 - 2.0 * bits[i]
-    bits[i] = 1 - bits[i]
-    row = slice(nbrs.indptr[i], nbrs.indptr[i + 1])
-    local_field[nbrs.indices[row]] += nbrs.data[row] * dlt
-
-
-def sweep(nbrs: ExpandedNeighbors, bits: np.ndarray, local_field: np.ndarray,
-          temperature: float, rng: np.random.RandomState, offset: float,
-          offset_increment: float) -> tuple[int, float]:
-    """One reference sweep: test every variable, flip one accepting variable.
-
-    Variable i accepts when its gain minus the escape offset is non-positive
-    or passes a Metropolis draw at the given temperature.  If any variable
-    accepts, one acceptor is flipped uniformly at random (bits and
-    local_field update in place) and the offset resets; otherwise the offset
-    grows by ``offset_increment``.  Returns (flipped index or -1, new offset).
-    """
-    nv = nbrs.nv
-    us = rng.random_sample(nv)
-    deltas = (1.0 - 2.0 * bits) * local_field
-    eff = deltas - offset
-    t = max(temperature, 1e-300)
-    acceptors = [i for i in range(nv)
-                 if eff[i] <= 0.0 or us[i] < math.exp(-min(eff[i], 700.0 * t) / t)]
-    if not acceptors:
-        return -1, offset + offset_increment
-    pick = acceptors[int(rng.random_sample() * len(acceptors))]
-    apply_flip(nbrs, bits, pick, local_field)
-    return pick, 0.0
+                         mem_var=mv, mem_chain=mg, mem_coeff=mc,
+                         mem_lin=2.0 * pen[mg] * mc, mem_const=pen[mg] * mc * mc)
 
 
 # ---------------------------------------------------------------------------
 # Factored sweep engines (python and numba), sharing one draw discipline.
+
+
+def _metropolis_accept(eff: np.ndarray, us: np.ndarray, t: float) -> np.ndarray:
+    """Mask of variables passing ``eff[i] <= 0 or us[i] < math.exp(-eff[i] / t)``.
+
+    One vector test decides almost every variable: with ``eff <= 0`` the
+    threshold is exactly 1.0, which every draw in [0, 1) passes.  Draws
+    within the ``np.exp``/``math.exp`` disagreement window of their
+    threshold are re-decided with the scalar rule itself.
+    """
+    thr = np.exp(np.maximum(eff, 0.0) / -t)  # x / -t == -x / t exactly
+    accept = us < thr
+    for i in np.flatnonzero(np.abs(us - thr) <= thr * _EXP_REL_WINDOW + _EXP_ABS_WINDOW):
+        accept[i] = eff[i] <= 0.0 or us[i] < math.exp(-eff[i] / t)
+    return accept
 
 
 def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_inc,
@@ -289,13 +237,7 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
             t = 1e-300
         us = rng.random_sample(cm.nv)
         deltas = cm.all_deltas(bits, base_lf, s)
-        eff = deltas - offset
-        acceptors = np.flatnonzero(eff <= 0.0)
-        maybe = np.flatnonzero(eff > 0.0)
-        if len(maybe):
-            stochastic = [i for i in maybe if us[i] < math.exp(-eff[i] / t)]
-            if len(stochastic):
-                acceptors = np.sort(np.concatenate([acceptors, stochastic])).astype(np.int64)
+        acceptors = np.flatnonzero(_metropolis_accept(deltas - offset, us, t))
         if len(acceptors):
             r = rng.random_sample()
             i = int(acceptors[int(r * len(acceptors))])
@@ -315,7 +257,7 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
         else:
             offset = offset + offset_inc
         if trace_every > 0 and (sweeps_before + sw + 1) % trace_every == 0:
-            trace.append(best_energy)
+            trace[(sweeps_before + sw + 1) // trace_every - 1] = best_energy
     return offset, cur_energy, best_energy, flips
 
 
@@ -431,10 +373,25 @@ def _temperature_schedule(cfg: AnnealConfig, t0: float) -> np.ndarray:
     return t0 + (tf - t0) * steps
 
 
+def _batch_size(time_left: float, sweep_s: float) -> int:
+    """Sweeps for the next engine call under a time limit.
+
+    The batch fills half the time left at the measured rate, so the limit
+    holds even when the machine slows down mid-batch and the final batch is
+    a single sweep; one sweep while no rate has been measured.
+    """
+    if sweep_s <= 0.0:
+        return 1
+    return int(min(BATCH_SWEEPS, max(1.0, 0.5 * time_left / sweep_s)))
+
+
 def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
     """Anneal the model, best assignment over all replicas.
 
     Deterministic for a fixed config whenever the time limit does not bind.
+    Under a time limit the sweeps run in batches sized from the measured time
+    per sweep, so at any model size a solve ends about one sweep after the
+    limit, or after its compile and replica set-up if those alone exceed it.
     The reported energy is recomputed from the final bits, so it matches
     :func:`qubopart.qubo.energy` exactly.
     """
@@ -456,6 +413,8 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
     best_flips = 0
     best_sweeps = 0
     best_trace: np.ndarray | None = None
+    deadline = None if cfg.time_limit is None else start + cfg.time_limit
+    sweep_s = 0.0  # measured seconds per sweep of the latest engine call
 
     for replica in range(cfg.replicas):
         init_rs = np.random.RandomState(_derive_seed(cfg.seed, replica, "init"))
@@ -484,30 +443,31 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
         offset = 0.0
         flips = 0
         done = 0
-        trace_list: list[float] = []
-        trace_arr = np.zeros(cfg.sweeps // cfg.trace_every if cfg.trace_every else 0)
+        trace = np.zeros(cfg.sweeps // cfg.trace_every if cfg.trace_every else 0)
         delta_buf = np.zeros(nv, dtype=np.float64)
         accept_buf = np.zeros(nv, dtype=np.int64)
         timed_out = False
 
         while done < cfg.sweeps and not timed_out:
-            batch = temps[done:done + BATCH_SWEEPS]
+            called = time.perf_counter()
+            size = BATCH_SWEEPS if deadline is None else _batch_size(deadline - called, sweep_s)
+            batch = temps[done:done + size]
             if use_numba:
                 offset, cur_energy, rep_best_energy, f = _numba_sweeps(
                     bits, base_lf, s, cm.pen, cm.rhs, cm.mem_indptr, cm.mem_chain,
                     cm.mem_coeff, cm.csr_indptr, cm.csr_cols, cm.csr_data, batch,
                     offset, offset_inc, cur_energy, rep_best_energy, rep_best_bits,
-                    delta_buf, accept_buf, sweep_seed, done == 0, trace_arr,
+                    delta_buf, accept_buf, sweep_seed, done == 0, trace,
                     cfg.trace_every, done)
             else:
                 offset, cur_energy, rep_best_energy, f = _python_sweeps(
                     cm, bits, base_lf, s, batch, offset, offset_inc, cur_energy,
-                    rep_best_energy, rep_best_bits, rng, trace_list,
-                    cfg.trace_every, done)
+                    rep_best_energy, rep_best_bits, rng, trace, cfg.trace_every, done)
+            now = time.perf_counter()
+            sweep_s = (now - called) / len(batch)
             flips += f
             done += len(batch)
-            if cfg.time_limit is not None and time.perf_counter() - start > cfg.time_limit:
-                timed_out = True
+            timed_out = deadline is not None and now > deadline
 
         if rep_best_energy < best_energy:
             best_energy = rep_best_energy
@@ -516,8 +476,7 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
             best_flips = flips
             best_sweeps = done
             if cfg.trace_every:
-                filled = done // cfg.trace_every
-                best_trace = trace_arr[:filled] if use_numba else np.asarray(trace_list)
+                best_trace = trace[:done // cfg.trace_every]
         if timed_out:
             break
 

@@ -132,32 +132,27 @@ def _run_cell(g: Graph, graph_id: str, k: int, epsilon: float,
     if cfg.sparsify:
         return _run_pipeline_cell(g, k, epsilon, cfg, rec, None if auto else pen)
     start = time.perf_counter()
-    for attempt in range(3):
-        build = build_bipartition_qubo if k == 2 else lambda gg, e, p: build_kway_qubo(gg, k, e, p)
-        model = build(g, epsilon, pen)
-        anneal_cfg = AnnealConfig(sweeps=cfg.sweeps, replicas=cfg.replicas, seed=rec.seed,
-                                  time_limit=cfg.time_limit, balanced_init=cfg.balanced_init,
-                                  engine=cfg.engine)
-        result = solve(model, anneal_cfg)
-        partition, feas = decode(model, result.best_bits)
-        rec.penalty = pen
-        rec.cut_raw = cut_edges(g, partition)
-        if feas.feasible:
-            rec.feasible = True
-            rec.cut_repaired = rec.cut_raw
-            break
+    model = build_bipartition_qubo(g, epsilon, pen) if k == 2 \
+        else build_kway_qubo(g, k, epsilon, pen)
+    anneal_cfg = AnnealConfig(sweeps=cfg.sweeps, replicas=cfg.replicas, seed=rec.seed,
+                              time_limit=cfg.time_limit, balanced_init=cfg.balanced_init,
+                              engine=cfg.engine)
+    result = solve(model, anneal_cfg)
+    partition, feas = decode(model, result.best_bits)
+    rec.penalty = pen
+    rec.cut_raw = cut_edges(g, partition)
+    if feas.feasible:
+        rec.feasible = True
+        rec.cut_repaired = rec.cut_raw
+    else:
         try:
             repaired = repair(g, partition, k, epsilon)
-            rec.feasible = True
-            rec.cut_repaired = cut_edges(g, repaired)
-            break
         except InfeasiblePartitionError as exc:
-            if auto and attempt < 2:
-                pen *= 2.0  # strengthen the constraints and retry
-                continue
             rec.feasible = False
             rec.error = str(exc)
-            break
+        else:
+            rec.feasible = True
+            rec.cut_repaired = cut_edges(g, repaired)
     rec.wall_time = round(time.perf_counter() - start, 6)
     if rec.feasible and rec.cut_repaired is not None:
         ref = bestknown.best_known(graph_id, k, epsilon)

@@ -14,8 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qubopart.anneal import (AnnealConfig, apply_flip, delta_energy,
-                             expanded_neighbors, local_fields, solve)
+from qubopart.anneal import AnnealConfig, solve
 from qubopart.bench import emit, ingest_external
 from qubopart.cli import main as cli_main
 from qubopart.evaluate import approximation_ratio, decode, repair
@@ -29,6 +28,7 @@ from qubopart.sparsify import (forest_fire_scores, project_partition,
 from conftest import (all_bit_rows, bipartition_optimum, cuts_of_labelings,
                       gnp_graph, greedy_slack_bits, kway_optimum, small_corpus,
                       feasible_sizes)
+from reference import apply_flip, delta_energy, expanded_neighbors, local_fields
 
 DATA_DIR = Path(__file__).parent / "data"
 

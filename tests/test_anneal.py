@@ -1,16 +1,17 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 import qubopart.anneal as anneal
-from qubopart.anneal import (AnnealConfig, apply_flip, compile_model, delta_energy,
-                             expanded_neighbors, local_fields, solve, sweep)
+from qubopart.anneal import AnnealConfig, compile_model, solve
 from qubopart.graph import Graph, cut_edges
 from qubopart.qubo import INDICATOR, build_bipartition_qubo, build_kway_qubo, energy
 
 from conftest import bipartition_optimum, gnp_graph, kway_optimum, small_corpus
+from reference import apply_flip, delta_energy, expanded_neighbors, local_fields, sweep
 
 needs_numba = pytest.mark.skipif(not anneal.HAVE_NUMBA, reason="numba unavailable")
 
@@ -106,7 +107,7 @@ def test_reference_sweep_matches_python_engine():
             _, offset_a = sweep(nbrs, bits_a, lf, t, rng_a, offset_a, 0.01)
         anneal._python_sweeps(cm, bits_b, base_lf, s, temps, 0.0, 0.01,
                               energy(model, bits_b), math.inf, bits_b.copy(),
-                              rng_b, [], 0, 0)
+                              rng_b, None, 0, 0)
         assert np.array_equal(bits_a, bits_b)
 
 
@@ -178,14 +179,66 @@ def _decode_labels(model, bits):
     return labels
 
 
+def _assert_time_limit_holds(model, limit):
+    start = time.perf_counter()
+    solve(model, AnnealConfig(sweeps=20, seed=0, engine="python"))
+    sweep_s = (time.perf_counter() - start) / 20  # set-up included: an upper bound
+    start = time.perf_counter()
+    res = solve(model, AnnealConfig(sweeps=500_000, replicas=1, seed=0, engine="python",
+                                    time_limit=limit))
+    overshoot = time.perf_counter() - start - limit
+    assert 0 < res.sweeps_done < 500_000
+    assert overshoot < 0.05 + sweep_s, (overshoot, sweep_s, res.sweeps_done)
+
+
 def test_time_limit_stops_early():
     g = gnp_graph(300, 0.05, np.random.RandomState(1))
-    model = build_bipartition_qubo(g)
-    cfg = AnnealConfig(sweeps=500_000, replicas=1, seed=0, engine="python",
-                       time_limit=0.15)
-    res = solve(model, cfg)
-    assert 0 < res.sweeps_done < 500_000
-    assert res.sweeps_done % anneal.BATCH_SWEEPS == 0
+    _assert_time_limit_holds(build_bipartition_qubo(g), 0.15)
+
+
+def test_time_limit_holds_on_large_model():
+    # 8000 variables: one batch of BATCH_SWEEPS sweeps takes far longer than
+    # the limit, so polling only between fixed-size batches would overshoot
+    rng = np.random.RandomState(3)
+    n = 2000
+    edges = {tuple(sorted(e)) for e in rng.randint(0, n, size=(3 * n, 2)) if e[0] != e[1]}
+    model = build_kway_qubo(Graph.from_edges(n, sorted(edges)), 4)
+    _assert_time_limit_holds(model, 0.2)
+
+
+def test_batch_size_fits_time_left():
+    assert anneal._batch_size(10.0, 0.0) == 1  # no rate measured yet
+    assert anneal._batch_size(1.0, 0.01) == 50
+    assert anneal._batch_size(1e6, 1e-6) == anneal.BATCH_SWEEPS
+    assert anneal._batch_size(-0.5, 0.01) == 1
+    assert anneal._batch_size(0.001, 0.01) == 1
+
+
+def test_exp_disagreement_within_window():
+    """np.exp and math.exp must differ by less than the re-check window."""
+    rng = np.random.RandomState(4)
+    x = np.concatenate([-rng.random_sample(100_000) * 745.2,
+                        -np.exp(rng.uniform(math.log(1e-300), math.log(40.0), 100_000))])
+    a = np.exp(x)
+    b = np.array([math.exp(v) for v in x.tolist()])
+    assert (np.abs(a - b) < a * anneal._EXP_REL_WINDOW + anneal._EXP_ABS_WINDOW).all()
+
+
+def test_metropolis_accept_matches_scalar_rule():
+    rng = np.random.RandomState(12)
+    t = 0.73
+    eff = np.concatenate([
+        rng.uniform(-5.0, 0.0, 50), [0.0, -0.0],
+        rng.exponential(3.0, 4000),             # ordinary thresholds
+        rng.uniform(708.0 * t, 746.0 * t, 50),  # subnormal and underflowing thresholds
+    ])
+    exact = np.array([math.exp(-e / t) for e in eff])
+    draws = [exact, np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf),
+             np.exp(-eff / t), np.zeros_like(eff), rng.random_sample(len(eff))]
+    for us in draws:
+        us = np.minimum(us, np.nextafter(1.0, 0.0))  # draws lie in [0, 1)
+        want = np.array([e <= 0.0 or u < math.exp(-e / t) for e, u in zip(eff, us)])
+        assert np.array_equal(anneal._metropolis_accept(eff, us, t), want)
 
 
 def test_energy_trace_monotone():

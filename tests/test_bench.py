@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
+import qubopart.bench as bench
 from qubopart.bench import (GridConfig, RunRecord, emit, ingest_external,
                             load_grid_config, records_from_json, records_to_csv,
                             records_to_json, run_grid)
-from qubopart.graph import write_metis
+from qubopart.graph import load_graph_file, write_metis
+from qubopart.qubo import default_penalty
 
 from conftest import gnp_graph
 
@@ -97,6 +99,21 @@ def test_run_grid_unreadable_and_out_of_range(tmp_path):
     assert [r.graph_id for r in records[:2]] == ["missing", "missing"]
     skipped = [r for r in records if r.k == 9 and r.graph_id != "missing"]
     assert len(skipped) == 1 and "outside" in skipped[0].error
+
+
+def test_run_grid_unsatisfiable_bounds_solve_once(tmp_path, monkeypatch):
+    paths = _write_graphs(tmp_path, count=1, n=10)  # no 4 parts of 3 vertices fit
+    solves = []
+    real_solve = bench.solve
+    monkeypatch.setattr(bench, "solve",
+                        lambda model, cfg: solves.append(model) or real_solve(model, cfg))
+    cfg = GridConfig(graphs=paths, ks=[4], epsilons=[0.03], sweeps=50, replicas=1,
+                     time_limit=None)
+    (rec,) = run_grid(cfg)
+    assert len(solves) == 1
+    assert rec.feasible is False and "need more than 10 vertices" in rec.error
+    assert rec.cut_repaired is None and rec.cut_raw is not None
+    assert rec.penalty == default_penalty(load_graph_file(paths[0]))
 
 
 def test_run_grid_size_cap(tmp_path):

@@ -338,8 +338,13 @@ def _balanced_initial_bits(model: QuboModel, rs: np.random.RandomState) -> np.nd
     n, k = model.n, model.k
     per_part = -(-n // k)
     perm = rs.permutation(n)
-    indicators = [(idx, r.vertex, r.part) for idx, r in enumerate(model.var_map)
-                  if r.kind == INDICATOR]
+    indicators: list[tuple[int, int, int]] = []
+    slacks: dict[int, list[tuple[int, float]]] = {}  # part -> (variable, weight)
+    for idx, r in enumerate(model.var_map):
+        if r.kind == INDICATOR:
+            indicators.append((idx, r.vertex, r.part))
+        else:
+            slacks.setdefault(r.part, []).append((idx, r.weight))
     if len(indicators) == n:  # one indicator per vertex: bipartition layout
         var_of = {v: idx for idx, v, _ in indicators}
         for v in perm[:per_part]:
@@ -349,19 +354,11 @@ def _balanced_initial_bits(model: QuboModel, rs: np.random.RandomState) -> np.nd
         for pos, v in enumerate(perm):
             bits[var_of[(int(v), min(pos // per_part, k - 1))]] = 1
     for ch in model.chains:
-        fixed = 0.0
-        slacks: list[tuple[int, float]] = []
-        sign = 1.0
-        for idx, coeff in zip(ch.var_idx, ch.coeffs):
-            role = model.var_map[idx]
-            if role.kind == SLACK:
-                slacks.append((int(idx), abs(float(coeff))))
-                sign = 1.0 if coeff > 0 else -1.0
-            else:
-                fixed += float(coeff) * bits[idx]
-        if slacks:
-            need = sign * (ch.rhs - fixed)
-            _greedy_fill(max(0.0, need), slacks, bits)
+        # a balance chain ends in its part's slack bits, still 0 here, so its
+        # residual is the part size minus rhs
+        last = model.var_map[ch.var_idx[-1]]
+        if last.kind == SLACK:
+            _greedy_fill(-ch.residual(bits), slacks[last.part], bits)
     return bits
 
 

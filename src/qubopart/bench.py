@@ -31,7 +31,7 @@ from . import bestknown
 from .anneal import AnnealConfig, _derive_seed, solve
 from .evaluate import InfeasiblePartitionError, decode, repair
 from .graph import Graph, GraphFormatError, cut_edges, load_graph_file
-from .qubo import build_bipartition_qubo, build_kway_qubo, default_penalty, encode_slack_weights
+from .qubo import build_bipartition_qubo, build_kway_qubo, default_penalty, model_num_vars
 
 
 @dataclass
@@ -98,18 +98,6 @@ def load_grid_config(path: str, overrides: dict | None = None) -> GridConfig:
     return GridConfig(**merged)
 
 
-def _model_size(n: int, k: int, epsilon: float) -> int:
-    from .graph import balance_bounds
-
-    lower, upper = balance_bounds(n, k, epsilon)
-    span = upper - lower
-    slack = len(encode_slack_weights(span)) if span else 0
-    if k == 2:
-        return n + slack
-    per_part = slack * (2 if lower > 0 else 1)
-    return n * k + k * per_part
-
-
 def _run_cell(g: Graph, graph_id: str, k: int, epsilon: float,
               cfg: GridConfig, digest: str) -> RunRecord:
     rec = RunRecord(graph_id=graph_id, n=g.n, d_avg=round(g.d_avg, 4),
@@ -120,7 +108,7 @@ def _run_cell(g: Graph, graph_id: str, k: int, epsilon: float,
     if k < 2 or k > g.n:
         rec.error = f"skipped: k={k} outside 2..{g.n}"
         return rec
-    size = _model_size(g.n, k, epsilon)
+    size = model_num_vars(g.n, k, epsilon)
     if size > cfg.max_vars:
         rec.error = f"skipped: model needs {size} variables, cap is {cfg.max_vars}"
         return rec

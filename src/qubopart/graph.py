@@ -138,7 +138,9 @@ def balance_bounds(n: int, k: int, epsilon: float | Fraction = 0.0) -> tuple[int
     and the bounds collapse to (ceil(n/k), ceil(n/k)).  With epsilon > 0 the
     upper bound is floor((1+eps) * ceil(n/k)); for k == 2 only the upper bound
     is enforced (lower = 0), for k > 2 the lower bound is
-    ceil((1-eps) * ceil(n/k)).
+    ceil((1-eps) * ceil(n/k)).  The k == 2 lower = 0 leaves the other part's
+    bound to the caller: the bipartition QUBO builder turns part 0's upper
+    bound into part 1's lower bound n - upper.
 
     ``epsilon`` given as a float is interpreted through its shortest decimal
     representation so that e.g. 0.03 means exactly 3/100; this keeps the

@@ -39,8 +39,7 @@ class VarRole:
     kind: str
     vertex: int = -1
     part: int = -1
-    bound: str = ""  # slack only: "upper" or "lower"
-    weight: int = 0  # slack only: its coefficient magnitude in the chain
+    weight: int = 0  # slack only: its coefficient in the part's balance chain
 
 
 @dataclass(eq=False)
@@ -239,33 +238,63 @@ def _cut_objective_arrays(g: Graph, parts: int) -> tuple[np.ndarray, np.ndarray,
     return lin, ui, vi, qc
 
 
+def _chain_bounds(n: int, k: int, epsilon: float) -> tuple[int, int]:
+    """Size range [lo, hi] that one balance chain enforces on its part.
+
+    The bipartition chain counts part 1 only, so part 0's upper bound
+    becomes part 1's lower bound n - upper; at epsilon == 0 both ends are
+    ceil(n/2).
+    """
+    lower, upper = balance_bounds(n, k, epsilon)
+    if k == 2:
+        lower = max(lower, n - upper)
+    return lower, upper
+
+
+def model_num_vars(n: int, k: int, epsilon: float = 0.0) -> int:
+    """Variable count of the model the builders return, without building it."""
+    lo, hi = _chain_bounds(n, k, epsilon)
+    slack = len(encode_slack_weights(hi - lo))
+    return n + slack if k == 2 else k * (n + slack)
+
+
+def _balance_chain(part_vars: np.ndarray, part: int, lo: int, hi: int, first_slack: int,
+                   penalty: float) -> tuple[PenaltyChain, list[VarRole]]:
+    """Chain ``sum(part_vars) + slack = hi`` whose slack spans exactly hi - lo.
+
+    Every slack coefficient is positive and the slack sums to at most
+    hi - lo, so this one chain bounds the part size from both sides.  The
+    slack bits are numbered from ``first_slack`` and follow the indicators in
+    the chain; equal bounds give an equality chain with no slack.
+    """
+    weights = encode_slack_weights(hi - lo)
+    slack_vars = first_slack + np.arange(len(weights), dtype=np.int64)
+    chain = PenaltyChain(np.concatenate([part_vars, slack_vars]),
+                         np.concatenate([np.ones(len(part_vars)), np.asarray(weights, float)]),
+                         float(hi), penalty)
+    return chain, [VarRole(SLACK, part=part, weight=w) for w in weights]
+
+
 def build_bipartition_qubo(g: Graph, epsilon: float = 0.0,
                            penalty: float | None = None) -> QuboModel:
     """QUBO for balanced bipartitioning; variable i indicates vertex i in part 1.
 
-    epsilon == 0 pins the part-1 size to ceil(n/2) with an equality penalty.
-    epsilon > 0 enforces only size <= floor((1+eps)*ceil(n/2)) through a
-    slack-extended chain.  ``penalty=None`` selects :func:`default_penalty`.
+    One balance chain bounds the part-1 size to [max(0, n - upper), upper]
+    with upper from :func:`balance_bounds`, so both parts hold at most upper
+    vertices; epsilon == 0 pins it to ceil(n/2) with no slack.
+    ``penalty=None`` selects :func:`default_penalty`.
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     p = default_penalty(g) if penalty is None else float(penalty)
     if p <= 0:
         raise ValueError(f"penalty must be positive, got {p}")
-    lower, upper = balance_bounds(g.n, 2, epsilon)
+    lo, hi = _chain_bounds(g.n, 2, epsilon)
     lin, qi, qj, qc = _cut_objective_arrays(g, 1)
 
     roles = [VarRole(INDICATOR, vertex=i, part=1) for i in range(g.n)]
-    vertex_vars = np.arange(g.n, dtype=np.int64)
-    if lower == upper:
-        chain = PenaltyChain(vertex_vars, np.ones(g.n), float(upper), p)
-    else:
-        weights = encode_slack_weights(upper - lower)
-        slack_vars = g.n + np.arange(len(weights), dtype=np.int64)
-        roles += [VarRole(SLACK, part=1, bound="upper", weight=w) for w in weights]
-        chain = PenaltyChain(np.concatenate([vertex_vars, slack_vars]),
-                             np.concatenate([np.ones(g.n), np.asarray(weights, float)]),
-                             float(upper), p)
+    chain, slack_roles = _balance_chain(np.arange(g.n, dtype=np.int64), 1, lo, hi, g.n, p)
+    roles += slack_roles
     nv = len(roles)
     lin = np.concatenate([lin, np.zeros(nv - g.n)])
     return QuboModel(num_vars=nv, base_linear=lin, base_quad_i=qi, base_quad_j=qj,
@@ -278,15 +307,15 @@ def build_kway_qubo(g: Graph, k: int, epsilon: float = 0.0,
     """One-hot k-way partitioning QUBO over n*k indicators plus slack bits.
 
     Variable i*k+j indicates vertex i in part j.  Penalty chains enforce
-    one indicator per vertex and per-part size bounds from
-    :func:`balance_bounds`; inequality bounds get capped binary slacks.
+    one indicator per vertex, and one balance chain per part bounds its size
+    to :func:`balance_bounds`' [lower, upper].
     """
     if k < 2 or k > g.n:
         raise ValueError(f"k must lie in 2..n={g.n}, got {k}")
     p = default_penalty(g) if penalty is None else float(penalty)
     if p <= 0:
         raise ValueError(f"penalty must be positive, got {p}")
-    lower, upper = balance_bounds(g.n, k, epsilon)
+    lo, hi = _chain_bounds(g.n, k, epsilon)
     lin, qi, qj, qc = _cut_objective_arrays(g, k)
 
     roles = [VarRole(INDICATOR, vertex=i, part=j) for i in range(g.n) for j in range(k)]
@@ -294,28 +323,11 @@ def build_kway_qubo(g: Graph, k: int, epsilon: float = 0.0,
     for i in range(g.n):
         idx = i * k + np.arange(k, dtype=np.int64)
         chains.append(PenaltyChain(idx, np.ones(k), 1.0, p))
-
-    next_var = g.n * k
-    span = upper - lower
     for j in range(k):
         part_vars = np.arange(j, g.n * k, k, dtype=np.int64)
-        ones = np.ones(g.n)
-        if span == 0:
-            chains.append(PenaltyChain(part_vars, ones, float(upper), p))
-            continue
-        weights = encode_slack_weights(span)
-        wf = np.asarray(weights, dtype=np.float64)
-        upper_slacks = next_var + np.arange(len(weights), dtype=np.int64)
-        next_var += len(weights)
-        roles += [VarRole(SLACK, part=j, bound="upper", weight=w) for w in weights]
-        chains.append(PenaltyChain(np.concatenate([part_vars, upper_slacks]),
-                                   np.concatenate([ones, wf]), float(upper), p))
-        if lower > 0:
-            lower_slacks = next_var + np.arange(len(weights), dtype=np.int64)
-            next_var += len(weights)
-            roles += [VarRole(SLACK, part=j, bound="lower", weight=w) for w in weights]
-            chains.append(PenaltyChain(np.concatenate([part_vars, lower_slacks]),
-                                       np.concatenate([ones, -wf]), float(lower), p))
+        chain, slack_roles = _balance_chain(part_vars, j, lo, hi, len(roles), p)
+        chains.append(chain)
+        roles += slack_roles
 
     nv = len(roles)
     lin = np.concatenate([lin, np.zeros(nv - g.n * k)])

@@ -49,8 +49,7 @@ def _fill_chain_slack(model, bits) -> None:
             continue
         fixed = sum(float(c) * bits[i] for i, c in zip(ch.var_idx, ch.coeffs)
                     if model.var_map[i].kind == INDICATOR)
-        sign = 1.0 if roles[-1].bound == "upper" else -1.0
-        need = int(round(sign * (ch.rhs - fixed)))
+        need = int(round(ch.rhs - fixed))
         for (i, _), b in zip(slack, greedy_slack_bits(need, [w for _, w in slack])):
             bits[i] = b
 
@@ -195,6 +194,78 @@ def test_criterion_05_penalty_dominance():
     _verdict(5, "default penalty dominates every infeasible assignment",
              elapsed < 30.0,
              f"{len(graphs)} graphs exhaustively checked, {elapsed:.1f}s of 30s")
+
+
+def _exhaustive_optimum_check(model, indicators_feasible, optimum: int) -> None:
+    """Every assignment, slack bits included, in chunks of rows.
+
+    Infeasible indicators must cost more than the best feasible assignment,
+    the best feasible energy must be the oracle optimum, and every global
+    argmin must decode to a feasible partition.
+    """
+    nv = model.num_vars
+    q = np.zeros((nv, nv))
+    qi, qj, qc = model.quadratic_terms()
+    q[qi, qj] = qc
+    lin = model.linear
+    best_feasible = best_infeasible = math.inf
+    argmin_energy, argmin_rows = math.inf, []
+    chunk = 1 << 15
+    for start in range(0, 1 << nv, chunk):
+        idx = np.arange(start, min(start + chunk, 1 << nv), dtype=np.int64)
+        rows = ((idx[:, None] >> np.arange(nv)) & 1).astype(np.float64)
+        energies = model.constant + rows @ lin + ((rows @ q) * rows).sum(axis=1)
+        ok = indicators_feasible(rows)
+        if ok.any():
+            best_feasible = min(best_feasible, energies[ok].min())
+        if not ok.all():
+            best_infeasible = min(best_infeasible, energies[~ok].min())
+        low = energies.min()
+        if low < argmin_energy:
+            argmin_energy, argmin_rows = low, []
+        if low == argmin_energy:
+            argmin_rows.extend(rows[energies == low])
+    assert best_infeasible > best_feasible, (best_infeasible, best_feasible)
+    assert best_feasible == float(optimum), (best_feasible, optimum)
+    for row in argmin_rows:
+        assert decode(model, row.astype(np.int8))[1].feasible
+
+
+def test_criterion_05_optimum_feasible_with_imbalance():
+    """Exhaustive at epsilon > 0: the model optimum is a valid partition."""
+    start = time.perf_counter()
+    cases = 0
+    for g in (g for g in small_corpus() if g.n <= 10):
+        for epsilon in (0.1, 0.25):
+            _, upper = balance_bounds(g.n, 2, epsilon)
+
+            def two_way(rows, n=g.n, upper=upper):
+                ones = rows[:, :n].sum(axis=1)
+                return (ones <= upper) & (n - ones <= upper)
+
+            _exhaustive_optimum_check(build_bipartition_qubo(g, epsilon), two_way,
+                                      bipartition_optimum(g, epsilon))
+            cases += 1
+    rng = np.random.RandomState(505)
+    three_way_graphs = [gnp_graph(4, 0.5, rng), gnp_graph(4, 0.8, rng),
+                        gnp_graph(5, 0.5, rng),
+                        Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])]
+    for g in three_way_graphs:
+        lower, upper = balance_bounds(g.n, 3, 0.5)
+
+        def three_way(rows, n=g.n, lower=lower, upper=upper):
+            ind = rows[:, :3 * n].reshape(len(rows), n, 3)  # variable 3v+j: v in part j
+            sizes = ind.sum(axis=1)
+            return ((ind.sum(axis=2) == 1).all(axis=1)
+                    & (sizes >= lower).all(axis=1) & (sizes <= upper).all(axis=1))
+
+        _exhaustive_optimum_check(build_kway_qubo(g, 3, 0.5), three_way,
+                                  kway_optimum(g, 3, 0.5))
+        cases += 1
+    elapsed = time.perf_counter() - start
+    _verdict(5, "model optimum is a valid partition at epsilon > 0",
+             elapsed < 60.0,
+             f"{cases} models exhaustively checked, slack included, {elapsed:.1f}s of 60s")
 
 
 def test_criterion_06_slack_coverage():

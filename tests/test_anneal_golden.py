@@ -7,6 +7,11 @@ variable at a time) at commit ca84b31, before the acceptance test was
 vectorised, so any change to the trajectory of the numpy engine shows here
 even where the numba engine, the other reference, is not installed.
 
+``k2-eps0.1-random-init`` was recomputed the same way when the epsilon > 0
+bipartition model gained its lower bound on the part-1 size: the scalar loop
+of ca84b31 solving the new model gives the digest below, and so does the
+numpy engine.  The other three models have epsilon == 0 and did not change.
+
 The module uses only the public API so that it can run against older
 versions of the package unchanged.
 """
@@ -23,7 +28,7 @@ from conftest import gnp_graph
 
 GOLDEN = {
     "k2-eps0": "ea61ab9b5abf930e9fcc39224435a736802898f6ea13642f801d390c1065931b",
-    "k2-eps0.1-random-init": "c6888d1cfefbe2f20dc24dd6847d9ebc50d8001e81162182b2f21dd5ad4f690c",
+    "k2-eps0.1-random-init": "21415fcd0cf1e566d47cef3a0cd3e015f1be04a6f4297402813dc7661e00ea3c",
     "k3-balanced": "5dd86d6f449458de3d7ab26d0f77816ca38a3a894b83af03d0a9ba6bcc59b82f",
     "k2-linear-t0": "01b9d0c2c3df3afc7518fecd09336a94b7c0d44f99367d903a8236a6a3268787",
 }

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qubopart.cli import main
-from qubopart.graph import parse_partition, write_metis
+from qubopart.graph import Graph, parse_partition, write_metis
 
 from conftest import gnp_graph
 
@@ -28,6 +28,17 @@ def test_partition_json(graph_file, capsys):
     assert payload["cut"] >= 0 and payload["decoded_feasible"] is True
     assert payload["cut"] == payload["cut_raw"]
     assert payload["approximation_ratio"] is None
+
+
+def test_partition_with_imbalance_decodes_feasible(tmp_path, capsys):
+    # both parts are bounded, so the model optimum is a valid split, not all-in-one
+    path = tmp_path / "cycle10.graph"
+    path.write_text(write_metis(Graph.from_edges(10, [(i, (i + 1) % 10) for i in range(10)])))
+    rc = main(["partition", "--graph", str(path), "--epsilon", "0.2", "--json", *FAST])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["decoded_feasible"] is True
+    assert payload["cut_raw"] == payload["cut"] == 2
 
 
 def test_partition_text_and_out_file(graph_file, tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from qubopart.graph import Graph, balance_bounds, cut_edges
 from qubopart.qubo import (INDICATOR, SLACK, QuboModel, build_bipartition_qubo,
                            build_kway_qubo, default_penalty, encode_slack_weights,
-                           energy, parse_qubo_text, write_qubo_text)
+                           energy, model_num_vars, parse_qubo_text, write_qubo_text)
 
 from conftest import (dense_energy, feasible_sizes, gnp_graph, greedy_slack_bits,
                       small_corpus)
@@ -59,7 +59,8 @@ def test_bipartition_energy_equals_cut_for_zero_residual():
             m = build_bipartition_qubo(g, epsilon)
             _, upper = balance_bounds(g.n, 2, epsilon)
             for _ in range(10):
-                ones = upper if epsilon == 0.0 else int(rng.randint(0, upper + 1))
+                ones = upper if epsilon == 0.0 else \
+                    int(rng.randint(max(0, g.n - upper), upper + 1))
                 chosen = rng.choice(g.n, size=min(ones, g.n), replace=False)
                 bits = np.zeros(m.num_vars, dtype=np.int8)
                 bits[chosen] = 1
@@ -101,8 +102,7 @@ def test_kway_energy_equals_cut_for_one_hot_balanced():
                     continue
                 fixed = sum(float(c) * bits[i] for i, c in zip(ch.var_idx, ch.coeffs)
                             if m.var_map[i].kind == INDICATOR)
-                sign = 1.0 if roles[-1].bound == "upper" else -1.0
-                need = int(round(sign * (ch.rhs - fixed)))
+                need = int(round(ch.rhs - fixed))
                 for (i, _), b in zip(slack, greedy_slack_bits(need, [w for _, w in slack])):
                     bits[i] = b
             assert energy(m, bits) == float(cut_edges(g, labels))
@@ -150,13 +150,29 @@ def test_kway_structure():
     assert len(m.chains) == 6 + 3  # one-hot per vertex, one balance chain per part
     m2 = build_kway_qubo(g, 3, 0.5)  # bounds (1, 3), slack span 2
     per_part = len(encode_slack_weights(2))
-    assert m2.num_vars == 18 + 3 * 2 * per_part
+    assert m2.num_vars == 18 + 3 * per_part  # one two-sided balance chain per part
+    assert len(m2.chains) == 6 + 3
+    assert all(np.all(ch.coeffs > 0) for ch in m2.chains)
     with pytest.raises(ValueError, match="k must lie"):
         build_kway_qubo(g, 7)
     with pytest.raises(ValueError, match="k must lie"):
         build_kway_qubo(g, 1)
     with pytest.raises(ValueError, match="penalty"):
         build_kway_qubo(g, 3, penalty=0.0)
+
+
+@pytest.mark.parametrize("n, k, epsilon", [
+    (9, 2, 0.0), (10, 2, 0.0),    # k=2 pinned to ceil(n/2), odd and even n
+    (10, 2, 0.1),                 # upper 5: part-1 range [5, 5], 2*upper - n == 0
+    (11, 2, 0.25), (7, 2, 1.0),   # two-sided range; upper > n
+    (9, 3, 0.0),                  # k>2 equality chains
+    (6, 3, 1.0),                  # k>2 with lower == 0
+    (12, 4, 0.34), (10, 3, 0.5),  # k>2 with 0 < lower < upper
+])
+def test_model_num_vars_matches_builders(n, k, epsilon):
+    g = gnp_graph(n, 0.4, np.random.RandomState(n))
+    model = build_bipartition_qubo(g, epsilon) if k == 2 else build_kway_qubo(g, k, epsilon)
+    assert model_num_vars(n, k, epsilon) == model.num_vars
 
 
 def test_qubo_text_round_trip_exact():

@@ -5,6 +5,7 @@ from .bestknown import best_known
 from .evaluate import Feasibility, InfeasiblePartitionError, approximation_ratio, decode, repair
 from .graph import (Graph, GraphFormatError, Partition, balance_bounds, cut_edges,
                     load_graph_file, parse_matrix_market, parse_metis, write_metis)
+from .pipeline import PartitionReport, partition
 from .qubo import (QuboModel, build_bipartition_qubo, build_kway_qubo, default_penalty,
                    encode_slack_weights, energy)
 from .sparsify import EdgeScores, forest_fire_scores, project_partition, run_sparsify_pipeline, sparsify
@@ -17,6 +18,7 @@ __all__ = [
     "Feasibility", "InfeasiblePartitionError", "approximation_ratio", "decode", "repair",
     "Graph", "GraphFormatError", "Partition", "balance_bounds", "cut_edges",
     "load_graph_file", "parse_matrix_market", "parse_metis", "write_metis",
+    "PartitionReport", "partition",
     "QuboModel", "build_bipartition_qubo", "build_kway_qubo", "default_penalty",
     "encode_slack_weights", "energy",
     "EdgeScores", "forest_fire_scores", "project_partition",

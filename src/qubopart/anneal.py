@@ -352,7 +352,7 @@ def _balanced_initial_bits(model: QuboModel, rs: np.random.RandomState) -> np.nd
     else:
         var_of = {(v, p): idx for idx, v, p in indicators}
         for pos, v in enumerate(perm):
-            bits[var_of[(int(v), min(pos // per_part, k - 1))]] = 1
+            bits[var_of[(int(v), pos * k // n)]] = 1  # part sizes differ by at most one
     for ch in model.chains:
         # a balance chain ends in its part's slack bits, still 0 here, so its
         # residual is the part size minus rhs

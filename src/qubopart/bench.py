@@ -1,19 +1,19 @@
 """Benchmark grid runner, external-result ingestion, and table emission.
 
 A grid run partitions every graph at every (k, epsilon) cell with derived
-per-cell seeds, records raw and repaired cuts plus approximation ratios
-against the reference registry, and emits CSV, JSON, or a markdown
-comparison table.  External solver results (graph_id, solver_id, k,
-epsilon, cut CSV) merge into the comparison so different engines can be
-lined up per row, with the row minimum bolded.
+per-cell seeds through :func:`qubopart.pipeline.partition`, records raw and
+repaired cuts plus approximation ratios against the reference registry, and
+emits CSV, JSON, or a markdown comparison table.  External solver results
+(graph_id, solver_id, k, epsilon, cut CSV) merge into the comparison so
+different engines can be lined up per row, with the row minimum bolded.
 
 Re-running the same config reproduces the same records byte for byte apart
 from wall times; cells that fail (unreadable file, oversized model,
 unsatisfiable bounds) are recorded with an error note instead of numbers.
 Cells run in separate worker processes when ``workers > 1`` (results are
 assembled in grid order either way), and ``sparsify: true`` routes every
-cell through the sparsify/solve/project pipeline, where the time limit
-applies to each repeat's solve.
+cell through :func:`qubopart.sparsify.run_sparsify_pipeline`, where the time
+limit applies to each repeat's solve.
 """
 
 from __future__ import annotations
@@ -28,10 +28,12 @@ import warnings
 from dataclasses import asdict, dataclass, field, fields
 
 from . import bestknown
-from .anneal import AnnealConfig, _derive_seed, solve
-from .evaluate import InfeasiblePartitionError, decode, repair
-from .graph import Graph, GraphFormatError, cut_edges, load_graph_file
-from .qubo import build_bipartition_qubo, build_kway_qubo, default_penalty, model_num_vars
+from .anneal import AnnealConfig, _derive_seed
+from .evaluate import InfeasiblePartitionError
+from .graph import Graph, GraphFormatError, load_graph_file
+from .pipeline import partition
+from .qubo import model_num_vars
+from .sparsify import run_sparsify_pipeline
 
 
 @dataclass
@@ -113,75 +115,37 @@ def _run_cell(g: Graph, graph_id: str, k: int, epsilon: float,
         rec.error = f"skipped: model needs {size} variables, cap is {cfg.max_vars}"
         return rec
 
-    auto = isinstance(cfg.penalty, str)
-    if auto and cfg.penalty != "auto":
+    if isinstance(cfg.penalty, str) and cfg.penalty != "auto":
         raise ValueError(f"penalty must be 'auto' or a number, got {cfg.penalty!r}")
-    pen = default_penalty(g) if auto else float(cfg.penalty)
-    if cfg.sparsify:
-        return _run_pipeline_cell(g, k, epsilon, cfg, rec, None if auto else pen)
-    start = time.perf_counter()
-    model = build_bipartition_qubo(g, epsilon, pen) if k == 2 \
-        else build_kway_qubo(g, k, epsilon, pen)
+    penalty = None if cfg.penalty == "auto" else float(cfg.penalty)
     anneal_cfg = AnnealConfig(sweeps=cfg.sweeps, replicas=cfg.replicas, seed=rec.seed,
                               time_limit=cfg.time_limit, balanced_init=cfg.balanced_init,
                               engine=cfg.engine)
-    result = solve(model, anneal_cfg)
-    partition, feas = decode(model, result.best_bits)
-    rec.penalty = pen
-    rec.cut_raw = cut_edges(g, partition)
-    if feas.feasible:
-        rec.feasible = True
-        rec.cut_repaired = rec.cut_raw
-    else:
+    start = time.perf_counter()
+    if cfg.sparsify:
         try:
-            repaired = repair(g, partition, k, epsilon)
+            result = run_sparsify_pipeline(g, k, epsilon, anneal_cfg,
+                                           keep_ratio=cfg.keep_ratio,
+                                           burn_probability=cfg.burn_probability,
+                                           walks=cfg.walks, repeats=cfg.repeats,
+                                           seed=rec.seed, penalty=penalty)
         except InfeasiblePartitionError as exc:
-            rec.feasible = False
             rec.error = str(exc)
         else:
-            rec.feasible = True
-            rec.cut_repaired = cut_edges(g, repaired)
+            # the pipeline repairs before it projects, so the projected cut is the final one
+            rec.penalty = result.penalty
+            rec.cut_raw = rec.cut_repaired = result.best_cut
+    else:
+        report = partition(g, k, epsilon, anneal_cfg, penalty)
+        rec.penalty, rec.error = report.penalty, report.error
+        rec.cut_raw, rec.cut_repaired = report.cut_raw, report.cut
+    rec.feasible = rec.cut_repaired is not None
     rec.wall_time = round(time.perf_counter() - start, 6)
-    if rec.feasible and rec.cut_repaired is not None:
+    if rec.feasible:
         ref = bestknown.best_known(graph_id, k, epsilon)
         if ref:
             rec.approximation_ratio = rec.cut_repaired / ref
     return rec
-
-
-def _run_pipeline_cell(g: Graph, k: int, epsilon: float, cfg: GridConfig,
-                       rec: RunRecord, penalty: float | None) -> RunRecord:
-    from .sparsify import run_sparsify_pipeline
-
-    anneal_cfg = AnnealConfig(sweeps=cfg.sweeps, replicas=cfg.replicas,
-                              time_limit=cfg.time_limit,
-                              balanced_init=cfg.balanced_init, engine=cfg.engine)
-    start = time.perf_counter()
-    try:
-        result = run_sparsify_pipeline(g, k, epsilon, anneal_cfg,
-                                       keep_ratio=cfg.keep_ratio,
-                                       burn_probability=cfg.burn_probability,
-                                       walks=cfg.walks, repeats=cfg.repeats,
-                                       seed=rec.seed, penalty=penalty)
-    except InfeasiblePartitionError as exc:
-        rec.feasible = False
-        rec.error = str(exc)
-        rec.wall_time = round(time.perf_counter() - start, 6)
-        return rec
-    rec.penalty = penalty
-    # the pipeline repairs internally, so the projected cut is the final one
-    rec.cut_raw = result.best_cut
-    rec.cut_repaired = result.best_cut
-    rec.feasible = True
-    rec.wall_time = round(time.perf_counter() - start, 6)
-    ref = bestknown.best_known(rec.graph_id, k, epsilon)
-    if ref:
-        rec.approximation_ratio = rec.cut_repaired / ref
-    return rec
-
-
-def _run_cell_star(args) -> RunRecord:
-    return _run_cell(*args)
 
 
 def run_grid(cfg: GridConfig) -> list[RunRecord]:
@@ -217,13 +181,13 @@ def run_grid(cfg: GridConfig) -> list[RunRecord]:
 
     cell_args = [args for _, args in tasks]
     if cfg.workers == 1 or len(tasks) <= 1:
-        results = [_run_cell_star(args) for args in cell_args]
+        results = [_run_cell(*args) for args in cell_args]
     else:
         # processes, not threads: the compiled kernel owns a global RNG state
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
-            results = list(pool.map(_run_cell_star, cell_args))
+            results = list(pool.map(_run_cell, *zip(*cell_args)))
     for (idx, _), rec in zip(tasks, results):
         records[idx] = rec
     return records

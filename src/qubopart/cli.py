@@ -11,13 +11,14 @@ import argparse
 import json
 import sys
 
-from .anneal import AnnealConfig, solve
+from .anneal import AnnealConfig
 from .bench import (GridConfig, emit, ingest_external, load_grid_config, run_grid)
 from .bestknown import best_known, load_extra_registry
-from .evaluate import (InfeasiblePartitionError, decode, partition_feasibility, repair)
+from .evaluate import InfeasiblePartitionError, partition_feasibility
 from .graph import (GraphFormatError, cut_edges, load_graph_file, parse_partition,
                     write_metis, write_partition)
-from .qubo import build_bipartition_qubo, build_kway_qubo, write_qubo_text
+from .pipeline import build_model, partition
+from .qubo import write_qubo_text
 from .sparsify import run_sparsify_pipeline
 
 
@@ -111,57 +112,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _anneal_config(args) -> AnnealConfig:
+    return AnnealConfig(sweeps=args.sweeps, replicas=args.replicas, seed=args.seed,
+                        time_limit=args.time_limit, balanced_init=args.balanced_init,
+                        engine=args.engine)
+
+
 def _solve_command(args, k: int) -> int:
     g = load_graph_file(args.graph)
     penalty = None if args.penalty == "auto" else args.penalty
-    if k == 2:
-        model = build_bipartition_qubo(g, args.epsilon, penalty)
-    else:
-        model = build_kway_qubo(g, k, args.epsilon, penalty)
-    cfg = AnnealConfig(sweeps=args.sweeps, replicas=args.replicas, seed=args.seed,
-                       time_limit=args.time_limit, balanced_init=args.balanced_init,
-                       engine=args.engine)
-    result = solve(model, cfg)
-    partition, feas = decode(model, result.best_bits)
-    cut_raw = cut_edges(g, partition)
-    if feas.feasible:
-        final, cut_final = partition, cut_raw
-    else:
-        final = repair(g, partition, k, args.epsilon)
-        cut_final = cut_edges(g, final)
+    report = partition(g, k, args.epsilon, _anneal_config(args), penalty)
+    if report.partition is None:
+        raise InfeasiblePartitionError(report.error)
     ref = best_known(g.name, k, args.epsilon)
-    ratio = cut_final / ref if ref else None
+    ratio = report.cut / ref if ref else None
 
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(write_partition(final, g.name, args.epsilon))
+            fh.write(write_partition(report.partition, g.name, args.epsilon))
     if args.json:
         print(json.dumps({
             "graph": g.name, "n": g.n, "m": g.m, "k": k, "epsilon": args.epsilon,
-            "penalty": model.penalty, "cut_raw": cut_raw, "cut": cut_final,
-            "decoded_feasible": feas.feasible, "approximation_ratio": ratio,
-            "energy": result.best_energy, "sweeps": result.sweeps_done,
-            "wall_time": result.wall_time, "seed": result.seed,
+            "penalty": report.penalty, "cut_raw": report.cut_raw, "cut": report.cut,
+            "decoded_feasible": report.decoded_feasible, "approximation_ratio": ratio,
+            "energy": report.result.best_energy, "sweeps": report.result.sweeps_done,
+            "wall_time": report.result.wall_time, "seed": report.result.seed,
         }))
     else:
         print(f"graph: {g.name} (n={g.n}, m={g.m})")
-        print(f"k={k} epsilon={args.epsilon:g} penalty={model.penalty:g}")
-        print(f"cut: {cut_final} (raw {cut_raw}, decoded "
-              f"{'feasible' if feas.feasible else 'repaired'})")
+        print(f"k={k} epsilon={args.epsilon:g} penalty={report.penalty:g}")
+        print(f"cut: {report.cut} (raw {report.cut_raw}, decoded "
+              f"{'feasible' if report.decoded_feasible else 'repaired'})")
         if ratio is not None:
             print(f"approximation ratio: {ratio:.4f} (best known {ref})")
-        print(f"energy: {result.best_energy:g}  sweeps: {result.sweeps_done}  "
-              f"wall: {result.wall_time:.2f}s")
+        print(f"energy: {report.result.best_energy:g}  sweeps: {report.result.sweeps_done}  "
+              f"wall: {report.result.wall_time:.2f}s")
     return 0
 
 
 def _pipeline_command(args) -> int:
     g = load_graph_file(args.graph)
     penalty = None if args.penalty == "auto" else args.penalty
-    cfg = AnnealConfig(sweeps=args.sweeps, replicas=args.replicas, seed=args.seed,
-                       time_limit=args.time_limit, balanced_init=args.balanced_init,
-                       engine=args.engine)
-    result = run_sparsify_pipeline(g, args.k, args.epsilon, cfg,
+    result = run_sparsify_pipeline(g, args.k, args.epsilon, _anneal_config(args),
                                    keep_ratio=args.keep_ratio,
                                    burn_probability=args.burn_probability,
                                    walks=args.walks, repeats=args.repeats,
@@ -232,11 +224,7 @@ def _convert_command(args) -> int:
         text = write_metis(g)
     else:
         penalty = None if args.penalty == "auto" else args.penalty
-        if args.k == 2:
-            model = build_bipartition_qubo(g, args.epsilon, penalty)
-        else:
-            model = build_kway_qubo(g, args.k, args.epsilon, penalty)
-        text = write_qubo_text(model)
+        text = write_qubo_text(build_model(g, args.k, args.epsilon, penalty))
     if args.output == "-":
         sys.stdout.write(text)
     else:

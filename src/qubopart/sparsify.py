@@ -1,11 +1,12 @@
-"""Forest-fire edge scoring, graph sparsification, and the solve-and-project pipeline.
+"""Forest-fire edge scoring, graph sparsification, and projection back to the original.
 
 Edges are scored by how often random fires traverse them: a fire starts at a
 random unburned vertex, each burning vertex ignites a random number of its
 unburned neighbors (geometric fan-out), and the fire restarts from a fresh
 vertex until everything has burned.  Edges that carry many burns are kept;
-the rest are dropped.  Partitioning the sparsified graph and projecting the
-labels back gives a cheap upper bound on the original graph's cut.
+the rest are dropped.  Partitioning the sparsified graph with
+:func:`qubopart.pipeline.partition` and projecting the labels back gives a
+cheap upper bound on the original graph's cut.
 """
 
 from __future__ import annotations
@@ -15,10 +16,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .anneal import AnnealConfig, solve, _derive_seed
-from .evaluate import decode, repair
+from .anneal import AnnealConfig, _derive_seed
+from .evaluate import InfeasiblePartitionError
 from .graph import Graph, Partition, cut_edges
-from .qubo import build_bipartition_qubo, build_kway_qubo
+# only partition is called here; perfbench/layers.py looks up the other names on
+# this module when it traces a run, so they must stay importable from it
+from .pipeline import (build_bipartition_qubo, build_kway_qubo, decode,  # noqa: F401
+                       partition, repair, solve)
 
 
 @dataclass(eq=False)
@@ -110,6 +114,7 @@ class PipelineResult:
     best_partition: Partition
     best_repeat: int
     projected_cuts: list[int]
+    penalty: float  # of the best repeat's model
 
 
 def run_sparsify_pipeline(g: Graph, k: int, epsilon: float = 0.0,
@@ -119,36 +124,25 @@ def run_sparsify_pipeline(g: Graph, k: int, epsilon: float = 0.0,
                           penalty: float | None = None) -> PipelineResult:
     """Sparsify, partition the sparse graph, project back; best of ``repeats``.
 
-    Each repeat burns with a fresh derived seed, solves the sparsified
-    instance, repairs balance if needed (against the sparsified graph, where
-    the solution lives), and evaluates the labels on the original graph.
+    Each repeat burns with a fresh derived seed, partitions the sparsified
+    instance (repairing against it, where the solution lives), and evaluates
+    the labels on the original graph.  Unsatisfiable bounds raise.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be positive, got {repeats}")
     anneal_cfg = anneal_cfg or AnnealConfig()
-    best_cut = None
-    best_partition = None
-    best_repeat = -1
-    projected: list[int] = []
+    reports, projected = [], []
     for rep in range(repeats):
         scores = forest_fire_scores(g, burn_probability, walks,
                                     seed=_derive_seed(seed, rep, "fire"))
         sparse = sparsify(g, scores, keep_ratio)
-        if k == 2:
-            model = build_bipartition_qubo(sparse, epsilon, penalty)
-        else:
-            model = build_kway_qubo(sparse, k, epsilon, penalty)
         cfg = replace(anneal_cfg, seed=_derive_seed(seed, rep, "solve"))
-        result = solve(model, cfg)
-        partition, feas = decode(model, result.best_bits)
-        if not feas.feasible:
-            partition = repair(sparse, partition, k, epsilon)
-        cut = project_partition(g, partition)
-        projected.append(cut)
-        if best_cut is None or cut < best_cut:
-            best_cut = cut
-            best_partition = partition
-            best_repeat = rep
-    assert best_partition is not None and best_cut is not None
-    return PipelineResult(best_cut=best_cut, best_partition=best_partition,
-                          best_repeat=best_repeat, projected_cuts=projected)
+        report = partition(sparse, k, epsilon, cfg, penalty)
+        if report.partition is None:
+            raise InfeasiblePartitionError(report.error)
+        reports.append(report)
+        projected.append(project_partition(g, report.partition))
+    best = projected.index(min(projected))
+    return PipelineResult(best_cut=projected[best], best_partition=reports[best].partition,
+                          best_repeat=best, projected_cuts=projected,
+                          penalty=reports[best].penalty)

@@ -14,12 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qubopart.anneal import AnnealConfig, solve
+from qubopart.anneal import AnnealConfig
 from qubopart.bench import emit, ingest_external
 from qubopart.cli import main as cli_main
-from qubopart.evaluate import approximation_ratio, decode, repair
+from qubopart.evaluate import approximation_ratio, decode
 from qubopart.graph import (Graph, balance_bounds, cut_edges, load_graph_file,
                             write_metis)
+from qubopart.pipeline import partition
 from qubopart.qubo import (INDICATOR, SLACK, build_bipartition_qubo,
                            build_kway_qubo, encode_slack_weights, energy)
 from qubopart.sparsify import (forest_fire_scores, project_partition,
@@ -106,13 +107,8 @@ def test_criterion_02_bipartition_optimality():
     for i in range(50):
         n = int(rng.randint(4, 15))
         g = gnp_graph(n, float(rng.choice([0.2, 0.3, 0.5, 0.7])), rng)
-        model = build_bipartition_qubo(g)
-        res = solve(model, AnnealConfig(sweeps=2000, replicas=8, seed=i,
-                                        balanced_init=True))
-        partition, feas = decode(model, res.best_bits)
-        if not feas.feasible:
-            partition = repair(g, partition, 2, 0.0)
-        cut = cut_edges(g, partition)
+        cut = partition(g, 2, 0.0, AnnealConfig(sweeps=2000, replicas=8, seed=i,
+                                                balanced_init=True)).cut
         opt = bipartition_optimum(g, 0.0)
         hits += cut == opt
         sound += cut >= opt
@@ -130,13 +126,8 @@ def test_criterion_03_kway_optimality():
     for i in range(50):
         n = int(rng.choice([6, 9]))  # exact three-way balance needs 3 | n
         g = gnp_graph(n, float(rng.choice([0.3, 0.5, 0.7])), rng)
-        model = build_kway_qubo(g, 3)
-        res = solve(model, AnnealConfig(sweeps=2000, replicas=8, seed=i,
-                                        balanced_init=True))
-        partition, feas = decode(model, res.best_bits)
-        if not feas.feasible:
-            partition = repair(g, partition, 3, 0.0)
-        cut = cut_edges(g, partition)
+        cut = partition(g, 3, 0.0, AnnealConfig(sweeps=2000, replicas=8, seed=i,
+                                                balanced_init=True)).cut
         opt = kway_optimum(g, 3, 0.0)
         hits += cut == opt
         sound += cut >= opt
@@ -162,13 +153,9 @@ def test_criterion_04_benchmark_spot_checks():
     ok = True
     for name, best, factor in targets:
         g = load_graph_file(str(DATA_DIR / "walshaw" / name))
-        model = build_bipartition_qubo(g)
-        res = solve(model, AnnealConfig(sweeps=100_000, replicas=16, seed=0,
-                                        balanced_init=True, time_limit=290.0))
-        partition, feas = decode(model, res.best_bits)
-        if not feas.feasible:
-            partition = repair(g, partition, 2, 0.0)
-        ratio = approximation_ratio(cut_edges(g, partition), best)
+        report = partition(g, 2, 0.0, AnnealConfig(sweeps=100_000, replicas=16, seed=0,
+                                                   balanced_init=True, time_limit=290.0))
+        ratio = approximation_ratio(report.cut, best)
         details.append(f"{g.name} ratio {ratio:.4f} (allowed {factor})")
         ok = ok and ratio <= factor
     _verdict(4, "benchmark instance spot checks", ok, "; ".join(details))
@@ -313,11 +300,8 @@ def test_criterion_08_sparsification_pipeline():
         scores = forest_fire_scores(g, seed=i)
         sparse = sparsify(g, scores, 0.7)
         assert sparse.m == round(0.7 * g.m), g.name
-        model = build_bipartition_qubo(sparse)
-        partition, feas = decode(model, solve(model, cfg).best_bits)
-        if not feas.feasible:
-            partition = repair(sparse, partition, 2, 0.0)
-        assert project_partition(g, partition) >= cut_edges(sparse, partition)
+        report = partition(sparse, 2, 0.0, cfg)
+        assert project_partition(g, report.partition) >= report.cut
 
     g0 = gnp_graph(16, 0.4, np.random.RandomState(1))
     a = run_sparsify_pipeline(g0, 2, anneal_cfg=cfg, repeats=10, seed=123)

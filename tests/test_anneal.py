@@ -7,6 +7,7 @@ import pytest
 
 import qubopart.anneal as anneal
 from qubopart.anneal import AnnealConfig, compile_model, solve
+from qubopart.evaluate import decode
 from qubopart.graph import Graph, cut_edges
 from qubopart.qubo import INDICATOR, build_bipartition_qubo, build_kway_qubo, energy
 
@@ -167,6 +168,19 @@ def test_balanced_initial_bits_zero_residual():
                 assert chain.residual(bits) == 0.0
             labels = _decode_labels(model, bits)
             assert energy(model, bits) == float(cut_edges(g_case, labels))
+
+
+def test_balanced_initial_bits_spread_remainder():
+    # n=10, k=4: sizes (3, 3, 2, 2) in some order, all within [2, 4]; filling
+    # blocks of ceil(n/k) would leave the last part with 1 vertex
+    cycle = Graph.from_edges(10, [(i, (i + 1) % 10) for i in range(10)])
+    model = build_kway_qubo(cycle, 4, 0.5)
+    for trial in range(5):
+        bits = anneal._balanced_initial_bits(model, np.random.RandomState(trial))
+        partition, feas = decode(model, bits)
+        assert feas.feasible and sorted(partition.part_sizes()) == [2, 2, 3, 3]
+        for chain in model.chains:
+            assert chain.residual(bits) == 0.0
 
 
 def _decode_labels(model, bits):

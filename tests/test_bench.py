@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-import qubopart.bench as bench
+import qubopart.pipeline as pipeline
 from qubopart.bench import (GridConfig, RunRecord, emit, ingest_external,
                             load_grid_config, records_from_json, records_to_csv,
                             records_to_json, run_grid)
@@ -104,8 +104,8 @@ def test_run_grid_unreadable_and_out_of_range(tmp_path):
 def test_run_grid_unsatisfiable_bounds_solve_once(tmp_path, monkeypatch):
     paths = _write_graphs(tmp_path, count=1, n=10)  # no 4 parts of 3 vertices fit
     solves = []
-    real_solve = bench.solve
-    monkeypatch.setattr(bench, "solve",
+    real_solve = pipeline.solve
+    monkeypatch.setattr(pipeline, "solve",
                         lambda model, cfg: solves.append(model) or real_solve(model, cfg))
     cfg = GridConfig(graphs=paths, ks=[4], epsilons=[0.03], sweeps=50, replicas=1,
                      time_limit=None)
@@ -133,10 +133,13 @@ def test_run_grid_sparsify_mode(tmp_path):
     assert rec.feasible is True and not rec.error
     # the pipeline projects and repairs internally, so both cuts coincide
     assert rec.cut_raw == rec.cut_repaired and rec.cut_raw >= 0
-    assert rec.penalty is None  # auto mode: each repeat derives its own
+    # auto mode: the best repeat's model penalty, derived from its sparsified graph
+    assert isinstance(rec.penalty, float) and rec.penalty > 0
 
     strip = lambda recs: [dataclasses.replace(r, wall_time=0.0) for r in recs]
     assert strip(run_grid(cfg)) == strip([rec])
+    (fixed,) = run_grid(dataclasses.replace(cfg, penalty=7))
+    assert fixed.penalty == 7.0
 
 
 def test_run_grid_workers_match_serial(tmp_path):

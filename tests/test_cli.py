@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,3 +177,71 @@ def test_malformed_graph_exit_code(tmp_path, capsys):
     rc = main(["partition", "--graph", str(bad)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _run_in(directory, argv, capsys, monkeypatch):
+    monkeypatch.chdir(directory)
+    rc = main(argv)
+    return rc, capsys.readouterr().out
+
+
+# Outputs on the graph_file fixture, fixed so that refactoring the solve loop
+# keeps the same cuts, energies, seeds and record fields; wall times are dropped.
+PINNED_JSON = [
+    (["partition", "--json", *FAST],
+     {"graph": "toy", "n": 12, "m": 28, "k": 2, "epsilon": 0.0, "penalty": 9.0,
+      "cut_raw": 11, "cut": 11, "decoded_feasible": True, "approximation_ratio": None,
+      "energy": 11.0, "sweeps": 200, "seed": 0}),
+    (["kway", "--k", "3", "--json", *FAST],
+     {"graph": "toy", "n": 12, "m": 28, "k": 3, "epsilon": 0.0, "penalty": 9.0,
+      "cut_raw": 17, "cut": 17, "decoded_feasible": True, "approximation_ratio": None,
+      "energy": 17.0, "sweeps": 200, "seed": 0}),
+    (["kway", "--k", "4", "--json", "--no-balanced-init", "--sweeps", "10",
+      "--replicas", "1"],
+     {"graph": "toy", "n": 12, "m": 28, "k": 4, "epsilon": 0.0, "penalty": 9.0,
+      "cut_raw": 14, "cut": 19, "decoded_feasible": False, "approximation_ratio": None,
+      "energy": 329.0, "sweeps": 10, "seed": 0}),
+    (["sparsify-pipeline", "--repeats", "2", "--json", *FAST],
+     {"graph": "toy", "k": 2, "epsilon": 0.0, "projected_cuts": [10, 10], "best_cut": 10,
+      "best_repeat": 0}),
+]
+
+
+@pytest.mark.parametrize("argv,expected", PINNED_JSON,
+                         ids=["partition", "kway3", "kway4-repaired", "sparsify-pipeline"])
+def test_pinned_json_outputs(graph_file, argv, expected, capsys, monkeypatch):
+    command, *rest = argv
+    rc, out = _run_in(Path(graph_file).parent, [command, "--graph", "toy.graph", *rest],
+                      capsys, monkeypatch)
+    assert rc == 0
+    payload = json.loads(out)
+    payload.pop("wall_time", None)
+    assert payload == expected
+
+
+def test_pinned_bench_csv(graph_file, capsys, monkeypatch):
+    # a relative graph path keeps the config digest independent of the temp dir
+    rc, out = _run_in(Path(graph_file).parent,
+                      ["bench", "--graphs", "toy.graph", "--sweeps", "100",
+                       "--replicas", "1", "--format", "csv"], capsys, monkeypatch)
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    col = rows[0].index("wall_time")
+    assert [r[:col] + r[col + 1:] for r in rows] == [
+        ["graph_id", "n", "d_avg", "solver_id", "k", "epsilon", "penalty", "seed",
+         "cut_raw", "cut_repaired", "feasible", "approximation_ratio",
+         "config_digest", "error"],
+        ["toy", "12", "4.6667", "anneal", "2", "0.0", "9.0", "3290067018",
+         "13", "13", "true", "", "1f571503a8a2", ""],
+    ]
+
+
+@pytest.mark.parametrize("command", ["kway", "sparsify-pipeline"])
+def test_unsatisfiable_bounds_exit_code(tmp_path, command, capsys):
+    # four parts of at least 3 vertices do not fit in 10
+    path = tmp_path / "cycle10.graph"
+    path.write_text(write_metis(Graph.from_edges(10, [(i, (i + 1) % 10) for i in range(10)])))
+    rc = main([command, "--graph", str(path), "--k", "4", "--epsilon", "0.03", *FAST])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: ") and "need more than 10 vertices" in err

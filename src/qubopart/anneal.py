@@ -42,7 +42,7 @@ except ImportError:  # numba is an optional extra; the numpy engine runs without
     numba = None
     HAVE_NUMBA = False
 
-from .qubo import INDICATOR, SLACK, QuboModel, energy
+from .qubo import QuboModel, _coalesce, energy
 
 BATCH_SWEEPS = 1024  # most sweeps per engine call
 
@@ -62,8 +62,9 @@ class AnnealConfig:
     ``temp_initial=None`` picks each replica's starting temperature as the
     maximum absolute flip gain of its initial state.  ``offset_increment``
     defaults to a tenth of the final temperature.  ``balanced_init`` starts
-    replicas from a random partition with ceil(n/k) vertices per part instead
-    of uniform random bits (partition models only).
+    replicas from a random balanced partition instead of uniform random bits
+    (partition models only): part 1 of the bipartition model gets ceil(n/2)
+    vertices, and the one-hot model's part sizes differ by at most one.
     """
 
     sweeps: int = 2000
@@ -119,16 +120,6 @@ class SolveResult:
 def _derive_seed(*parts) -> int:
     digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
     return int.from_bytes(digest[:4], "big")
-
-
-def _coalesce(nv: int, qi: np.ndarray, qj: np.ndarray, qc: np.ndarray):
-    if not len(qi):
-        return qi, qj, qc
-    keys = qi * np.int64(nv) + qj
-    order = np.argsort(keys, kind="stable")
-    keys, qi, qj, qc = keys[order], qi[order], qj[order], qc[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(keys)) + 1))
-    return qi[starts], qj[starts], np.add.reduceat(qc, starts)
 
 
 @dataclass(eq=False)
@@ -322,43 +313,33 @@ if HAVE_NUMBA:
         return offset, cur_energy, best_energy, flips
 
 
-def _greedy_fill(value: float, weights: list[tuple[int, float]], bits: np.ndarray) -> None:
+def _greedy_fill(value: float, var_idx: np.ndarray, weights: np.ndarray,
+                 bits: np.ndarray) -> None:
     """Set slack bits (greedy, largest weight first) to sum close to value."""
     remaining = value
-    for idx, w in sorted(weights, key=lambda t: -t[1]):
-        if w <= remaining:
-            bits[idx] = 1
-            remaining -= w
+    for i in np.argsort(-weights, kind="stable"):
+        if weights[i] <= remaining:
+            bits[var_idx[i]] = 1
+            remaining -= weights[i]
 
 
 def _balanced_initial_bits(model: QuboModel, rs: np.random.RandomState) -> np.ndarray:
-    if model.var_map is None or model.k is None or model.n is None:
-        raise ValueError("balanced initialization requires a model with variable roles")
+    ind = model.indicators
+    if ind is None or model.k is None:
+        raise ValueError("balanced initialization requires a model with an indicator layout")
     bits = np.zeros(model.num_vars, dtype=np.int8)
-    n, k = model.n, model.k
-    per_part = -(-n // k)
+    n, k = len(ind), model.k
     perm = rs.permutation(n)
-    indicators: list[tuple[int, int, int]] = []
-    slacks: dict[int, list[tuple[int, float]]] = {}  # part -> (variable, weight)
-    for idx, r in enumerate(model.var_map):
-        if r.kind == INDICATOR:
-            indicators.append((idx, r.vertex, r.part))
-        else:
-            slacks.setdefault(r.part, []).append((idx, r.weight))
-    if len(indicators) == n:  # one indicator per vertex: bipartition layout
-        var_of = {v: idx for idx, v, _ in indicators}
-        for v in perm[:per_part]:
-            bits[var_of[int(v)]] = 1
-    else:
-        var_of = {(v, p): idx for idx, v, p in indicators}
-        for pos, v in enumerate(perm):
-            bits[var_of[(int(v), pos * k // n)]] = 1  # part sizes differ by at most one
+    if ind.shape[1] == 1:  # bipartition layout: part 1 gets ceil(n/2)
+        bits[ind[perm[:-(-n // 2)], 0]] = 1
+    else:  # position pos goes to part pos*k//n, so part sizes differ by at most one
+        bits[ind[perm, np.arange(n) * k // n]] = 1
     for ch in model.chains:
-        # a balance chain ends in its part's slack bits, still 0 here, so its
+        # a balance chain ends in its slack bits, still 0 here, so its
         # residual is the part size minus rhs
-        last = model.var_map[ch.var_idx[-1]]
-        if last.kind == SLACK:
-            _greedy_fill(-ch.residual(bits), slacks[last.part], bits)
+        if ch.var_idx[-1] >= ind.size:
+            tail = np.searchsorted(ch.var_idx, ind.size)
+            _greedy_fill(-ch.residual(bits), ch.var_idx[tail:], ch.coeffs[tail:], bits)
     return bits
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, Partition, balance_bounds
-from .qubo import INDICATOR, QuboModel
+from .qubo import QuboModel
 
 
 class InfeasiblePartitionError(RuntimeError):
@@ -41,37 +41,26 @@ def partition_feasibility(p: Partition, epsilon: float = 0.0) -> Feasibility:
 
 
 def decode(model: QuboModel, bits: np.ndarray) -> tuple[Partition, Feasibility]:
-    """Read a partition out of a solved assignment via the model's variable roles.
+    """Read a partition out of a solved assignment via ``model.indicators``.
 
-    Slack bits are ignored.  For one-hot encodings a vertex with no set
-    indicator gets part 0 and one with several gets the lowest set part;
-    either situation clears ``one_hot_ok``.
+    Slack bits are ignored.  With one indicator per vertex (``c == 1``) the
+    bit is the label.  For one-hot encodings a vertex with no set indicator
+    gets part 0 and one with several gets the lowest set part; either
+    situation clears ``one_hot_ok``.
     """
-    if model.var_map is None or model.k is None or model.n is None:
-        raise ValueError("model carries no variable roles to decode")
+    if model.indicators is None or model.k is None:
+        raise ValueError("model carries no indicator layout to decode")
     bits = np.asarray(bits)
     if bits.shape != (model.num_vars,):
         raise ValueError(f"assignment length {bits.shape} does not match model")
-    n, k = model.n, model.k
-    indicators = [(idx, r.vertex, r.part) for idx, r in enumerate(model.var_map)
-                  if r.kind == INDICATOR]
-
-    one_hot_ok = True
-    labels = np.zeros(n, dtype=np.int64)
-    if len(indicators) == n:  # single indicator per vertex
-        for idx, v, _ in indicators:
-            labels[v] = int(bits[idx])
+    is_set = bits[model.indicators] != 0
+    if is_set.shape[1] == 1:
+        labels, one_hot_ok = is_set[:, 0], True
     else:
-        set_parts: list[list[int]] = [[] for _ in range(n)]
-        for idx, v, part in indicators:
-            if bits[idx]:
-                set_parts[v].append(part)
-        for v, parts in enumerate(set_parts):
-            if len(parts) != 1:
-                one_hot_ok = False
-            labels[v] = min(parts) if parts else 0
+        labels = is_set.argmax(axis=1)  # lowest set part, 0 when none is set
+        one_hot_ok = bool((is_set.sum(axis=1) == 1).all())
 
-    partition = Partition.from_labels(labels.tolist(), k)
+    partition = Partition.from_labels(labels.tolist(), model.k)
     balance = partition_feasibility(partition, model.epsilon or 0.0)
     return partition, Feasibility(one_hot_ok=one_hot_ok, balance_ok=balance.balance_ok,
                                   part_sizes=balance.part_sizes)

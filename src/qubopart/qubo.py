@@ -28,19 +28,6 @@ from .graph import Graph, balance_bounds
 # dense-chain models grow quadratically.  Refuse beyond this many pairs.
 MAX_EXPANSION_TERMS = 20_000_000
 
-INDICATOR = "indicator"
-SLACK = "slack"
-
-
-@dataclass(frozen=True)
-class VarRole:
-    """What a model variable means: a vertex-part indicator or a slack bit."""
-
-    kind: str
-    vertex: int = -1
-    part: int = -1
-    weight: int = 0  # slack only: its coefficient in the part's balance chain
-
 
 @dataclass(eq=False)
 class PenaltyChain:
@@ -60,7 +47,7 @@ class PenaltyChain:
         self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
         if self.var_idx.shape != self.coeffs.shape:
             raise ValueError("chain index and coefficient arrays differ in length")
-        if len(self.var_idx) > 1 and not np.all(np.diff(self.var_idx) > 0):
+        if not (self.var_idx[1:] > self.var_idx[:-1]).all():
             raise ValueError("chain variable indices must be strictly increasing")
 
     def residual(self, bits: np.ndarray) -> float:
@@ -73,8 +60,14 @@ class QuboModel:
 
     ``base_*`` fields hold the raw objective; :attr:`linear`,
     :attr:`constant` and :meth:`quadratic_terms` fold the chains in.
-    ``var_map`` records each variable's role (None for models read from
-    generic QUBO text, which cannot be decoded back into partitions).
+
+    ``indicators`` is the variable layout, an ``(n, c)`` int64 array of
+    variable indices: ``c == 1`` for the bipartition model, whose bit is the
+    vertex's label, and ``c == k`` for the one-hot model, where
+    ``indicators[v, j]`` is the bit for "v in part j".  Every other variable
+    is a slack bit at an index ``>= indicators.size``, in the tail of its
+    balance chain, weighted by that chain's ``coeffs``.  It is None for models
+    read from generic QUBO text, which cannot be decoded back into partitions.
     """
 
     num_vars: int
@@ -84,7 +77,7 @@ class QuboModel:
     base_quad_c: np.ndarray
     base_constant: float = 0.0
     chains: list[PenaltyChain] = field(default_factory=list)
-    var_map: tuple[VarRole, ...] | None = None
+    indicators: np.ndarray | None = None
     penalty: float = 0.0
     k: int | None = None
     epsilon: float | None = None
@@ -145,20 +138,10 @@ class QuboModel:
             qi.append(ch.var_idx[ti])
             qj.append(ch.var_idx[tj])
             qc.append(2.0 * ch.penalty * ch.coeffs[ti] * ch.coeffs[tj])
-        i = np.concatenate(qi)
-        j = np.concatenate(qj)
-        c = np.concatenate(qc)
-        if not len(i):
-            return i, j, c
-        keys = i * np.int64(self.num_vars) + j
-        order = np.argsort(keys, kind="stable")
-        keys, i, j, c = keys[order], i[order], j[order], c[order]
-        boundaries = np.flatnonzero(np.diff(keys)) + 1
-        starts = np.concatenate(([0], boundaries))
-        coeff = np.add.reduceat(c, starts)
-        i, j = i[starts], j[starts]
-        keep = coeff != 0.0
-        return i[keep], j[keep], coeff[keep]
+        i, j, c = _coalesce(self.num_vars, np.concatenate(qi), np.concatenate(qj),
+                            np.concatenate(qc))
+        keep = c != 0.0
+        return i[keep], j[keep], c[keep]
 
     def quadratic_dict(self) -> dict[tuple[int, int], float]:
         qi, qj, qc = self.quadratic_terms()
@@ -171,6 +154,17 @@ class QuboModel:
 
     def energy(self, bits: np.ndarray) -> float:
         return energy(self, bits)
+
+
+def _coalesce(nv: int, qi: np.ndarray, qj: np.ndarray, qc: np.ndarray):
+    """Sum the coefficients of repeated (i, j) pairs; pairs come out sorted."""
+    if not len(qi):
+        return qi, qj, qc
+    keys = qi * np.int64(nv) + qj
+    order = np.argsort(keys, kind="stable")
+    keys, qi, qj, qc = keys[order], qi[order], qj[order], qc[order]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(keys)) + 1))
+    return qi[starts], qj[starts], np.add.reduceat(qc, starts)
 
 
 def energy(model: QuboModel, bits: Sequence[int] | np.ndarray) -> float:
@@ -258,8 +252,8 @@ def model_num_vars(n: int, k: int, epsilon: float = 0.0) -> int:
     return n + slack if k == 2 else k * (n + slack)
 
 
-def _balance_chain(part_vars: np.ndarray, part: int, lo: int, hi: int, first_slack: int,
-                   penalty: float) -> tuple[PenaltyChain, list[VarRole]]:
+def _balance_chain(part_vars: np.ndarray, lo: int, hi: int, first_slack: int,
+                   penalty: float) -> PenaltyChain:
     """Chain ``sum(part_vars) + slack = hi`` whose slack spans exactly hi - lo.
 
     Every slack coefficient is positive and the slack sums to at most
@@ -269,10 +263,9 @@ def _balance_chain(part_vars: np.ndarray, part: int, lo: int, hi: int, first_sla
     """
     weights = encode_slack_weights(hi - lo)
     slack_vars = first_slack + np.arange(len(weights), dtype=np.int64)
-    chain = PenaltyChain(np.concatenate([part_vars, slack_vars]),
-                         np.concatenate([np.ones(len(part_vars)), np.asarray(weights, float)]),
-                         float(hi), penalty)
-    return chain, [VarRole(SLACK, part=part, weight=w) for w in weights]
+    return PenaltyChain(np.concatenate([part_vars, slack_vars]),
+                        np.concatenate([np.ones(len(part_vars)), np.asarray(weights, float)]),
+                        float(hi), penalty)
 
 
 def build_bipartition_qubo(g: Graph, epsilon: float = 0.0,
@@ -292,13 +285,12 @@ def build_bipartition_qubo(g: Graph, epsilon: float = 0.0,
     lo, hi = _chain_bounds(g.n, 2, epsilon)
     lin, qi, qj, qc = _cut_objective_arrays(g, 1)
 
-    roles = [VarRole(INDICATOR, vertex=i, part=1) for i in range(g.n)]
-    chain, slack_roles = _balance_chain(np.arange(g.n, dtype=np.int64), 1, lo, hi, g.n, p)
-    roles += slack_roles
-    nv = len(roles)
+    indicators = np.arange(g.n, dtype=np.int64)[:, None]
+    chain = _balance_chain(indicators[:, 0], lo, hi, g.n, p)
+    nv = len(chain.var_idx)  # every indicator, then the slack
     lin = np.concatenate([lin, np.zeros(nv - g.n)])
     return QuboModel(num_vars=nv, base_linear=lin, base_quad_i=qi, base_quad_j=qj,
-                     base_quad_c=qc, chains=[chain], var_map=tuple(roles),
+                     base_quad_c=qc, chains=[chain], indicators=indicators,
                      penalty=p, k=2, epsilon=float(epsilon), n=g.n)
 
 
@@ -318,21 +310,17 @@ def build_kway_qubo(g: Graph, k: int, epsilon: float = 0.0,
     lo, hi = _chain_bounds(g.n, k, epsilon)
     lin, qi, qj, qc = _cut_objective_arrays(g, k)
 
-    roles = [VarRole(INDICATOR, vertex=i, part=j) for i in range(g.n) for j in range(k)]
-    chains = []
-    for i in range(g.n):
-        idx = i * k + np.arange(k, dtype=np.int64)
-        chains.append(PenaltyChain(idx, np.ones(k), 1.0, p))
+    indicators = np.arange(g.n * k, dtype=np.int64).reshape(g.n, k)
+    chains = [PenaltyChain(row, np.ones(k), 1.0, p) for row in indicators]
+    nv = indicators.size
     for j in range(k):
-        part_vars = np.arange(j, g.n * k, k, dtype=np.int64)
-        chain, slack_roles = _balance_chain(part_vars, j, lo, hi, len(roles), p)
+        chain = _balance_chain(indicators[:, j], lo, hi, nv, p)
         chains.append(chain)
-        roles += slack_roles
+        nv += len(chain.var_idx) - g.n  # its slack bits
 
-    nv = len(roles)
-    lin = np.concatenate([lin, np.zeros(nv - g.n * k)])
+    lin = np.concatenate([lin, np.zeros(nv - indicators.size)])
     return QuboModel(num_vars=nv, base_linear=lin, base_quad_i=qi, base_quad_j=qj,
-                     base_quad_c=qc, chains=chains, var_map=tuple(roles),
+                     base_quad_c=qc, chains=chains, indicators=indicators,
                      penalty=p, k=k, epsilon=float(epsilon), n=g.n)
 
 
@@ -366,7 +354,7 @@ def write_qubo_text(model: QuboModel, max_terms: int = MAX_EXPANSION_TERMS) -> s
 def parse_qubo_text(text: str) -> QuboModel:
     """Parse QUBO text written by :func:`write_qubo_text`.
 
-    The result has no variable roles or partition metadata, so it can be
+    The result has no indicator layout or partition metadata, so it can be
     solved but not decoded into a partition.
     """
     constant = 0.0

@@ -99,6 +99,21 @@ def greedy_slack_bits(value: int, weights: list[int]) -> list[int]:
     return bits
 
 
+def fill_chain_slack(model, bits: np.ndarray) -> None:
+    """Set slack bits so every penalty chain has zero residual.
+
+    A chain's slack bits are its variables past the indicator block, weighted
+    by the chain's coefficients.
+    """
+    for ch in model.chains:
+        slack = ch.var_idx >= model.indicators.size
+        if not slack.any():
+            continue
+        fixed = float(ch.coeffs[~slack] @ bits[ch.var_idx[~slack]])
+        need = int(round(ch.rhs - fixed))
+        bits[ch.var_idx[slack]] = greedy_slack_bits(need, [int(w) for w in ch.coeffs[slack]])
+
+
 def feasible_sizes(n: int, k: int, lower: int, upper: int,
                    rng: np.random.RandomState) -> list[int]:
     """Random part sizes within [lower, upper] summing to n."""

@@ -21,13 +21,13 @@ from qubopart.evaluate import approximation_ratio, decode
 from qubopart.graph import (Graph, balance_bounds, cut_edges, load_graph_file,
                             write_metis)
 from qubopart.pipeline import partition
-from qubopart.qubo import (INDICATOR, SLACK, build_bipartition_qubo,
-                           build_kway_qubo, encode_slack_weights, energy)
+from qubopart.qubo import (build_bipartition_qubo, build_kway_qubo,
+                           encode_slack_weights, energy)
 from qubopart.sparsify import (forest_fire_scores, project_partition,
                                run_sparsify_pipeline, sparsify)
 
 from conftest import (all_bit_rows, bipartition_optimum, cuts_of_labelings,
-                      gnp_graph, greedy_slack_bits, kway_optimum, small_corpus,
+                      fill_chain_slack, gnp_graph, kway_optimum, small_corpus,
                       feasible_sizes)
 from reference import apply_flip, delta_energy, expanded_neighbors, local_fields
 
@@ -38,21 +38,6 @@ def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"\n[acceptance {num:02d}] {name}: {'PASS' if ok else 'FAIL'} ({detail})",
           flush=True)
     assert ok, f"criterion {num}, {name}: {detail}"
-
-
-def _fill_chain_slack(model, bits) -> None:
-    """Set slack bits so every penalty chain has zero residual."""
-    for ch in model.chains:
-        roles = [model.var_map[i] for i in ch.var_idx]
-        slack = [(int(i), abs(int(r.weight))) for i, r in zip(ch.var_idx, roles)
-                 if r.kind == SLACK]
-        if not slack:
-            continue
-        fixed = sum(float(c) * bits[i] for i, c in zip(ch.var_idx, ch.coeffs)
-                    if model.var_map[i].kind == INDICATOR)
-        need = int(round(ch.rhs - fixed))
-        for (i, _), b in zip(slack, greedy_slack_bits(need, [w for _, w in slack])):
-            bits[i] = b
 
 
 def test_criterion_01_energy_equals_cut():
@@ -88,7 +73,7 @@ def test_criterion_01_energy_equals_cut():
                     pos += size
                 for v in range(n):
                     bits[v * k + labels[v]] = 1
-            _fill_chain_slack(model, bits)
+            fill_chain_slack(model, bits)
             e = energy(model, bits)
             cut = int(cut_edges(g, labels))
             assert e == float(cut), (g.name, model.epsilon, e, cut)

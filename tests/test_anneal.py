@@ -9,7 +9,7 @@ import qubopart.anneal as anneal
 from qubopart.anneal import AnnealConfig, compile_model, solve
 from qubopart.evaluate import decode
 from qubopart.graph import Graph, cut_edges
-from qubopart.qubo import INDICATOR, build_bipartition_qubo, build_kway_qubo, energy
+from qubopart.qubo import build_bipartition_qubo, build_kway_qubo, energy
 
 from conftest import bipartition_optimum, gnp_graph, kway_optimum, small_corpus
 from reference import apply_flip, delta_energy, expanded_neighbors, local_fields, sweep
@@ -159,6 +159,8 @@ def test_balanced_initial_bits_zero_residual():
     g = gnp_graph(11, 0.3, rng)
     g12 = gnp_graph(12, 0.3, rng)  # exact k-way balance needs k | n
     for g_case, model in ((g, build_bipartition_qubo(g, 0.2)),
+                          (g, build_kway_qubo(g, 2, 0.2)),  # one-hot layout at k=2
+                          (g12, build_kway_qubo(g12, 2)),
                           (g, build_kway_qubo(g, 3, 0.34)),
                           (g12, build_kway_qubo(g12, 4))):
         for trial in range(5):
@@ -184,13 +186,13 @@ def test_balanced_initial_bits_spread_remainder():
 
 
 def _decode_labels(model, bits):
-    if model.k == 2 and sum(r.kind == INDICATOR for r in model.var_map) == model.n:
-        return [int(bits[i]) for i, r in enumerate(model.var_map) if r.kind == INDICATOR]
-    labels = [0] * model.n
-    for i, role in enumerate(model.var_map):
-        if role.kind == INDICATOR and bits[i]:
-            labels[role.vertex] = role.part
-    return labels
+    is_set = bits[model.indicators]
+    if is_set.shape[1] == 1:
+        return is_set[:, 0].tolist()
+    labels = np.zeros(len(is_set), dtype=np.int64)
+    vertices, parts = np.nonzero(is_set)
+    labels[vertices] = parts
+    return labels.tolist()
 
 
 def _assert_time_limit_holds(model, limit):

@@ -5,7 +5,9 @@ from qubopart.evaluate import (Feasibility, InfeasiblePartitionError,
                                approximation_ratio, decode, partition_feasibility,
                                repair)
 from qubopart.graph import Graph, Partition, balance_bounds, cut_edges
-from qubopart.qubo import build_bipartition_qubo, build_kway_qubo
+from qubopart.anneal import _balanced_initial_bits
+from qubopart.qubo import (build_bipartition_qubo, build_kway_qubo, parse_qubo_text,
+                           write_qubo_text)
 
 from conftest import gnp_graph, small_corpus
 
@@ -52,6 +54,32 @@ def test_decode_one_hot_flags():
         good[v * 3 + part] = 1
     _, feas2 = decode(m, good)
     assert feas2.one_hot_ok and feas2.feasible
+
+
+def test_decode_one_hot_at_k2():
+    # the one-hot model at k=2 has two indicators per vertex, unlike the
+    # bipartition model, and decodes through the one-hot rule
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    m = build_kway_qubo(g, 2, 0.5)
+    bits = np.zeros(m.num_vars, dtype=np.int8)
+    bits[0 * 2 + 0] = bits[0 * 2 + 1] = 1  # vertex 0 in both parts
+    bits[1 * 2 + 1] = bits[2 * 2 + 0] = 1
+    p, feas = decode(m, bits)
+    assert list(p.labels) == [0, 1, 0]
+    assert not feas.one_hot_ok
+    bits[0 * 2 + 0] = 0
+    p, feas = decode(m, bits)
+    assert list(p.labels) == [1, 1, 0] and feas.one_hot_ok
+
+
+def test_text_model_cannot_be_decoded():
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    for m in (build_bipartition_qubo(g, 0.5), build_kway_qubo(g, 2)):
+        parsed = parse_qubo_text(write_qubo_text(m))
+        with pytest.raises(ValueError):
+            decode(parsed, np.zeros(parsed.num_vars, dtype=np.int8))
+        with pytest.raises(ValueError):
+            _balanced_initial_bits(parsed, np.random.RandomState(0))
 
 
 def test_decode_validation():

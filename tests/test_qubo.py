@@ -4,12 +4,21 @@ import numpy as np
 import pytest
 
 from qubopart.graph import Graph, balance_bounds, cut_edges
-from qubopart.qubo import (INDICATOR, SLACK, QuboModel, build_bipartition_qubo,
+from qubopart.qubo import (PenaltyChain, QuboModel, build_bipartition_qubo,
                            build_kway_qubo, default_penalty, encode_slack_weights,
                            energy, model_num_vars, parse_qubo_text, write_qubo_text)
 
-from conftest import (dense_energy, feasible_sizes, gnp_graph, greedy_slack_bits,
-                      small_corpus)
+from conftest import dense_energy, feasible_sizes, fill_chain_slack, gnp_graph, small_corpus
+
+
+def test_penalty_chain_validation():
+    for idx in ([], [3], [0, 2, 5]):
+        PenaltyChain(idx, np.ones(len(idx)), 1.0, 1.0)
+    for idx in ([0, 2, 2], [3, 1], [0, 4, 1]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PenaltyChain(idx, np.ones(len(idx)), 1.0, 1.0)
+    with pytest.raises(ValueError, match="differ in length"):
+        PenaltyChain([0, 1], [1.0], 1.0, 1.0)
 
 
 def test_single_edge_frozen_energies():
@@ -64,15 +73,8 @@ def test_bipartition_energy_equals_cut_for_zero_residual():
                 chosen = rng.choice(g.n, size=min(ones, g.n), replace=False)
                 bits = np.zeros(m.num_vars, dtype=np.int8)
                 bits[chosen] = 1
-                slack_roles = [(i, r.weight) for i, r in enumerate(m.var_map)
-                               if r.kind == SLACK]
-                if slack_roles:
-                    fill = greedy_slack_bits(upper - len(chosen),
-                                             [w for _, w in slack_roles])
-                    for (i, _), b in zip(slack_roles, fill):
-                        bits[i] = b
-                labels = [int(bits[i]) for i, r in enumerate(m.var_map)
-                          if r.kind == INDICATOR]
+                fill_chain_slack(m, bits)
+                labels = bits[m.indicators[:, 0]].tolist()
                 assert energy(m, bits) == float(cut_edges(g, labels))
 
 
@@ -94,17 +96,7 @@ def test_kway_energy_equals_cut_for_one_hot_balanced():
             bits = np.zeros(m.num_vars, dtype=np.int8)
             for v in range(n):
                 bits[v * k + labels[v]] = 1
-            for ch in m.chains:
-                roles = [m.var_map[i] for i in ch.var_idx]
-                slack = [(int(i), abs(int(r.weight))) for i, r in zip(ch.var_idx, roles)
-                         if r.kind == SLACK]
-                if not slack:
-                    continue
-                fixed = sum(float(c) * bits[i] for i, c in zip(ch.var_idx, ch.coeffs)
-                            if m.var_map[i].kind == INDICATOR)
-                need = int(round(ch.rhs - fixed))
-                for (i, _), b in zip(slack, greedy_slack_bits(need, [w for _, w in slack])):
-                    bits[i] = b
+            fill_chain_slack(m, bits)
             assert energy(m, bits) == float(cut_edges(g, labels))
 
 

@@ -99,7 +99,7 @@ def repair(g: Graph, p: Partition, k: int | None = None,
         np.add.at(part_count, (ea[:, 0], labels[ea[:, 1]]), 1)
         np.add.at(part_count, (ea[:, 1], labels[ea[:, 0]]), 1)
 
-    adjacency = g.adjacency
+    indptr, indices = g.indptr, g.indices
     enforce_lower = k > 2
     for _ in range(4 * g.n + 8):
         over = np.flatnonzero(sizes > upper)
@@ -119,10 +119,9 @@ def repair(g: Graph, p: Partition, k: int | None = None,
         labels[v] = dest
         sizes[src] -= 1
         sizes[dest] += 1
-        nbrs = np.asarray(adjacency[v], dtype=np.int64)
-        if len(nbrs):
-            part_count[nbrs, src] -= 1
-            part_count[nbrs, dest] += 1
+        nbrs = indices[indptr[v]:indptr[v + 1]]
+        part_count[nbrs, src] -= 1
+        part_count[nbrs, dest] += 1
     else:
         raise RuntimeError("balance repair failed to converge")
     return Partition.from_labels(labels.tolist(), k)

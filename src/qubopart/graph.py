@@ -1,7 +1,9 @@
 """Graph and partition containers plus the text formats used by the toolkit.
 
 Graphs are simple undirected graphs (no self-loops, no parallel edges,
-no weights).  Supported on-disk formats:
+no weights), stored as arrays: the sorted ``(m, 2)`` edge list, and the
+compressed sparse row (CSR) adjacency derived from it, the layout METIS
+itself uses.  Supported on-disk formats:
 
 * adjacency-list graph files ("n m" header, one 1-indexed neighbor line
   per vertex, '%' comment lines) for both reading and writing,
@@ -12,6 +14,7 @@ Vertices are 0-indexed in memory; files stay 1-indexed on disk.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,54 +29,90 @@ class GraphFormatError(ValueError):
     """Raised when a graph or partition file violates its format."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable simple undirected graph.
+    """Immutable simple undirected graph stored as arrays.
 
-    ``edges`` is a sorted tuple of ``(u, v)`` pairs with ``u < v``.
-    Construct through :meth:`from_edges`, which normalizes and validates.
+    ``edge_array`` is a read-only ``(m, 2)`` int64 array of ``(u, v)`` rows
+    with ``u < v``, sorted and without repeats; it is the only stored edge
+    data.  Derived from it, each once and on first use:
+
+    * ``indptr``/``indices``: the CSR adjacency, both directions, with each
+      vertex's neighbors sorted; vertex v's neighbors are
+      ``indices[indptr[v]:indptr[v + 1]]``;
+    * ``edges``: the same edge list as a sorted tuple of ``(u, v)`` tuples;
+    * ``degrees``.
+
+    Construct through :meth:`from_edges`, which normalizes and validates, or
+    through the parsers.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edge_array: np.ndarray
     name: str = ""
+
+    def __post_init__(self) -> None:
+        ea = np.asarray(self.edge_array, dtype=np.int64).reshape(-1, 2)
+        ea.flags.writeable = False  # the derived views would go stale
+        object.__setattr__(self, "edge_array", ea)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]], name: str = "") -> "Graph":
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
-        normalized = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            normalized.add((u, v) if u < v else (v, u))
-        return cls(n=n, edges=tuple(sorted(normalized)), name=name)
+        ea = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        u, v = ea[:, 0], ea[:, 1]
+        out_of_range = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        bad = out_of_range | (u == v)
+        if bad.any():
+            first = int(bad.argmax())
+            if out_of_range[first]:
+                raise ValueError(f"edge ({u[first]}, {v[first]}) out of range for n={n}")
+            raise ValueError(f"self-loop at vertex {u[first]}")
+        keys = _unique_keys(np.minimum(u, v) * n + np.maximum(u, v))
+        return cls(n=n, edge_array=np.stack(np.divmod(keys, n), axis=1), name=name)
+
+    @classmethod
+    def _from_sorted_arcs(cls, n: int, src: np.ndarray, dst: np.ndarray,
+                          name: str = "") -> "Graph":
+        """Graph from the arcs ``src -> dst`` of a symmetric adjacency, sorted and unique.
+
+        Those arcs are already the CSR order, so the adjacency is stored as
+        well rather than derived again.
+        """
+        g = cls(n=n, edge_array=np.stack([src, dst], axis=1)[src < dst], name=name)
+        vars(g)["_csr"] = _csr_from_arcs(n, src, dst)  # fills the cached_property
+        return g
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     @cached_property
-    def edge_array(self) -> np.ndarray:
-        """Edges as an (m, 2) int64 array (empty graphs give shape (0, 2))."""
-        if not self.edges:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.asarray(self.edges, dtype=np.int64)
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Sorted ``(u, v)`` tuples with ``u < v``: a view of ``edge_array``."""
+        return tuple(map(tuple, self.edge_array.tolist()))
+
+    @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        ea = self.edge_array
+        keys = np.sort(np.concatenate([ea[:, 0] * self.n + ea[:, 1],
+                                       ea[:, 1] * self.n + ea[:, 0]]))
+        return _csr_from_arcs(self.n, *np.divmod(keys, self.n))
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """CSR row pointers, length n + 1."""
+        return self._csr[0]
+
+    @property
+    def indices(self) -> np.ndarray:
+        """CSR neighbor ids, length 2m, sorted within each vertex's row."""
+        return self._csr[1]
 
     @cached_property
     def degrees(self) -> np.ndarray:
         return np.bincount(self.edge_array.ravel(), minlength=self.n).astype(np.int64)
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex sorted neighbor tuples."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
 
     @property
     def max_degree(self) -> int:
@@ -84,14 +123,32 @@ class Graph:
         return 2.0 * self.m / self.n if self.n else 0.0
 
 
+def _unique_keys(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of non-negative int64 keys.
+
+    ``np.unique`` gives the same, but on numpy 2.4 its hash table takes
+    about 15x as long as this sort for the tens of thousands of keys of
+    a graph.
+    """
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def _csr_from_arcs(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of directed arcs already sorted by (src, dst)."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    for arr in (indptr, dst):
+        arr.flags.writeable = False
+    return indptr, dst
+
+
 def laplacian(g: Graph) -> np.ndarray:
     """Dense combinatorial Laplacian (degree matrix minus adjacency), int64."""
     lap = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, v in g.edges:
-        lap[u, v] -= 1
-        lap[v, u] -= 1
-        lap[u, u] += 1
-        lap[v, v] += 1
+    ea = g.edge_array
+    np.add.at(lap, (ea.ravel(), ea[:, ::-1].ravel()), -1)
+    lap[np.diag_indices(g.n)] = g.degrees
     return lap
 
 
@@ -187,6 +244,7 @@ def parse_metis(text: str, name: str = "") -> Graph:
         raise GraphFormatError(f"header must be 'n m [fmt [ncon]]', got {lines[0]!r}")
     try:
         n, m = int(header[0]), int(header[1])
+        ncon = int(header[3]) if len(header) == 4 else None
     except ValueError as exc:
         raise GraphFormatError(f"non-integer header field in {lines[0]!r}") from exc
     fmt = header[2] if len(header) >= 3 else "0"
@@ -196,8 +254,9 @@ def parse_metis(text: str, name: str = "") -> Graph:
     if len(fmt3) != 3 or any(c not in "01" for c in fmt3):
         raise GraphFormatError(f"unsupported format code {fmt!r}")
     has_vsize, has_vweight, has_eweight = (c == "1" for c in fmt3)
-    ncon = int(header[3]) if len(header) == 4 else (1 if has_vweight else 0)
-    if n < 0 or m < 0:
+    if ncon is None:
+        ncon = 1 if has_vweight else 0
+    if n < 0 or m < 0 or ncon < 0:
         raise GraphFormatError(f"negative size in header {lines[0]!r}")
 
     vertex_lines = lines[1:]
@@ -209,43 +268,81 @@ def parse_metis(text: str, name: str = "") -> Graph:
         raise GraphFormatError(f"expected {n} vertex lines, found {len(vertex_lines)}")
 
     skip = (1 if has_vsize else 0) + (ncon if has_vweight else 0)
-    directed: set[tuple[int, int]] = set()
-    for i, line in enumerate(vertex_lines):
-        try:
-            tokens = [int(t) for t in line.split()]
-        except ValueError as exc:
-            raise GraphFormatError(f"non-integer token on vertex line {i + 1}") from exc
-        rest = tokens[skip:]
-        if has_eweight:
-            if len(rest) % 2:
-                raise GraphFormatError(f"vertex {i + 1}: odd token count with edge weights")
-            rest = rest[0::2]
-        for nbr in rest:
-            if not 1 <= nbr <= n:
-                raise GraphFormatError(f"vertex {i + 1} lists neighbor {nbr} outside 1..{n}")
-            if nbr == i + 1:
-                raise GraphFormatError(f"self-loop at vertex {i + 1}")
-            directed.add((i, nbr - 1))
+    rows = [ln.split() for ln in vertex_lines]
+    bad_line = bad_exc = None
+    try:
+        values = list(map(int, itertools.chain.from_iterable(rows)))
+    except ValueError:
+        # the rows before the first bad one are checked first, as a
+        # line-by-line reader would
+        bad_line, bad_exc = _first_non_integer_row(rows)
+        rows = rows[:bad_line]
+        values = list(map(int, itertools.chain.from_iterable(rows)))
+    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    row_id = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
+    try:
+        ids = np.array(values, dtype=np.int64)
+    except OverflowError:
+        # clipping to [0, n + 1] keeps every in-range and out-of-range verdict
+        ids = np.array(values, dtype=object).clip(0, n + 1).astype(np.int64)
+
+    # a line's tokens: vertex size, ncon weights, then neighbors (each
+    # followed by an edge weight with has_eweight)
+    rest = np.arange(len(ids)) - np.repeat(np.cumsum(counts) - counts, counts) - skip
+    is_nbr = rest >= 0
+    odd = np.empty(0, dtype=np.int64)
+    if has_eweight:
+        is_nbr &= rest % 2 == 0
+        odd = np.flatnonzero(np.maximum(counts - skip, 0) % 2 == 1)
+    nbr_at = np.flatnonzero(is_nbr)
+    row, nbr = row_id[nbr_at], ids[nbr_at]
+    wrong = np.flatnonzero((nbr < 1) | (nbr > n) | (nbr == row + 1))
+    # report what a line-by-line reader meets first: the lowest line, and in
+    # it the odd count before any neighbor
+    if len(odd) and (not len(wrong) or odd[0] <= row[wrong[0]]):
+        raise GraphFormatError(f"vertex {odd[0] + 1}: odd token count with edge weights")
+    if len(wrong):
+        i, value = row[wrong[0]] + 1, values[nbr_at[wrong[0]]]
+        if not 1 <= value <= n:
+            raise GraphFormatError(f"vertex {i} lists neighbor {value} outside 1..{n}")
+        raise GraphFormatError(f"self-loop at vertex {i}")
+    if bad_exc is not None:
+        raise GraphFormatError(f"non-integer token on vertex line {bad_line + 1}") from bad_exc
 
     if has_vsize or has_vweight or has_eweight:
         warnings.warn("weighted graph file: all weights discarded", stacklevel=2)
 
-    for u, v in directed:
-        if (v, u) not in directed:
-            raise GraphFormatError(f"asymmetric adjacency: vertex {u + 1} lists {v + 1} "
-                                   f"but {v + 1} does not list {u + 1}")
-    undirected = {(u, v) for u, v in directed if u < v}
-    if len(undirected) != m:
-        raise GraphFormatError(f"header declares {m} edges, adjacency lists {len(undirected)}")
-    return Graph(n=n, edges=tuple(sorted(undirected)), name=name)
+    # a neighbor repeated within one line merges silently
+    keys = _unique_keys(row * n + nbr - 1)
+    src, dst = np.divmod(keys, n)
+    if not np.array_equal(np.sort(dst * n + src), keys):
+        first = np.flatnonzero(~np.isin(dst * n + src, keys))[0]
+        u, v = src[first] + 1, dst[first] + 1
+        raise GraphFormatError(f"asymmetric adjacency: vertex {u} lists {v} "
+                               f"but {v} does not list {u}")
+    if len(keys) // 2 != m:
+        raise GraphFormatError(f"header declares {m} edges, adjacency lists {len(keys) // 2}")
+    return Graph._from_sorted_arcs(n, src, dst, name=name)
+
+
+def _first_non_integer_row(rows: list[list[str]]) -> tuple[int, ValueError | None]:
+    """Index of the first row holding a token ``int()`` rejects, and its error.
+
+    ``(len(rows), None)`` when every token converts.
+    """
+    for i, row in enumerate(rows):
+        try:
+            list(map(int, row))
+        except ValueError as exc:
+            return i, exc
+    return len(rows), None
 
 
 def write_metis(g: Graph) -> str:
     """Serialize a graph to the adjacency-list format (1-indexed, sorted rows)."""
-    out = [f"{g.n} {g.m}"]
-    for nbrs in g.adjacency:
-        out.append(" ".join(str(v + 1) for v in nbrs))
-    return "\n".join(out) + "\n"
+    ptr, nbrs = g.indptr.tolist(), (g.indices + 1).tolist()
+    rows = (" ".join(map(str, nbrs[a:b])) for a, b in zip(ptr, ptr[1:]))
+    return "\n".join([f"{g.n} {g.m}", *rows]) + "\n"
 
 
 def parse_matrix_market(text: str, name: str = "") -> Graph:
@@ -285,7 +382,7 @@ def parse_matrix_market(text: str, name: str = "") -> Graph:
     if len(entries) != nnz:
         raise GraphFormatError(f"declared {nnz} entries, found {len(entries)}")
 
-    edges: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []
     diagonal = 0
     for ln in entries:
         tokens = ln.split()
@@ -300,12 +397,12 @@ def parse_matrix_market(text: str, name: str = "") -> Graph:
         if i == j:
             diagonal += 1
             continue
-        edges.add((i - 1, j - 1) if i < j else (j - 1, i - 1))
+        edges.append((i - 1, j - 1))
     if diagonal:
         warnings.warn(f"dropped {diagonal} diagonal entries", stacklevel=2)
     if field != "pattern":
         warnings.warn("numeric matrix values discarded, pattern kept", stacklevel=2)
-    return Graph(n=rows, edges=tuple(sorted(edges)), name=name)
+    return Graph.from_edges(rows, edges, name=name)
 
 
 def load_graph_file(path: str, name: str | None = None) -> Graph:

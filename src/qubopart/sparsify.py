@@ -27,7 +27,7 @@ from .pipeline import (build_bipartition_qubo, build_kway_qubo, decode,  # noqa:
 
 @dataclass(eq=False)
 class EdgeScores:
-    """Per-edge burn counts, aligned with ``graph.edges`` order."""
+    """Per-edge burn counts: ``scores[i]`` belongs to row i of ``graph.edge_array``."""
 
     scores: np.ndarray
     burn_probability: float
@@ -51,36 +51,47 @@ def forest_fire_scores(g: Graph, burn_probability: float = 0.7, walks: int = 10,
     if walks < 1:
         raise ValueError(f"walk count must be positive, got {walks}")
     rng = np.random.RandomState(seed)
-    scores = np.zeros(g.m, dtype=np.int64)
-    edge_index = {e: i for i, e in enumerate(g.edges)}
-    adjacency = g.adjacency
+    ptr, ind = g.indptr.tolist(), g.indices.tolist()
+    neighbors = [ind[a:b] for a, b in zip(ptr, ptr[1:])]
+    fire_from: list[int] = []  # burned arcs fire_from[i] -> fire_to[i]
+    fire_to: list[int] = []
 
     for _ in range(walks):
-        burned = np.zeros(g.n, dtype=bool)
+        burned = bytearray(g.n)
+        unburned_mask = np.frombuffer(burned, dtype=np.uint8)
         remaining = g.n
         while remaining:
-            unburned = np.flatnonzero(~burned)
+            unburned = np.flatnonzero(unburned_mask == 0)
             start = int(unburned[rng.randint(len(unburned))])
-            burned[start] = True
+            burned[start] = 1
             remaining -= 1
             frontier = deque([start])
             while frontier:
                 v = frontier.popleft()
-                targets = [u for u in adjacency[v] if not burned[u]]
+                targets = [u for u in neighbors[v] if not burned[u]]
                 if not targets:
                     continue
                 fan_out = int(rng.geometric(1.0 - burn_probability)) - 1
                 fan_out = min(fan_out, len(targets))
                 if fan_out == 0:
                     continue
-                picked = rng.choice(len(targets), size=fan_out, replace=False)
-                for t in picked:
-                    u = targets[int(t)]
-                    burned[u] = True
-                    remaining -= 1
-                    edge = (v, u) if v < u else (u, v)
-                    scores[edge_index[edge]] += 1
-                    frontier.append(u)
+                # rng.choice(len(targets), fan_out, replace=False) permutes
+                # range(len(targets)) and keeps the head; shuffling the list
+                # makes the same swaps, so it picks the same targets, faster
+                rng.shuffle(targets)
+                picked = targets[:fan_out]
+                for u in picked:
+                    burned[u] = 1
+                remaining -= fan_out
+                frontier.extend(picked)
+                fire_from.extend([v] * fan_out)
+                fire_to.extend(picked)
+
+    src, dst = np.array(fire_from, dtype=np.int64), np.array(fire_to, dtype=np.int64)
+    ea = g.edge_array
+    edge_ids = np.searchsorted(ea[:, 0] * g.n + ea[:, 1],
+                               np.minimum(src, dst) * g.n + np.maximum(src, dst))
+    scores = np.bincount(edge_ids, minlength=g.m).astype(np.int64)
     return EdgeScores(scores=scores, burn_probability=burn_probability,
                       walks=walks, seed=seed)
 
@@ -97,8 +108,7 @@ def sparsify(g: Graph, scores: EdgeScores, keep_ratio: float) -> Graph:
         raise ValueError("scores are not aligned with the graph's edges")
     keep = round(keep_ratio * g.m)
     order = np.argsort(-scores.scores, kind="stable")
-    kept = sorted(g.edges[i] for i in order[:keep])
-    return Graph(n=g.n, edges=tuple(kept), name=g.name)
+    return Graph(n=g.n, edge_array=g.edge_array[np.sort(order[:keep])], name=g.name)
 
 
 def project_partition(original: Graph, p: Partition) -> int:

@@ -21,6 +21,22 @@ def gnp_graph(n: int, p: float, rng: np.random.RandomState, name: str = "") -> G
     return Graph.from_edges(n, edges, name=name or f"gnp{n}")
 
 
+def planted_graph(n: int, k: int, deg_in: int, deg_out: int,
+                  rng: np.random.RandomState) -> Graph:
+    """k shuffled blocks with n*deg_in/2 edges inside blocks and n*deg_out/2 across."""
+    blocks = rng.permutation(n).reshape(k, n // k)
+    edges: set[tuple[int, int]] = set()
+    for count, inside in ((n * deg_in // 2, True), (n * deg_out // 2, False)):
+        target = len(edges) + count
+        while len(edges) < target:
+            bu = int(rng.randint(k))
+            bv = bu if inside else (bu + 1 + int(rng.randint(k - 1))) % k
+            u, v = int(rng.choice(blocks[bu])), int(rng.choice(blocks[bv]))
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+    return Graph.from_edges(n, sorted(edges), name=f"planted{n}k{k}")
+
+
 def small_corpus(seed: int = 2024, count: int = 60, n_max: int = 14) -> list[Graph]:
     """Seeded mix of random densities plus a few structured graphs."""
     rng = np.random.RandomState(seed)

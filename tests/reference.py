@@ -1,19 +1,24 @@
-"""Expanded-form reference semantics of the solver's single-flip primitives.
+"""Reference implementations the tests compare the package against.
 
-These operate on the fully expanded quadratic form of a model
-(``QuboModel.quadratic_terms``) rather than on the factored form the solver
-runs on, so the tests can check the solver's flip gains, incremental updates
-and sweep rule against an independent derivation.
+* Expanded-form semantics of the solver's single-flip primitives.  These
+  operate on the fully expanded quadratic form of a model
+  (``QuboModel.quadratic_terms``) rather than on the factored form the
+  solver runs on, so the tests can check the solver's flip gains,
+  incremental updates and sweep rule against an independent derivation.
+* A line-by-line adjacency-list parser, the oracle for the vectorised
+  :func:`qubopart.graph.parse_metis`.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from qubopart.graph import Graph, GraphFormatError, _strip_comment_lines
 from qubopart.qubo import QuboModel
 
 
@@ -90,3 +95,73 @@ def sweep(nbrs: ExpandedNeighbors, bits: np.ndarray, local_field: np.ndarray,
     pick = acceptors[int(rng.random_sample() * len(acceptors))]
     apply_flip(nbrs, bits, pick, local_field)
     return pick, 0.0
+
+
+def parse_metis(text: str, name: str = "") -> Graph:
+    """Line-by-line adjacency-list parser: one ``int()`` per token, a set of arcs.
+
+    Same contract as :func:`qubopart.graph.parse_metis`: the same graphs,
+    the same errors with the same messages, the same weights warning.
+    """
+    lines = _strip_comment_lines(text)
+    while lines and not lines[0].split():
+        lines.pop(0)
+    if not lines:
+        raise GraphFormatError("empty graph file")
+
+    header = lines[0].split()
+    if len(header) < 2 or len(header) > 4:
+        raise GraphFormatError(f"header must be 'n m [fmt [ncon]]', got {lines[0]!r}")
+    try:
+        n, m = int(header[0]), int(header[1])
+    except ValueError as exc:
+        raise GraphFormatError(f"non-integer header field in {lines[0]!r}") from exc
+    fmt = header[2] if len(header) >= 3 else "0"
+    if not fmt.isdigit():
+        raise GraphFormatError(f"format code must be numeric, got {fmt!r}")
+    fmt3 = fmt.zfill(3)
+    if len(fmt3) != 3 or any(c not in "01" for c in fmt3):
+        raise GraphFormatError(f"unsupported format code {fmt!r}")
+    has_vsize, has_vweight, has_eweight = (c == "1" for c in fmt3)
+    ncon = int(header[3]) if len(header) == 4 else (1 if has_vweight else 0)
+    if n < 0 or m < 0:
+        raise GraphFormatError(f"negative size in header {lines[0]!r}")
+
+    vertex_lines = lines[1:]
+    while len(vertex_lines) > n and not vertex_lines[-1].split():
+        vertex_lines.pop()
+    if len(vertex_lines) < n:
+        raise GraphFormatError(f"expected {n} vertex lines, found {len(vertex_lines)}")
+    if len(vertex_lines) > n:
+        raise GraphFormatError(f"expected {n} vertex lines, found {len(vertex_lines)}")
+
+    skip = (1 if has_vsize else 0) + (ncon if has_vweight else 0)
+    directed: set[tuple[int, int]] = set()
+    for i, line in enumerate(vertex_lines):
+        try:
+            tokens = [int(t) for t in line.split()]
+        except ValueError as exc:
+            raise GraphFormatError(f"non-integer token on vertex line {i + 1}") from exc
+        rest = tokens[skip:]
+        if has_eweight:
+            if len(rest) % 2:
+                raise GraphFormatError(f"vertex {i + 1}: odd token count with edge weights")
+            rest = rest[0::2]
+        for nbr in rest:
+            if not 1 <= nbr <= n:
+                raise GraphFormatError(f"vertex {i + 1} lists neighbor {nbr} outside 1..{n}")
+            if nbr == i + 1:
+                raise GraphFormatError(f"self-loop at vertex {i + 1}")
+            directed.add((i, nbr - 1))
+
+    if has_vsize or has_vweight or has_eweight:
+        warnings.warn("weighted graph file: all weights discarded", stacklevel=2)
+
+    for u, v in directed:
+        if (v, u) not in directed:
+            raise GraphFormatError(f"asymmetric adjacency: vertex {u + 1} lists {v + 1} "
+                                   f"but {v + 1} does not list {u + 1}")
+    undirected = {(u, v) for u, v in directed if u < v}
+    if len(undirected) != m:
+        raise GraphFormatError(f"header declares {m} edges, adjacency lists {len(undirected)}")
+    return Graph.from_edges(n, sorted(undirected), name=name)

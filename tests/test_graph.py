@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from qubopart.graph import (Graph, GraphFormatError, Partition, balance_bounds, 
                             laplacian, parse_matrix_market, parse_metis, parse_partition,
                             write_metis, write_partition)
 
+import reference
 from conftest import all_bit_rows, gnp_graph, small_corpus
 
 
@@ -15,7 +18,8 @@ def test_parse_metis_path():
     g = parse_metis(PATH3)
     assert (g.n, g.m) == (3, 2)
     assert g.edges == ((0, 1), (1, 2))
-    assert g.adjacency == ((1,), (0, 2), (1,))
+    assert g.indptr.tolist() == [0, 1, 3, 4]
+    assert g.indices.tolist() == [1, 0, 2, 1]
 
 
 def test_parse_metis_comments_and_blank_vertex_lines():
@@ -47,6 +51,89 @@ def test_parse_metis_errors():
         parse_metis("4 2\n2\n1\n")
     with pytest.raises(GraphFormatError, match="empty"):
         parse_metis("% nothing\n")
+
+
+def _random_metis_text(rng: np.random.RandomState) -> str:
+    """A random graph in a random METIS format, with zero to two random defects.
+
+    Defects that make the file invalid are chosen so that at most one arc
+    lacks its reverse, which keeps the expected error message unique.
+    """
+    n = int(rng.randint(0, 12))
+    g = gnp_graph(n, float(rng.choice([0.2, 0.5])), rng)
+    fmt = str(rng.choice(["", "0", "1", "10", "11", "100", "111", "011"]))
+    has_vsize, has_vweight, has_eweight = (c == "1" for c in fmt.zfill(3))
+    ncon = int(rng.randint(1, 4)) if rng.random_sample() < 0.5 else None
+    header = [str(n), str(g.m)] + ([fmt or "0"] if fmt or ncon else []) + (
+        [str(ncon)] if ncon else [])
+    skip = int(has_vsize) + (ncon or 1) * has_vweight
+    rows = []
+    for v in range(n):
+        row = [str(rng.randint(1, 9)) for _ in range(skip)]
+        for u in g.indices[g.indptr[v]:g.indptr[v + 1]]:
+            row += [str(u + 1)] + ([str(rng.randint(1, 9))] if has_eweight else [])
+        rows.append(row)
+    step = 2 if has_eweight else 1
+    defects = list(rng.choice(["none", "repeat", "plus", "underscore", "float",
+                               "out-of-range", "self-loop", "asymmetric", "drop-token",
+                               "wrong-m"], size=2, replace=False))
+    if {"asymmetric", "drop-token"} <= set(defects):
+        defects.pop()
+    for defect in defects:
+        full = [r for r in rows if len(r) >= skip + step]
+        if defect == "repeat" and full:
+            row = full[rng.randint(len(full))]
+            at = skip + step * int(rng.randint((len(row) - skip) // step))
+            row[at:at] = row[at:at + step]
+        elif defect in ("plus", "underscore", "float") and full:
+            row = full[rng.randint(len(full))]
+            at = int(rng.randint(len(row)))
+            row[at] = {"plus": "+{}", "underscore": "0_{}", "float": "{}.0"}[defect].format(
+                row[at])
+        elif defect == "out-of-range" and rows:
+            rows[rng.randint(n)].append(str(rng.choice([0, -2, n + 1, 10 ** 30])))
+        elif defect == "self-loop" and rows:
+            v = int(rng.randint(n))
+            rows[v].append(str(v + 1))
+        elif defect in ("asymmetric", "drop-token") and full:
+            row = full[rng.randint(len(full))]
+            at = skip + step * int(rng.randint((len(row) - skip) // step))
+            del row[at:at + (step if defect == "asymmetric" else 1)]
+        elif defect == "wrong-m":
+            header[1] = str(g.m + 1)
+    seps = [str(rng.choice([" ", "\t", "  ", " \t "])) for _ in range(n)]
+    lines = [" ".join(header)] + [sep.join(row) for sep, row in zip(seps, rows)]
+    if rng.random_sample() < 0.3:
+        lines.insert(int(rng.randint(len(lines) + 1)), "% a comment")
+    return "\n".join(lines) + ("\n\n \n" if rng.random_sample() < 0.3 else "\n")
+
+
+def _parse_outcome(parse, text):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            g = parse(text)
+        except GraphFormatError as exc:
+            return "error", str(exc)
+    return "ok", g.n, g.edge_array.tolist(), [str(w.message) for w in caught]
+
+
+def test_parse_metis_matches_line_by_line_reference():
+    rng = np.random.RandomState(2025)
+    kinds = set()
+    for _ in range(600):
+        text = _random_metis_text(rng)
+        outcome = _parse_outcome(parse_metis, text)
+        assert outcome == _parse_outcome(reference.parse_metis, text), text
+        kinds.add(outcome[1].split(" ")[0] if outcome[0] == "error" else "ok")
+    assert len(kinds) >= 5, kinds  # the defects reach several error branches
+    # a non-integer token names its 1-based vertex line, even after earlier
+    # lines; an earlier line's error comes first
+    with pytest.raises(GraphFormatError, match="non-integer token on vertex line 2$"):
+        parse_metis("3 2\n2\n1 3.0\n2\n")
+    with pytest.raises(GraphFormatError, match="neighbor 7"):
+        parse_metis("3 2\n7\n1 x\n2\n")
+    assert parse_metis("3 2\n+2\n1 0_3\n2\n").edges == ((0, 1), (1, 2))
 
 
 def test_metis_round_trip():

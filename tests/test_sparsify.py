@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from qubopart.graph import Graph, Partition, cut_edges
 from qubopart.sparsify import (forest_fire_scores, project_partition,
                                run_sparsify_pipeline, sparsify)
 
-from conftest import bipartition_optimum, gnp_graph
+from conftest import bipartition_optimum, gnp_graph, planted_graph
 
 
 def test_scores_deterministic_and_bounded():
@@ -96,3 +98,55 @@ def test_pipeline_validation():
     g = gnp_graph(6, 0.5, np.random.RandomState(1))
     with pytest.raises(ValueError, match="repeats"):
         run_sparsify_pipeline(g, 2, repeats=0)
+
+
+# SHA-256 of forest_fire_scores(...).scores.tobytes(), computed at commit
+# 24a52a6 (dict edge index, tuple adjacency, rng.choice draws).  They pin the
+# burn order, the random draws and the score layout bit for bit.
+FIRE_GOLDEN = {
+    "planted":
+        "f93763079ebed59d94657861102e1669c049099519ecbd65f5eaecfdb3db169e",
+    "disconnected-isolated":
+        "10baccb8924d7f6a0d10ac6fc077825a6bc9316a6cbb47ffb58a3d00ecba9de6",
+    "burn-zero":
+        "d2710a3a6574fc3d509a62191d8933226f0046f7ffcd83fd8de6866684c5f73e",
+    "sparsify-planted-seed0":
+        "f2db38383fbebf739198c1ecafb2d44c4037191033f381f5a6cbc0d92955f64e",
+    "sparsify-planted-seed1":
+        "ebb879d242fd15feb03c512da16b3ce50ab6a665d0226fe914bc544db8d5c39e",
+    "sparsify-planted-seed2":
+        "05e2a57ba40e093a50c3ee6368f5cc64228da8c5489a2c2ed0647e58b1b815b7",
+}
+# SHA-256 of sparsify(g, scores, 0.7).edge_array.tobytes() for "planted"
+SPARSIFY_GOLDEN = "866332b3c3a052e081bb8ff0777e3b9991130a38c1feae58eaf3f21e9e284150"
+
+
+def _fire_case(name):
+    if name == "planted":
+        return planted_graph(200, 4, 6, 2, np.random.RandomState(3)), {"seed": 5}
+    if name == "disconnected-isolated":
+        # two components and vertex 20 with no edges
+        a = gnp_graph(12, 0.4, np.random.RandomState(8))
+        b = gnp_graph(8, 0.5, np.random.RandomState(9))
+        edges = list(map(tuple, a.edge_array.tolist()))
+        edges += [(u + 12, v + 12) for u, v in b.edge_array.tolist()]
+        return Graph.from_edges(21, edges), {"walks": 4, "seed": 2}
+    if name == "burn-zero":
+        return gnp_graph(30, 0.3, np.random.RandomState(4)), {"burn_probability": 0.0,
+                                                               "walks": 3, "seed": 7}
+    seed = int(name.rsplit("seed", 1)[1])
+    # the size of the sparsify-planted benchmark workload
+    return planted_graph(1500, 2, 7, 2, np.random.RandomState(10)), {"seed": seed}
+
+
+@pytest.mark.parametrize("name", sorted(FIRE_GOLDEN))
+def test_forest_fire_golden(name):
+    g, kwargs = _fire_case(name)
+    scores = forest_fire_scores(g, **kwargs)
+    assert hashlib.sha256(scores.scores.tobytes()).hexdigest() == FIRE_GOLDEN[name]
+
+
+def test_sparsify_golden():
+    g, kwargs = _fire_case("planted")
+    sparse = sparsify(g, forest_fire_scores(g, **kwargs), 0.7)
+    assert hashlib.sha256(sparse.edge_array.tobytes()).hexdigest() == SPARSIFY_GOLDEN

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,20 +69,37 @@ def decode(model: QuboModel, bits: np.ndarray) -> tuple[Partition, Feasibility]:
 
 def repair(g: Graph, p: Partition, k: int | None = None,
            epsilon: float = 0.0) -> Partition:
-    """Greedily move vertices until the balance bounds hold.
+    """Greedily move vertices one at a time until the balance bounds hold.
 
-    While any part exceeds the upper bound (or, for k > 2, falls below the
-    lower bound), the vertex whose move costs the least cut increase is moved
-    into the most underfull part.  Cost of moving v from its part to part d is
-    (neighbors of v in its part) - (neighbors of v in d); ties break toward
-    the lowest vertex id, destination ties toward the lowest part id.
+    Each move takes a vertex from a source part to the destination part:
 
-    Raises :class:`InfeasiblePartitionError` when the bounds are
-    unsatisfiable (k * upper < n, or for k > 2, k * lower > n).
+    * Sources: every part above ``upper``.  When no part is above ``upper``
+      but k > 2 and some part is below ``lower``, every part above ``lower``.
+      When neither holds the bounds are met and repair stops.
+    * Destination: the smallest part, ties toward the lowest part id.
+    * Vertex: among the vertices of the source parts, the one with the least
+      cost ``own[v] - part_count[v, dest]`` (neighbors of v in its own part
+      minus neighbors of v in the destination, the rise in the cut), ties
+      toward the lowest vertex id.
+
+    Each (source, destination) pair of parts keeps a lazy min-heap of
+    ``(cost + maxdeg) * n + v`` keys, built from the current labels the first
+    time the pair is needed, so a move costs O(deg * k * log n): a move pushes
+    fresh keys for the moved vertex and its neighbors only, and a heap top
+    whose part or cost is out of date is popped when it is read.
+
+    Raises ``ValueError`` when a label lies outside ``range(k)`` and
+    :class:`InfeasiblePartitionError` when the bounds are unsatisfiable
+    (k * upper < n, or for k > 2, k * lower > n).
     """
     k = p.k if k is None else k
     if p.n != g.n:
         raise ValueError(f"partition has {p.n} labels, graph has {g.n} vertices")
+    labels = np.asarray(p.labels, dtype=np.int64)
+    outside = np.flatnonzero((labels < 0) | (labels >= k))
+    if len(outside):
+        v = int(outside[0])
+        raise ValueError(f"label {labels[v]} at vertex {v} outside range({k})")
     lower, upper = balance_bounds(g.n, k, epsilon)
     if k * upper < g.n:
         raise InfeasiblePartitionError(
@@ -90,41 +108,79 @@ def repair(g: Graph, p: Partition, k: int | None = None,
         raise InfeasiblePartitionError(
             f"{k} parts of at least {lower} need more than {g.n} vertices")
 
-    labels = np.asarray(p.labels, dtype=np.int64).copy()
-    sizes = np.bincount(labels, minlength=k)
-    # neighbor label counts, kept current so each candidate move costs O(1)
-    part_count = np.zeros((g.n, k), dtype=np.int64)
-    ea = g.edge_array
-    if len(ea):
-        np.add.at(part_count, (ea[:, 0], labels[ea[:, 1]]), 1)
-        np.add.at(part_count, (ea[:, 1], labels[ea[:, 0]]), 1)
+    sizes = np.bincount(labels, minlength=k).tolist()
 
+    def source_parts() -> list[int]:
+        over = [j for j in range(k) if sizes[j] > upper]
+        if over or k == 2 or min(sizes) >= lower:
+            return over
+        return [j for j in range(k) if sizes[j] > lower]
+
+    if not source_parts():
+        return Partition.from_labels(p.labels, k)
+
+    n = g.n
     indptr, indices = g.indptr, g.indices
-    enforce_lower = k > 2
-    for _ in range(4 * g.n + 8):
-        over = np.flatnonzero(sizes > upper)
-        under = np.flatnonzero(sizes < lower) if enforce_lower else np.empty(0, dtype=int)
-        if not len(over) and not len(under):
+    degree = np.diff(indptr)
+    maxdeg = int(degree.max(initial=0))
+    # part_count[v, j]: neighbors of v in part j; own[v]: those in v's own part
+    rows = np.repeat(np.arange(n), degree)
+    part_count = np.bincount(rows * k + labels[indices], minlength=n * k).reshape(n, k)
+    own = part_count[np.arange(n), labels]
+    # per-move work is a handful of scalars: Python lists beat numpy indexing
+    labels, own, indptr = labels.tolist(), own.tolist(), indptr.tolist()
+    part_count = part_count.ravel().tolist()  # part_count[v * k + j]
+    # heaps[s][d] stays None until d is the destination with s a source;
+    # heaps[j][j] is never built, as the destination is never a source
+    heaps: list[list[list[int] | None]] = [[None] * k for _ in range(k)]
+
+    for _ in range(4 * n + 8):
+        sources = source_parts()
+        if not sources:
             break
-        dest = int(np.argmin(sizes))
-        if len(over):
-            movable = np.isin(labels, over)
-        else:
-            spare = np.flatnonzero(sizes > lower)
-            movable = np.isin(labels, spare)
-        candidates = np.flatnonzero(movable)
-        deltas = part_count[candidates, labels[candidates]] - part_count[candidates, dest]
-        v = int(candidates[np.lexsort((candidates, deltas))[0]])
-        src = int(labels[v])
+        dest = sizes.index(min(sizes))
+        best = -1
+        for s in sources:
+            heap = heaps[s][dest]
+            if heap is None:
+                heap = heaps[s][dest] = sorted(  # a sorted list is a heap
+                    (own[u] - part_count[u * k + dest] + maxdeg) * n + u
+                    for u in range(n) if labels[u] == s)
+            while True:  # drop tops whose vertex left s or whose cost changed
+                key = heap[0]
+                v = key % n
+                if labels[v] == s and own[v] - part_count[v * k + dest] == key // n - maxdeg:
+                    break
+                heapq.heappop(heap)
+            if best < 0 or key < best:
+                best = key
+        v = best % n
+        src = labels[v]
         labels[v] = dest
         sizes[src] -= 1
         sizes[dest] += 1
-        nbrs = indices[indptr[v]:indptr[v + 1]]
-        part_count[nbrs, src] -= 1
-        part_count[nbrs, dest] += 1
+        nbrs = indices[indptr[v]:indptr[v + 1]].tolist()
+        for u in nbrs:
+            part_count[u * k + src] -= 1
+            part_count[u * k + dest] += 1
+            u_label = labels[u]
+            if u_label == src:
+                own[u] -= 1
+            elif u_label == dest:
+                own[u] += 1
+        own[v] = part_count[v * k + dest]
+        nbrs.append(v)
+        for u in nbrs:
+            u_label, row = labels[u], u * k
+            base = (own[u] + maxdeg) * n + u
+            # a third part's vertex only changes cost toward src and dest
+            for d in (range(k) if u_label == src or u_label == dest else (src, dest)):
+                heap = heaps[u_label][d]
+                if heap is not None:
+                    heapq.heappush(heap, base - part_count[row + d] * n)
     else:
         raise RuntimeError("balance repair failed to converge")
-    return Partition.from_labels(labels.tolist(), k)
+    return Partition.from_labels(labels, k)
 
 
 def approximation_ratio(cut: int, best_known: int) -> float:

@@ -19,6 +19,7 @@ class PartitionReport:
     penalty: float
     result: SolveResult
     error: str = ""  # why there is no partition
+    repair_moves: int = 0  # vertices whose label repair changed; 0 without repair
 
 
 def build_model(g: Graph, k: int, epsilon: float = 0.0,
@@ -49,4 +50,6 @@ def partition(g: Graph, k: int, epsilon: float = 0.0, cfg: AnnealConfig | None =
             report.partition, report.cut, report.error = None, None, str(exc)
         else:
             report.cut = cut_edges(g, report.partition)
+            report.repair_moves = sum(
+                a != b for a, b in zip(decoded.labels, report.partition.labels))
     return report

@@ -7,6 +7,8 @@
   incremental updates and sweep rule against an independent derivation.
 * A line-by-line adjacency-list parser, the oracle for the vectorised
   :func:`qubopart.graph.parse_metis`.
+* The O(n)-per-move balance repair loop, the oracle for the heap-driven
+  :func:`qubopart.evaluate.repair`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from qubopart.graph import Graph, GraphFormatError, _strip_comment_lines
+from qubopart.evaluate import InfeasiblePartitionError
+from qubopart.graph import Graph, GraphFormatError, Partition, _strip_comment_lines, balance_bounds
 from qubopart.qubo import QuboModel
 
 
@@ -165,3 +168,58 @@ def parse_metis(text: str, name: str = "") -> Graph:
     if len(undirected) != m:
         raise GraphFormatError(f"header declares {m} edges, adjacency lists {len(undirected)}")
     return Graph.from_edges(n, sorted(undirected), name=name)
+
+
+def repair(g: Graph, p: Partition, k: int | None = None,
+           epsilon: float = 0.0) -> Partition:
+    """Balance repair that rescans every vertex on each move.
+
+    Same contract as :func:`qubopart.evaluate.repair` for labels in
+    ``range(k)``: the same moves in the same order, the same errors.
+    """
+    k = p.k if k is None else k
+    if p.n != g.n:
+        raise ValueError(f"partition has {p.n} labels, graph has {g.n} vertices")
+    lower, upper = balance_bounds(g.n, k, epsilon)
+    if k * upper < g.n:
+        raise InfeasiblePartitionError(
+            f"{k} parts of at most {upper} cannot hold {g.n} vertices")
+    if k > 2 and k * lower > g.n:
+        raise InfeasiblePartitionError(
+            f"{k} parts of at least {lower} need more than {g.n} vertices")
+
+    labels = np.asarray(p.labels, dtype=np.int64).copy()
+    sizes = np.bincount(labels, minlength=k)
+    # neighbor label counts, kept current so each candidate move costs O(1)
+    part_count = np.zeros((g.n, k), dtype=np.int64)
+    ea = g.edge_array
+    if len(ea):
+        np.add.at(part_count, (ea[:, 0], labels[ea[:, 1]]), 1)
+        np.add.at(part_count, (ea[:, 1], labels[ea[:, 0]]), 1)
+
+    indptr, indices = g.indptr, g.indices
+    enforce_lower = k > 2
+    for _ in range(4 * g.n + 8):
+        over = np.flatnonzero(sizes > upper)
+        under = np.flatnonzero(sizes < lower) if enforce_lower else np.empty(0, dtype=int)
+        if not len(over) and not len(under):
+            break
+        dest = int(np.argmin(sizes))
+        if len(over):
+            movable = np.isin(labels, over)
+        else:
+            spare = np.flatnonzero(sizes > lower)
+            movable = np.isin(labels, spare)
+        candidates = np.flatnonzero(movable)
+        deltas = part_count[candidates, labels[candidates]] - part_count[candidates, dest]
+        v = int(candidates[np.lexsort((candidates, deltas))[0]])
+        src = int(labels[v])
+        labels[v] = dest
+        sizes[src] -= 1
+        sizes[dest] += 1
+        nbrs = indices[indptr[v]:indptr[v + 1]]
+        part_count[nbrs, src] -= 1
+        part_count[nbrs, dest] += 1
+    else:
+        raise RuntimeError("balance repair failed to converge")
+    return Partition.from_labels(labels.tolist(), k)

@@ -9,7 +9,8 @@ from qubopart.anneal import _balanced_initial_bits
 from qubopart.qubo import (build_bipartition_qubo, build_kway_qubo, parse_qubo_text,
                            write_qubo_text)
 
-from conftest import gnp_graph, small_corpus
+import reference
+from conftest import gnp_graph, planted_graph, small_corpus
 
 
 def test_partition_feasibility_bipartition():
@@ -154,6 +155,72 @@ def test_repair_label_length_mismatch():
     g = Graph.from_edges(3, [(0, 1)])
     with pytest.raises(ValueError, match="labels"):
         repair(g, Partition.from_labels([0, 1], 2))
+
+
+def test_repair_rejects_label_outside_k():
+    path = Graph.from_edges(6, [(i, i + 1) for i in range(5)])
+    with pytest.raises(ValueError, match=r"label 2 at vertex 2 outside range\(2\)"):
+        repair(path, Partition.from_labels([0, 1, 2, 3, 3, 3], 4), k=2)
+
+
+def _repair_outcome(fn, g, p, k, epsilon):
+    """Repaired labels, or the type and message of the exception raised."""
+    try:
+        return fn(g, p, k, epsilon).labels
+    except (ValueError, RuntimeError) as exc:  # InfeasiblePartitionError is a RuntimeError
+        return type(exc), str(exc)
+
+
+def test_repair_matches_reference():
+    """The heap-driven repair makes the reference loop's moves, in its order.
+
+    Random labels, labels skewed into one part, edgeless graphs, isolated
+    vertices and inputs that only break a k > 2 lower bound, across
+    k in 2..5 and epsilon in {0, 0.03, 0.2, 0.5}.
+    """
+    rng = np.random.RandomState(7)
+    styles = ("uniform", "skewed", "one-part", "lower-only")
+    seen = dict.fromkeys(styles + ("edgeless", "isolated", "raised", "lower-phase"), 0)
+    for case in range(800):
+        n = int(rng.randint(1, 61))
+        k = int(rng.randint(2, 6))
+        epsilon = (0.0, 0.03, 0.2, 0.5)[case % 4]
+        style = styles[case // 4 % len(styles)]
+        g = gnp_graph(n, float(rng.choice([0.0, 0.03, 0.1, 0.3, 0.7])), rng)
+        labels = rng.randint(0, k, size=n)
+        if style == "skewed":
+            labels[rng.random_sample(n) < 0.5] = int(rng.randint(k))
+        elif style == "one-part":
+            labels[:] = int(rng.randint(k))
+        elif style == "lower-only" and n >= k:
+            # part 0 emptied into the others: at a wide epsilon only its lower bound breaks
+            labels = np.arange(n) % k
+            labels[labels == 0] = 1 + rng.randint(0, k - 1, size=int((labels == 0).sum()))
+            rng.shuffle(labels)
+        p = Partition.from_labels(labels.tolist(), k)
+        got = _repair_outcome(repair, g, p, k, epsilon)
+        assert got == _repair_outcome(reference.repair, g, p, k, epsilon), (case, n, k, epsilon)
+
+        seen[style] += 1
+        seen["edgeless"] += g.m == 0
+        seen["isolated"] += bool(g.m) and bool((np.diff(g.indptr) == 0).any())
+        seen["raised"] += isinstance(got[0], type)
+        lower, upper = balance_bounds(n, k, epsilon)
+        sizes = np.bincount(labels, minlength=k)
+        seen["lower-phase"] += (k > 2 and not isinstance(got[0], type)
+                                and sizes.max() <= upper and sizes.min() < lower)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_repair_matches_reference_on_planted_graph():
+    rng = np.random.RandomState(11)
+    g = planted_graph(4000, 4, 8, 2, rng)
+    labels = rng.randint(0, 4, size=g.n)
+    labels[rng.random_sample(g.n) < 0.3] = 0
+    p = Partition.from_labels(labels.tolist(), 4)
+    fixed = repair(g, p, 4, 0.03)
+    assert fixed == reference.repair(g, p, 4, 0.03)
+    assert sum(a != b for a, b in zip(fixed.labels, p.labels)) > 500
 
 
 def test_approximation_ratio():

@@ -17,6 +17,7 @@ def test_feasible_decode_is_not_repaired():
     assert report.cut_raw == report.cut == cut_edges(g, report.partition)
     assert report.penalty == default_penalty(g)
     assert report.result.sweeps_done == 200
+    assert report.repair_moves == 0
 
 
 def test_infeasible_decode_is_repaired():
@@ -29,6 +30,8 @@ def test_infeasible_decode_is_repaired():
     assert report.cut == cut_edges(g, report.partition)
     decoded, _ = decode(build_kway_qubo(g, 4), report.result.best_bits)
     assert report.cut_raw == cut_edges(g, decoded)
+    moved = sum(a != b for a, b in zip(decoded.labels, report.partition.labels))
+    assert report.repair_moves == moved > 0
 
 
 def test_unsatisfiable_bounds_reported_after_one_solve(monkeypatch):
@@ -41,4 +44,5 @@ def test_unsatisfiable_bounds_reported_after_one_solve(monkeypatch):
     assert len(solves) == 1
     assert report.partition is None and report.cut is None
     assert isinstance(report.cut_raw, int) and not report.decoded_feasible
+    assert report.repair_moves == 0
     assert "4 parts of at least 3 need more than 10 vertices" in report.error

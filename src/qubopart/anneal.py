@@ -125,9 +125,11 @@ def _derive_seed(*parts) -> int:
 @dataclass(eq=False)
 class CompiledModel:
     """Flat arrays the sweep engines run on: symmetric CSR of the objective
-    terms plus per-variable chain membership lists."""
+    terms plus per-variable chain membership lists, the model's ``ChainSet``
+    entries sorted by variable.  ``pen`` repeats the model's one penalty per
+    chain for the numba kernel's signature.
+    """
 
-    model: QuboModel
     nv: int
     base_lin: np.ndarray
     csr_indptr: np.ndarray
@@ -146,9 +148,6 @@ class CompiledModel:
     def base_local_fields(self, bits: np.ndarray) -> np.ndarray:
         contrib = self.csr_data * bits[self.csr_cols]
         return self.base_lin + np.bincount(self.csr_rows, weights=contrib, minlength=self.nv)
-
-    def chain_sums(self, bits: np.ndarray) -> np.ndarray:
-        return np.asarray([float(ch.coeffs @ bits[ch.var_idx]) for ch in self.model.chains])
 
     def all_deltas(self, bits: np.ndarray, base_lf: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Flip gain of every variable at the current state."""
@@ -175,28 +174,17 @@ def compile_model(model: QuboModel) -> CompiledModel:
     indptr = np.zeros(nv + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=nv), out=indptr[1:])
 
-    ng = len(model.chains)
-    pen = np.asarray([ch.penalty for ch in model.chains], dtype=np.float64)
-    rhs = np.asarray([ch.rhs for ch in model.chains], dtype=np.float64)
-    if ng:
-        mv = np.concatenate([ch.var_idx for ch in model.chains])
-        mg = np.concatenate([np.full(len(ch.var_idx), g, dtype=np.int64)
-                             for g, ch in enumerate(model.chains)])
-        mc = np.concatenate([ch.coeffs for ch in model.chains])
-        morder = np.lexsort((mg, mv))
-        mv, mg, mc = mv[morder], mg[morder], mc[morder]
-    else:
-        mv = np.empty(0, dtype=np.int64)
-        mg = np.empty(0, dtype=np.int64)
-        mc = np.empty(0, dtype=np.float64)
+    chains, p = model.chains, model.penalty
+    morder = np.lexsort((chains.chain_id, chains.var_idx))
+    mv, mg, mc = chains.var_idx[morder], chains.chain_id[morder], chains.coeffs[morder]
     mem_indptr = np.zeros(nv + 1, dtype=np.int64)
     np.cumsum(np.bincount(mv, minlength=nv), out=mem_indptr[1:])
 
-    return CompiledModel(model=model, nv=nv, base_lin=model.base_linear.astype(np.float64),
+    return CompiledModel(nv=nv, base_lin=model.base_linear.astype(np.float64),
                          csr_indptr=indptr, csr_rows=rows, csr_cols=cols.astype(np.int64),
-                         csr_data=data, pen=pen, rhs=rhs, mem_indptr=mem_indptr,
-                         mem_var=mv, mem_chain=mg, mem_coeff=mc,
-                         mem_lin=2.0 * pen[mg] * mc, mem_const=pen[mg] * mc * mc)
+                         csr_data=data, pen=np.full(len(chains), float(p)), rhs=chains.rhs,
+                         mem_indptr=mem_indptr, mem_var=mv, mem_chain=mg, mem_coeff=mc,
+                         mem_lin=2.0 * p * mc, mem_const=p * mc * mc)
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +301,22 @@ if HAVE_NUMBA:
         return offset, cur_energy, best_energy, flips
 
 
-def _greedy_fill(value: float, var_idx: np.ndarray, weights: np.ndarray,
-                 bits: np.ndarray) -> None:
-    """Set slack bits (greedy, largest weight first) to sum close to value."""
-    remaining = value
-    for i in np.argsort(-weights, kind="stable"):
-        if weights[i] <= remaining:
-            bits[var_idx[i]] = 1
-            remaining -= weights[i]
+def _greedy_fill(need: np.ndarray, chain: np.ndarray, var_idx: np.ndarray,
+                 weights: np.ndarray, bits: np.ndarray) -> None:
+    """Set slack bits ``var_idx`` of ``chain`` to sum close to ``need[chain]``.
+
+    Each chain takes its bits greedily, largest weight first (ties in entry
+    order); one pass per rank decides that rank's bit in every chain.
+    """
+    order = np.lexsort((-weights, chain))
+    chain, var_idx, weights = chain[order], var_idx[order], weights[order]
+    rank = np.arange(len(chain)) - np.searchsorted(chain, chain)
+    remaining = need.copy()
+    for r in range(int(rank.max(initial=-1)) + 1):
+        at = np.flatnonzero(rank == r)
+        take = at[weights[at] <= remaining[chain[at]]]
+        bits[var_idx[take]] = 1
+        remaining[chain[take]] -= weights[take]
 
 
 def _balanced_initial_bits(model: QuboModel, rs: np.random.RandomState) -> np.ndarray:
@@ -334,12 +330,12 @@ def _balanced_initial_bits(model: QuboModel, rs: np.random.RandomState) -> np.nd
         bits[ind[perm[:-(-n // 2)], 0]] = 1
     else:  # position pos goes to part pos*k//n, so part sizes differ by at most one
         bits[ind[perm, np.arange(n) * k // n]] = 1
-    for ch in model.chains:
-        # a balance chain ends in its slack bits, still 0 here, so its
-        # residual is the part size minus rhs
-        if ch.var_idx[-1] >= ind.size:
-            tail = np.searchsorted(ch.var_idx, ind.size)
-            _greedy_fill(-ch.residual(bits), ch.var_idx[tail:], ch.coeffs[tail:], bits)
+    # a balance chain ends in its slack bits, still 0 here, so the slack
+    # must make up rhs minus the part size
+    ch = model.chains
+    slack = ch.var_idx >= ind.size
+    _greedy_fill(ch.rhs - ch.sums(bits), ch.chain_id[slack], ch.var_idx[slack],
+                 ch.coeffs[slack], bits)
     return bits
 
 
@@ -401,7 +397,7 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
         else:
             bits = (init_rs.random_sample(nv) < 0.5).astype(np.int8)
         base_lf = cm.base_local_fields(bits)
-        s = cm.chain_sums(bits)
+        s = model.chains.sums(bits)
         cur_energy = energy(model, bits)
 
         if cfg.temp_initial is not None:

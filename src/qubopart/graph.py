@@ -163,11 +163,13 @@ class Partition:
     def from_labels(cls, labels: Sequence[int], k: int) -> "Partition":
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
-        labels = tuple(int(x) for x in labels)
-        for i, lab in enumerate(labels):
-            if not 0 <= lab < k:
-                raise ValueError(f"label {lab} at vertex {i} outside range({k})")
-        return cls(labels=labels, k=k)
+        # labels beyond int64 make an object array, which compares exactly
+        values = np.asarray(labels)
+        bad = np.flatnonzero(~((values >= 0) & (values < k)).astype(bool))
+        if len(bad):
+            i = int(bad[0])
+            raise ValueError(f"label {values[i]} at vertex {i} outside range({k})")
+        return cls(labels=tuple(values.astype(np.int64).tolist()), k=k)
 
     @property
     def n(self) -> int:

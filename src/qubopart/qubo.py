@@ -10,15 +10,18 @@ pieces:
   and balance constraints, with capped binary slack variables turning
   inequalities into equalities.
 
-Chains are kept in factored form; the expanded pairwise coefficients are
-available on demand and are exact (integers stay integers for integer P).
+Chains are kept in factored form, all of them in one flat :class:`ChainSet`
+weighted by the model's single ``penalty``; the expanded pairwise
+coefficients are available on demand and are exact (integers stay integers
+for integer P).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,29 +32,89 @@ from .graph import Graph, balance_bounds
 MAX_EXPANSION_TERMS = 20_000_000
 
 
-@dataclass(eq=False)
-class PenaltyChain:
-    """Factored squared penalty ``penalty * (coeffs . a[var_idx] - rhs)^2``.
-
-    ``var_idx`` must be strictly increasing so pair expansion emits
-    upper-triangular terms directly.
-    """
+class Chain(NamedTuple):
+    """One chain of a :class:`ChainSet`: ``(coeffs . a[var_idx] - rhs)^2``."""
 
     var_idx: np.ndarray
     coeffs: np.ndarray
     rhs: float
-    penalty: float
+
+
+@dataclass(eq=False)
+class ChainSet:
+    """Squared penalty chains ``(coeffs . a[var_idx] - rhs)^2``, stored flat.
+
+    Chain g owns the entries ``indptr[g]:indptr[g+1]`` of ``var_idx`` and
+    ``coeffs`` and the right-hand side ``rhs[g]``.  Inside a chain
+    ``var_idx`` is strictly increasing, so pair expansion emits
+    upper-triangular terms directly; different chains may share variables.
+    The chains carry no weight of their own: the model's ``penalty`` scales
+    them all.
+    """
+
+    indptr: np.ndarray
+    var_idx: np.ndarray
+    coeffs: np.ndarray
+    rhs: np.ndarray
 
     def __post_init__(self):
+        self.indptr = np.asarray(self.indptr, dtype=np.int64)
         self.var_idx = np.asarray(self.var_idx, dtype=np.int64)
         self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if self.var_idx.shape != self.coeffs.shape:
+        self.rhs = np.asarray(self.rhs, dtype=np.float64)
+        if self.var_idx.ndim != 1 or self.var_idx.shape != self.coeffs.shape:
             raise ValueError("chain index and coefficient arrays differ in length")
-        if not (self.var_idx[1:] > self.var_idx[:-1]).all():
+        if self.rhs.ndim != 1 or self.indptr.shape != (len(self.rhs) + 1,) \
+                or self.indptr[0] != 0 or self.indptr[-1] != len(self.var_idx) \
+                or (np.diff(self.indptr) < 0).any():
+            raise ValueError("chain offsets must rise from 0 to the array length, "
+                             "one more than there are chains")
+        increasing = self.var_idx[1:] > self.var_idx[:-1]
+        starts = self.indptr[1:-1]
+        increasing[starts[(starts > 0) & (starts < len(self.var_idx))] - 1] = True
+        if not increasing.all():
             raise ValueError("chain variable indices must be strictly increasing")
 
-    def residual(self, bits: np.ndarray) -> float:
-        return float(self.coeffs @ bits[self.var_idx] - self.rhs)
+    @classmethod
+    def empty(cls) -> ChainSet:
+        return cls(np.zeros(1), np.empty(0), np.empty(0), np.empty(0))
+
+    @classmethod
+    def from_blocks(cls, *blocks: tuple[np.ndarray, np.ndarray, float]) -> ChainSet:
+        """Chains from blocks ``(var_idx, coeffs, rhs)`` of equal-length chains.
+
+        ``var_idx`` and ``coeffs`` are ``(chains, length)`` arrays, one chain
+        per row, and ``rhs`` is shared by the block's chains.
+        """
+        lengths = np.concatenate([np.full(len(v), v.shape[1]) for v, _, _ in blocks])
+        return cls(np.concatenate(([0], np.cumsum(lengths))),
+                   np.concatenate([v.ravel() for v, _, _ in blocks]),
+                   np.concatenate([c.ravel() for _, c, _ in blocks]),
+                   np.concatenate([np.full(len(v), float(r)) for v, _, r in blocks]))
+
+    def __len__(self) -> int:
+        return len(self.rhs)
+
+    def __getitem__(self, g: int) -> Chain:
+        g = range(len(self))[g]
+        span = slice(self.indptr[g], self.indptr[g + 1])
+        return Chain(self.var_idx[span], self.coeffs[span], float(self.rhs[g]))
+
+    @cached_property
+    def chain_id(self) -> np.ndarray:
+        """Chain index of every entry of the flat arrays."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    def sums(self, bits: np.ndarray) -> np.ndarray:
+        """``coeffs . bits[var_idx]`` of every chain, as float64."""
+        return np.bincount(self.chain_id, weights=self.coeffs * bits[self.var_idx],
+                           minlength=len(self))
+
+
+def _running_sum(start: float, terms: np.ndarray) -> float:
+    """``start + terms[0] + terms[1] + ...``, added left to right one at a time
+    (not pairwise), so chain terms always sum to the same float."""
+    return float(np.cumsum(np.concatenate(([start], terms)))[-1])
 
 
 @dataclass(eq=False)
@@ -59,7 +122,9 @@ class QuboModel:
     """Binary quadratic model: objective terms plus penalty chains.
 
     ``base_*`` fields hold the raw objective; :attr:`linear`,
-    :attr:`constant` and :meth:`quadratic_terms` fold the chains in.
+    :attr:`constant` and :meth:`quadratic_terms` fold the chains in, each
+    weighted by ``penalty``, so the model is
+    ``objective + penalty * sum_g (coeffs_g . a[var_idx_g] - rhs_g)^2``.
 
     ``indicators`` is the variable layout, an ``(n, c)`` int64 array of
     variable indices: ``c == 1`` for the bipartition model, whose bit is the
@@ -76,7 +141,7 @@ class QuboModel:
     base_quad_j: np.ndarray
     base_quad_c: np.ndarray
     base_constant: float = 0.0
-    chains: list[PenaltyChain] = field(default_factory=list)
+    chains: ChainSet = field(default_factory=ChainSet.empty)
     indicators: np.ndarray | None = None
     penalty: float = 0.0
     k: int | None = None
@@ -99,22 +164,20 @@ class QuboModel:
     def linear(self) -> np.ndarray:
         """Per-variable linear coefficients with all chains folded in."""
         lin = self.base_linear.copy()
-        for ch in self.chains:
-            # (sum c a - r)^2 contributes c_t * (c_t - 2r) per variable
-            np.add.at(lin, ch.var_idx, ch.penalty * ch.coeffs * (ch.coeffs - 2.0 * ch.rhs))
+        ch = self.chains
+        # (sum c a - r)^2 contributes c_t * (c_t - 2r) per variable
+        np.add.at(lin, ch.var_idx,
+                  self.penalty * ch.coeffs * (ch.coeffs - 2.0 * ch.rhs[ch.chain_id]))
         return lin
 
     @property
     def constant(self) -> float:
-        return self.base_constant + sum(ch.penalty * ch.rhs ** 2 for ch in self.chains)
+        return self.base_constant + _running_sum(0.0, self.penalty * self.chains.rhs ** 2)
 
     def expansion_size(self) -> int:
         """Number of raw pair terms the full expansion would materialize."""
-        total = len(self.base_quad_c)
-        for ch in self.chains:
-            v = len(ch.var_idx)
-            total += v * (v - 1) // 2
-        return total
+        v = np.diff(self.chains.indptr)
+        return len(self.base_quad_c) + int((v * (v - 1) // 2).sum())
 
     def quadratic_terms(self, max_terms: int = MAX_EXPANSION_TERMS
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -137,7 +200,7 @@ class QuboModel:
             ti, tj = np.triu_indices(v, k=1)
             qi.append(ch.var_idx[ti])
             qj.append(ch.var_idx[tj])
-            qc.append(2.0 * ch.penalty * ch.coeffs[ti] * ch.coeffs[tj])
+            qc.append(2.0 * self.penalty * ch.coeffs[ti] * ch.coeffs[tj])
         i, j, c = _coalesce(self.num_vars, np.concatenate(qi), np.concatenate(qj),
                             np.concatenate(qc))
         keep = c != 0.0
@@ -177,9 +240,8 @@ def energy(model: QuboModel, bits: Sequence[int] | np.ndarray) -> float:
     e = model.base_constant + float(model.base_linear @ a)
     if len(model.base_quad_c):
         e += float(model.base_quad_c @ (a[model.base_quad_i] * a[model.base_quad_j]))
-    for ch in model.chains:
-        e += ch.penalty * ch.residual(a) ** 2
-    return e
+    residuals = model.chains.sums(a) - model.chains.rhs
+    return _running_sum(e, model.penalty * residuals ** 2)
 
 
 def default_penalty(g: Graph) -> float:
@@ -252,20 +314,22 @@ def model_num_vars(n: int, k: int, epsilon: float = 0.0) -> int:
     return n + slack if k == 2 else k * (n + slack)
 
 
-def _balance_chain(part_vars: np.ndarray, lo: int, hi: int, first_slack: int,
-                   penalty: float) -> PenaltyChain:
-    """Chain ``sum(part_vars) + slack = hi`` whose slack spans exactly hi - lo.
+def _balance_chains(part_vars: np.ndarray, lo: int, hi: int,
+                    first_slack: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Chains ``sum(part_vars[j]) + slack_j = hi``, one per row of ``part_vars``.
 
-    Every slack coefficient is positive and the slack sums to at most
-    hi - lo, so this one chain bounds the part size from both sides.  The
-    slack bits are numbered from ``first_slack`` and follow the indicators in
-    the chain; equal bounds give an equality chain with no slack.
+    Each chain's slack spans exactly hi - lo with positive coefficients, so
+    the chain bounds its part size from both sides.  The slack bits follow
+    the indicators in each chain and are numbered from ``first_slack``, row
+    by row; equal bounds give equality chains with no slack.  Returns a
+    :meth:`ChainSet.from_blocks` block.
     """
-    weights = encode_slack_weights(hi - lo)
-    slack_vars = first_slack + np.arange(len(weights), dtype=np.int64)
-    return PenaltyChain(np.concatenate([part_vars, slack_vars]),
-                        np.concatenate([np.ones(len(part_vars)), np.asarray(weights, float)]),
-                        float(hi), penalty)
+    weights = np.asarray(encode_slack_weights(hi - lo), dtype=np.float64)
+    rows, n = part_vars.shape
+    width = len(weights)
+    slack = first_slack + np.arange(rows * width, dtype=np.int64).reshape(rows, width)
+    coeffs = np.concatenate([np.ones((rows, n)), np.broadcast_to(weights, slack.shape)], axis=1)
+    return np.concatenate([part_vars, slack], axis=1), coeffs, float(hi)
 
 
 def build_bipartition_qubo(g: Graph, epsilon: float = 0.0,
@@ -286,11 +350,11 @@ def build_bipartition_qubo(g: Graph, epsilon: float = 0.0,
     lin, qi, qj, qc = _cut_objective_arrays(g, 1)
 
     indicators = np.arange(g.n, dtype=np.int64)[:, None]
-    chain = _balance_chain(indicators[:, 0], lo, hi, g.n, p)
-    nv = len(chain.var_idx)  # every indicator, then the slack
+    chains = ChainSet.from_blocks(_balance_chains(indicators.T, lo, hi, g.n))
+    nv = len(chains.var_idx)  # every indicator, then the slack
     lin = np.concatenate([lin, np.zeros(nv - g.n)])
     return QuboModel(num_vars=nv, base_linear=lin, base_quad_i=qi, base_quad_j=qj,
-                     base_quad_c=qc, chains=[chain], indicators=indicators,
+                     base_quad_c=qc, chains=chains, indicators=indicators,
                      penalty=p, k=2, epsilon=float(epsilon), n=g.n)
 
 
@@ -311,13 +375,10 @@ def build_kway_qubo(g: Graph, k: int, epsilon: float = 0.0,
     lin, qi, qj, qc = _cut_objective_arrays(g, k)
 
     indicators = np.arange(g.n * k, dtype=np.int64).reshape(g.n, k)
-    chains = [PenaltyChain(row, np.ones(k), 1.0, p) for row in indicators]
-    nv = indicators.size
-    for j in range(k):
-        chain = _balance_chain(indicators[:, j], lo, hi, nv, p)
-        chains.append(chain)
-        nv += len(chain.var_idx) - g.n  # its slack bits
-
+    one_hot = (indicators, np.ones(indicators.shape), 1.0)  # one chain per vertex
+    balance = _balance_chains(indicators.T, lo, hi, indicators.size)
+    chains = ChainSet.from_blocks(one_hot, balance)
+    nv = balance[0].size  # the balance chains hold every indicator and slack bit once
     lin = np.concatenate([lin, np.zeros(nv - indicators.size)])
     return QuboModel(num_vars=nv, base_linear=lin, base_quad_i=qi, base_quad_j=qj,
                      base_quad_c=qc, chains=chains, indicators=indicators,

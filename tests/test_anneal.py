@@ -63,7 +63,7 @@ def test_compiled_deltas_match_reference():
         bits = rng.randint(0, 2, size=model.num_vars).astype(np.int8)
         lf = local_fields(model, bits)
         ref = np.array([delta_energy(model, bits, i, lf) for i in range(model.num_vars)])
-        got = cm.all_deltas(bits, cm.base_local_fields(bits), cm.chain_sums(bits))
+        got = cm.all_deltas(bits, cm.base_local_fields(bits), model.chains.sums(bits))
         assert np.allclose(got, ref, atol=1e-9)
 
 
@@ -99,7 +99,7 @@ def test_reference_sweep_matches_python_engine():
         bits_b = bits_a.copy()
         lf = local_fields(model, bits_a, nbrs)
         base_lf = cm.base_local_fields(bits_b)
-        s = cm.chain_sums(bits_b)
+        s = model.chains.sums(bits_b)
         temps = np.full(30, 2.0)
         rng_a = np.random.RandomState(99)
         rng_b = np.random.RandomState(99)
@@ -166,8 +166,8 @@ def test_balanced_initial_bits_zero_residual():
         for trial in range(5):
             rs = np.random.RandomState(trial)
             bits = anneal._balanced_initial_bits(model, rs)
-            for chain in model.chains:
-                assert chain.residual(bits) == 0.0
+            for ch in model.chains:
+                assert ch.coeffs @ bits[ch.var_idx] == ch.rhs
             labels = _decode_labels(model, bits)
             assert energy(model, bits) == float(cut_edges(g_case, labels))
 
@@ -181,8 +181,8 @@ def test_balanced_initial_bits_spread_remainder():
         bits = anneal._balanced_initial_bits(model, np.random.RandomState(trial))
         partition, feas = decode(model, bits)
         assert feas.feasible and sorted(partition.part_sizes()) == [2, 2, 3, 3]
-        for chain in model.chains:
-            assert chain.residual(bits) == 0.0
+        for ch in model.chains:
+            assert ch.coeffs @ bits[ch.var_idx] == ch.rhs
 
 
 def _decode_labels(model, bits):

@@ -12,6 +12,12 @@ bipartition model gained its lower bound on the part-1 size: the scalar loop
 of ca84b31 solving the new model gives the digest below, and so does the
 numpy engine.  The other three models have epsilon == 0 and did not change.
 
+``test_golden_noninteger_penalty`` pins a model at penalty 0.3, whose
+chain terms are inexact in binary floating point, so a change in the order
+in which the expansion, the energy or the solver sums them shows there; the
+integer-penalty models above sum exactly in any order.  Its digests were
+computed at commit e795d03, before the chains were stored flat.
+
 The module uses only the public API so that it can run against older
 versions of the package unchanged.
 """
@@ -22,7 +28,7 @@ import numpy as np
 import pytest
 
 from qubopart.anneal import AnnealConfig, solve
-from qubopart.qubo import build_bipartition_qubo, build_kway_qubo
+from qubopart.qubo import build_bipartition_qubo, build_kway_qubo, energy, write_qubo_text
 
 from conftest import gnp_graph
 
@@ -63,3 +69,25 @@ def _digest(res) -> str:
 def test_golden_trajectory(name):
     model, cfg = _case(name)
     assert _digest(solve(model, cfg)) == GOLDEN[name]
+
+
+GOLDEN_NONINTEGER = {
+    "qubo-text": "cbef018134c47a1bd1a0692cb5feadddddf20de569e93399ee90aeef29eb30a2",
+    "energies": "24df40f5cd7097fef9d562586a6d8fb89dce9ed6a8f333995322bb4b8e77dcd4",
+    "solve": "8f727f8dbcebe1e0e97e9ea1427782a46f6fdedeba0159042d54bb85dacb2a97",
+}
+
+
+def test_golden_noninteger_penalty():
+    g = gnp_graph(24, 0.3, np.random.RandomState(31))
+    model = build_kway_qubo(g, 3, 0.2, penalty=0.3)
+    rng = np.random.RandomState(32)
+    energies = [energy(model, rng.randint(0, 2, size=model.num_vars)) for _ in range(20)]
+    res = solve(model, AnnealConfig(seed=15, sweeps=600, replicas=2, trace_every=50,
+                                    balanced_init=True, engine="python"))
+    got = {
+        "qubo-text": hashlib.sha256(write_qubo_text(model).encode()).hexdigest(),
+        "energies": hashlib.sha256(np.asarray(energies, dtype=np.float64).tobytes()).hexdigest(),
+        "solve": _digest(res),
+    }
+    assert got == GOLDEN_NONINTEGER

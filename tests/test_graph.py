@@ -228,8 +228,22 @@ def test_partition_basics():
     assert p.part_sizes() == [1, 2, 1]
     with pytest.raises(ValueError, match="outside"):
         Partition.from_labels([0, 3], 3)
+    # a label beyond int64 is out of range, not an overflow
+    with pytest.raises(ValueError, match=rf"label {2**70} at vertex 1 outside range\(3\)"):
+        Partition.from_labels([0, 2**70, 5], 3)
     with pytest.raises(ValueError):
         cut_edges(Graph.from_edges(3, [(0, 1)]), [0, 1])
+
+
+def test_partition_from_labels_large_array():
+    labels = np.random.RandomState(5).randint(0, 7, size=40000)
+    p = Partition.from_labels(labels, 7)
+    assert p.labels == tuple(labels.tolist())
+    assert all(type(lab) is int for lab in p.labels)
+    assert p.part_sizes() == np.bincount(labels, minlength=7).tolist()
+    labels[[123, 3000]] = [7, -1]
+    with pytest.raises(ValueError, match=r"label 7 at vertex 123 outside range\(7\)"):
+        Partition.from_labels(labels, 7)
 
 
 def test_partition_file_round_trip():

@@ -4,21 +4,35 @@ import numpy as np
 import pytest
 
 from qubopart.graph import Graph, balance_bounds, cut_edges
-from qubopart.qubo import (PenaltyChain, QuboModel, build_bipartition_qubo,
+from qubopart.qubo import (ChainSet, QuboModel, build_bipartition_qubo,
                            build_kway_qubo, default_penalty, encode_slack_weights,
                            energy, model_num_vars, parse_qubo_text, write_qubo_text)
 
 from conftest import dense_energy, feasible_sizes, fill_chain_slack, gnp_graph, small_corpus
 
 
+def _chains(*segments):
+    """ChainSet of one all-ones chain with rhs 1 per index list."""
+    idx = [i for seg in segments for i in seg]
+    indptr = np.cumsum([0] + [len(seg) for seg in segments])
+    return ChainSet(indptr, idx, np.ones(len(idx)), np.ones(len(segments)))
+
+
 def test_penalty_chain_validation():
     for idx in ([], [3], [0, 2, 5]):
-        PenaltyChain(idx, np.ones(len(idx)), 1.0, 1.0)
+        _chains(idx)
     for idx in ([0, 2, 2], [3, 1], [0, 4, 1]):
         with pytest.raises(ValueError, match="strictly increasing"):
-            PenaltyChain(idx, np.ones(len(idx)), 1.0, 1.0)
+            _chains(idx)
     with pytest.raises(ValueError, match="differ in length"):
-        PenaltyChain([0, 1], [1.0], 1.0, 1.0)
+        ChainSet([0, 2], [0, 1], [1.0], [1.0])
+    # only the inside of a chain must increase; a chain may start anywhere
+    chains = _chains([0, 5], [1, 2])
+    assert len(chains) == 2 and chains[1].var_idx.tolist() == [1, 2]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _chains([0, 5], [2, 1])
+    with pytest.raises(ValueError, match="offsets"):
+        ChainSet([0, 3], [0, 1], [1.0, 1.0], [1.0])
 
 
 def test_single_edge_frozen_energies():

@@ -15,10 +15,14 @@ Two engines produce bit-identical results: a compiled kernel (numba, an
 optional dependency) and a numpy engine that runs when numba is absent.  Both
 consume the same MT19937 stream with the same draw discipline (one uniform
 per variable per sweep, plus one to pick among acceptors), so results are
-reproducible across engines and platforms.  The numpy engine makes the
+reproducible across engines and platforms.  The numpy engine draws its
+uniforms from the same stream in blocks, which hand them out in the same
+order, still one per variable per sweep plus one per pick.  It makes the
 Metropolis test for all variables at once with ``np.exp`` and re-decides the
 rare draws within a few ulps of their threshold with the scalar
-``math.exp`` rule, so its acceptor sets equal the kernel's exactly.
+``math.exp`` rule, so its acceptor sets equal the kernel's exactly.  It
+recomputes the flip gains only after a flip: a sweep with no acceptor
+changes no state they depend on.
 Replica r of a solve seeds its stream from SHA-256 of (seed, r), making
 replicas independent and the whole solve deterministic.  Solves are not
 reentrant: run them one at a time per process.
@@ -45,6 +49,9 @@ except ImportError:  # numba is an optional extra; the numpy engine runs without
 from .qubo import QuboModel, _coalesce, energy
 
 BATCH_SWEEPS = 1024  # most sweeps per engine call
+# fewest uniforms a numpy-engine replica draws at once: 32 KiB, because larger
+# blocks raise peak memory and make the sweeps no faster
+UNIFORM_BLOCK = 4096
 
 # np.exp (AVX-512 build, numpy 2.4) and math.exp (glibc) differed by at most
 # 1 ulp over 1.2e7 arguments in [-745, 0], the range of -eff/t.  A draw
@@ -169,7 +176,7 @@ def compile_model(model: QuboModel) -> CompiledModel:
     rows = np.concatenate([qi, qj]).astype(np.int64)
     cols = np.concatenate([qj, qi]).astype(np.int64)
     data = np.concatenate([qc, qc])
-    order = np.lexsort((cols, rows))
+    order = np.argsort(rows * nv + cols, kind="stable")  # (row, col) pairs are unique
     rows, cols, data = rows[order], cols[order], data[order]
     indptr = np.zeros(nv + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=nv), out=indptr[1:])
@@ -191,43 +198,117 @@ def compile_model(model: QuboModel) -> CompiledModel:
 # Factored sweep engines (python and numba), sharing one draw discipline.
 
 
-def _metropolis_accept(eff: np.ndarray, us: np.ndarray, t: float) -> np.ndarray:
+class _BlockUniforms:
+    """A replica's MT19937 uniforms, drawn from its ``RandomState`` in blocks.
+
+    ``random_sample(n)`` and ``random_sample()`` hand out the same doubles in
+    the same order as those calls on ``rs`` itself would, because
+    ``rs.random_sample(m)`` reads the stream exactly like m scalar calls.
+    The buffer holds ``max(nv + 1, UNIFORM_BLOCK)`` doubles, one sweep's
+    draws at least; a refill keeps the unread tail and appends fresh draws.
+    An array returned by ``random_sample(n)`` is a view that stays valid.
+    """
+
+    def __init__(self, rs: np.random.RandomState, nv: int):
+        self._rs = rs
+        self._size = max(nv + 1, UNIFORM_BLOCK)
+        self._buf = np.empty(0)
+        self._pos = 0
+
+    def random_sample(self, n: int | None = None):
+        need = 1 if n is None else n
+        pos = self._pos
+        if pos + need > len(self._buf):
+            left = self._buf[pos:]
+            self._buf = np.concatenate((left, self._rs.random_sample(
+                max(self._size, need) - len(left))))
+            pos = 0
+        self._pos = pos + need
+        return self._buf[pos] if n is None else self._buf[pos:pos + need]
+
+
+class _AcceptBuffers:
+    """Scratch arrays for :func:`_metropolis_accept` on ``n`` variables."""
+
+    def __init__(self, n: int):
+        self.thr = np.empty(n)
+        self.gap = np.empty(n)
+        self.tol = np.empty(n)
+        self.accept = np.empty(n, dtype=bool)
+        self.close = np.empty(n, dtype=bool)
+
+
+def _metropolis_accept(eff: np.ndarray, us: np.ndarray, t: float,
+                       buf: _AcceptBuffers | None = None) -> np.ndarray:
     """Mask of variables passing ``eff[i] <= 0 or us[i] < math.exp(-eff[i] / t)``.
 
     One vector test decides almost every variable: with ``eff <= 0`` the
     threshold is exactly 1.0, which every draw in [0, 1) passes.  Draws
     within the ``np.exp``/``math.exp`` disagreement window of their
-    threshold are re-decided with the scalar rule itself.
+    threshold are re-decided with the scalar rule itself.  With ``buf`` the
+    test allocates nothing and returns ``buf.accept``, which the next call
+    with the same buffers overwrites.
     """
-    thr = np.exp(np.maximum(eff, 0.0) / -t)  # x / -t == -x / t exactly
-    accept = us < thr
-    for i in np.flatnonzero(np.abs(us - thr) <= thr * _EXP_REL_WINDOW + _EXP_ABS_WINDOW):
-        accept[i] = eff[i] <= 0.0 or us[i] < math.exp(-eff[i] / t)
+    if buf is None:
+        buf = _AcceptBuffers(len(eff))
+    thr, gap, tol, accept, close = buf.thr, buf.gap, buf.tol, buf.accept, buf.close
+    np.maximum(eff, 0.0, out=thr)
+    np.divide(thr, -t, out=thr)  # x / -t == -x / t exactly
+    np.exp(thr, out=thr)
+    np.less(us, thr, out=accept)
+    np.subtract(us, thr, out=gap)
+    np.abs(gap, out=gap)
+    np.multiply(thr, _EXP_REL_WINDOW, out=tol)
+    np.add(tol, _EXP_ABS_WINDOW, out=tol)
+    np.less_equal(gap, tol, out=close)
+    if np.count_nonzero(close):
+        for i in close.nonzero()[0]:
+            accept[i] = eff[i] <= 0.0 or us[i] < math.exp(-eff[i] / t)
     return accept
 
 
 def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_inc,
                    cur_energy, best_energy, best_bits, rng, trace, trace_every,
                    sweeps_before):
+    """Run ``len(temps)`` sweeps in place; the numpy twin of ``_numba_sweeps``.
+
+    ``rng`` is a replica's :class:`_BlockUniforms` or a bare ``RandomState``;
+    both give the same draws.  The flip gains are a pure function of
+    ``(bits, base_lf, s)``, so a sweep with no acceptor leaves them valid for
+    the next one.
+    """
+    nv = cm.nv
+    draw = rng.random_sample
+    buf = _AcceptBuffers(nv)
+    eff = np.empty(nv)
+    csr_indptr, csr_cols, csr_data = cm.csr_indptr, cm.csr_cols, cm.csr_data
+    mem_indptr, mem_chain, mem_coeff = cm.mem_indptr, cm.mem_chain, cm.mem_coeff
+    deltas = None
     flips = 0
     for sw in range(len(temps)):
         t = temps[sw]
         if t < 1e-300:
             t = 1e-300
-        us = rng.random_sample(cm.nv)
-        deltas = cm.all_deltas(bits, base_lf, s)
-        acceptors = np.flatnonzero(_metropolis_accept(deltas - offset, us, t))
+        us = draw(nv)
+        if deltas is None:
+            deltas = cm.all_deltas(bits, base_lf, s)
+        if offset == 0.0:  # x - 0.0 == x bit for bit
+            accept = _metropolis_accept(deltas, us, t, buf)
+        else:
+            accept = _metropolis_accept(np.subtract(deltas, offset, out=eff), us, t, buf)
+        acceptors = accept.nonzero()[0]
         if len(acceptors):
-            r = rng.random_sample()
+            r = draw()
             i = int(acceptors[int(r * len(acceptors))])
             d = deltas[i]
+            deltas = None
             dlt = 1.0 - 2.0 * bits[i]
             cur_energy = cur_energy + d
             bits[i] = 1 - bits[i]
-            row = slice(cm.csr_indptr[i], cm.csr_indptr[i + 1])
-            base_lf[cm.csr_cols[row]] += cm.csr_data[row] * dlt
-            mrow = slice(cm.mem_indptr[i], cm.mem_indptr[i + 1])
-            s[cm.mem_chain[mrow]] += cm.mem_coeff[mrow] * dlt
+            row = slice(csr_indptr[i], csr_indptr[i + 1])
+            base_lf[csr_cols[row]] += csr_data[row] * dlt
+            mrow = slice(mem_indptr[i], mem_indptr[i + 1])
+            s[mem_chain[mrow]] += mem_coeff[mrow] * dlt
             offset = 0.0
             flips += 1
             if cur_energy < best_energy:
@@ -411,7 +492,7 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
             else cfg.temp_final / 10.0
 
         sweep_seed = _derive_seed(cfg.seed, replica, "sweeps")
-        rng = np.random.RandomState(sweep_seed)
+        draws = _BlockUniforms(np.random.RandomState(sweep_seed), nv)
         rep_best_bits = bits.copy()
         rep_best_energy = cur_energy
         offset = 0.0
@@ -436,7 +517,7 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
             else:
                 offset, cur_energy, rep_best_energy, f = _python_sweeps(
                     cm, bits, base_lf, s, batch, offset, offset_inc, cur_energy,
-                    rep_best_energy, rep_best_bits, rng, trace, cfg.trace_every, done)
+                    rep_best_energy, rep_best_bits, draws, trace, cfg.trace_every, done)
             now = time.perf_counter()
             sweep_s = (now - called) / len(batch)
             flips += f

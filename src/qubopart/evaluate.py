@@ -61,7 +61,7 @@ def decode(model: QuboModel, bits: np.ndarray) -> tuple[Partition, Feasibility]:
         labels = is_set.argmax(axis=1)  # lowest set part, 0 when none is set
         one_hot_ok = bool((is_set.sum(axis=1) == 1).all())
 
-    partition = Partition.from_labels(labels.tolist(), model.k)
+    partition = Partition.from_labels(labels, model.k)
     balance = partition_feasibility(partition, model.epsilon or 0.0)
     return partition, Feasibility(one_hot_ok=one_hot_ok, balance_ok=balance.balance_ok,
                                   part_sizes=balance.part_sizes)

@@ -9,7 +9,7 @@ import qubopart.anneal as anneal
 from qubopart.anneal import AnnealConfig, compile_model, solve
 from qubopart.evaluate import decode
 from qubopart.graph import Graph, cut_edges
-from qubopart.qubo import build_bipartition_qubo, build_kway_qubo, energy
+from qubopart.qubo import QuboModel, _coalesce, build_bipartition_qubo, build_kway_qubo, energy
 
 from conftest import bipartition_optimum, gnp_graph, kway_optimum, small_corpus
 from reference import apply_flip, delta_energy, expanded_neighbors, local_fields, sweep
@@ -67,6 +67,26 @@ def test_compiled_deltas_match_reference():
         assert np.allclose(got, ref, atol=1e-9)
 
 
+def test_compile_model_csr_in_lexsort_order():
+    rng = np.random.RandomState(17)
+    for nv in (1, 2, 9, 40):
+        count = rng.randint(0, 3 * nv)
+        i = rng.randint(0, nv, size=count)
+        j = rng.randint(0, nv, size=count)
+        keep = i < j  # repeats are kept: compile_model coalesces them
+        model = QuboModel(num_vars=nv, base_linear=rng.standard_normal(nv),
+                          base_quad_i=i[keep], base_quad_j=j[keep],
+                          base_quad_c=rng.standard_normal(int(keep.sum())))
+        cm = compile_model(model)
+        qi, qj, qc = _coalesce(nv, model.base_quad_i, model.base_quad_j, model.base_quad_c)
+        rows, cols = np.concatenate([qi, qj]), np.concatenate([qj, qi])
+        order = np.lexsort((cols, rows))
+        assert np.array_equal(cm.csr_rows, rows[order])
+        assert np.array_equal(cm.csr_cols, cols[order])
+        assert np.array_equal(cm.csr_data, np.concatenate([qc, qc])[order])
+        assert np.array_equal(cm.csr_indptr, np.searchsorted(rows[order], np.arange(nv + 1)))
+
+
 def test_reference_sweep_flip_discipline():
     g = Graph.from_edges(2, [])
     model = build_bipartition_qubo(g, penalty=3.0)  # bounds (1, 1)
@@ -110,6 +130,59 @@ def test_reference_sweep_matches_python_engine():
                               energy(model, bits_b), math.inf, bits_b.copy(),
                               rng_b, None, 0, 0)
         assert np.array_equal(bits_a, bits_b)
+
+
+def _sweep_state(model, sweeps):
+    cm = compile_model(model)
+    bits = anneal._balanced_initial_bits(model, np.random.RandomState(4))
+    t0 = float(np.max(np.abs(cm.all_deltas(bits, cm.base_local_fields(bits),
+                                           model.chains.sums(bits)))))
+    temps = anneal._temperature_schedule(AnnealConfig(sweeps=sweeps, temp_final=0.05), t0)
+    return cm, bits, temps
+
+
+def _run_batches(model, sweeps, sizes, rng):
+    """Run ``sweeps`` sweeps in engine calls of ``sizes`` (cycled), one draw source."""
+    cm, bits, temps = _sweep_state(model, sweeps)
+    base_lf, s = cm.base_local_fields(bits), model.chains.sums(bits)
+    cur = best = energy(model, bits)
+    best_bits, trace = bits.copy(), np.zeros(sweeps // 10)
+    offset, flips, done, call = 0.0, 0, 0, 0
+    while done < sweeps:
+        batch = temps[done:done + sizes[call % len(sizes)]]
+        offset, cur, best, f = anneal._python_sweeps(
+            cm, bits, base_lf, s, batch, offset, 0.005, cur, best, best_bits, rng, trace,
+            10, done)
+        flips += f
+        done += len(batch)
+        call += 1
+    return bits, base_lf, s, offset, cur, best, best_bits, flips, trace
+
+
+@pytest.mark.parametrize("block", ["nv-below-block", "nv-above-block"])
+def test_batch_split_changes_nothing(monkeypatch, block):
+    sweeps = 600
+    g = gnp_graph(30, 0.2, np.random.RandomState(21))
+    if block == "nv-below-block":  # refills keep the unread tail of a block
+        model = build_kway_qubo(g, 3, 0.1)
+        assert model.num_vars + 1 < anneal.UNIFORM_BLOCK < sweeps * model.num_vars
+    else:  # the buffer holds one sweep's draws plus one
+        model = build_bipartition_qubo(g, 0.1)
+        monkeypatch.setattr(anneal, "UNIFORM_BLOCK", 8)
+        assert model.num_vars + 1 > anneal.UNIFORM_BLOCK
+    nv = model.num_vars
+
+    def source():
+        return anneal._BlockUniforms(np.random.RandomState(23), nv)
+
+    whole = _run_batches(model, sweeps, [sweeps], source())
+    split = _run_batches(model, sweeps, [1, 7, 64], source())
+    unbuffered = _run_batches(model, sweeps, [sweeps], np.random.RandomState(23))
+    for other in (split, unbuffered):
+        for a, b in zip(whole, other):
+            assert np.array_equal(a, b)
+    flips = whole[7]
+    assert 0 < flips < sweeps  # both flipping and escape sweeps occurred
 
 
 @needs_numba

@@ -91,3 +91,13 @@ def test_golden_noninteger_penalty():
         "solve": _digest(res),
     }
     assert got == GOLDEN_NONINTEGER
+
+
+@pytest.mark.parametrize("name", ["k2-eps0", "k3-balanced"])
+def test_golden_under_nonbinding_time_limit(name):
+    """A time limit that does not bind splits the sweeps into batches sized
+    from the measured rate, starting with one-sweep batches; the trajectory
+    must not change."""
+    model, cfg = _case(name)
+    cfg.time_limit = 3600.0
+    assert _digest(solve(model, cfg)) == GOLDEN[name]

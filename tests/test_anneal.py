@@ -132,19 +132,13 @@ def test_reference_sweep_matches_python_engine():
         assert np.array_equal(bits_a, bits_b)
 
 
-def _sweep_state(model, sweeps):
-    cm = compile_model(model)
-    bits = anneal._balanced_initial_bits(model, np.random.RandomState(4))
-    t0 = float(np.max(np.abs(cm.all_deltas(bits, cm.base_local_fields(bits),
-                                           model.chains.sums(bits)))))
-    temps = anneal._temperature_schedule(AnnealConfig(sweeps=sweeps, temp_final=0.05), t0)
-    return cm, bits, temps
-
-
 def _run_batches(model, sweeps, sizes, rng):
     """Run ``sweeps`` sweeps in engine calls of ``sizes`` (cycled), one draw source."""
-    cm, bits, temps = _sweep_state(model, sweeps)
+    cm = compile_model(model)
+    bits = anneal._balanced_initial_bits(model, np.random.RandomState(4))
     base_lf, s = cm.base_local_fields(bits), model.chains.sums(bits)
+    t0 = float(np.max(np.abs(cm.all_deltas(bits, base_lf, s))))
+    temps = anneal._temperature_schedule(AnnealConfig(sweeps=sweeps, temp_final=0.05), t0)
     cur = best = energy(model, bits)
     best_bits, trace = bits.copy(), np.zeros(sweeps // 10)
     offset, flips, done, call = 0.0, 0, 0, 0

@@ -7,11 +7,31 @@ vertex until everything has burned.  Edges that carry many burns are kept;
 the rest are dropped.  Partitioning the sparsified graph with
 :func:`qubopart.pipeline.partition` and projecting the labels back gives a
 cheap upper bound on the original graph's cut.
+
+The fire draws from the MT19937 stream of ``RandomState(seed)`` exactly as
+the legacy scalar calls ``randint``, ``geometric`` and ``shuffle`` would, but
+decodes the raw words itself, which costs a fraction of a numpy call per
+draw.  ``rs.randint(0, 2**32, size=B, dtype=np.uint32)`` hands out the
+generator's next B output words unchanged; they are fetched
+``FIRE_WORD_BLOCK`` at a time, and a refill keeps the unread tail.  From the
+words w0, w1, ... in order:
+
+* a double takes two words, ``((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53``;
+* ``geometric(p)`` takes one double u: ``ceil(log1p(-u) / log(1 - p))`` for
+  p below 1/3, else the least x with ``p + p*q + ... + p*q**(x-1) >= u``,
+  summed in that order;
+* an integer in [0, hi] is the first word whose low ``hi.bit_length()`` bits,
+  read as a number, are at most hi; hi == 0 reads no word.  Restart picks and
+  the Fisher-Yates swaps of the shuffle (for i = len - 1 down to 1) draw so.
+
+numpy's compatibility policy freezes the legacy stream, so the scores equal
+those of the scalar calls bit for bit; ``tests/reference.py`` keeps that
+loop as the oracle.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,6 +55,50 @@ class EdgeScores:
     seed: int
 
 
+FIRE_WORD_BLOCK = 512  # raw MT19937 words fetched per refill; larger blocks raised peak RSS
+_GEOMETRIC_SEARCH_MIN_P = 0.333333333333333333333333  # legacy geometric searches from here up
+_SUPER_BITS = 10  # restart counts: per 1024-vertex superblock, over 64-vertex bit masks
+_REBUILD_MIN_BURNS = 64  # plus n / 64: a fire this large rebuilds the counts in numpy
+
+
+def _more_words(rs: np.random.RandomState, words: list[int], pos: int) -> list[int]:
+    """The unread words ``words[pos:]``, then ``FIRE_WORD_BLOCK`` fresh raw words of ``rs``."""
+    return words[pos:] + rs.randint(0, 2**32, size=FIRE_WORD_BLOCK, dtype=np.uint32).tolist()
+
+
+def _unburned_counts(burned: bytearray) -> tuple[list[int], list[int]]:
+    """The restart counts, rebuilt from the burn marks in O(n).
+
+    Per 64-vertex block a mask with bit i set when vertex 64 * block + i is
+    unburned, and per superblock of ``2**_SUPER_BITS`` vertices the number
+    of unburned ones.
+    """
+    n = len(burned)
+    free = np.zeros(-(-n // (1 << _SUPER_BITS)) << _SUPER_BITS, dtype=np.uint8)
+    free[:n] = np.frombuffer(burned, dtype=np.uint8) ^ 1
+    bits = np.packbits(free, bitorder="little").view("<u8")[:-(-n // 64)]
+    return bits.tolist(), free.reshape(-1, 1 << _SUPER_BITS).sum(axis=1).tolist()
+
+
+def _nth_unburned(free_bits: list[int], super_free: list[int], r: int) -> int:
+    """The r-th unburned vertex in vertex order: find its superblock, block, then bit."""
+    s = 0
+    while r >= super_free[s]:
+        r -= super_free[s]
+        s += 1
+    b = s << (_SUPER_BITS - 6)
+    while True:
+        bits = free_bits[b]
+        c = bits.bit_count()
+        if r < c:
+            break
+        r -= c
+        b += 1
+    for _ in range(r):
+        bits &= bits - 1  # clear the lowest set bit
+    return (b << 6) + (bits & -bits).bit_length() - 1
+
+
 def forest_fire_scores(g: Graph, burn_probability: float = 0.7, walks: int = 10,
                        seed: int = 0) -> EdgeScores:
     """Score edges by repeated forest-fire burns.
@@ -44,50 +108,113 @@ def forest_fire_scores(g: Graph, burn_probability: float = 0.7, walks: int = 10,
     ``geometric(1 - burn_probability) - 1`` of its unburned neighbors
     (chosen uniformly without replacement), restarting from a fresh vertex
     whenever the frontier dies out.  Every traversed edge gains one point.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed: the draws are those of the legacy
+    ``RandomState(seed)`` scalar calls, decoded from raw words as the module
+    docstring describes.
     """
     if not 0.0 <= burn_probability < 1.0:
         raise ValueError(f"burn probability must lie in [0, 1), got {burn_probability}")
     if walks < 1:
         raise ValueError(f"walk count must be positive, got {walks}")
-    rng = np.random.RandomState(seed)
+    rs = np.random.RandomState(seed)
+    words: list[int] = []  # raw words of rs; words[pos] is the next one to decode
+    pos = 0
+    p = 1.0 - burn_probability
+    q = 1.0 - p
+    inversion = p < _GEOMETRIC_SEARCH_MIN_P
+    log_q = math.log(q) if inversion else 0.0
+    ceil, log1p = math.ceil, math.log1p
     ptr, ind = g.indptr.tolist(), g.indices.tolist()
     neighbors = [ind[a:b] for a, b in zip(ptr, ptr[1:])]
-    fire_from: list[int] = []  # burned arcs fire_from[i] -> fire_to[i]
-    fire_to: list[int] = []
+    # bit masks of the shuffle's swap draws, masks[i] for an index in [0, i]
+    masks = [(1 << i.bit_length()) - 1 for i in range(max(map(len, neighbors), default=0))]
+    sources: list[int] = []  # per walk and vertex: the vertex it caught fire from, or -1
 
     for _ in range(walks):
         burned = bytearray(g.n)
-        unburned_mask = np.frombuffer(burned, dtype=np.uint8)
+        source = [-1] * g.n
+        free_bits, super_free = _unburned_counts(burned)
         remaining = g.n
         while remaining:
-            unburned = np.flatnonzero(unburned_mask == 0)
-            start = int(unburned[rng.randint(len(unburned))])
-            burned[start] = 1
+            # restart from the r-th unburned vertex, r = randint(remaining)
+            hi, r = remaining - 1, 0
+            if hi:
+                mask = (1 << hi.bit_length()) - 1
+                while True:
+                    try:
+                        r = words[pos] & mask
+                    except IndexError:
+                        words, pos = _more_words(rs, words, pos), 0
+                        continue
+                    pos += 1
+                    if r <= hi:
+                        break
+            v = _nth_unburned(free_bits, super_free, r)
+            burned[v] = 1
             remaining -= 1
-            frontier = deque([start])
-            while frontier:
-                v = frontier.popleft()
-                targets = [u for u in neighbors[v] if not burned[u]]
-                if not targets:
+            fire, head = [v], 0  # the fire's vertices in burn order; BFS queue from head
+            while head < len(fire):
+                v = fire[head]
+                head += 1
+                nbrs = neighbors[v]
+                for u in nbrs:  # a vertex draws only with an unburned neighbor
+                    if not burned[u]:
+                        break
+                else:
                     continue
-                fan_out = int(rng.geometric(1.0 - burn_probability)) - 1
-                fan_out = min(fan_out, len(targets))
-                if fan_out == 0:
+                # fan-out geometric(p) - 1, from one double
+                if pos + 2 > len(words):
+                    words, pos = _more_words(rs, words, pos), 0
+                x = ((words[pos] >> 5) * 67108864.0 + (words[pos + 1] >> 6)) / 9007199254740992.0
+                pos += 2
+                if inversion:
+                    fan_out = ceil(log1p(-x) / log_q) - 1
+                else:
+                    fan_out, prod, total = 0, p, p
+                    while x > total:
+                        prod *= q
+                        total += prod
+                        fan_out += 1
+                if fan_out <= 0:  # the inversion gives -1 for x == 0.0
                     continue
-                # rng.choice(len(targets), fan_out, replace=False) permutes
-                # range(len(targets)) and keeps the head; shuffling the list
-                # makes the same swaps, so it picks the same targets, faster
-                rng.shuffle(targets)
+                # shuffle all the targets, as rng.choice(len(targets), fan_out,
+                # replace=False) would, and keep the head: Fisher-Yates from
+                # the back, swapping i with randint(i + 1)
+                targets = [u for u in nbrs if not burned[u]]
+                for i in range(len(targets) - 1, 0, -1):
+                    mask = masks[i]
+                    while True:
+                        try:
+                            j = words[pos] & mask
+                        except IndexError:
+                            words, pos = _more_words(rs, words, pos), 0
+                            continue
+                        pos += 1
+                        if j <= i:
+                            break
+                    targets[i], targets[j] = targets[j], targets[i]
                 picked = targets[:fan_out]
                 for u in picked:
                     burned[u] = 1
-                remaining -= fan_out
-                frontier.extend(picked)
-                fire_from.extend([v] * fan_out)
-                fire_to.extend(picked)
+                    source[u] = v
+                remaining -= len(picked)
+                fire.extend(picked)
+            if not remaining:
+                break
+            # take the fire's burns off the restart counts: one by one, or by
+            # a rebuild once that is cheaper, so a burn costs O(1) either way
+            if len(fire) > _REBUILD_MIN_BURNS + (g.n >> 6):
+                free_bits, super_free = _unburned_counts(burned)
+            else:
+                for u in fire:
+                    free_bits[u >> 6] ^= 1 << (u & 63)
+                    super_free[u >> _SUPER_BITS] -= 1
+        sources += source
 
-    src, dst = np.array(fire_from, dtype=np.int64), np.array(fire_to, dtype=np.int64)
+    src = np.array(sources, dtype=np.int64).reshape(walks, g.n)
+    dst = np.broadcast_to(np.arange(g.n), src.shape)
+    caught = src >= 0
+    src, dst = src[caught], dst[caught]
     ea = g.edge_array
     edge_ids = np.searchsorted(ea[:, 0] * g.n + ea[:, 1],
                                np.minimum(src, dst) * g.n + np.maximum(src, dst))

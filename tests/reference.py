@@ -9,12 +9,15 @@
   :func:`qubopart.graph.parse_metis`.
 * The O(n)-per-move balance repair loop, the oracle for the heap-driven
   :func:`qubopart.evaluate.repair`.
+* A forest fire drawing through ``RandomState``'s scalar calls, the oracle
+  for the word-decoding :func:`qubopart.sparsify.forest_fire_scores`.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,6 +26,7 @@ import numpy as np
 from qubopart.evaluate import InfeasiblePartitionError
 from qubopart.graph import Graph, GraphFormatError, Partition, _strip_comment_lines, balance_bounds
 from qubopart.qubo import QuboModel
+from qubopart.sparsify import EdgeScores
 
 
 @dataclass(eq=False)
@@ -223,3 +227,45 @@ def repair(g: Graph, p: Partition, k: int | None = None,
     else:
         raise RuntimeError("balance repair failed to converge")
     return Partition.from_labels(labels.tolist(), k)
+
+
+def forest_fire_scores(g: Graph, burn_probability: float = 0.7, walks: int = 10,
+                       seed: int = 0) -> EdgeScores:
+    """Forest fire drawing with ``rng.randint``, ``rng.geometric`` and ``rng.shuffle``.
+
+    Same contract as :func:`qubopart.sparsify.forest_fire_scores`: the same
+    burns in the same order, so the same scores.  Each restart rescans all
+    n vertices for the unburned ones.
+    """
+    if not 0.0 <= burn_probability < 1.0:
+        raise ValueError(f"burn probability must lie in [0, 1), got {burn_probability}")
+    if walks < 1:
+        raise ValueError(f"walk count must be positive, got {walks}")
+    rng = np.random.RandomState(seed)
+    neighbors = [g.indices[a:b].tolist() for a, b in zip(g.indptr[:-1], g.indptr[1:])]
+    scores = np.zeros(g.m, dtype=np.int64)
+    edge_id = {tuple(e): i for i, e in enumerate(g.edge_array.tolist())}
+
+    for _ in range(walks):
+        burned = np.zeros(g.n, dtype=bool)
+        while not burned.all():
+            unburned = np.flatnonzero(~burned)
+            start = int(unburned[rng.randint(len(unburned))])
+            burned[start] = True
+            frontier = deque([start])
+            while frontier:
+                v = frontier.popleft()
+                targets = [u for u in neighbors[v] if not burned[u]]
+                if not targets:
+                    continue
+                fan_out = min(int(rng.geometric(1.0 - burn_probability)) - 1, len(targets))
+                if fan_out == 0:
+                    continue
+                # rng.choice(len(targets), fan_out, replace=False) makes the same swaps
+                rng.shuffle(targets)
+                for u in targets[:fan_out]:
+                    burned[u] = True
+                    frontier.append(u)
+                    scores[edge_id[(min(u, v), max(u, v))]] += 1
+    return EdgeScores(scores=scores, burn_probability=burn_probability,
+                      walks=walks, seed=seed)

@@ -1,15 +1,20 @@
 import hashlib
+import sys
 
 import numpy as np
 import pytest
 
+import qubopart.sparsify  # noqa: F401  (the package re-exports a function of this name)
 from qubopart.anneal import AnnealConfig
 from qubopart.evaluate import partition_feasibility
 from qubopart.graph import Graph, Partition, cut_edges
 from qubopart.sparsify import (forest_fire_scores, project_partition,
                                run_sparsify_pipeline, sparsify)
 
+import reference
 from conftest import bipartition_optimum, gnp_graph, planted_graph
+
+sparsify_module = sys.modules["qubopart.sparsify"]
 
 
 def test_scores_deterministic_and_bounded():
@@ -150,3 +155,53 @@ def test_sparsify_golden():
     g, kwargs = _fire_case("planted")
     sparse = sparsify(g, forest_fire_scores(g, **kwargs), 0.7)
     assert hashlib.sha256(sparse.edge_array.tobytes()).hexdigest() == SPARSIFY_GOLDEN
+
+
+def _grid(a, b):
+    right = [(v, v + 1) for v in range(a * b) if (v + 1) % b]
+    down = [(v, v + b) for v in range(a * b - b)]
+    return Graph.from_edges(a * b, sorted(right + down))
+
+
+# p = 1 - burn probability: 0.6666 and 0.6667 sit on either side of numpy's
+# switch from the inversion (p < 1/3) to the sequential-search geometric
+PARITY_BURNS = (0.0, 0.2, 0.5, 0.6666, 0.6667, 0.7, 0.95)
+PARITY_GRAPHS = {
+    "single-vertex": lambda: Graph.from_edges(1, []),
+    "edgeless": lambda: Graph.from_edges(7, []),
+    "isolated": lambda: _fire_case("disconnected-isolated")[0],
+    "star": lambda: Graph.from_edges(301, [(0, v) for v in range(1, 301)]),
+    "planted": lambda: planted_graph(120, 3, 6, 2, np.random.RandomState(1)),
+    "grid": lambda: _grid(30, 50),  # 1500 vertices: restarts cross superblocks
+}
+
+
+@pytest.mark.parametrize("burn", PARITY_BURNS)
+@pytest.mark.parametrize("name", sorted(PARITY_GRAPHS))
+def test_forest_fire_matches_scalar_draws(name, burn):
+    g = PARITY_GRAPHS[name]()
+    for seed in (0, 11):
+        got = forest_fire_scores(g, burn, walks=3, seed=seed)
+        want = reference.forest_fire_scores(g, burn, walks=3, seed=seed)
+        assert np.array_equal(got.scores, want.scores), (name, burn, seed)
+
+
+@pytest.mark.parametrize("block", [2, 3])
+def test_forest_fire_word_refills_keep_the_unread_tail(block, monkeypatch):
+    # refills land inside shuffles of the star and between the two words of a double
+    tails = []
+    more_words = sparsify_module._more_words
+
+    def tracked(rs, words, pos):
+        tails.append(len(words) - pos)
+        return more_words(rs, words, pos)
+
+    monkeypatch.setattr(sparsify_module, "FIRE_WORD_BLOCK", block)
+    monkeypatch.setattr(sparsify_module, "_more_words", tracked)
+    for name in ("isolated", "star", "planted"):
+        g = PARITY_GRAPHS[name]()
+        for burn in (0.2, 0.7, 0.95):
+            got = forest_fire_scores(g, burn, walks=2, seed=3)
+            want = reference.forest_fire_scores(g, burn, walks=2, seed=3)
+            assert np.array_equal(got.scores, want.scores), (name, burn)
+    assert 1 in tails

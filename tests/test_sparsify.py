@@ -4,7 +4,6 @@ import sys
 import numpy as np
 import pytest
 
-import qubopart.sparsify  # noqa: F401  (the package re-exports a function of this name)
 from qubopart.anneal import AnnealConfig
 from qubopart.evaluate import partition_feasibility
 from qubopart.graph import Graph, Partition, cut_edges
@@ -14,6 +13,7 @@ from qubopart.sparsify import (forest_fire_scores, project_partition,
 import reference
 from conftest import bipartition_optimum, gnp_graph, planted_graph
 
+# the package attribute qubopart.sparsify is the function, not the module
 sparsify_module = sys.modules["qubopart.sparsify"]
 
 

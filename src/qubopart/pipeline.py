@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .anneal import AnnealConfig, SolveResult, solve
 from .evaluate import InfeasiblePartitionError, decode, repair
 from .graph import Graph, Partition, cut_edges
@@ -52,7 +50,6 @@ def partition(g: Graph, k: int, epsilon: float = 0.0, cfg: AnnealConfig | None =
             report.partition, report.cut, report.error = None, None, str(exc)
         else:
             report.cut = cut_edges(g, report.partition)
-            report.repair_moves = int(np.count_nonzero(
-                np.array(decoded.labels, dtype=np.int64)
-                != np.array(report.partition.labels, dtype=np.int64)))
+            report.repair_moves = sum(
+                a != b for a, b in zip(decoded.labels, report.partition.labels))
     return report

@@ -259,7 +259,9 @@ def forest_fire_scores(g: Graph, burn_probability: float = 0.7, walks: int = 10,
                 if not targets:
                     continue
                 fan_out = min(int(rng.geometric(1.0 - burn_probability)) - 1, len(targets))
-                if fan_out == 0:
+                # geometric returns 0 for a double of exactly 0.0; the loop this
+                # oracle keeps then sliced targets[:-1], so clamp as the code does
+                if fan_out <= 0:
                     continue
                 # rng.choice(len(targets), fan_out, replace=False) makes the same swaps
                 rng.shuffle(targets)

@@ -61,6 +61,10 @@ class EdgeScores:
 FIRE_WORD_BLOCK = 512  # raw MT19937 words fetched per refill; larger blocks raised peak RSS
 _GEOMETRIC_SEARCH_MIN_P = 0.333333333333333333333333  # legacy geometric searches from here up
 _SUPER_BITS = 10  # restart counts: per 1024-vertex superblock, over 64-vertex bit masks
+# a rebuild of the restart counts costs about 8 us + 1 ns a vertex, a per-vertex
+# update 0.2-0.3 us a burn (numpy 2.4, x86-64): fires of more than 64 + n/256
+# vertices rebuild
+_REBUILD_MIN_BURNS = 64
 
 
 def _more_words(rs: np.random.RandomState, words: list[int], pos: int) -> list[int]:
@@ -68,16 +72,18 @@ def _more_words(rs: np.random.RandomState, words: list[int], pos: int) -> list[i
     return words[pos:] + rs.randint(0, 2**32, size=FIRE_WORD_BLOCK, dtype=np.uint32).tolist()
 
 
-def _unburned_counts(n: int) -> tuple[list[int], list[int]]:
-    """The restart counts while none of the n vertices has burned.
+def _unburned_counts(burned: bytearray) -> tuple[list[int], list[int]]:
+    """The restart counts, rebuilt from the burn marks in O(n).
 
     Per 64-vertex block a mask with bit i set when vertex 64 * block + i is
     unburned, and per superblock of ``2**_SUPER_BITS`` vertices the number
     of unburned ones.
     """
-    size = 1 << _SUPER_BITS
-    return ([(1 << min(64, n - b)) - 1 for b in range(0, n, 64)],
-            [min(size, n - s) for s in range(0, n, size)])
+    n = len(burned)
+    free = np.zeros(-(-n // (1 << _SUPER_BITS)) << _SUPER_BITS, dtype=np.uint8)
+    free[:n] = np.frombuffer(burned, dtype=np.uint8) ^ 1
+    bits = np.packbits(free, bitorder="little").view("<u8")[:-(-n // 64)]
+    return bits.tolist(), free.reshape(-1, 1 << _SUPER_BITS).sum(axis=1).tolist()
 
 
 def _nth_unburned(free_bits: list[int], super_free: list[int], r: int) -> int:
@@ -133,7 +139,7 @@ def forest_fire_scores(g: Graph, burn_probability: float = 0.7, walks: int = 10,
     for _ in range(walks):
         burned = bytearray(g.n)
         source = [-1] * g.n
-        free_bits, super_free = _unburned_counts(g.n)
+        free_bits, super_free = _unburned_counts(burned)
         remaining = g.n
         while remaining:
             # restart from the r-th unburned vertex, r = randint(remaining)
@@ -201,9 +207,14 @@ def forest_fire_scores(g: Graph, burn_probability: float = 0.7, walks: int = 10,
                 fire.extend(picked)
             if not remaining:
                 break
-            for u in fire:  # take the fire's burns off the restart counts
-                free_bits[u >> 6] ^= 1 << (u & 63)
-                super_free[u >> _SUPER_BITS] -= 1
+            # take the fire's burns off the restart counts: one by one, or by
+            # a rebuild once that is cheaper, so a burn costs O(1) either way
+            if len(fire) > _REBUILD_MIN_BURNS + (g.n >> 8):
+                free_bits, super_free = _unburned_counts(burned)
+            else:
+                for u in fire:
+                    free_bits[u >> 6] ^= 1 << (u & 63)
+                    super_free[u >> _SUPER_BITS] -= 1
         sources += source
 
     src = np.array(sources, dtype=np.int64).reshape(walks, g.n)

@@ -205,3 +205,15 @@ def test_forest_fire_word_refills_keep_the_unread_tail(block, monkeypatch):
             want = reference.forest_fire_scores(g, burn, walks=2, seed=3)
             assert np.array_equal(got.scores, want.scores), (name, burn)
     assert 1 in tails
+
+
+@pytest.mark.parametrize("min_burns", [-10**9, 10**9], ids=["always-rebuild", "never-rebuild"])
+def test_forest_fire_restart_count_paths_agree(min_burns, monkeypatch):
+    # after each fire the restart counts are either rebuilt or updated per vertex
+    monkeypatch.setattr(sparsify_module, "_REBUILD_MIN_BURNS", min_burns)
+    for name in ("isolated", "star", "planted", "grid"):
+        g = PARITY_GRAPHS[name]()
+        for burn in (0.0, 0.5, 0.7):
+            got = forest_fire_scores(g, burn, walks=2, seed=5)
+            want = reference.forest_fire_scores(g, burn, walks=2, seed=5)
+            assert np.array_equal(got.scores, want.scores), (name, burn)

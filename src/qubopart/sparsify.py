@@ -183,9 +183,8 @@ def forest_fire_scores(g: Graph, burn_probability: float = 0.7, walks: int = 10,
                         fan_out += 1
                 if fan_out <= 0:  # the inversion gives -1 for x == 0.0
                     continue
-                # shuffle all the targets, as rng.choice(len(targets), fan_out,
-                # replace=False) would, and keep the head: Fisher-Yates from
-                # the back, swapping i with randint(i + 1)
+                # shuffle all the targets as rng.shuffle does, Fisher-Yates from
+                # the back swapping i with randint(i + 1), and burn the head
                 targets = [u for u in nbrs if not burned[u]]
                 for i in range(len(targets) - 1, 0, -1):
                     mask = masks[i]

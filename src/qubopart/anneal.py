@@ -46,7 +46,7 @@ except ImportError:  # numba is an optional extra; the numpy engine runs without
     numba = None
     HAVE_NUMBA = False
 
-from .qubo import QuboModel, _coalesce, energy
+from .qubo import QuboModel, energy
 
 BATCH_SWEEPS = 1024  # most sweeps per engine call
 # fewest uniforms a numpy-engine replica draws at once: 32 KiB, because larger
@@ -131,10 +131,11 @@ def _derive_seed(*parts) -> int:
 
 @dataclass(eq=False)
 class CompiledModel:
-    """Flat arrays the sweep engines run on: symmetric CSR of the objective
-    terms plus per-variable chain membership lists, the model's ``ChainSet``
-    entries sorted by variable.  ``pen`` repeats the model's one penalty per
-    chain for the numba kernel's signature.
+    """Flat arrays the sweep engines run on: the model's read-only
+    :attr:`~qubopart.qubo.QuboModel.objective_csr`, the symmetric CSR of its
+    objective terms, plus per-variable chain membership lists, the model's
+    ``ChainSet`` entries sorted by variable.  ``pen`` repeats the model's one
+    penalty per chain for the numba kernel's signature.
     """
 
     nv: int
@@ -171,15 +172,14 @@ class CompiledModel:
 
 
 def compile_model(model: QuboModel) -> CompiledModel:
+    """The model's arrays for the sweep engines.
+
+    The objective CSR is read from ``model.objective_csr``: the partition
+    builders fill it from the graph's CSR, and other models derive it there
+    once, by sorting.  Only the chain memberships are ordered here.
+    """
     nv = model.num_vars
-    qi, qj, qc = _coalesce(nv, model.base_quad_i, model.base_quad_j, model.base_quad_c)
-    rows = np.concatenate([qi, qj]).astype(np.int64)
-    cols = np.concatenate([qj, qi]).astype(np.int64)
-    data = np.concatenate([qc, qc])
-    order = np.argsort(rows * nv + cols, kind="stable")  # (row, col) pairs are unique
-    rows, cols, data = rows[order], cols[order], data[order]
-    indptr = np.zeros(nv + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=nv), out=indptr[1:])
+    indptr, rows, cols, data = model.objective_csr
 
     chains, p = model.chains, model.penalty
     morder = np.lexsort((chains.chain_id, chains.var_idx))
@@ -188,7 +188,7 @@ def compile_model(model: QuboModel) -> CompiledModel:
     np.cumsum(np.bincount(mv, minlength=nv), out=mem_indptr[1:])
 
     return CompiledModel(nv=nv, base_lin=model.base_linear.astype(np.float64),
-                         csr_indptr=indptr, csr_rows=rows, csr_cols=cols.astype(np.int64),
+                         csr_indptr=indptr, csr_rows=rows, csr_cols=cols,
                          csr_data=data, pen=np.full(len(chains), float(p)), rhs=chains.rhs,
                          mem_indptr=mem_indptr, mem_var=mv, mem_chain=mg, mem_coeff=mc,
                          mem_lin=2.0 * p * mc, mem_const=p * mc * mc)

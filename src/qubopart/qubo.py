@@ -133,6 +133,10 @@ class QuboModel:
     is a slack bit at an index ``>= indicators.size``, in the tail of its
     balance chain, weighted by that chain's ``coeffs``.  It is None for models
     read from generic QUBO text, which cannot be decoded back into partitions.
+
+    The objective fields (``num_vars``, ``base_linear`` and the
+    ``base_quad_*`` triples) must not be mutated after construction:
+    :attr:`objective_csr` is built from them once and cached.
     """
 
     num_vars: int
@@ -159,6 +163,25 @@ class QuboModel:
             raise ValueError("quadratic term arrays differ in length")
         if len(self.base_quad_i) and not np.all(self.base_quad_i < self.base_quad_j):
             raise ValueError("quadratic terms must be strictly upper-triangular")
+
+    @cached_property
+    def objective_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Symmetric CSR ``(indptr, rows, cols, data)`` of the objective's pair terms.
+
+        Each triple ``(i, j, c)``, repeats summed, is stored as ``(i, j)``
+        and ``(j, i)``, in (row, col) order; ``rows`` names every entry's
+        row.  The arrays are read-only.  Derived here with two sorts; the
+        partition builders fill it from the graph's CSR instead.
+        """
+        nv = self.num_vars
+        qi, qj, qc = _coalesce(nv, self.base_quad_i, self.base_quad_j, self.base_quad_c)
+        rows = np.concatenate([qi, qj])
+        cols = np.concatenate([qj, qi])
+        data = np.concatenate([qc, qc])
+        order = np.argsort(rows * nv + cols, kind="stable")  # (row, col) pairs are unique
+        indptr = np.zeros(nv + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=nv), out=indptr[1:])
+        return _read_only(indptr, rows[order], cols[order], data[order])
 
     @property
     def linear(self) -> np.ndarray:
@@ -230,6 +253,12 @@ def _coalesce(nv: int, qi: np.ndarray, qj: np.ndarray, qc: np.ndarray):
     return qi[starts], qj[starts], np.add.reduceat(qc, starts)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 def energy(model: QuboModel, bits: Sequence[int] | np.ndarray) -> float:
     """Exact model energy of a 0/1 assignment (chains evaluated in factored form)."""
     a = np.asarray(bits, dtype=np.float64)
@@ -270,30 +299,6 @@ def encode_slack_weights(span: int) -> list[int]:
     return weights
 
 
-def _cut_objective_arrays(g: Graph, parts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Laplacian quadratic form terms per part block, for indicator layout i*parts+j.
-
-    Each edge {u,v} in part j contributes w*(a_u + a_v - 2 a_u a_v) with
-    w = 1 for a bipartition indicator and w = 1/2 per part for one-hot k-way
-    (summing the per-part forms double counts each cut edge).
-    """
-    nv = g.n * parts
-    weight = 1.0 if parts == 1 else 0.5
-    lin = np.zeros(nv, dtype=np.float64)
-    if g.m == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return lin, empty, empty, np.empty(0, dtype=np.float64)
-    ea = g.edge_array
-    offsets = np.arange(parts, dtype=np.int64)
-    ui = (ea[:, 0, None] * parts + offsets).ravel()
-    vi = (ea[:, 1, None] * parts + offsets).ravel()
-    np.add.at(lin, ui, weight)
-    np.add.at(lin, vi, weight)
-    qc = np.full(len(ui), -2.0 * weight, dtype=np.float64)
-    # u < v guarantees ui < vi within a part block
-    return lin, ui, vi, qc
-
-
 def _chain_bounds(n: int, k: int, epsilon: float) -> tuple[int, int]:
     """Size range [lo, hi] that one balance chain enforces on its part.
 
@@ -332,6 +337,57 @@ def _balance_chains(part_vars: np.ndarray, lo: int, hi: int,
     return np.concatenate([part_vars, slack], axis=1), coeffs, float(hi)
 
 
+def _partition_model(g: Graph, indicators: np.ndarray, chains: ChainSet, nv: int,
+                     penalty: float, k: int, epsilon: float) -> QuboModel:
+    """Cut objective over the layout ``indicators[v, j] == v*parts + j``, plus ``chains``.
+
+    Each edge {u,v} in part j contributes w*(a_u + a_v - 2 a_u a_v) with
+    w = 1 for a bipartition indicator and w = 1/2 per part for one-hot k-way
+    (summing the per-part forms double counts each cut edge).
+
+    The model's :attr:`QuboModel.objective_csr` is filled from the graph's
+    CSR, whose rows list each vertex's neighbours sorted, so it needs no
+    sort: row ``v*parts + j`` holds ``u*parts + j`` for each neighbour u of
+    v, and the slack rows are empty.
+    """
+    n, parts = indicators.shape
+    weight = 1.0 if parts == 1 else 0.5
+    coeff = -2.0 * weight
+    deg = g.degrees
+    lin = np.zeros(nv)
+    lin[:indicators.size] = np.repeat(weight * deg, parts)
+    ea = g.edge_array
+    offsets = np.arange(parts, dtype=np.int64)
+    # u < v guarantees qi < qj within a part block
+    qi = (ea[:, 0, None] * parts + offsets).ravel()
+    qj = (ea[:, 1, None] * parts + offsets).ravel()
+
+    g_indptr, g_indices = g.indptr, g.indices
+    arcs = len(g_indices)
+    starts = (parts * g_indptr[:-1, None] + deg[:, None] * offsets).ravel()
+    indptr = np.concatenate([starts, np.full(nv + 1 - starts.size, parts * arcs, dtype=np.int64)])
+    if parts == 1:
+        cols = g_indices
+    else:
+        # arc a = (v, u) lands in row v*parts + j at a + (parts-1)*indptr[v] + j*deg[v]
+        cols = np.empty(parts * arcs, dtype=np.int64)
+        pos = np.arange(arcs) + np.repeat((parts - 1) * g_indptr[:-1], deg)
+        step = np.repeat(deg, deg)
+        col = g_indices * parts
+        for _ in range(parts):
+            cols[pos] = col
+            pos += step
+            col += 1
+    rows = np.repeat(np.arange(nv), np.diff(indptr))
+
+    model = QuboModel(num_vars=nv, base_linear=lin, base_quad_i=qi, base_quad_j=qj,
+                      base_quad_c=np.full(len(qi), coeff), chains=chains,
+                      indicators=indicators, penalty=penalty, k=k, epsilon=float(epsilon), n=n)
+    vars(model)["objective_csr"] = _read_only(indptr, rows, cols,
+                                              np.full(len(cols), coeff))  # fills the cached_property
+    return model
+
+
 def build_bipartition_qubo(g: Graph, epsilon: float = 0.0,
                            penalty: float | None = None) -> QuboModel:
     """QUBO for balanced bipartitioning; variable i indicates vertex i in part 1.
@@ -347,15 +403,10 @@ def build_bipartition_qubo(g: Graph, epsilon: float = 0.0,
     if p <= 0:
         raise ValueError(f"penalty must be positive, got {p}")
     lo, hi = _chain_bounds(g.n, 2, epsilon)
-    lin, qi, qj, qc = _cut_objective_arrays(g, 1)
-
     indicators = np.arange(g.n, dtype=np.int64)[:, None]
     chains = ChainSet.from_blocks(_balance_chains(indicators.T, lo, hi, g.n))
     nv = len(chains.var_idx)  # every indicator, then the slack
-    lin = np.concatenate([lin, np.zeros(nv - g.n)])
-    return QuboModel(num_vars=nv, base_linear=lin, base_quad_i=qi, base_quad_j=qj,
-                     base_quad_c=qc, chains=chains, indicators=indicators,
-                     penalty=p, k=2, epsilon=float(epsilon), n=g.n)
+    return _partition_model(g, indicators, chains, nv, p, 2, epsilon)
 
 
 def build_kway_qubo(g: Graph, k: int, epsilon: float = 0.0,
@@ -372,17 +423,12 @@ def build_kway_qubo(g: Graph, k: int, epsilon: float = 0.0,
     if p <= 0:
         raise ValueError(f"penalty must be positive, got {p}")
     lo, hi = _chain_bounds(g.n, k, epsilon)
-    lin, qi, qj, qc = _cut_objective_arrays(g, k)
-
     indicators = np.arange(g.n * k, dtype=np.int64).reshape(g.n, k)
     one_hot = (indicators, np.ones(indicators.shape), 1.0)  # one chain per vertex
     balance = _balance_chains(indicators.T, lo, hi, indicators.size)
     chains = ChainSet.from_blocks(one_hot, balance)
     nv = balance[0].size  # the balance chains hold every indicator and slack bit once
-    lin = np.concatenate([lin, np.zeros(nv - indicators.size)])
-    return QuboModel(num_vars=nv, base_linear=lin, base_quad_i=qi, base_quad_j=qj,
-                     base_quad_c=qc, chains=chains, indicators=indicators,
-                     penalty=p, k=k, epsilon=float(epsilon), n=g.n)
+    return _partition_model(g, indicators, chains, nv, p, k, epsilon)
 
 
 def _fmt(value: float) -> str:

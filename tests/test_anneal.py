@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qubopart.anneal as anneal
+import qubopart.qubo as qubo
 from qubopart.anneal import AnnealConfig, compile_model, solve
 from qubopart.evaluate import decode
 from qubopart.graph import Graph, cut_edges
@@ -85,6 +86,23 @@ def test_compile_model_csr_in_lexsort_order():
         assert np.array_equal(cm.csr_cols, cols[order])
         assert np.array_equal(cm.csr_data, np.concatenate([qc, qc])[order])
         assert np.array_equal(cm.csr_indptr, np.searchsorted(rows[order], np.arange(nv + 1)))
+
+
+def test_compile_model_reads_the_builders_csr(monkeypatch):
+    g = gnp_graph(12, 0.4, np.random.RandomState(3))
+    models = [build_bipartition_qubo(g, 0.1), build_kway_qubo(g, 3, 0.1)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compile_model sorted the objective")
+
+    for name in ("argsort", "sort"):
+        monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setattr(qubo, "_coalesce", refuse)
+    for model in models:
+        cm = compile_model(model)
+        for got, want in zip((cm.csr_indptr, cm.csr_rows, cm.csr_cols, cm.csr_data),
+                             model.objective_csr):
+            assert got is want
 
 
 def test_reference_sweep_flip_discipline():

@@ -7,6 +7,7 @@ from qubopart.graph import Graph, balance_bounds, cut_edges
 from qubopart.qubo import (ChainSet, QuboModel, build_bipartition_qubo,
                            build_kway_qubo, default_penalty, encode_slack_weights,
                            energy, model_num_vars, parse_qubo_text, write_qubo_text)
+from qubopart.sparsify import forest_fire_scores, sparsify
 
 from conftest import dense_energy, feasible_sizes, fill_chain_slack, gnp_graph, small_corpus
 
@@ -179,6 +180,36 @@ def test_model_num_vars_matches_builders(n, k, epsilon):
     g = gnp_graph(n, 0.4, np.random.RandomState(n))
     model = build_bipartition_qubo(g, epsilon) if k == 2 else build_kway_qubo(g, k, epsilon)
     assert model_num_vars(n, k, epsilon) == model.num_vars
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.03, 0.1])
+def test_prefilled_objective_csr_equals_derived(epsilon):
+    planted = gnp_graph(40, 0.2, np.random.RandomState(4))
+    graphs = small_corpus() + [
+        Graph.from_edges(9, [(1, 4), (4, 7), (2, 7)], name="isolated"),
+        sparsify(planted, forest_fire_scores(planted, seed=3), 0.6),  # CSR derived on use
+    ]
+    for g in graphs:
+        models = [build_bipartition_qubo(g, epsilon)]
+        models += [build_kway_qubo(g, k, epsilon) for k in (2, 3, 4)]
+        for model in models:
+            assert "objective_csr" in vars(model), "the builder fills the cache"
+            prefilled = model.objective_csr
+            del model.objective_csr
+            derived = model.objective_csr
+            assert len(prefilled) == len(derived) == 4
+            for got, want in zip(prefilled, derived):
+                assert got.dtype == want.dtype, (g.name, model.k)
+                assert np.array_equal(got, want), (g.name, model.k)
+
+
+def test_objective_csr_is_read_only():
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4), (0, 4)])
+    built = [build_bipartition_qubo(g, 0.2), build_kway_qubo(g, 3, 0.25)]
+    for model in built + [parse_qubo_text(write_qubo_text(m)) for m in built]:
+        for arr in model.objective_csr:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
 
 
 def test_qubo_text_round_trip_exact():

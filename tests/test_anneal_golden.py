@@ -12,6 +12,12 @@ bipartition model gained its lower bound on the part-1 size: the scalar loop
 of ca84b31 solving the new model gives the digest below, and so does the
 numpy engine.  The other three models have epsilon == 0 and did not change.
 
+``grid12x16-eps0`` (the ``bisect-grid`` benchmark's model, schedule and
+sweep count) and ``k4-above-block`` (4180 variables, more than one draw
+block, so every sweep refills it) were computed at commit d8709f9, whose
+numpy engine rebuilt the flip gains after every flip and made the Metropolis
+test with ``np.exp`` plus a scalar ``math.exp`` re-check.
+
 ``test_golden_noninteger_penalty`` pins a model at penalty 0.3, whose
 chain terms are inexact in binary floating point, so a change in the order
 in which the expansion, the energy or the solver sums them shows there; the
@@ -28,6 +34,7 @@ import numpy as np
 import pytest
 
 from qubopart.anneal import AnnealConfig, solve
+from qubopart.graph import Graph
 from qubopart.qubo import build_bipartition_qubo, build_kway_qubo, energy, write_qubo_text
 
 from conftest import gnp_graph
@@ -37,10 +44,32 @@ GOLDEN = {
     "k2-eps0.1-random-init": "21415fcd0cf1e566d47cef3a0cd3e015f1be04a6f4297402813dc7661e00ea3c",
     "k3-balanced": "5dd86d6f449458de3d7ab26d0f77816ca38a3a894b83af03d0a9ba6bcc59b82f",
     "k2-linear-t0": "01b9d0c2c3df3afc7518fecd09336a94b7c0d44f99367d903a8236a6a3268787",
+    "grid12x16-eps0": "55725e559c359fb16944e3658992282659ff6114b9fedb0dbb2d5ed2855d7e37",
+    "k4-above-block": "78f8842ce83bdc60f24bfff688984618639b400085749b1e5ba8ce537d314af3",
 }
 
 
+def _grid(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph.from_edges(rows * cols, sorted(edges))
+
+
+def _sparse_random_graph(n, m, rng):
+    pairs = np.sort(rng.randint(0, n, size=(m, 2)), axis=1)
+    return Graph.from_edges(n, sorted({(int(u), int(v)) for u, v in pairs if u != v}))
+
+
 def _case(name):
+    if name == "grid12x16-eps0":  # the bisect-grid benchmark's model and schedule
+        return build_bipartition_qubo(_grid(12, 16)), AnnealConfig(
+            seed=16, sweeps=2000, replicas=2, trace_every=100, balanced_init=True,
+            engine="python")
+    if name == "k4-above-block":  # every sweep refills the numpy engine's draw block
+        g = _sparse_random_graph(1040, 3000, np.random.RandomState(22))
+        return build_kway_qubo(g, 4, 0.05), AnnealConfig(
+            seed=17, sweeps=600, replicas=2, trace_every=50, balanced_init=True,
+            temp_initial=1.0, temp_final=0.5, engine="python")
     g = gnp_graph(30, 0.2, np.random.RandomState(21))
     common = {"sweeps": 600, "replicas": 2, "trace_every": 50, "engine": "python"}
     if name == "k2-eps0":
@@ -93,7 +122,8 @@ def test_golden_noninteger_penalty():
     assert got == GOLDEN_NONINTEGER
 
 
-@pytest.mark.parametrize("name", ["k2-eps0", "k3-balanced"])
+@pytest.mark.parametrize("name", ["k2-eps0", "k3-balanced", "grid12x16-eps0",
+                                  "k4-above-block"])
 def test_golden_under_nonbinding_time_limit(name):
     """A time limit that does not bind splits the sweeps into batches sized
     from the measured rate, starting with one-sweep batches; the trajectory

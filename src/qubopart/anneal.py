@@ -17,12 +17,14 @@ consume the same MT19937 stream with the same draw discipline (one uniform
 per variable per sweep, plus one to pick among acceptors), so results are
 reproducible across engines and platforms.  The numpy engine draws its
 uniforms from the same stream in blocks, which hand them out in the same
-order, still one per variable per sweep plus one per pick.  It makes the
-Metropolis test for all variables at once with ``np.exp`` and re-decides the
-rare draws within a few ulps of their threshold with the scalar
-``math.exp`` rule, so its acceptor sets equal the kernel's exactly.  It
-recomputes the flip gains only after a flip: a sweep with no acceptor
-changes no state they depend on.
+order, still one per variable per sweep plus one per pick; each block also
+carries a band around the log of every draw.  The Metropolis test then
+compares ``-eff / t`` with the bands for all variables at once, and the
+scalar ``math.exp`` rule decides the rare draws that fall inside their band,
+so its acceptor sets equal the kernel's exactly.  Between flips the engine
+keeps the sign vector ``1 - 2 * bits`` and the signed chain memberships,
+which a flip negates, and rebuilds the flip gains only after a flip: a sweep
+with no acceptor changes no state they depend on.
 Replica r of a solve seeds its stream from SHA-256 of (seed, r), making
 replicas independent and the whole solve deterministic.  Solves are not
 reentrant: run them one at a time per process.
@@ -53,13 +55,12 @@ BATCH_SWEEPS = 1024  # most sweeps per engine call
 # blocks raise peak memory and make the sweeps no faster
 UNIFORM_BLOCK = 4096
 
-# np.exp (AVX-512 build, numpy 2.4) and math.exp (glibc) differed by at most
-# 1 ulp over 1.2e7 arguments in [-745, 0], the range of -eff/t.  A draw
-# closer to its threshold than this window, 4 ulps relative plus a floor that
-# covers subnormal thresholds, is re-decided with math.exp.
-# tests/test_anneal.py checks the bound on the platform it runs on.
-_EXP_REL_WINDOW = 2.0 ** -50
-_EXP_ABS_WINDOW = 2.0 ** -1072
+# Half-width of a draw's log-domain band, relative to |log u| + 1: 64 times
+# the error of a 1-ulp np.log plus a 1-ulp math.exp (2**-52 in the log
+# domain).  tests/test_anneal.py checks np.log against math.log on the
+# platform it runs on.
+_BAND = 2.0 ** -46
+_TINY = np.finfo(np.float64).tiny  # smallest normal double
 
 
 @dataclass
@@ -198,117 +199,162 @@ def compile_model(model: QuboModel) -> CompiledModel:
 # Factored sweep engines (python and numba), sharing one draw discipline.
 
 
-class _BlockUniforms:
-    """A replica's MT19937 uniforms, drawn from its ``RandomState`` in blocks.
+def _log_bands(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bands ``(lo, hi)`` around ``log(us)`` for the log-domain Metropolis test.
 
-    ``random_sample(n)`` and ``random_sample()`` hand out the same doubles in
-    the same order as those calls on ``rs`` itself would, because
+    ``lo, hi = log(u) -/+ (|log u| + 1) * 2**-46``, computed as
+    ``log(u) * (1 +/- 2**-46) -/+ 2**-46`` because ``log(u) <= 0``.  A draw
+    below the smallest normal double, which from the MT19937 stream can only
+    be 0.0, gets ``(-inf, inf)``: its threshold may be subnormal and so
+    inexact, and the scalar rule decides it every time.
+    """
+    tiny = us.min(initial=1.0) < _TINY
+    lg = np.log(np.where(us < _TINY, 1.0, us) if tiny else us)
+    lo = np.multiply(lg, 1.0 + _BAND)
+    lo -= _BAND
+    hi = np.multiply(lg, 1.0 - _BAND, out=lg)
+    hi += _BAND
+    if tiny:
+        lo[us < _TINY] = -np.inf
+        hi[us < _TINY] = np.inf
+    return lo, hi
+
+
+class _BlockUniforms:
+    """A replica's MT19937 uniforms, drawn from its ``RandomState`` in blocks,
+    each draw with its log-domain band from :func:`_log_bands`.
+
+    ``bands(n)`` and ``random_sample()`` hand out the same doubles in the same
+    order as scalar ``rs.random_sample()`` calls would, because
     ``rs.random_sample(m)`` reads the stream exactly like m scalar calls.
-    The buffer holds ``max(nv + 1, UNIFORM_BLOCK)`` doubles, one sweep's
-    draws at least; a refill keeps the unread tail and appends fresh draws.
-    An array returned by ``random_sample(n)`` is a view that stays valid.
+    The buffer holds ``max(nv + 1, UNIFORM_BLOCK)`` draws, one sweep's at
+    least; a refill keeps the unread tail, appends fresh draws and computes
+    their bands once.  The views returned by ``bands(n)`` stay valid.
     """
 
     def __init__(self, rs: np.random.RandomState, nv: int):
         self._rs = rs
         self._size = max(nv + 1, UNIFORM_BLOCK)
-        self._buf = np.empty(0)
+        self._us = self._lo = self._hi = np.empty(0)
         self._pos = 0
 
-    def random_sample(self, n: int | None = None):
-        need = 1 if n is None else n
+    def _refill(self, need: int) -> None:
         pos = self._pos
-        if pos + need > len(self._buf):
-            left = self._buf[pos:]
-            self._buf = np.concatenate((left, self._rs.random_sample(
-                max(self._size, need) - len(left))))
-            pos = 0
-        self._pos = pos + need
-        return self._buf[pos] if n is None else self._buf[pos:pos + need]
+        fresh = self._rs.random_sample(max(self._size, need) - (len(self._us) - pos))
+        lo, hi = _log_bands(fresh)
+        self._us = np.concatenate((self._us[pos:], fresh))
+        self._lo = np.concatenate((self._lo[pos:], lo))
+        self._hi = np.concatenate((self._hi[pos:], hi))
+        self._pos = 0
+
+    def random_sample(self):
+        """The next draw."""
+        if self._pos == len(self._us):
+            self._refill(1)
+        pos = self._pos
+        self._pos = pos + 1
+        return self._us[pos]
+
+    def bands(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The next ``n`` draws and their bands, as views ``(us, lo, hi)``."""
+        if self._pos + n > len(self._us):
+            self._refill(n)
+        pos = self._pos
+        end = self._pos = pos + n
+        return self._us[pos:end], self._lo[pos:end], self._hi[pos:end]
 
 
-class _AcceptBuffers:
-    """Scratch arrays for :func:`_metropolis_accept` on ``n`` variables."""
+def _acceptors(deltas: np.ndarray, offset: float, t: float, us: np.ndarray,
+               lo: np.ndarray, hi: np.ndarray, y: np.ndarray, sure: np.ndarray,
+               maybe: np.ndarray) -> np.ndarray:
+    """Indices i passing the scalar Metropolis rule
+    ``eff <= 0 or us[i] < math.exp(-eff / t)`` with ``eff = deltas[i] - offset``.
 
-    def __init__(self, n: int):
-        self.thr = np.empty(n)
-        self.gap = np.empty(n)
-        self.tol = np.empty(n)
-        self.accept = np.empty(n, dtype=bool)
-        self.close = np.empty(n, dtype=bool)
-
-
-def _metropolis_accept(eff: np.ndarray, us: np.ndarray, t: float,
-                       buf: _AcceptBuffers | None = None) -> np.ndarray:
-    """Mask of variables passing ``eff[i] <= 0 or us[i] < math.exp(-eff[i] / t)``.
-
-    One vector test decides almost every variable: with ``eff <= 0`` the
-    threshold is exactly 1.0, which every draw in [0, 1) passes.  Draws
-    within the ``np.exp``/``math.exp`` disagreement window of their
-    threshold are re-decided with the scalar rule itself.  With ``buf`` the
-    test allocates nothing and returns ``buf.accept``, which the next call
-    with the same buffers overwrites.
+    The test runs in the log domain on ``y = eff / -t``: ``y > hi[i]`` passes
+    the scalar rule for sure, ``y < lo[i]`` fails it for sure (see
+    :func:`_log_bands`), and the scalar rule itself decides the draws in
+    between.  ``y``, ``sure`` and ``maybe`` are scratch arrays of
+    ``len(deltas)``.
     """
-    if buf is None:
-        buf = _AcceptBuffers(len(eff))
-    thr, gap, tol, accept, close = buf.thr, buf.gap, buf.tol, buf.accept, buf.close
-    np.maximum(eff, 0.0, out=thr)
-    np.divide(thr, -t, out=thr)  # x / -t == -x / t exactly
-    np.exp(thr, out=thr)
-    np.less(us, thr, out=accept)
-    np.subtract(us, thr, out=gap)
-    np.abs(gap, out=gap)
-    np.multiply(thr, _EXP_REL_WINDOW, out=tol)
-    np.add(tol, _EXP_ABS_WINDOW, out=tol)
-    np.less_equal(gap, tol, out=close)
-    if np.count_nonzero(close):
-        for i in close.nonzero()[0]:
-            accept[i] = eff[i] <= 0.0 or us[i] < math.exp(-eff[i] / t)
-    return accept
+    if offset == 0.0:  # x - 0.0 == x bit for bit
+        np.divide(deltas, -t, out=y)  # x / -t == -x / t exactly
+    else:
+        np.divide(np.subtract(deltas, offset, out=y), -t, out=y)
+    np.greater_equal(y, lo, out=maybe)
+    maybes = maybe.nonzero()[0]
+    if len(maybes) == 0:
+        return maybes
+    np.greater(y, hi, out=sure)
+    accepted = sure.nonzero()[0]
+    if len(accepted) == len(maybes):
+        return accepted
+    for i in maybes.tolist():
+        if not sure[i]:
+            eff = deltas[i] - offset
+            sure[i] = eff <= 0.0 or us[i] < math.exp(-eff / t)
+    return sure.nonzero()[0]
 
 
 def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_inc,
-                   cur_energy, best_energy, best_bits, rng, trace, trace_every,
+                   cur_energy, best_energy, best_bits, draws, trace, trace_every,
                    sweeps_before):
     """Run ``len(temps)`` sweeps in place; the numpy twin of ``_numba_sweeps``.
 
-    ``rng`` is a replica's :class:`_BlockUniforms` or a bare ``RandomState``;
-    both give the same draws.  The flip gains are a pure function of
+    ``draws`` is the replica's :class:`_BlockUniforms`.  Between flips the
+    sweep keeps the sign vector ``dl = 1 - 2 * bits`` and the signed
+    memberships ``mem_lin * dl[mem_var]``; a flip negates variable i's
+    entries of both, which is exact, so the flip gains are rebuilt with the
+    kernel's operations in the kernel's order.  They are a pure function of
     ``(bits, base_lf, s)``, so a sweep with no acceptor leaves them valid for
     the next one.
     """
     nv = cm.nv
-    draw = rng.random_sample
-    buf = _AcceptBuffers(nv)
-    eff = np.empty(nv)
-    csr_indptr, csr_cols, csr_data = cm.csr_indptr, cm.csr_cols, cm.csr_data
-    mem_indptr, mem_chain, mem_coeff = cm.mem_indptr, cm.mem_chain, cm.mem_coeff
-    deltas = None
+    bands, pick = draws.bands, draws.random_sample
+    # a memoryview indexes to Python ints, which slice faster than numpy
+    # scalars, and unlike tolist() costs nothing per variable
+    csr_ptr, mem_ptr = memoryview(cm.csr_indptr), memoryview(cm.mem_indptr)
+    csr_cols, csr_data = cm.csr_cols, cm.csr_data
+    mem_var, mem_chain, mem_coeff = cm.mem_var, cm.mem_chain, cm.mem_coeff
+    rhs, mem_const = cm.rhs, cm.mem_const
+    dl = 1.0 - 2.0 * bits
+    mld = cm.mem_lin * dl[mem_var]
+    sr, chain_gain = np.empty(len(s)), np.empty(len(mem_var))
+    deltas, y = np.empty(nv), np.empty(nv)
+    sure, maybe = np.empty(nv, dtype=bool), np.empty(nv, dtype=bool)
+    stale = True
     flips = 0
-    for sw in range(len(temps)):
-        t = temps[sw]
+    for sw, t in enumerate(temps.tolist()):
         if t < 1e-300:
             t = 1e-300
-        us = draw(nv)
-        if deltas is None:
-            deltas = cm.all_deltas(bits, base_lf, s)
-        if offset == 0.0:  # x - 0.0 == x bit for bit
-            accept = _metropolis_accept(deltas, us, t, buf)
-        else:
-            accept = _metropolis_accept(np.subtract(deltas, offset, out=eff), us, t, buf)
-        acceptors = accept.nonzero()[0]
+        us, lo, hi = bands(nv)
+        if stale:
+            # the kernel's 2*pen*c*dlt*(s - rhs) + pen*c*c and dlt*base_lf + sum,
+            # same operations in the same order, so the gains are bit-identical
+            np.subtract(s, rhs, out=sr)
+            np.multiply(mld, sr[mem_chain], out=chain_gain)
+            np.add(chain_gain, mem_const, out=chain_gain)
+            np.multiply(dl, base_lf, out=deltas)
+            np.add(deltas, np.bincount(mem_var, chain_gain, nv), out=deltas)
+            stale = False
+        acceptors = _acceptors(deltas, offset, t, us, lo, hi, y, sure, maybe)
         if len(acceptors):
-            r = draw()
-            i = int(acceptors[int(r * len(acceptors))])
-            d = deltas[i]
-            deltas = None
-            dlt = 1.0 - 2.0 * bits[i]
-            cur_energy = cur_energy + d
-            bits[i] = 1 - bits[i]
-            row = slice(csr_indptr[i], csr_indptr[i + 1])
-            base_lf[csr_cols[row]] += csr_data[row] * dlt
-            mrow = slice(mem_indptr[i], mem_indptr[i + 1])
-            s[mem_chain[mrow]] += mem_coeff[mrow] * dlt
+            i = int(acceptors[int(pick() * len(acceptors))])
+            cur_energy = cur_energy + deltas[i]
+            row = slice(csr_ptr[i], csr_ptr[i + 1])
+            mrow = slice(mem_ptr[i], mem_ptr[i + 1])
+            # the kernel adds data * dlt, and x + d * -1.0 == x - d exactly
+            if bits[i]:
+                base_lf[csr_cols[row]] -= csr_data[row]
+                s[mem_chain[mrow]] -= mem_coeff[mrow]
+                bits[i] = 0
+            else:
+                base_lf[csr_cols[row]] += csr_data[row]
+                s[mem_chain[mrow]] += mem_coeff[mrow]
+                bits[i] = 1
+            dl[i] = -dl[i]
+            seg = mld[mrow]
+            np.negative(seg, out=seg)
+            stale = True
             offset = 0.0
             flips += 1
             if cur_energy < best_energy:

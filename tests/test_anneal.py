@@ -140,7 +140,7 @@ def test_reference_sweep_matches_python_engine():
         s = model.chains.sums(bits_b)
         temps = np.full(30, 2.0)
         rng_a = np.random.RandomState(99)
-        rng_b = np.random.RandomState(99)
+        rng_b = anneal._BlockUniforms(np.random.RandomState(99), cm.nv)
         offset_a = 0.0
         for t in temps:
             _, offset_a = sweep(nbrs, bits_a, lf, t, rng_a, offset_a, 0.01)
@@ -171,6 +171,30 @@ def _run_batches(model, sweeps, sizes, rng):
     return bits, base_lf, s, offset, cur, best, best_bits, flips, trace
 
 
+class _RecordingDraws(anneal._BlockUniforms):
+    """A draw source that records every draw it hands out, in order."""
+
+    def __init__(self, rs, nv):
+        super().__init__(rs, nv)
+        self.handed = []
+
+    def random_sample(self):
+        u = super().random_sample()
+        self.handed.append(float(u))
+        return u
+
+    def bands(self, n):
+        us, lo, hi = super().bands(n)
+        assert len(us) == len(lo) == len(hi) == n
+        self.handed.extend(us.tolist())
+        for u, a, b in zip(us.tolist(), lo.tolist(), hi.tolist()):
+            if u > 0.0:
+                assert a < math.log(u) < b
+            else:
+                assert (a, b) == (-math.inf, math.inf)
+        return us, lo, hi
+
+
 @pytest.mark.parametrize("block", ["nv-below-block", "nv-above-block"])
 def test_batch_split_changes_nothing(monkeypatch, block):
     sweeps = 600
@@ -185,16 +209,21 @@ def test_batch_split_changes_nothing(monkeypatch, block):
     nv = model.num_vars
 
     def source():
-        return anneal._BlockUniforms(np.random.RandomState(23), nv)
+        return _RecordingDraws(np.random.RandomState(23), nv)
 
-    whole = _run_batches(model, sweeps, [sweeps], source())
-    split = _run_batches(model, sweeps, [1, 7, 64], source())
-    unbuffered = _run_batches(model, sweeps, [sweeps], np.random.RandomState(23))
-    for other in (split, unbuffered):
-        for a, b in zip(whole, other):
-            assert np.array_equal(a, b)
+    whole_draws, split_draws = source(), source()
+    whole = _run_batches(model, sweeps, [sweeps], whole_draws)
+    split = _run_batches(model, sweeps, [1, 7, 64], split_draws)
+    for a, b in zip(whole, split):
+        assert np.array_equal(a, b)
     flips = whole[7]
     assert 0 < flips < sweeps  # both flipping and escape sweeps occurred
+    # the engine read one draw per variable per sweep plus one per flip, and
+    # the block source handed them out as scalar random_sample() calls would
+    assert len(split_draws.handed) == sweeps * nv + flips
+    scalar = np.random.RandomState(23)
+    assert split_draws.handed == [scalar.random_sample() for _ in split_draws.handed]
+    assert whole_draws.handed == split_draws.handed
 
 
 @needs_numba
@@ -315,31 +344,55 @@ def test_batch_size_fits_time_left():
     assert anneal._batch_size(0.001, 0.01) == 1
 
 
-def test_exp_disagreement_within_window():
-    """np.exp and math.exp must differ by less than the re-check window."""
+def test_log_agrees_within_band():
+    """np.log and math.log agree to a sixteenth of the band of _log_bands, over
+    draws in [2**-53, 1), so the band covers np.log's error, math.exp's
+    (1 ulp, 2**-52 in the log domain) and the rounding of its own ends."""
     rng = np.random.RandomState(4)
-    x = np.concatenate([-rng.random_sample(100_000) * 745.2,
-                        -np.exp(rng.uniform(math.log(1e-300), math.log(40.0), 100_000))])
-    a = np.exp(x)
-    b = np.array([math.exp(v) for v in x.tolist()])
-    assert (np.abs(a - b) < a * anneal._EXP_REL_WINDOW + anneal._EXP_ABS_WINDOW).all()
+    x = np.concatenate([rng.randint(1, 2 ** 53, size=200_000) * 2.0 ** -53,
+                        1.0 - np.arange(1, 2001) * 2.0 ** -53,  # next to 1.0
+                        2.0 ** -53 * np.arange(1, 2001)])
+    exact = np.array([math.log(v) for v in x.tolist()])
+    width = (np.abs(exact) + 1.0) * anneal._BAND
+    whole = np.log(x)  # the vector loop, and below the short-array tail
+    short = np.concatenate([np.log(x[i:i + 3]) for i in range(0, len(x), 3)])
+    for got in (whole, short):
+        assert (np.abs(got - exact) <= width / 16).all()
+    lo, hi = anneal._log_bands(x)
+    assert (lo < exact).all() and (exact < hi).all()
 
 
-def test_metropolis_accept_matches_scalar_rule():
+def _scalar_rule(deltas, offset, t, us):
+    accept = []
+    for d, u in zip(deltas, us):
+        eff = d - offset
+        accept.append(eff <= 0.0 or u < math.exp(-eff / t))
+    return np.flatnonzero(accept)
+
+
+@pytest.mark.parametrize("t, offset", [(0.73, 0.0), (0.73, 0.37), (1e-300, 0.0)])
+def test_band_acceptors_match_scalar_rule(t, offset):
     rng = np.random.RandomState(12)
-    t = 0.73
     eff = np.concatenate([
         rng.uniform(-5.0, 0.0, 50), [0.0, -0.0],
         rng.exponential(3.0, 4000),             # ordinary thresholds
+        rng.exponential(3.0 * t, 1000),         # ordinary thresholds at any t
         rng.uniform(708.0 * t, 746.0 * t, 50),  # subnormal and underflowing thresholds
     ])
-    exact = np.array([math.exp(-e / t) for e in eff])
-    draws = [exact, np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf),
-             np.exp(-eff / t), np.zeros_like(eff), rng.random_sample(len(eff))]
-    for us in draws:
+    deltas = eff + offset
+    eff = deltas - offset  # the rule's own eff, rounded as the engine rounds it
+    exact = np.array([math.exp(-e / t) if e > 0.0 else 1.0 for e in eff])
+    nv = len(eff)
+    y, sure, maybe = np.empty(nv), np.empty(nv, dtype=bool), np.empty(nv, dtype=bool)
+    undecided = 0
+    for us in (exact, np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf),
+               np.exp(-np.maximum(eff, 0.0) / t), np.zeros(nv), rng.random_sample(nv)):
         us = np.minimum(us, np.nextafter(1.0, 0.0))  # draws lie in [0, 1)
-        want = np.array([e <= 0.0 or u < math.exp(-e / t) for e, u in zip(eff, us)])
-        assert np.array_equal(anneal._metropolis_accept(eff, us, t), want)
+        lo, hi = anneal._log_bands(us)
+        got = anneal._acceptors(deltas, offset, t, us, lo, hi, y, sure, maybe)
+        assert np.array_equal(got, _scalar_rule(deltas, offset, t, us))
+        undecided += np.count_nonzero(maybe & ~(y > hi))
+    assert undecided > 0  # the scalar rule decided some draws
 
 
 def test_energy_trace_monotone():

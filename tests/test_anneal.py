@@ -354,20 +354,12 @@ def test_log_agrees_within_band():
                         2.0 ** -53 * np.arange(1, 2001)])
     exact = np.array([math.log(v) for v in x.tolist()])
     width = (np.abs(exact) + 1.0) * anneal._BAND
-    whole = np.log(x)  # the vector loop, and below the short-array tail
+    whole = np.log(x)  # the vector loop; the 3-element calls run the tail loop
     short = np.concatenate([np.log(x[i:i + 3]) for i in range(0, len(x), 3)])
     for got in (whole, short):
         assert (np.abs(got - exact) <= width / 16).all()
     lo, hi = anneal._log_bands(x)
     assert (lo < exact).all() and (exact < hi).all()
-
-
-def _scalar_rule(deltas, offset, t, us):
-    accept = []
-    for d, u in zip(deltas, us):
-        eff = d - offset
-        accept.append(eff <= 0.0 or u < math.exp(-eff / t))
-    return np.flatnonzero(accept)
 
 
 @pytest.mark.parametrize("t, offset", [(0.73, 0.0), (0.73, 0.37), (1e-300, 0.0)])
@@ -390,7 +382,8 @@ def test_band_acceptors_match_scalar_rule(t, offset):
         us = np.minimum(us, np.nextafter(1.0, 0.0))  # draws lie in [0, 1)
         lo, hi = anneal._log_bands(us)
         got = anneal._acceptors(deltas, offset, t, us, lo, hi, y, sure, maybe)
-        assert np.array_equal(got, _scalar_rule(deltas, offset, t, us))
+        want = np.flatnonzero([e <= 0.0 or u < math.exp(-e / t) for e, u in zip(eff, us)])
+        assert np.array_equal(got, want)
         undecided += np.count_nonzero(maybe & ~(y > hi))
     assert undecided > 0  # the scalar rule decided some draws
 

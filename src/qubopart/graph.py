@@ -225,6 +225,8 @@ def balance_bounds(n: int, k: int, epsilon: float | Fraction = 0.0) -> tuple[int
 def _strip_comment_lines(text: str) -> list[str]:
     # '%' lines are comments; blank lines are kept because a line with no
     # tokens is a legal vertex row (isolated vertex).
+    if "%" not in text:
+        return text.splitlines()
     return [ln for ln in text.splitlines() if not ln.lstrip().startswith("%")]
 
 
@@ -234,6 +236,14 @@ def parse_metis(text: str, name: str = "") -> Graph:
     Header: ``n m [fmt [ncon]]``.  fmt 0 (or absent) means unweighted; the
     weight variants (1, 10, 11, and the 3-digit forms) are accepted but all
     weights are discarded with a warning.  Neighbor ids are 1-indexed.
+
+    When the vertex lines hold only ASCII digits, spaces and tabs, and no
+    token is longer than 18 digits, one byte scan over the whole body finds
+    the tokens and numpy reads them in one call.  Any other body, such as
+    one with ``+3``, ``1_0``, ``3.0``, non-ASCII digits or other Unicode
+    blanks, is read with Python's ``int()`` per token, which accepts what
+    ``int()`` accepts and names the line of the first token it rejects.
+    Both paths give the same graphs, errors and warnings.
     """
     lines = _strip_comment_lines(text)
     while lines and not lines[0].split():
@@ -270,23 +280,13 @@ def parse_metis(text: str, name: str = "") -> Graph:
         raise GraphFormatError(f"expected {n} vertex lines, found {len(vertex_lines)}")
 
     skip = (1 if has_vsize else 0) + (ncon if has_vweight else 0)
-    rows = [ln.split() for ln in vertex_lines]
-    bad_line = bad_exc = None
-    try:
-        values = list(map(int, itertools.chain.from_iterable(rows)))
-    except ValueError:
-        # the rows before the first bad one are checked first, as a
-        # line-by-line reader would
-        bad_line, bad_exc = _first_non_integer_row(rows)
-        rows = rows[:bad_line]
-        values = list(map(int, itertools.chain.from_iterable(rows)))
-    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    row_id = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
-    try:
-        ids = np.array(values, dtype=np.int64)
-    except OverflowError:
-        # clipping to [0, n + 1] keeps every in-range and out-of-range verdict
-        ids = np.array(values, dtype=object).clip(0, n + 1).astype(np.int64)
+    scanned = _scan_digit_rows(vertex_lines)
+    if scanned is not None:
+        values, counts = scanned
+        ids, bad_line, bad_exc = values, None, None
+    else:
+        values, ids, counts, bad_line, bad_exc = _split_int_rows(vertex_lines, n)
+    row_id = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
 
     # a line's tokens: vertex size, ncon weights, then neighbors (each
     # followed by an edge weight with has_eweight)
@@ -304,7 +304,7 @@ def parse_metis(text: str, name: str = "") -> Graph:
     if len(odd) and (not len(wrong) or odd[0] <= row[wrong[0]]):
         raise GraphFormatError(f"vertex {odd[0] + 1}: odd token count with edge weights")
     if len(wrong):
-        i, value = row[wrong[0]] + 1, values[nbr_at[wrong[0]]]
+        i, value = row[wrong[0]] + 1, int(values[nbr_at[wrong[0]]])
         if not 1 <= value <= n:
             raise GraphFormatError(f"vertex {i} lists neighbor {value} outside 1..{n}")
         raise GraphFormatError(f"self-loop at vertex {i}")
@@ -325,6 +325,66 @@ def parse_metis(text: str, name: str = "") -> Graph:
     if len(keys) // 2 != m:
         raise GraphFormatError(f"header declares {m} edges, adjacency lists {len(keys) // 2}")
     return Graph._from_sorted_arcs(n, src, dst, name=name)
+
+
+_MAX_SCAN_DIGITS = 18  # every 18-digit token fits in int64
+
+
+def _scan_digit_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """All tokens of ``lines`` as int64, and each line's token count.
+
+    One byte scan finds the tokens and ``np.fromstring`` reads them, when
+    the lines hold only ASCII digits, spaces and tabs and no token is
+    longer than 18 digits.  ``None`` otherwise, or when the scan and the
+    read disagree on the number of tokens: such lines are left to
+    ``int()``, which reports the bad token.
+    """
+    if not lines:
+        return None
+    body = "\n".join(lines)
+    if not body.isascii():
+        return None
+    raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    digit = (raw >= ord("0")) & (raw <= ord("9"))
+    if not (digit | (raw == ord(" ")) | (raw == ord("\t")) | (raw == ord("\n"))).all():
+        return None
+    # digit runs start and end where the padded mask changes, alternately
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], digit, [False]))))
+    starts, ends = edges[0::2], edges[1::2]
+    if len(starts) and (ends - starts).max() > _MAX_SCAN_DIGITS:
+        return None
+    values = np.fromstring(body, dtype=np.int64, sep=" ")
+    if len(values) != len(starts):  # a blank-only body reads as [0]
+        return None
+    cuts = np.searchsorted(starts, np.flatnonzero(raw == ord("\n")))
+    return values, np.diff(cuts, prepend=0, append=len(starts))
+
+
+def _split_int_rows(lines: list[str], n: int):
+    """Tokens of ``lines`` read by ``int()``: ``(values, ids, counts, bad_line, bad_exc)``.
+
+    ``values`` are the Python ints and ``ids`` the same clipped to int64;
+    ``counts`` holds each line's token count.  When a token is not an
+    integer, only the lines before its line ``bad_line`` are read, and
+    ``bad_exc`` is the error ``int()`` raised.
+    """
+    rows = [ln.split() for ln in lines]
+    bad_line = bad_exc = None
+    try:
+        values = list(map(int, itertools.chain.from_iterable(rows)))
+    except ValueError:
+        # the rows before the first bad one are checked first, as a
+        # line-by-line reader would
+        bad_line, bad_exc = _first_non_integer_row(rows)
+        rows = rows[:bad_line]
+        values = list(map(int, itertools.chain.from_iterable(rows)))
+    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    try:
+        ids = np.array(values, dtype=np.int64)
+    except OverflowError:
+        # clipping to [0, n + 1] keeps every in-range and out-of-range verdict
+        ids = np.array(values, dtype=object).clip(0, n + 1).astype(np.int64)
+    return values, ids, counts, bad_line, bad_exc
 
 
 def _first_non_integer_row(rows: list[list[str]]) -> tuple[int, ValueError | None]:

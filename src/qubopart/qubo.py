@@ -107,8 +107,9 @@ class ChainSet:
 
     def sums(self, bits: np.ndarray) -> np.ndarray:
         """``coeffs . bits[var_idx]`` of every chain, as float64."""
+        # over zero chains bincount returns an empty int64 array
         return np.bincount(self.chain_id, weights=self.coeffs * bits[self.var_idx],
-                           minlength=len(self))
+                           minlength=len(self)).astype(np.float64, copy=False)
 
 
 def _running_sum(start: float, terms: np.ndarray) -> float:

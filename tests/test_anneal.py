@@ -10,7 +10,8 @@ import qubopart.qubo as qubo
 from qubopart.anneal import AnnealConfig, compile_model, solve
 from qubopart.evaluate import decode
 from qubopart.graph import Graph, cut_edges
-from qubopart.qubo import QuboModel, _coalesce, build_bipartition_qubo, build_kway_qubo, energy
+from qubopart.qubo import (QuboModel, _coalesce, build_bipartition_qubo, build_kway_qubo, energy,
+                           parse_qubo_text, write_qubo_text)
 
 from conftest import bipartition_optimum, gnp_graph, kway_optimum, small_corpus
 from reference import apply_flip, delta_energy, expanded_neighbors, local_fields, sweep
@@ -266,6 +267,22 @@ def test_solve_reaches_kway_optimum():
     model = build_kway_qubo(g, 3)
     res = solve(model, AnnealConfig(sweeps=2000, replicas=4, seed=5, balanced_init=True))
     assert res.best_energy == float(kway_optimum(g, 3, 0.0))
+
+
+def test_solve_chainless_models():
+    # models read from QUBO text, or built by hand, carry no penalty chains
+    path4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    parsed = parse_qubo_text(write_qubo_text(build_bipartition_qubo(path4)))
+    by_hand = QuboModel(num_vars=3, base_linear=[1.0, -2.0, 0.5], base_quad_i=[0, 1],
+                        base_quad_j=[1, 2], base_quad_c=[-3.0, 2.0], base_constant=0.25)
+    cases = ((parsed, float(bipartition_optimum(path4, 0.0))),
+             (by_hand, -3.75))  # at bits (1, 1, 0)
+    for model, optimum in cases:
+        assert len(model.chains) == 0
+        assert model.chains.sums(np.zeros(model.num_vars)).dtype == np.float64
+        res = solve(model, AnnealConfig(sweeps=200, replicas=2, seed=4, engine="python"))
+        assert res.best_energy == energy(model, res.best_bits)
+        assert res.best_energy == optimum
 
 
 def test_balanced_initial_bits_zero_residual():

@@ -3,12 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
+import qubopart.graph as graph_module
 from qubopart.graph import (Graph, GraphFormatError, Partition, balance_bounds, cut_edges,
                             laplacian, parse_matrix_market, parse_metis, parse_partition,
                             write_metis, write_partition)
 
 import reference
-from conftest import all_bit_rows, gnp_graph, small_corpus
+from conftest import all_bit_rows, gnp_graph, planted_graph, small_corpus
 
 
 PATH3 = "3 2\n2\n1 3\n2\n"
@@ -134,6 +135,63 @@ def test_parse_metis_matches_line_by_line_reference():
     with pytest.raises(GraphFormatError, match="neighbor 7"):
         parse_metis("3 2\n7\n1 x\n2\n")
     assert parse_metis("3 2\n+2\n1 0_3\n2\n").edges == ((0, 1), (1, 2))
+
+
+def _weighted_path3(fmt: str) -> str:
+    """The path 1-2-3 in weighted format ``fmt``, every weight present."""
+    has_vsize, has_vweight, has_eweight = (c == "1" for c in fmt.zfill(3))
+    rows = []
+    for v, nbrs in ((1, [2]), (2, [1, 3]), (3, [2])):
+        row = [str(v + 4)] * has_vsize + [str(v)] * has_vweight
+        for u in nbrs:
+            row += [str(u)] + [str(u + v)] * has_eweight
+        rows.append(" ".join(row))
+    return "\n".join([f"3 2 {fmt}", *rows]) + "\n"
+
+
+PARSE_EDGE_TEXTS = {
+    "all-blank": "3 0\n\n\n\n",
+    "all-blank-spaces-tabs": "3 0\n \n\t\n\n",
+    "leading-zeros": "8 1\n\n\n\n\n\n\n008\n0007\n",
+    "19-digit-in-range": f"2 1\n{'2'.zfill(19)}\n1\n",
+    "19-digit": f"2 1\n{'1' * 19}\n1\n",
+    "30-digit": f"2 1\n2 {'9' * 30}\n1\n",
+    "18-digit": f"2 1\n{'9' * 18}\n1\n",
+    "mixed-blanks": "3 2\n \t 2\t\t\n1 \t  3   \n\t2\n",
+    "crlf": "3 2\r\n2\r\n1 3\r\n2\r\n",
+    "form-feed": "3 2\n2\n1\f3\n2\n",
+    "vertical-tab": "3 2\n2\n1\v3\n2\n",
+    "unit-separator": "3 2\n2\n1\x1f3\n2\n",
+    "arabic-indic-digit": "3 2\n2\n1 \u0663\n2\n",
+    "plus-underscore": "3 2\n+2\n1 0_3\n2\n",
+    "plus-then-bad": "3 2\n+2\n1 3\n7\n",
+    "sign-inside-token": "3 2\n2\n1 2+3\n2\n",
+    **{f"fmt-{fmt}": _weighted_path3(fmt)
+       for fmt in ("1", "10", "11", "100", "101", "110", "111", "001", "010", "011")},
+}
+
+
+@pytest.mark.parametrize("name", PARSE_EDGE_TEXTS)
+def test_parse_metis_edge_texts_match_reference(name):
+    text = PARSE_EDGE_TEXTS[name]
+    assert _parse_outcome(parse_metis, text) == _parse_outcome(reference.parse_metis, text)
+
+
+def test_benchmark_shaped_texts_skip_the_int_fallback(monkeypatch):
+    def no_fallback(*args):
+        raise AssertionError("parse_metis fell back to int() per token")
+
+    monkeypatch.setattr(graph_module, "_split_int_rows", no_fallback)
+    rows, cols = 12, 16  # the bisect-grid and kway-planted graphs
+    grid = Graph.from_edges(rows * cols,
+                            [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+                            + [(v, v + cols) for v in range(rows * cols - cols)])
+    planted = planted_graph(3000, 4, 8, 2, np.random.RandomState(5))
+    for g in (grid, planted):
+        assert parse_metis(write_metis(g)).edge_array.tolist() == g.edge_array.tolist()
+    assert (grid.m, planted.m) == (rows * (cols - 1) + (rows - 1) * cols, 15000)
+    # numpy reads a blank-only body as [0]: the token count sends it to int()
+    assert graph_module._scan_digit_rows([" ", "\t", ""]) is None
 
 
 def test_metis_round_trip():

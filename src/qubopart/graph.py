@@ -339,7 +339,7 @@ def _scan_digit_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
     read disagree on the number of tokens: such lines are left to
     ``int()``, which reports the bad token.
     """
-    if not lines:
+    if not lines:  # the joined body could not tell them from one blank line
         return None
     body = "\n".join(lines)
     if not body.isascii():
@@ -360,7 +360,8 @@ def _scan_digit_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
     return values, np.diff(cuts, prepend=0, append=len(starts))
 
 
-def _split_int_rows(lines: list[str], n: int):
+def _split_int_rows(lines: list[str], n: int) -> tuple[
+        list[int], np.ndarray, np.ndarray, int | None, ValueError | None]:
     """Tokens of ``lines`` read by ``int()``: ``(values, ids, counts, bad_line, bad_exc)``.
 
     ``values`` are the Python ints and ``ids`` the same clipped to int64;

@@ -190,7 +190,10 @@ def test_benchmark_shaped_texts_skip_the_int_fallback(monkeypatch):
     for g in (grid, planted):
         assert parse_metis(write_metis(g)).edge_array.tolist() == g.edge_array.tolist()
     assert (grid.m, planted.m) == (rows * (cols - 1) + (rows - 1) * cols, 15000)
-    # numpy reads a blank-only body as [0]: the token count sends it to int()
+
+
+def test_scan_leaves_blank_only_bodies_to_int():
+    # numpy reads a blank-only body as [0]; the token count must catch it
     assert graph_module._scan_digit_rows([" ", "\t", ""]) is None
 
 

@@ -11,23 +11,20 @@ maintained over the sparse cut terms, the penalty part is reconstructed in
 O(1) per variable from running chain sums.  This keeps sweeps linear in the
 number of variables even though the squared penalties couple all pairs.
 
-Two engines produce bit-identical results: a compiled kernel (numba, an
-optional dependency) and a numpy engine that runs when numba is absent.  Both
-consume the same MT19937 stream with the same draw discipline (one uniform
-per variable per sweep, plus one to pick among acceptors), so results are
-reproducible across engines and platforms.  The numpy engine draws its
-uniforms from the same stream in blocks, which hand them out in the same
-order, still one per variable per sweep plus one per pick; each block also
-carries a band around the log of every draw.  The Metropolis test then
-compares ``-eff / t`` with the bands for all variables at once, and the
-scalar ``math.exp`` rule decides the rare draws that fall inside their band,
-so its acceptor sets equal the kernel's exactly.  Between flips the engine
+The sweeps run on numpy and consume each replica's MT19937 stream with a
+fixed draw discipline: one uniform per variable per sweep, plus one to pick
+among acceptors.  The uniforms are drawn from the stream in blocks, which hand
+them out in the same order as scalar draws would; each block also carries a
+band around the log of every draw.  The Metropolis test then compares
+``-eff / t`` with the bands for all variables at once, and the scalar
+``math.exp`` rule decides the rare draws that fall inside their band, so the
+acceptor sets equal that scalar rule's exactly.  Between flips the engine
 keeps the sign vector ``1 - 2 * bits`` and the signed chain memberships,
 which a flip negates, and rebuilds the flip gains only after a flip: a sweep
 with no acceptor changes no state they depend on.
 Replica r of a solve seeds its stream from SHA-256 of (seed, r), making
-replicas independent and the whole solve deterministic.  Solves are not
-reentrant: run them one at a time per process.
+replicas independent and the whole solve deterministic.  Every replica owns
+its ``RandomState``, so solves share no state.
 """
 
 from __future__ import annotations
@@ -40,19 +37,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # numba is an optional extra; the numpy engine runs without it
-    numba = None
-    HAVE_NUMBA = False
-
 from .qubo import QuboModel, energy
 
-BATCH_SWEEPS = 1024  # most sweeps per engine call
-# fewest uniforms a numpy-engine replica draws at once: 32 KiB, because larger
-# blocks raise peak memory and make the sweeps no faster
+BATCH_SWEEPS = 1024  # most sweeps per batch
+# fewest uniforms a replica draws at once: 32 KiB, because larger blocks
+# raise peak memory and make the sweeps no faster
 UNIFORM_BLOCK = 4096
 
 # Half-width of a draw's log-domain band, relative to |log u| + 1: 64 times
@@ -61,6 +50,9 @@ UNIFORM_BLOCK = 4096
 # platform it runs on.
 _BAND = 2.0 ** -46
 _TINY = np.finfo(np.float64).tiny  # smallest normal double
+
+# read only by perfbench/run.py:metadata, which records the engine that ran
+HAVE_NUMBA = False
 
 
 @dataclass
@@ -84,7 +76,6 @@ class AnnealConfig:
     offset_increment: float | None = None
     time_limit: float | None = None
     balanced_init: bool = False
-    engine: str = "auto"  # "auto" | "numba" | "python"
     trace_every: int = 0
 
     def __post_init__(self):
@@ -98,10 +89,10 @@ class AnnealConfig:
             raise ValueError("initial temperature must be positive when given")
         if self.schedule not in ("geometric", "linear"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.engine not in ("auto", "numba", "python"):
-            raise ValueError(f"unknown engine {self.engine!r}")
         if self.time_limit is not None and self.time_limit <= 0:
             raise ValueError("time limit must be positive when given")
+        if self.trace_every < 0:
+            raise ValueError(f"trace_every must be non-negative, got {self.trace_every}")
 
 
 @dataclass
@@ -132,11 +123,11 @@ def _derive_seed(*parts) -> int:
 
 @dataclass(eq=False)
 class CompiledModel:
-    """Flat arrays the sweep engines run on: the model's read-only
+    """Flat arrays the sweeps run on: the model's read-only
     :attr:`~qubopart.qubo.QuboModel.objective_csr`, the symmetric CSR of its
     objective terms, plus per-variable chain membership lists, the model's
-    ``ChainSet`` entries sorted by variable.  ``pen`` repeats the model's one
-    penalty per chain for the numba kernel's signature.
+    ``ChainSet`` entries sorted by variable, with their penalty-weighted
+    coefficients.
     """
 
     nv: int
@@ -145,14 +136,13 @@ class CompiledModel:
     csr_rows: np.ndarray
     csr_cols: np.ndarray
     csr_data: np.ndarray
-    pen: np.ndarray
     rhs: np.ndarray
     mem_indptr: np.ndarray
     mem_var: np.ndarray
     mem_chain: np.ndarray
     mem_coeff: np.ndarray
-    mem_lin: np.ndarray  # 2 * pen[g] * c per membership
-    mem_const: np.ndarray  # pen[g] * c * c per membership
+    mem_lin: np.ndarray  # 2 * penalty * c per membership
+    mem_const: np.ndarray  # penalty * c * c per membership
 
     def base_local_fields(self, bits: np.ndarray) -> np.ndarray:
         contrib = self.csr_data * bits[self.csr_cols]
@@ -162,8 +152,8 @@ class CompiledModel:
         """Flip gain of every variable at the current state."""
         dlt = 1.0 - 2.0 * bits
         if len(self.mem_var):
-            # same operations in the same order as the kernel's
-            # 2*pen*c*dlt*(s - rhs) + pen*c*c, so the gains are bit-identical
+            # the operations of _python_sweeps' gain rebuild in its order, so
+            # t0 and the golden digests that pin it do not change
             contrib = self.mem_lin * dlt[self.mem_var] * (s - self.rhs)[self.mem_chain] \
                 + self.mem_const
             chain_part = np.bincount(self.mem_var, weights=contrib, minlength=self.nv)
@@ -173,7 +163,7 @@ class CompiledModel:
 
 
 def compile_model(model: QuboModel) -> CompiledModel:
-    """The model's arrays for the sweep engines.
+    """The model's arrays for the sweeps.
 
     The objective CSR is read from ``model.objective_csr``: the partition
     builders fill it from the graph's CSR, and other models derive it there
@@ -190,13 +180,13 @@ def compile_model(model: QuboModel) -> CompiledModel:
 
     return CompiledModel(nv=nv, base_lin=model.base_linear.astype(np.float64),
                          csr_indptr=indptr, csr_rows=rows, csr_cols=cols,
-                         csr_data=data, pen=np.full(len(chains), float(p)), rhs=chains.rhs,
+                         csr_data=data, rhs=chains.rhs,
                          mem_indptr=mem_indptr, mem_var=mv, mem_chain=mg, mem_coeff=mc,
                          mem_lin=2.0 * p * mc, mem_const=p * mc * mc)
 
 
 # ---------------------------------------------------------------------------
-# Factored sweep engines (python and numba), sharing one draw discipline.
+# Factored sweeps: log-domain Metropolis bands over block-drawn uniforms.
 
 
 def _log_bands(us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,15 +288,16 @@ def _acceptors(deltas: np.ndarray, offset: float, t: float, us: np.ndarray,
 def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_inc,
                    cur_energy, best_energy, best_bits, draws, trace, trace_every,
                    sweeps_before):
-    """Run ``len(temps)`` sweeps in place; the numpy twin of ``_numba_sweeps``.
+    """Run ``len(temps)`` sweeps in place.
 
     ``draws`` is the replica's :class:`_BlockUniforms`.  Between flips the
     sweep keeps the sign vector ``dl = 1 - 2 * bits`` and the signed
     memberships ``mem_lin * dl[mem_var]``; a flip negates variable i's
-    entries of both, which is exact, so the flip gains are rebuilt with the
-    kernel's operations in the kernel's order.  They are a pure function of
-    ``(bits, base_lf, s)``, so a sweep with no acceptor leaves them valid for
-    the next one.
+    entries of both, which is exact.  The flip gains
+    ``dl * base_lf + sum(2*penalty*c*dl*(s - rhs) + penalty*c*c)`` are rebuilt
+    from them with a fixed sequence of operations, which the golden digests
+    pin.  They are a pure function of ``(bits, base_lf, s)``, so a sweep with
+    no acceptor leaves them valid for the next one.
     """
     nv = cm.nv
     bands, pick = draws.bands, draws.random_sample
@@ -328,8 +319,7 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
             t = 1e-300
         us, lo, hi = bands(nv)
         if stale:
-            # the kernel's 2*pen*c*dlt*(s - rhs) + pen*c*c and dlt*base_lf + sum,
-            # same operations in the same order, so the gains are bit-identical
+            # the operations and their order are what the golden digests pin
             np.subtract(s, rhs, out=sr)
             np.multiply(mld, sr[mem_chain], out=chain_gain)
             np.add(chain_gain, mem_const, out=chain_gain)
@@ -342,7 +332,7 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
             cur_energy = cur_energy + deltas[i]
             row = slice(csr_ptr[i], csr_ptr[i + 1])
             mrow = slice(mem_ptr[i], mem_ptr[i + 1])
-            # the kernel adds data * dlt, and x + d * -1.0 == x - d exactly
+            # x - d == x + d * -1.0 exactly: this is base_lf += data * dlt
             if bits[i]:
                 base_lf[csr_cols[row]] -= csr_data[row]
                 s[mem_chain[mrow]] -= mem_coeff[mrow]
@@ -365,67 +355,6 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
         if trace_every > 0 and (sweeps_before + sw + 1) % trace_every == 0:
             trace[(sweeps_before + sw + 1) // trace_every - 1] = best_energy
     return offset, cur_energy, best_energy, flips
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _numba_sweeps(bits, base_lf, s, pen, rhs, mem_indptr, mem_chain, mem_coeff,
-                      csr_indptr, csr_cols, csr_data, temps, offset, offset_inc,
-                      cur_energy, best_energy, best_bits, delta_buf, accept_buf,
-                      seed, do_seed, trace, trace_every, sweeps_before):
-        if do_seed:
-            np.random.seed(seed)
-        nv = bits.shape[0]
-        flips = 0
-        ti = 0
-        if trace_every > 0:
-            ti = sweeps_before // trace_every
-        for sw in range(temps.shape[0]):
-            t = temps[sw]
-            if t < 1e-300:
-                t = 1e-300
-            us = np.random.random(nv)
-            cnt = 0
-            for i in range(nv):
-                dlt = 1.0 - 2.0 * bits[i]
-                acc = 0.0
-                for p in range(mem_indptr[i], mem_indptr[i + 1]):
-                    g = mem_chain[p]
-                    c = mem_coeff[p]
-                    acc += 2.0 * pen[g] * c * dlt * (s[g] - rhs[g]) + pen[g] * c * c
-                d = dlt * base_lf[i] + acc
-                delta_buf[i] = d
-                eff = d - offset
-                if eff <= 0.0:
-                    accept_buf[cnt] = i
-                    cnt += 1
-                elif us[i] < math.exp(-eff / t):
-                    accept_buf[cnt] = i
-                    cnt += 1
-            if cnt > 0:
-                r = np.random.random()
-                i = accept_buf[int(r * cnt)]
-                d = delta_buf[i]
-                dlt = 1.0 - 2.0 * bits[i]
-                cur_energy = cur_energy + d
-                bits[i] = 1 - bits[i]
-                for p in range(csr_indptr[i], csr_indptr[i + 1]):
-                    base_lf[csr_cols[p]] += csr_data[p] * dlt
-                for p in range(mem_indptr[i], mem_indptr[i + 1]):
-                    s[mem_chain[p]] += mem_coeff[p] * dlt
-                offset = 0.0
-                flips += 1
-                if cur_energy < best_energy:
-                    best_energy = cur_energy
-                    for q in range(nv):
-                        best_bits[q] = bits[q]
-            else:
-                offset = offset + offset_inc
-            if trace_every > 0 and (sweeps_before + sw + 1) % trace_every == 0:
-                trace[ti] = best_energy
-                ti += 1
-        return offset, cur_energy, best_energy, flips
 
 
 def _greedy_fill(need: np.ndarray, chain: np.ndarray, var_idx: np.ndarray,
@@ -475,7 +404,7 @@ def _temperature_schedule(cfg: AnnealConfig, t0: float) -> np.ndarray:
 
 
 def _batch_size(time_left: float, sweep_s: float) -> int:
-    """Sweeps for the next engine call under a time limit.
+    """Sweeps for the next batch under a time limit.
 
     The batch fills half the time left at the measured rate, so the limit
     holds even when the machine slows down mid-batch and the final batch is
@@ -502,10 +431,6 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
         return SolveResult(best_bits=np.zeros(0, dtype=np.int8), best_energy=model.constant,
                            sweeps_done=0, wall_time=0.0, seed=cfg.seed)
 
-    use_numba = cfg.engine == "numba" or (cfg.engine == "auto" and HAVE_NUMBA)
-    if cfg.engine == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba engine requested but numba is not importable")
-
     cm = compile_model(model)
     nv = cm.nv
     best_bits = None
@@ -515,7 +440,7 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
     best_sweeps = 0
     best_trace: np.ndarray | None = None
     deadline = None if cfg.time_limit is None else start + cfg.time_limit
-    sweep_s = 0.0  # measured seconds per sweep of the latest engine call
+    sweep_s = 0.0  # measured seconds per sweep of the latest batch
 
     for replica in range(cfg.replicas):
         init_rs = np.random.RandomState(_derive_seed(cfg.seed, replica, "init"))
@@ -545,25 +470,15 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
         flips = 0
         done = 0
         trace = np.zeros(cfg.sweeps // cfg.trace_every if cfg.trace_every else 0)
-        delta_buf = np.zeros(nv, dtype=np.float64)
-        accept_buf = np.zeros(nv, dtype=np.int64)
         timed_out = False
 
         while done < cfg.sweeps and not timed_out:
             called = time.perf_counter()
             size = BATCH_SWEEPS if deadline is None else _batch_size(deadline - called, sweep_s)
             batch = temps[done:done + size]
-            if use_numba:
-                offset, cur_energy, rep_best_energy, f = _numba_sweeps(
-                    bits, base_lf, s, cm.pen, cm.rhs, cm.mem_indptr, cm.mem_chain,
-                    cm.mem_coeff, cm.csr_indptr, cm.csr_cols, cm.csr_data, batch,
-                    offset, offset_inc, cur_energy, rep_best_energy, rep_best_bits,
-                    delta_buf, accept_buf, sweep_seed, done == 0, trace,
-                    cfg.trace_every, done)
-            else:
-                offset, cur_energy, rep_best_energy, f = _python_sweeps(
-                    cm, bits, base_lf, s, batch, offset, offset_inc, cur_energy,
-                    rep_best_energy, rep_best_bits, draws, trace, cfg.trace_every, done)
+            offset, cur_energy, rep_best_energy, f = _python_sweeps(
+                cm, bits, base_lf, s, batch, offset, offset_inc, cur_energy,
+                rep_best_energy, rep_best_bits, draws, trace, cfg.trace_every, done)
             now = time.perf_counter()
             sweep_s = (now - called) / len(batch)
             flips += f

@@ -5,7 +5,7 @@ per-cell seeds through :func:`qubopart.pipeline.partition`, records raw and
 repaired cuts plus approximation ratios against the reference registry, and
 emits CSV, JSON, or a markdown comparison table.  External solver results
 (graph_id, solver_id, k, epsilon, cut CSV) merge into the comparison so
-different engines can be lined up per row, with the row minimum bolded.
+different solvers can be lined up per row, with the row minimum bolded.
 
 Re-running the same config reproduces the same records byte for byte apart
 from wall times; cells that fail (unreadable file, oversized model,
@@ -68,7 +68,6 @@ class GridConfig:
     max_vars: int = 200_000
     solver_id: str = "anneal"
     balanced_init: bool = True
-    engine: str = "auto"
     workers: int = 1
     sparsify: bool = False  # route cells through the sparsify pipeline
     keep_ratio: float = 0.7
@@ -119,8 +118,7 @@ def _run_cell(g: Graph, graph_id: str, k: int, epsilon: float,
         raise ValueError(f"penalty must be 'auto' or a number, got {cfg.penalty!r}")
     penalty = None if cfg.penalty == "auto" else float(cfg.penalty)
     anneal_cfg = AnnealConfig(sweeps=cfg.sweeps, replicas=cfg.replicas, seed=rec.seed,
-                              time_limit=cfg.time_limit, balanced_init=cfg.balanced_init,
-                              engine=cfg.engine)
+                              time_limit=cfg.time_limit, balanced_init=cfg.balanced_init)
     start = time.perf_counter()
     if cfg.sparsify:
         try:
@@ -183,7 +181,7 @@ def run_grid(cfg: GridConfig) -> list[RunRecord]:
     if cfg.workers == 1 or len(tasks) <= 1:
         results = [_run_cell(*args) for args in cell_args]
     else:
-        # processes, not threads: the compiled kernel owns a global RNG state
+        # processes, not threads: the sweeps are Python loops that hold the GIL
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:

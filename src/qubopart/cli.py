@@ -39,7 +39,6 @@ def _add_solver_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--replicas", type=int, default=8)
     sub.add_argument("--sweeps", type=int, default=4000)
     sub.add_argument("--time-limit", type=float, default=None, help="seconds per solve")
-    sub.add_argument("--engine", choices=["auto", "numba", "python"], default="auto")
     sub.add_argument("--balanced-init", action=argparse.BooleanOptionalAction, default=True,
                      help="start replicas from balanced random partitions")
 
@@ -85,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--penalty", type=_penalty_arg)
     bench.add_argument("--time-limit", type=float, dest="time_limit")
     bench.add_argument("--solver-id", dest="solver_id")
-    bench.add_argument("--engine", choices=["auto", "numba", "python"])
     bench.add_argument("--workers", type=int, help="cells run in this many processes")
     bench.add_argument("--sparsify", action=argparse.BooleanOptionalAction, default=None,
                        help="route cells through the sparsify pipeline")
@@ -114,8 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _anneal_config(args) -> AnnealConfig:
     return AnnealConfig(sweeps=args.sweeps, replicas=args.replicas, seed=args.seed,
-                        time_limit=args.time_limit, balanced_init=args.balanced_init,
-                        engine=args.engine)
+                        time_limit=args.time_limit, balanced_init=args.balanced_init)
 
 
 def _solve_command(args, k: int) -> int:
@@ -177,7 +174,7 @@ def _pipeline_command(args) -> int:
 def _bench_command(args) -> int:
     overrides = {key: getattr(args, key) for key in
                  ("graphs", "ks", "epsilons", "sweeps", "replicas", "seed",
-                  "penalty", "time_limit", "solver_id", "engine",
+                  "penalty", "time_limit", "solver_id",
                   "workers", "sparsify", "keep_ratio", "repeats")}
     if args.config:
         cfg = load_grid_config(args.config, overrides)

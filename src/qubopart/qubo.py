@@ -381,11 +381,13 @@ def _partition_model(g: Graph, indicators: np.ndarray, chains: ChainSet, nv: int
             col += 1
     rows = np.repeat(np.arange(nv), np.diff(indptr))
 
+    # one constant fills both coefficient arrays, so read-only broadcasts of it
+    # stand in for them without memory per term; neither is ever written
     model = QuboModel(num_vars=nv, base_linear=lin, base_quad_i=qi, base_quad_j=qj,
-                      base_quad_c=np.full(len(qi), coeff), chains=chains,
+                      base_quad_c=np.broadcast_to(coeff, len(qi)), chains=chains,
                       indicators=indicators, penalty=penalty, k=k, epsilon=float(epsilon), n=n)
-    vars(model)["objective_csr"] = _read_only(indptr, rows, cols,
-                                              np.full(len(cols), coeff))  # fills the cached_property
+    vars(model)["objective_csr"] = _read_only(indptr, rows, cols,  # fills the cached_property
+                                              np.broadcast_to(coeff, len(cols)))
     return model
 
 

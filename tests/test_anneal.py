@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 import time
 
 import numpy as np
@@ -16,9 +18,6 @@ from qubopart.qubo import (QuboModel, _coalesce, build_bipartition_qubo, build_k
 from conftest import bipartition_optimum, gnp_graph, kway_optimum, small_corpus
 from reference import apply_flip, delta_energy, expanded_neighbors, local_fields, sweep
 
-needs_numba = pytest.mark.skipif(not anneal.HAVE_NUMBA, reason="numba unavailable")
-
-
 def _random_models(seed=5):
     rng = np.random.RandomState(seed)
     g = gnp_graph(10, 0.4, rng)
@@ -28,7 +27,7 @@ def _random_models(seed=5):
 def test_config_validation():
     for kwargs in ({"sweeps": 0}, {"replicas": 0}, {"temp_final": 0.0},
                    {"temp_initial": -1.0}, {"schedule": "cosine"},
-                   {"engine": "gpu"}, {"time_limit": 0.0}):
+                   {"trace_every": -1}, {"time_limit": 0.0}):
         with pytest.raises(ValueError):
             AnnealConfig(**kwargs)
 
@@ -129,6 +128,8 @@ def test_reference_sweep_flip_discipline():
 
 
 def test_reference_sweep_matches_python_engine():
+    """The sweeps follow the expanded-form reference rule sweep by sweep, on a
+    cooling schedule that passes through flipping and escape sweeps."""
     models, _ = _random_models(8)
     for model in models:
         cm = compile_model(model)
@@ -139,16 +140,21 @@ def test_reference_sweep_matches_python_engine():
         lf = local_fields(model, bits_a, nbrs)
         base_lf = cm.base_local_fields(bits_b)
         s = model.chains.sums(bits_b)
-        temps = np.full(30, 2.0)
+        temps = anneal._temperature_schedule(AnnealConfig(sweeps=400, temp_final=0.05), 4.0)
         rng_a = np.random.RandomState(99)
         rng_b = anneal._BlockUniforms(np.random.RandomState(99), cm.nv)
-        offset_a = 0.0
-        for t in temps:
-            _, offset_a = sweep(nbrs, bits_a, lf, t, rng_a, offset_a, 0.01)
-        anneal._python_sweeps(cm, bits_b, base_lf, s, temps, 0.0, 0.01,
-                              energy(model, bits_b), math.inf, bits_b.copy(),
-                              rng_b, None, 0, 0)
-        assert np.array_equal(bits_a, bits_b)
+        offset_a = offset_b = 0.0
+        cur, best, best_bits = energy(model, bits_b), math.inf, bits_b.copy()
+        escapes = 0
+        for sw, t in enumerate(temps):
+            flipped, offset_a = sweep(nbrs, bits_a, lf, t, rng_a, offset_a, 0.01)
+            offset_b, cur, best, _ = anneal._python_sweeps(
+                cm, bits_b, base_lf, s, temps[sw:sw + 1], offset_b, 0.01, cur, best,
+                best_bits, rng_b, None, 0, sw)
+            assert np.array_equal(bits_a, bits_b), sw
+            assert offset_a == offset_b, sw
+            escapes += flipped < 0
+        assert 0 < escapes < len(temps)
 
 
 def _run_batches(model, sweeps, sizes, rng):
@@ -227,24 +233,6 @@ def test_batch_split_changes_nothing(monkeypatch, block):
     assert whole_draws.handed == split_draws.handed
 
 
-@needs_numba
-def test_engines_bit_identical():
-    rng = np.random.RandomState(21)
-    g = gnp_graph(24, 0.25, rng)
-    for model in (build_bipartition_qubo(g, 0.1), build_kway_qubo(g, 3)):
-        results = {}
-        for engine in ("python", "numba"):
-            cfg = AnnealConfig(sweeps=400, replicas=2, seed=11, engine=engine,
-                               balanced_init=True, trace_every=50)
-            results[engine] = solve(model, cfg)
-        a, b = results["python"], results["numba"]
-        assert np.array_equal(a.best_bits, b.best_bits)
-        assert a.best_energy == b.best_energy
-        assert a.flips == b.flips
-        assert a.replica_id == b.replica_id
-        assert np.allclose(a.energy_trace, b.energy_trace, atol=1e-9)
-
-
 def test_solve_deterministic():
     g = gnp_graph(15, 0.3, np.random.RandomState(2))
     model = build_bipartition_qubo(g)
@@ -252,6 +240,40 @@ def test_solve_deterministic():
     a, b = solve(model, cfg), solve(model, cfg)
     assert np.array_equal(a.best_bits, b.best_bits)
     assert (a.best_energy, a.flips, a.replica_id) == (b.best_energy, b.flips, b.replica_id)
+
+
+def test_concurrent_solves_match_sequential():
+    # every replica owns its RandomState, so solves in two threads share no state
+    g = gnp_graph(30, 0.2, np.random.RandomState(21))
+    jobs = [(build_bipartition_qubo(g, 0.1), AnnealConfig(sweeps=400, replicas=2, seed=11,
+                                                          trace_every=50)),
+            (build_kway_qubo(g, 3), AnnealConfig(sweeps=400, replicas=2, seed=12,
+                                                 balanced_init=True, trace_every=50))]
+    sequential = [solve(model, cfg) for model, cfg in jobs]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter lock over often
+    try:
+        for _ in range(3):
+            start = threading.Barrier(len(jobs), timeout=30)
+            results = [None] * len(jobs)
+
+            def run(j):
+                start.wait()
+                results[j] = solve(*jobs[j])
+
+            threads = [threading.Thread(target=run, args=(j,)) for j in range(len(jobs))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+                assert not th.is_alive()
+            for a, b in zip(sequential, results):
+                assert np.array_equal(a.best_bits, b.best_bits)
+                assert (a.best_energy, a.flips, a.replica_id) == \
+                    (b.best_energy, b.flips, b.replica_id)
+                assert np.array_equal(a.energy_trace, b.energy_trace)
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_solve_reaches_bipartition_optimum():
@@ -280,7 +302,7 @@ def test_solve_chainless_models():
     for model, optimum in cases:
         assert len(model.chains) == 0
         assert model.chains.sums(np.zeros(model.num_vars)).dtype == np.float64
-        res = solve(model, AnnealConfig(sweeps=200, replicas=2, seed=4, engine="python"))
+        res = solve(model, AnnealConfig(sweeps=200, replicas=2, seed=4))
         assert res.best_energy == energy(model, res.best_bits)
         assert res.best_energy == optimum
 
@@ -328,11 +350,10 @@ def _decode_labels(model, bits):
 
 def _assert_time_limit_holds(model, limit):
     start = time.perf_counter()
-    solve(model, AnnealConfig(sweeps=20, seed=0, engine="python"))
+    solve(model, AnnealConfig(sweeps=20, seed=0))
     sweep_s = (time.perf_counter() - start) / 20  # set-up included: an upper bound
     start = time.perf_counter()
-    res = solve(model, AnnealConfig(sweeps=500_000, replicas=1, seed=0, engine="python",
-                                    time_limit=limit))
+    res = solve(model, AnnealConfig(sweeps=500_000, replicas=1, seed=0, time_limit=limit))
     overshoot = time.perf_counter() - start - limit
     assert 0 < res.sweeps_done < 500_000
     assert overshoot < 0.05 + sweep_s, (overshoot, sweep_s, res.sweeps_done)

@@ -1,21 +1,23 @@
 """Golden trajectories of the solver.
 
 Each case pins one SHA-256 digest over the returned replica's best bits,
-best energy, flip count, replica id and energy trace.  The digests were
-computed with the per-element scalar Metropolis loop (``math.exp`` on one
-variable at a time) at commit ca84b31, before the acceptance test was
-vectorised, so any change to the trajectory of the numpy engine shows here
-even where the numba engine, the other reference, is not installed.
+best energy, flip count, replica id and energy trace.  The digests are the
+solver's determinism contract: the draw order, the acceptance rule, and the
+flip-gain arithmetic with its order of operations all show in them.  They
+were computed with the per-element scalar Metropolis loop (``math.exp`` on
+one variable at a time) at commit ca84b31, before the acceptance test was
+vectorised, so any change to the trajectory of the sweeps shows here.
 
 ``k2-eps0.1-random-init`` was recomputed the same way when the epsilon > 0
 bipartition model gained its lower bound on the part-1 size: the scalar loop
-of ca84b31 solving the new model gives the digest below, and so does the
-numpy engine.  The other three models have epsilon == 0 and did not change.
+of ca84b31 solving the new model gives the digest below, and so do the
+vectorised sweeps.  The other three models have epsilon == 0 and did not
+change.
 
 ``grid12x16-eps0`` (the ``bisect-grid`` benchmark's model, schedule and
 sweep count) and ``k4-above-block`` (4180 variables, more than one draw
 block, so every sweep refills it) were computed at commit d8709f9, whose
-numpy engine rebuilt the flip gains after every flip and made the Metropolis
+sweeps rebuilt the flip gains after every flip and made the Metropolis
 test with ``np.exp`` plus a scalar ``math.exp`` re-check.
 
 ``test_golden_noninteger_penalty`` pins a model at penalty 0.3, whose
@@ -63,15 +65,14 @@ def _sparse_random_graph(n, m, rng):
 def _case(name):
     if name == "grid12x16-eps0":  # the bisect-grid benchmark's model and schedule
         return build_bipartition_qubo(_grid(12, 16)), AnnealConfig(
-            seed=16, sweeps=2000, replicas=2, trace_every=100, balanced_init=True,
-            engine="python")
-    if name == "k4-above-block":  # every sweep refills the numpy engine's draw block
+            seed=16, sweeps=2000, replicas=2, trace_every=100, balanced_init=True)
+    if name == "k4-above-block":  # every sweep refills the draw block
         g = _sparse_random_graph(1040, 3000, np.random.RandomState(22))
         return build_kway_qubo(g, 4, 0.05), AnnealConfig(
             seed=17, sweeps=600, replicas=2, trace_every=50, balanced_init=True,
-            temp_initial=1.0, temp_final=0.5, engine="python")
+            temp_initial=1.0, temp_final=0.5)
     g = gnp_graph(30, 0.2, np.random.RandomState(21))
-    common = {"sweeps": 600, "replicas": 2, "trace_every": 50, "engine": "python"}
+    common = {"sweeps": 600, "replicas": 2, "trace_every": 50}
     if name == "k2-eps0":
         return build_bipartition_qubo(g), AnnealConfig(seed=11, balanced_init=True, **common)
     if name == "k2-eps0.1-random-init":
@@ -113,7 +114,7 @@ def test_golden_noninteger_penalty():
     rng = np.random.RandomState(32)
     energies = [energy(model, rng.randint(0, 2, size=model.num_vars)) for _ in range(20)]
     res = solve(model, AnnealConfig(seed=15, sweeps=600, replicas=2, trace_every=50,
-                                    balanced_init=True, engine="python"))
+                                    balanced_init=True))
     got = {
         "qubo-text": hashlib.sha256(write_qubo_text(model).encode()).hexdigest(),
         "energies": hashlib.sha256(np.asarray(energies, dtype=np.float64).tobytes()).hexdigest(),

@@ -110,6 +110,11 @@ def test_bench_config_with_override(graph_file, tmp_path, capsys):
     assert rc == 2
     assert "no graphs" in capsys.readouterr().err
 
+    cfg.write_text(f"graphs: ['{graph_file}']\nengine: python\n")  # no such key
+    rc = main(["bench", "--config", str(cfg)])
+    assert rc == 2
+    assert "unknown config keys: ['engine']" in capsys.readouterr().err
+
 
 def test_bench_sparsify_and_workers(graph_file, tmp_path):
     out = tmp_path / "grid.json"
@@ -220,7 +225,8 @@ def test_pinned_json_outputs(graph_file, argv, expected, capsys, monkeypatch):
 
 
 def test_pinned_bench_csv(graph_file, capsys, monkeypatch):
-    # a relative graph path keeps the config digest independent of the temp dir
+    # a relative graph path keeps the config digest independent of the temp dir;
+    # the digest hashes every GridConfig field, so it changes with the fields
     rc, out = _run_in(Path(graph_file).parent,
                       ["bench", "--graphs", "toy.graph", "--sweeps", "100",
                        "--replicas", "1", "--format", "csv"], capsys, monkeypatch)
@@ -232,7 +238,7 @@ def test_pinned_bench_csv(graph_file, capsys, monkeypatch):
          "cut_raw", "cut_repaired", "feasible", "approximation_ratio",
          "config_digest", "error"],
         ["toy", "12", "4.6667", "anneal", "2", "0.0", "9.0", "3290067018",
-         "13", "13", "true", "", "1f571503a8a2", ""],
+         "13", "13", "true", "", "6c91b718b2aa", ""],
     ]
 
 

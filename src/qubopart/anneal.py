@@ -21,7 +21,11 @@ band around the log of every draw.  The Metropolis test then compares
 acceptor sets equal that scalar rule's exactly.  Between flips the engine
 keeps the sign vector ``1 - 2 * bits`` and the signed chain memberships,
 which a flip negates, and rebuilds the flip gains only after a flip: a sweep
-with no acceptor changes no state they depend on.
+with no acceptor changes no state they depend on.  A flip updates its own
+entries of that state, its objective row of the local fields and its chain
+sums as Python scalars through memoryviews, the same double operations
+numpy would do without numpy's cost per call; objective rows longer than
+``_SCALAR_ROW_MAX`` take one numpy update instead.
 Replica r of a solve seeds its stream from SHA-256 of (seed, r), making
 replicas independent and the whole solve deterministic.  Every replica owns
 its ``RandomState``, so solves share no state.
@@ -83,14 +87,21 @@ class AnnealConfig:
             raise ValueError(f"sweeps must be at least 1, got {self.sweeps}")
         if self.replicas < 1:
             raise ValueError(f"replicas must be at least 1, got {self.replicas}")
-        if self.temp_final <= 0:
-            raise ValueError(f"final temperature must be positive, got {self.temp_final}")
-        if self.temp_initial is not None and self.temp_initial <= 0:
-            raise ValueError("initial temperature must be positive when given")
+        # a chained "0 < x < inf" is false for NaN as well
+        if not (0 < self.temp_final < math.inf):
+            raise ValueError(f"final temperature must be finite and positive, "
+                             f"got {self.temp_final}")
+        if self.temp_initial is not None and not (0 < self.temp_initial < math.inf):
+            raise ValueError(f"initial temperature must be finite and positive when given, "
+                             f"got {self.temp_initial}")
         if self.schedule not in ("geometric", "linear"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError("time limit must be positive when given")
+        if self.offset_increment is not None and not (0 <= self.offset_increment < math.inf):
+            raise ValueError(f"offset_increment must be finite and non-negative when given, "
+                             f"got {self.offset_increment}")
+        if self.time_limit is not None and not (0 < self.time_limit < math.inf):
+            raise ValueError(f"time limit must be finite and positive when given, "
+                             f"got {self.time_limit}")
         if self.trace_every < 0:
             raise ValueError(f"trace_every must be non-negative, got {self.trace_every}")
 
@@ -147,19 +158,6 @@ class CompiledModel:
     def base_local_fields(self, bits: np.ndarray) -> np.ndarray:
         contrib = self.csr_data * bits[self.csr_cols]
         return self.base_lin + np.bincount(self.csr_rows, weights=contrib, minlength=self.nv)
-
-    def all_deltas(self, bits: np.ndarray, base_lf: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Flip gain of every variable at the current state."""
-        dlt = 1.0 - 2.0 * bits
-        if len(self.mem_var):
-            # the operations of _python_sweeps' gain rebuild in its order, so
-            # t0 and the golden digests that pin it do not change
-            contrib = self.mem_lin * dlt[self.mem_var] * (s - self.rhs)[self.mem_chain] \
-                + self.mem_const
-            chain_part = np.bincount(self.mem_var, weights=contrib, minlength=self.nv)
-        else:
-            chain_part = np.zeros(self.nv)
-        return dlt * base_lf + chain_part
 
 
 def compile_model(model: QuboModel) -> CompiledModel:
@@ -285,33 +283,65 @@ def _acceptors(deltas: np.ndarray, offset: float, t: float, us: np.ndarray,
     return sure.nonzero()[0]
 
 
+def _signs(cm: CompiledModel, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sign vector ``dl = 1 - 2 * bits`` and the signed memberships
+    ``mem_lin * dl[mem_var]`` that :func:`_flip_gains` reads."""
+    dl = 1.0 - 2.0 * bits
+    return dl, cm.mem_lin * dl[cm.mem_var]
+
+
+def _flip_gains(cm: CompiledModel, dl: np.ndarray, mld: np.ndarray, base_lf: np.ndarray,
+                s: np.ndarray, out=None, sr=None, chain_gain=None) -> np.ndarray:
+    """Flip gain of every variable,
+    ``dl * base_lf + sum(2*penalty*c*dl*(s - rhs) + penalty*c*c)`` over its
+    memberships, from the state :func:`_signs` derives.
+
+    The operations and their order are what the golden digests pin, through
+    t0 and every sweep.  ``out``, ``sr`` and ``chain_gain`` are optional
+    scratch arrays of ``nv``, ``len(s)`` and ``len(mld)``.
+    """
+    sr = np.subtract(s, cm.rhs, out=sr)
+    chain_gain = np.multiply(mld, sr[cm.mem_chain], out=chain_gain)
+    np.add(chain_gain, cm.mem_const, out=chain_gain)
+    out = np.multiply(dl, base_lf, out=out)
+    return np.add(out, np.bincount(cm.mem_var, chain_gain, cm.nv), out=out)
+
+
+# A flip updates objective rows of up to this many entries one scalar at a
+# time, longer ones with one numpy fancy-index update: the scalar loop costs
+# about 0.3-0.4 us + 0.12-0.15 us an entry, the fancy-index update 1.0-2.0 us
+# whatever its length, so they cross at 6-10 entries (numpy 2.4, x86-64)
+_SCALAR_ROW_MAX = 8
+
+
 def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_inc,
                    cur_energy, best_energy, best_bits, draws, trace, trace_every,
                    sweeps_before):
     """Run ``len(temps)`` sweeps in place.
 
     ``draws`` is the replica's :class:`_BlockUniforms`.  Between flips the
-    sweep keeps the sign vector ``dl = 1 - 2 * bits`` and the signed
-    memberships ``mem_lin * dl[mem_var]``; a flip negates variable i's
-    entries of both, which is exact.  The flip gains
-    ``dl * base_lf + sum(2*penalty*c*dl*(s - rhs) + penalty*c*c)`` are rebuilt
-    from them with a fixed sequence of operations, which the golden digests
-    pin.  They are a pure function of ``(bits, base_lf, s)``, so a sweep with
-    no acceptor leaves them valid for the next one.
+    sweep keeps the sign vector and the signed memberships of
+    :func:`_signs`; a flip negates variable i's entries of both, which is
+    exact.  The flip gains are rebuilt by :func:`_flip_gains` only after a
+    flip: they are a pure function of ``(bits, base_lf, s)``, so a sweep with
+    no acceptor leaves them valid for the next one.  A flip's own updates
+    run on Python scalars, see the module docstring.
     """
     nv = cm.nv
     bands, pick = draws.bands, draws.random_sample
-    # a memoryview indexes to Python ints, which slice faster than numpy
-    # scalars, and unlike tolist() costs nothing per variable
+    # a memoryview indexes to Python ints and floats, which cost less than
+    # numpy scalars, and unlike tolist() costs nothing per variable
     csr_ptr, mem_ptr = memoryview(cm.csr_indptr), memoryview(cm.mem_indptr)
     csr_cols, csr_data = cm.csr_cols, cm.csr_data
-    mem_var, mem_chain, mem_coeff = cm.mem_var, cm.mem_chain, cm.mem_coeff
-    rhs, mem_const = cm.rhs, cm.mem_const
-    dl = 1.0 - 2.0 * bits
-    mld = cm.mem_lin * dl[mem_var]
-    sr, chain_gain = np.empty(len(s)), np.empty(len(mem_var))
+    cols_v, data_v = memoryview(csr_cols), memoryview(csr_data)
+    chain_v, coeff_v = memoryview(cm.mem_chain), memoryview(cm.mem_coeff)
+    row_max = _SCALAR_ROW_MAX
+    dl, mld = _signs(cm, bits)
+    sr, chain_gain = np.empty(len(s)), np.empty(len(mld))
     deltas, y = np.empty(nv), np.empty(nv)
     sure, maybe = np.empty(nv, dtype=bool), np.empty(nv, dtype=bool)
+    bits_v, lf_v, s_v = memoryview(bits), memoryview(base_lf), memoryview(s)
+    dl_v, mld_v, deltas_v = memoryview(dl), memoryview(mld), memoryview(deltas)
     stale = True
     flips = 0
     for sw, t in enumerate(temps.tolist()):
@@ -319,31 +349,39 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
             t = 1e-300
         us, lo, hi = bands(nv)
         if stale:
-            # the operations and their order are what the golden digests pin
-            np.subtract(s, rhs, out=sr)
-            np.multiply(mld, sr[mem_chain], out=chain_gain)
-            np.add(chain_gain, mem_const, out=chain_gain)
-            np.multiply(dl, base_lf, out=deltas)
-            np.add(deltas, np.bincount(mem_var, chain_gain, nv), out=deltas)
+            _flip_gains(cm, dl, mld, base_lf, s, deltas, sr, chain_gain)
             stale = False
         acceptors = _acceptors(deltas, offset, t, us, lo, hi, y, sure, maybe)
         if len(acceptors):
             i = int(acceptors[int(pick() * len(acceptors))])
-            cur_energy = cur_energy + deltas[i]
-            row = slice(csr_ptr[i], csr_ptr[i + 1])
-            mrow = slice(mem_ptr[i], mem_ptr[i + 1])
-            # x - d == x + d * -1.0 exactly: this is base_lf += data * dlt
-            if bits[i]:
-                base_lf[csr_cols[row]] -= csr_data[row]
-                s[mem_chain[mrow]] -= mem_coeff[mrow]
-                bits[i] = 0
+            cur_energy = cur_energy + deltas_v[i]
+            a, b = csr_ptr[i], csr_ptr[i + 1]
+            # x - d == x + d * -1.0 exactly: this is base_lf += data * dl
+            if bits_v[i]:
+                if b - a > row_max:
+                    base_lf[csr_cols[a:b]] -= csr_data[a:b]
+                else:
+                    for j in range(a, b):
+                        c = cols_v[j]
+                        lf_v[c] = lf_v[c] - data_v[j]
+                for j in range(mem_ptr[i], mem_ptr[i + 1]):
+                    g = chain_v[j]
+                    s_v[g] = s_v[g] - coeff_v[j]
+                    mld_v[j] = -mld_v[j]
+                bits_v[i] = 0
             else:
-                base_lf[csr_cols[row]] += csr_data[row]
-                s[mem_chain[mrow]] += mem_coeff[mrow]
-                bits[i] = 1
-            dl[i] = -dl[i]
-            seg = mld[mrow]
-            np.negative(seg, out=seg)
+                if b - a > row_max:
+                    base_lf[csr_cols[a:b]] += csr_data[a:b]
+                else:
+                    for j in range(a, b):
+                        c = cols_v[j]
+                        lf_v[c] = lf_v[c] + data_v[j]
+                for j in range(mem_ptr[i], mem_ptr[i + 1]):
+                    g = chain_v[j]
+                    s_v[g] = s_v[g] + coeff_v[j]
+                    mld_v[j] = -mld_v[j]
+                bits_v[i] = 1
+            dl_v[i] = -dl_v[i]
             stale = True
             offset = 0.0
             flips += 1
@@ -455,7 +493,7 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
         if cfg.temp_initial is not None:
             t0 = cfg.temp_initial
         else:
-            t0 = float(np.max(np.abs(cm.all_deltas(bits, base_lf, s)))) if nv else 1.0
+            t0 = float(np.max(np.abs(_flip_gains(cm, *_signs(cm, bits), base_lf, s)))) if nv else 1.0
             if t0 <= 0.0:
                 t0 = 1.0
         temps = _temperature_schedule(cfg, t0)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .anneal import AnnealConfig
@@ -26,9 +27,12 @@ def _penalty_arg(text: str):
     if text == "auto":
         return "auto"
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"penalty must be 'auto' or a number, got {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"penalty must be finite, got {text!r}")
+    return value
 
 
 def _add_solver_flags(sub: argparse.ArgumentParser):

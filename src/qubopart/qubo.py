@@ -403,8 +403,8 @@ def build_bipartition_qubo(g: Graph, epsilon: float = 0.0,
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
     p = default_penalty(g) if penalty is None else float(penalty)
-    if p <= 0:
-        raise ValueError(f"penalty must be positive, got {p}")
+    if not (0 < p < math.inf):
+        raise ValueError(f"penalty must be finite and positive, got {p}")
     lo, hi = _chain_bounds(g.n, 2, epsilon)
     indicators = np.arange(g.n, dtype=np.int64)[:, None]
     chains = ChainSet.from_blocks(_balance_chains(indicators.T, lo, hi, g.n))
@@ -423,8 +423,8 @@ def build_kway_qubo(g: Graph, k: int, epsilon: float = 0.0,
     if k < 2 or k > g.n:
         raise ValueError(f"k must lie in 2..n={g.n}, got {k}")
     p = default_penalty(g) if penalty is None else float(penalty)
-    if p <= 0:
-        raise ValueError(f"penalty must be positive, got {p}")
+    if not (0 < p < math.inf):
+        raise ValueError(f"penalty must be finite and positive, got {p}")
     lo, hi = _chain_bounds(g.n, k, epsilon)
     indicators = np.arange(g.n * k, dtype=np.int64).reshape(g.n, k)
     one_hot = (indicators, np.ones(indicators.shape), 1.0)  # one chain per vertex

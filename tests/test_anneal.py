@@ -25,11 +25,17 @@ def _random_models(seed=5):
 
 
 def test_config_validation():
+    nan, inf = math.nan, math.inf
     for kwargs in ({"sweeps": 0}, {"replicas": 0}, {"temp_final": 0.0},
                    {"temp_initial": -1.0}, {"schedule": "cosine"},
-                   {"trace_every": -1}, {"time_limit": 0.0}):
+                   {"trace_every": -1}, {"time_limit": 0.0},
+                   {"temp_final": nan}, {"temp_final": inf},
+                   {"temp_initial": nan}, {"temp_initial": inf},
+                   {"offset_increment": -0.1}, {"offset_increment": nan},
+                   {"offset_increment": inf}, {"time_limit": nan}, {"time_limit": inf}):
         with pytest.raises(ValueError):
             AnnealConfig(**kwargs)
+    AnnealConfig(offset_increment=0.0)  # no escape offset is a valid choice
 
 
 def test_delta_energy_matches_recomputation():
@@ -64,7 +70,8 @@ def test_compiled_deltas_match_reference():
         bits = rng.randint(0, 2, size=model.num_vars).astype(np.int8)
         lf = local_fields(model, bits)
         ref = np.array([delta_energy(model, bits, i, lf) for i in range(model.num_vars)])
-        got = cm.all_deltas(bits, cm.base_local_fields(bits), model.chains.sums(bits))
+        got = anneal._flip_gains(cm, *anneal._signs(cm, bits), cm.base_local_fields(bits),
+                                  model.chains.sums(bits))
         assert np.allclose(got, ref, atol=1e-9)
 
 
@@ -129,10 +136,16 @@ def test_reference_sweep_flip_discipline():
 
 def test_reference_sweep_matches_python_engine():
     """The sweeps follow the expanded-form reference rule sweep by sweep, on a
-    cooling schedule that passes through flipping and escape sweeps."""
+    cooling schedule that passes through flipping and escape sweeps.  The
+    random models' objective rows take the scalar flip update, the dense
+    ones' rows are longer than ``_SCALAR_ROW_MAX`` and take the numpy one."""
     models, _ = _random_models(8)
-    for model in models:
+    dense = gnp_graph(24, 0.9, np.random.RandomState(8))
+    models += [build_bipartition_qubo(dense, 0.2), build_kway_qubo(dense, 3, 0.25)]
+    for m, model in enumerate(models):
         cm = compile_model(model)
+        longest = np.diff(cm.csr_indptr).max()
+        assert (longest > anneal._SCALAR_ROW_MAX) == (m >= 2)
         nbrs = expanded_neighbors(model)
         init = np.random.RandomState(3)
         bits_a = (init.random_sample(model.num_vars) < 0.5).astype(np.int8)
@@ -162,7 +175,7 @@ def _run_batches(model, sweeps, sizes, rng):
     cm = compile_model(model)
     bits = anneal._balanced_initial_bits(model, np.random.RandomState(4))
     base_lf, s = cm.base_local_fields(bits), model.chains.sums(bits)
-    t0 = float(np.max(np.abs(cm.all_deltas(bits, base_lf, s))))
+    t0 = float(np.max(np.abs(anneal._flip_gains(cm, *anneal._signs(cm, bits), base_lf, s))))
     temps = anneal._temperature_schedule(AnnealConfig(sweeps=sweeps, temp_final=0.05), t0)
     cur = best = energy(model, bits)
     best_bits, trace = bits.copy(), np.zeros(sweeps // 10)
@@ -176,6 +189,24 @@ def _run_batches(model, sweeps, sizes, rng):
         done += len(batch)
         call += 1
     return bits, base_lf, s, offset, cur, best, best_bits, flips, trace
+
+
+@pytest.mark.parametrize("form", ["bipartition", "kway3"])
+def test_flip_update_path_changes_nothing(monkeypatch, form):
+    # objective rows of 3 to 16 entries, on both sides of the crossover
+    g = gnp_graph(30, 0.3, np.random.RandomState(31))
+    model = build_bipartition_qubo(g, 0.1) if form == "bipartition" else build_kway_qubo(g, 3, 0.1)
+    lengths = np.diff(compile_model(model).csr_indptr)
+    assert lengths.min() <= anneal._SCALAR_ROW_MAX < lengths.max()
+    runs = []
+    for row_max in (0, anneal._SCALAR_ROW_MAX, 10 ** 9):  # all numpy, mixed, all scalar
+        monkeypatch.setattr(anneal, "_SCALAR_ROW_MAX", row_max)
+        draws = anneal._BlockUniforms(np.random.RandomState(37), model.num_vars)
+        runs.append(_run_batches(model, 400, [400], draws))
+    for run in runs[1:]:
+        for a, b in zip(runs[0], run):
+            assert np.array_equal(a, b)
+    assert 0 < runs[0][7] < 400  # both flipping and escape sweeps occurred
 
 
 class _RecordingDraws(anneal._BlockUniforms):

@@ -184,6 +184,18 @@ def test_malformed_graph_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--penalty", "nan"), ("--penalty", "inf"),
+                                         ("--time-limit", "nan")])
+def test_non_finite_solver_flag_exit_code(graph_file, flag, value, capsys):
+    try:
+        rc = main(["partition", "--graph", graph_file, flag, value, *FAST])
+    except SystemExit as exc:  # argparse rejected the value
+        rc = exc.code
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+
+
 def _run_in(directory, argv, capsys, monkeypatch):
     monkeypatch.chdir(directory)
     rc = main(argv)

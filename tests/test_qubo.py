@@ -168,6 +168,16 @@ def test_kway_structure():
         build_kway_qubo(g, 3, penalty=0.0)
 
 
+@pytest.mark.parametrize("penalty", [0.0, -1.0, math.nan, math.inf])
+def test_builders_reject_non_positive_or_non_finite_penalty(penalty):
+    # a NaN penalty makes every energy NaN, and NaN never compares below inf
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="penalty must be finite and positive"):
+        build_bipartition_qubo(g, penalty=penalty)
+    with pytest.raises(ValueError, match="penalty must be finite and positive"):
+        build_kway_qubo(g, 2, penalty=penalty)
+
+
 @pytest.mark.parametrize("n, k, epsilon", [
     (9, 2, 0.0), (10, 2, 0.0),    # k=2 pinned to ceil(n/2), odd and even n
     (10, 2, 0.1),                 # upper 5: part-1 range [5, 5], 2*upper - n == 0

@@ -284,6 +284,15 @@ def default_penalty(g: Graph) -> float:
     return float(g.max_degree + 1)
 
 
+def _checked_penalty(g: Graph, penalty: float | None) -> float:
+    """``penalty``, or :func:`default_penalty` when it is None; a NaN penalty
+    would make every energy NaN, so it must be finite and positive."""
+    p = default_penalty(g) if penalty is None else float(penalty)
+    if not (0 < p < math.inf):
+        raise ValueError(f"penalty must be finite and positive, got {p}")
+    return p
+
+
 def encode_slack_weights(span: int) -> list[int]:
     """Capped binary weights whose subset sums cover exactly 0..span.
 
@@ -402,9 +411,7 @@ def build_bipartition_qubo(g: Graph, epsilon: float = 0.0,
     """
     if g.n < 1:
         raise ValueError("graph must have at least one vertex")
-    p = default_penalty(g) if penalty is None else float(penalty)
-    if not (0 < p < math.inf):
-        raise ValueError(f"penalty must be finite and positive, got {p}")
+    p = _checked_penalty(g, penalty)
     lo, hi = _chain_bounds(g.n, 2, epsilon)
     indicators = np.arange(g.n, dtype=np.int64)[:, None]
     chains = ChainSet.from_blocks(_balance_chains(indicators.T, lo, hi, g.n))
@@ -422,9 +429,7 @@ def build_kway_qubo(g: Graph, k: int, epsilon: float = 0.0,
     """
     if k < 2 or k > g.n:
         raise ValueError(f"k must lie in 2..n={g.n}, got {k}")
-    p = default_penalty(g) if penalty is None else float(penalty)
-    if not (0 < p < math.inf):
-        raise ValueError(f"penalty must be finite and positive, got {p}")
+    p = _checked_penalty(g, penalty)
     lo, hi = _chain_bounds(g.n, k, epsilon)
     indicators = np.arange(g.n * k, dtype=np.int64).reshape(g.n, k)
     one_hot = (indicators, np.ones(indicators.shape), 1.0)  # one chain per vertex

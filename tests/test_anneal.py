@@ -166,6 +166,10 @@ def test_reference_sweep_matches_python_engine():
                 best_bits, rng_b, None, 0, sw)
             assert np.array_equal(bits_a, bits_b), sw
             assert offset_a == offset_b, sw
+            # a flip's updates keep the local fields, chain sums and energy current
+            assert np.allclose(base_lf, cm.base_local_fields(bits_b), rtol=0, atol=1e-9), sw
+            assert np.allclose(s, model.chains.sums(bits_b), rtol=0, atol=1e-9), sw
+            assert cur == pytest.approx(energy(model, bits_b), abs=1e-9), sw
             escapes += flipped < 0
         assert 0 < escapes < len(temps)
 

@@ -216,8 +216,8 @@ class _BlockUniforms:
     order as scalar ``rs.random_sample()`` calls would, because
     ``rs.random_sample(m)`` reads the stream exactly like m scalar calls.
     The buffer holds ``max(nv + 1, UNIFORM_BLOCK)`` draws, one sweep's at
-    least; a refill keeps the unread tail, appends fresh draws and computes
-    their bands once.  The views returned by ``bands(n)`` stay valid.
+    least; a refill keeps the unread tail, if any, appends fresh draws and
+    computes their bands once.  The views returned by ``bands(n)`` stay valid.
     """
 
     def __init__(self, rs: np.random.RandomState, nv: int):
@@ -230,9 +230,12 @@ class _BlockUniforms:
         pos = self._pos
         fresh = self._rs.random_sample(max(self._size, need) - (len(self._us) - pos))
         lo, hi = _log_bands(fresh)
-        self._us = np.concatenate((self._us[pos:], fresh))
-        self._lo = np.concatenate((self._lo[pos:], lo))
-        self._hi = np.concatenate((self._hi[pos:], hi))
+        if pos == len(self._us):  # nothing unread to keep
+            self._us, self._lo, self._hi = fresh, lo, hi
+        else:
+            self._us = np.concatenate((self._us[pos:], fresh))
+            self._lo = np.concatenate((self._lo[pos:], lo))
+            self._hi = np.concatenate((self._hi[pos:], hi))
         self._pos = 0
 
     def random_sample(self):
@@ -273,9 +276,8 @@ def _acceptors(deltas: np.ndarray, offset: float, t: float, us: np.ndarray,
     if len(maybes) == 0:
         return maybes
     np.greater(y, hi, out=sure)
-    accepted = sure.nonzero()[0]
-    if len(accepted) == len(maybes):
-        return accepted
+    if np.count_nonzero(sure) == len(maybes):  # hi >= lo, so sure is a subset of maybe
+        return maybes
     for i in maybes.tolist():
         if not sure[i]:
             eff = deltas[i] - offset

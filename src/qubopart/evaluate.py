@@ -78,15 +78,17 @@ def repair(g: Graph, p: Partition, k: int | None = None,
       When neither holds the bounds are met and repair stops.
     * Destination: the smallest part, ties toward the lowest part id.
     * Vertex: among the vertices of the source parts, the one with the least
-      cost ``own[v] - part_count[v, dest]`` (neighbors of v in its own part
-      minus neighbors of v in the destination, the rise in the cut), ties
-      toward the lowest vertex id.
+      cost ``part_count[v, labels[v]] - part_count[v, dest]`` (neighbors of v
+      in its own part minus neighbors of v in the destination, the rise in
+      the cut), ties toward the lowest vertex id.
 
     Each (source, destination) pair of parts keeps a lazy min-heap of
     ``(cost + maxdeg) * n + v`` keys, built from the current labels the first
     time the pair is needed, so a move costs O(deg * k * log n): a move pushes
     fresh keys for the moved vertex and its neighbors only, and a heap top
-    whose part or cost is out of date is popped when it is read.
+    whose part or cost is out of date is popped when it is read.  A neighbor
+    in a part that has never been a source has no heap to push to, and the
+    list of sources is rebuilt only after a move that can change it.
 
     Raises ``ValueError`` when a label lies outside ``range(k)`` and
     :class:`InfeasiblePartitionError` when the bounds are unsatisfiable
@@ -116,42 +118,53 @@ def repair(g: Graph, p: Partition, k: int | None = None,
             return over
         return [j for j in range(k) if sizes[j] > lower]
 
-    if not source_parts():
+    sources = source_parts()
+    if not sources:
         return Partition.from_labels(p.labels, k)
 
     n = g.n
     indptr, indices = g.indptr, g.indices
     degree = np.diff(indptr)
     maxdeg = int(degree.max(initial=0))
-    # part_count[v, j]: neighbors of v in part j; own[v]: those in v's own part
+    # part_count[v * k + j]: neighbors of v in part j, so the cost of moving
+    # v to d is part_count[v * k + labels[v]] - part_count[v * k + d]
     rows = np.repeat(np.arange(n), degree)
-    part_count = np.bincount(rows * k + labels[indices], minlength=n * k).reshape(n, k)
-    own = part_count[np.arange(n), labels]
-    # per-move work is a handful of scalars: Python lists beat numpy indexing
-    labels, own, indptr = labels.tolist(), own.tolist(), indptr.tolist()
-    part_count = part_count.ravel().tolist()  # part_count[v * k + j]
-    # heaps[s][d] stays None until d is the destination with s a source;
-    # heaps[j][j] is never built, as the destination is never a source
-    heaps: list[list[list[int] | None]] = [[None] * k for _ in range(k)]
+    part_count = np.bincount(rows * k + labels[indices], minlength=n * k).tolist()
+    # per-move work is a handful of scalars: Python lists beat numpy indexing,
+    # and a memoryview slice of the neighbor ids iterates to Python ints
+    labels, indptr = labels.tolist(), indptr.tolist()
+    nbr_ids = memoryview(np.ascontiguousarray(indices))
+    # heaps[s] stays None until s is a source, heaps[s][d] until d is the
+    # destination with s a source.  A part that has been a source is never
+    # the destination: a source stays at or above upper while some part is
+    # above upper, and at or above lower after, and the destination is
+    # below that.  So heaps[dest] and heaps[s][src] stay None, and neither
+    # the moved vertex nor a third part's cost toward src needs a push.
+    heaps: list[list[list[int] | None] | None] = [None] * k
+    heappush, heappop = heapq.heappush, heapq.heappop
 
     for _ in range(4 * n + 8):
-        sources = source_parts()
         if not sources:
             break
         dest = sizes.index(min(sizes))
         best = -1
         for s in sources:
-            heap = heaps[s][dest]
+            row = heaps[s]
+            if row is None:
+                row = heaps[s] = [None] * k
+            heap = row[dest]
             if heap is None:
-                heap = heaps[s][dest] = sorted(  # a sorted list is a heap
-                    (own[u] - part_count[u * k + dest] + maxdeg) * n + u
-                    for u in range(n) if labels[u] == s)
+                own, count = part_count[s::k], part_count[dest::k]
+                heap = row[dest] = [(own[u] - count[u] + maxdeg) * n + u
+                                    for u, label in enumerate(labels) if label == s]
+                heap.sort()  # a sorted list is a heap
             while True:  # drop tops whose vertex left s or whose cost changed
                 key = heap[0]
                 v = key % n
-                if labels[v] == s and own[v] - part_count[v * k + dest] == key // n - maxdeg:
+                vk = v * k
+                if labels[v] == s and part_count[vk + s] - part_count[vk + dest] == key // n - maxdeg:
                     break
-                heapq.heappop(heap)
+                heappop(heap)
             if best < 0 or key < best:
                 best = key
         v = best % n
@@ -159,28 +172,34 @@ def repair(g: Graph, p: Partition, k: int | None = None,
         labels[v] = dest
         sizes[src] -= 1
         sizes[dest] += 1
-        nbrs = indices[indptr[v]:indptr[v + 1]].tolist()
-        for u in nbrs:
-            part_count[u * k + src] -= 1
-            part_count[u * k + dest] += 1
+        # the sources change only when src falls to upper or lower, leaving
+        # the parts above that bound, or dest rises to lower, when every part
+        # may hold lower; dest never rises above upper, and once it passes
+        # lower every part holds lower for good, so no lower phase follows
+        if sizes[src] == upper or sizes[src] == lower or sizes[dest] == lower:
+            sources = source_parts()
+        # a neighbor's counts change only through v, so pushing its keys
+        # right after its own update pushes what a separate pass would
+        for u in nbr_ids[indptr[v]:indptr[v + 1]]:
+            uk = u * k
+            part_count[uk + src] -= 1
+            part_count[uk + dest] += 1
             u_label = labels[u]
-            if u_label == src:
-                own[u] -= 1
-            elif u_label == dest:
-                own[u] += 1
-        own[v] = part_count[v * k + dest]
-        nbrs.append(v)
-        for u in nbrs:
-            u_label, row = labels[u], u * k
-            base = (own[u] + maxdeg) * n + u
-            # a third part's vertex only changes cost toward src and dest
-            for d in (range(k) if u_label == src or u_label == dest else (src, dest)):
-                heap = heaps[u_label][d]
+            row = heaps[u_label]
+            if row is None:  # u's part has never been a source
+                continue
+            base = (part_count[uk + u_label] + maxdeg) * n + u
+            if u_label == src:  # u lost a neighbor in its own part: every cost fell
+                for d, heap in enumerate(row):
+                    if heap is not None:
+                        heappush(heap, base - part_count[uk + d] * n)
+            else:  # a third part's vertex: its cost toward dest fell
+                heap = row[dest]
                 if heap is not None:
-                    heapq.heappush(heap, base - part_count[row + d] * n)
+                    heappush(heap, base - part_count[uk + dest] * n)
     else:
         raise RuntimeError("balance repair failed to converge")
-    return Partition.from_labels(labels, k)
+    return Partition(tuple(labels), k)  # every label is in range(k) already
 
 
 def approximation_ratio(cut: int, best_known: int) -> float:

@@ -175,11 +175,14 @@ def parse_metis(text: str, name: str = "") -> Graph:
 
 
 def repair(g: Graph, p: Partition, k: int | None = None,
-           epsilon: float = 0.0) -> Partition:
+           epsilon: float = 0.0, moves: list | None = None) -> Partition:
     """Balance repair that rescans every vertex on each move.
 
     Same contract as :func:`qubopart.evaluate.repair` for labels in
     ``range(k)``: the same moves in the same order, the same errors.
+    ``moves``, when given, receives one ``(phase, sources, v, src, dest)``
+    tuple per move: ``phase`` is ``"upper"`` while some part is above
+    ``upper`` and ``"lower"`` after, ``sources`` the parts v could come from.
     """
     k = p.k if k is None else k
     if p.n != g.n:
@@ -209,15 +212,14 @@ def repair(g: Graph, p: Partition, k: int | None = None,
         if not len(over) and not len(under):
             break
         dest = int(np.argmin(sizes))
-        if len(over):
-            movable = np.isin(labels, over)
-        else:
-            spare = np.flatnonzero(sizes > lower)
-            movable = np.isin(labels, spare)
-        candidates = np.flatnonzero(movable)
+        sources = over if len(over) else np.flatnonzero(sizes > lower)
+        candidates = np.flatnonzero(np.isin(labels, sources))
         deltas = part_count[candidates, labels[candidates]] - part_count[candidates, dest]
         v = int(candidates[np.lexsort((candidates, deltas))[0]])
         src = int(labels[v])
+        if moves is not None:
+            moves.append(("upper" if len(over) else "lower", tuple(sources.tolist()),
+                          v, src, dest))
         labels[v] = dest
         sizes[src] -= 1
         sizes[dest] += 1

@@ -5,7 +5,7 @@ from qubopart.evaluate import (Feasibility, InfeasiblePartitionError,
                                approximation_ratio, decode, partition_feasibility,
                                repair)
 from qubopart.graph import Graph, Partition, balance_bounds, cut_edges
-from qubopart.anneal import _balanced_initial_bits
+from qubopart.anneal import AnnealConfig, _balanced_initial_bits, solve
 from qubopart.qubo import (build_bipartition_qubo, build_kway_qubo, parse_qubo_text,
                            write_qubo_text)
 
@@ -171,44 +171,76 @@ def _repair_outcome(fn, g, p, k, epsilon):
         return type(exc), str(exc)
 
 
+def _gnp(n: int, p: float, rng: np.random.RandomState) -> Graph:
+    """G(n, p) from one block of draws, for sizes where gnp_graph's scalar loop is slow."""
+    return Graph.from_edges(n, np.argwhere(np.triu(rng.random_sample((n, n)) < p, 1)).tolist())
+
+
+def _repair_labels(rng: np.random.RandomState, style: str, n: int, k: int) -> np.ndarray:
+    labels = rng.randint(0, k, size=n)
+    if style == "skewed":
+        labels[rng.random_sample(n) < 0.5] = int(rng.randint(k))
+    elif style == "one-part":
+        labels[:] = int(rng.randint(k))
+    elif style == "lower-only" and n >= k:
+        # part 0 emptied into the others: at a wide epsilon only its lower bound breaks
+        labels = np.arange(n) % k
+        labels[labels == 0] = 1 + rng.randint(0, k - 1, size=int((labels == 0).sum()))
+        rng.shuffle(labels)
+    elif style == "several-over":
+        # every vertex in half the parts: each of them starts above upper
+        parts = rng.choice(k, size=max(2, k // 2), replace=False)
+        labels = parts[rng.randint(0, len(parts), size=n)]
+    elif style == "emptied" and k > 2:
+        # some parts emptied into one other: its excess may not refill them,
+        # so the lower-bound phase follows the upper one
+        order = rng.permutation(k)
+        gone, into = order[:rng.randint(1, k - 1)], order[-1]
+        labels[np.isin(labels, gone)] = into
+    return labels
+
+
 def test_repair_matches_reference():
     """The heap-driven repair makes the reference loop's moves, in its order.
 
-    Random labels, labels skewed into one part, edgeless graphs, isolated
-    vertices and inputs that only break a k > 2 lower bound, across
-    k in 2..5 and epsilon in {0, 0.03, 0.2, 0.5}.
+    k in 2..8, n up to 300, epsilon in {0, 0.03, 0.2, 0.5}: random labels,
+    labels skewed into one part, all in one part, half the parts above
+    ``upper`` at once, emptied parts, inputs that only break a k > 2 lower
+    bound, edgeless graphs and isolated vertices.  The reference's own
+    record of its moves shows that runs occur where several parts are
+    sources at once, where a part leaves the source list while others stay,
+    and where the k > 2 lower-bound phase follows the upper one.
     """
     rng = np.random.RandomState(7)
-    styles = ("uniform", "skewed", "one-part", "lower-only")
-    seen = dict.fromkeys(styles + ("edgeless", "isolated", "raised", "lower-phase"), 0)
-    for case in range(800):
-        n = int(rng.randint(1, 61))
-        k = int(rng.randint(2, 6))
+    styles = ("uniform", "skewed", "one-part", "lower-only", "several-over", "emptied")
+    seen = dict.fromkeys(styles + ("edgeless", "isolated", "raised", "k>5", "n>100",
+                                   "several-sources", "source-left", "lower-first",
+                                   "upper-then-lower"), 0)
+    for case in range(960):
+        n = int(rng.randint(61, 301)) if rng.random_sample() < 0.25 else int(rng.randint(1, 61))
+        k = int(rng.randint(2, 9))
         epsilon = (0.0, 0.03, 0.2, 0.5)[case % 4]
         style = styles[case // 4 % len(styles)]
-        g = gnp_graph(n, float(rng.choice([0.0, 0.03, 0.1, 0.3, 0.7])), rng)
-        labels = rng.randint(0, k, size=n)
-        if style == "skewed":
-            labels[rng.random_sample(n) < 0.5] = int(rng.randint(k))
-        elif style == "one-part":
-            labels[:] = int(rng.randint(k))
-        elif style == "lower-only" and n >= k:
-            # part 0 emptied into the others: at a wide epsilon only its lower bound breaks
-            labels = np.arange(n) % k
-            labels[labels == 0] = 1 + rng.randint(0, k - 1, size=int((labels == 0).sum()))
-            rng.shuffle(labels)
+        density = float(rng.choice([0.0, 0.03, 0.1, 0.3, 0.7]))
+        g = _gnp(n, min(density, 12.0 / n), rng)  # mean degree at most 12
+        labels = _repair_labels(rng, style, n, k)
         p = Partition.from_labels(labels.tolist(), k)
+        moves: list = []
+        want = _repair_outcome(lambda *a: reference.repair(*a, moves=moves), g, p, k, epsilon)
         got = _repair_outcome(repair, g, p, k, epsilon)
-        assert got == _repair_outcome(reference.repair, g, p, k, epsilon), (case, n, k, epsilon)
+        assert got == want, (case, n, k, epsilon, style)
 
+        phases = [phase for phase, *_ in moves]
         seen[style] += 1
         seen["edgeless"] += g.m == 0
         seen["isolated"] += bool(g.m) and bool((np.diff(g.indptr) == 0).any())
         seen["raised"] += isinstance(got[0], type)
-        lower, upper = balance_bounds(n, k, epsilon)
-        sizes = np.bincount(labels, minlength=k)
-        seen["lower-phase"] += (k > 2 and not isinstance(got[0], type)
-                                and sizes.max() <= upper and sizes.min() < lower)
+        seen["k>5"] += k > 5 and len(moves) > 0
+        seen["n>100"] += n > 100 and len(moves) > 0
+        seen["several-sources"] += any(len(sources) > 1 for _, sources, *_ in moves)
+        seen["source-left"] += any(set(a[1]) - set(b[1]) for a, b in zip(moves, moves[1:]))
+        seen["lower-first"] += phases[:1] == ["lower"]
+        seen["upper-then-lower"] += "upper" in phases and phases[-1] == "lower"
     assert min(seen.values()) >= 20, seen
 
 
@@ -221,6 +253,20 @@ def test_repair_matches_reference_on_planted_graph():
     fixed = repair(g, p, 4, 0.03)
     assert fixed == reference.repair(g, p, 4, 0.03)
     assert sum(a != b for a, b in zip(fixed.labels, p.labels)) > 500
+
+
+def test_repair_matches_reference_on_decoded_solve():
+    """Labels as the benchmark's repair workload sees them: a short solve of
+    the one-hot model from a random start, decoded with one-hot violations."""
+    g = planted_graph(4000, 4, 8, 2, np.random.RandomState(12))
+    model = build_kway_qubo(g, 4, 0.03)
+    result = solve(model, AnnealConfig(sweeps=50, seed=3))
+    p, feas = decode(model, result.best_bits)
+    assert not feas.one_hot_ok and not feas.balance_ok
+    moves: list = []
+    fixed = repair(g, p, 4, 0.03)
+    assert fixed == reference.repair(g, p, 4, 0.03, moves=moves)
+    assert len(moves) > 1000
 
 
 def test_approximation_ratio():

@@ -85,10 +85,10 @@ def repair(g: Graph, p: Partition, k: int | None = None,
     Each (source, destination) pair of parts keeps a lazy min-heap of
     ``(cost + maxdeg) * n + v`` keys, built from the current labels the first
     time the pair is needed, so a move costs O(deg * k * log n): a move pushes
-    fresh keys for the moved vertex and its neighbors only, and a heap top
-    whose part or cost is out of date is popped when it is read.  A neighbor
-    in a part that has never been a source has no heap to push to, and the
-    list of sources is rebuilt only after a move that can change it.
+    fresh keys for the moved vertex's neighbors only, and a heap top whose
+    part or cost is out of date is popped when it is read.  A neighbor in a
+    part that has never been a source has no heap to push to, and the list
+    of sources is rebuilt only after a move that can change it.
 
     Raises ``ValueError`` when a label lies outside ``range(k)`` and
     :class:`InfeasiblePartitionError` when the bounds are unsatisfiable
@@ -133,7 +133,7 @@ def repair(g: Graph, p: Partition, k: int | None = None,
     # per-move work is a handful of scalars: Python lists beat numpy indexing,
     # and a memoryview slice of the neighbor ids iterates to Python ints
     labels, indptr = labels.tolist(), indptr.tolist()
-    nbr_ids = memoryview(np.ascontiguousarray(indices))
+    nbr_ids = memoryview(indices)
     # heaps[s] stays None until s is a source, heaps[s][d] until d is the
     # destination with s a source.  A part that has been a source is never
     # the destination: a source stays at or above upper while some part is

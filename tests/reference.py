@@ -180,9 +180,9 @@ def repair(g: Graph, p: Partition, k: int | None = None,
 
     Same contract as :func:`qubopart.evaluate.repair` for labels in
     ``range(k)``: the same moves in the same order, the same errors.
-    ``moves``, when given, receives one ``(phase, sources, v, src, dest)``
-    tuple per move: ``phase`` is ``"upper"`` while some part is above
-    ``upper`` and ``"lower"`` after, ``sources`` the parts v could come from.
+    ``moves``, when given, receives one ``(phase, sources)`` pair per move:
+    ``phase`` is ``"upper"`` while some part is above ``upper`` and
+    ``"lower"`` after, ``sources`` the parts the moved vertex could come from.
     """
     k = p.k if k is None else k
     if p.n != g.n:
@@ -218,8 +218,7 @@ def repair(g: Graph, p: Partition, k: int | None = None,
         v = int(candidates[np.lexsort((candidates, deltas))[0]])
         src = int(labels[v])
         if moves is not None:
-            moves.append(("upper" if len(over) else "lower", tuple(sources.tolist()),
-                          v, src, dest))
+            moves.append(("upper" if len(over) else "lower", tuple(sources.tolist())))
         labels[v] = dest
         sizes[src] -= 1
         sizes[dest] += 1

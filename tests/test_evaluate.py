@@ -171,11 +171,6 @@ def _repair_outcome(fn, g, p, k, epsilon):
         return type(exc), str(exc)
 
 
-def _gnp(n: int, p: float, rng: np.random.RandomState) -> Graph:
-    """G(n, p) from one block of draws, for sizes where gnp_graph's scalar loop is slow."""
-    return Graph.from_edges(n, np.argwhere(np.triu(rng.random_sample((n, n)) < p, 1)).tolist())
-
-
 def _repair_labels(rng: np.random.RandomState, style: str, n: int, k: int) -> np.ndarray:
     labels = rng.randint(0, k, size=n)
     if style == "skewed":
@@ -188,7 +183,7 @@ def _repair_labels(rng: np.random.RandomState, style: str, n: int, k: int) -> np
         labels[labels == 0] = 1 + rng.randint(0, k - 1, size=int((labels == 0).sum()))
         rng.shuffle(labels)
     elif style == "several-over":
-        # every vertex in half the parts: each of them starts above upper
+        # every vertex in half the parts (two at least), which mostly start above upper
         parts = rng.choice(k, size=max(2, k // 2), replace=False)
         labels = parts[rng.randint(0, len(parts), size=n)]
     elif style == "emptied" and k > 2:
@@ -222,7 +217,7 @@ def test_repair_matches_reference():
         epsilon = (0.0, 0.03, 0.2, 0.5)[case % 4]
         style = styles[case // 4 % len(styles)]
         density = float(rng.choice([0.0, 0.03, 0.1, 0.3, 0.7]))
-        g = _gnp(n, min(density, 12.0 / n), rng)  # mean degree at most 12
+        g = gnp_graph(n, min(density, 12.0 / n), rng)  # mean degree at most 12
         labels = _repair_labels(rng, style, n, k)
         p = Partition.from_labels(labels.tolist(), k)
         moves: list = []
@@ -230,14 +225,14 @@ def test_repair_matches_reference():
         got = _repair_outcome(repair, g, p, k, epsilon)
         assert got == want, (case, n, k, epsilon, style)
 
-        phases = [phase for phase, *_ in moves]
+        phases = [phase for phase, _ in moves]
         seen[style] += 1
         seen["edgeless"] += g.m == 0
         seen["isolated"] += bool(g.m) and bool((np.diff(g.indptr) == 0).any())
         seen["raised"] += isinstance(got[0], type)
         seen["k>5"] += k > 5 and len(moves) > 0
         seen["n>100"] += n > 100 and len(moves) > 0
-        seen["several-sources"] += any(len(sources) > 1 for _, sources, *_ in moves)
+        seen["several-sources"] += any(len(sources) > 1 for _, sources in moves)
         seen["source-left"] += any(set(a[1]) - set(b[1]) for a, b in zip(moves, moves[1:]))
         seen["lower-first"] += phases[:1] == ["lower"]
         seen["upper-then-lower"] += "upper" in phases and phases[-1] == "lower"

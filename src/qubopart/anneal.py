@@ -4,7 +4,7 @@ Each sweep evaluates the flip gain of every variable against a Metropolis
 test at the current temperature, then flips exactly one accepting variable
 chosen uniformly at random.  Sweeps with no acceptor grow an escape offset
 that is subtracted from all gains until something accepts; any accepted flip
-resets it.  Temperatures follow a geometric (default) or linear schedule.
+resets it.  Temperatures fall geometrically from t0 to the final temperature.
 
 Flip gains are computed from cached local fields: the objective part is
 maintained over the sparse cut terms, the penalty part is reconstructed in
@@ -34,10 +34,9 @@ its ``RandomState``, so solves share no state.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,6 +62,8 @@ HAVE_NUMBA = False
 class AnnealConfig:
     """Solver parameters.
 
+    Temperatures fall geometrically from the starting temperature to
+    ``temp_final`` over ``sweeps`` sweeps (:func:`_temperatures`).
     ``temp_initial=None`` picks each replica's starting temperature as the
     maximum absolute flip gain of its initial state.  ``offset_increment``
     defaults to a tenth of the final temperature.  ``balanced_init`` starts
@@ -76,7 +77,6 @@ class AnnealConfig:
     seed: int = 0
     temp_initial: float | None = None
     temp_final: float = 0.1
-    schedule: str = "geometric"
     offset_increment: float | None = None
     time_limit: float | None = None
     balanced_init: bool = False
@@ -94,8 +94,6 @@ class AnnealConfig:
         if self.temp_initial is not None and not (0 < self.temp_initial < math.inf):
             raise ValueError(f"initial temperature must be finite and positive when given, "
                              f"got {self.temp_initial}")
-        if self.schedule not in ("geometric", "linear"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.offset_increment is not None and not (0 <= self.offset_increment < math.inf):
             raise ValueError(f"offset_increment must be finite and non-negative when given, "
                              f"got {self.offset_increment}")
@@ -116,15 +114,6 @@ class SolveResult:
     replica_id: int = 0
     flips: int = 0
     energy_trace: np.ndarray | None = None
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "bits": "".join(str(int(b)) for b in self.best_bits),
-            "energy": self.best_energy,
-            "sweeps": self.sweeps_done,
-            "wall_time": self.wall_time,
-            "seed": self.seed,
-        })
 
 
 def _derive_seed(*parts) -> int:
@@ -435,12 +424,15 @@ def _balanced_initial_bits(model: QuboModel, rs: np.random.RandomState) -> np.nd
     return bits
 
 
-def _temperature_schedule(cfg: AnnealConfig, t0: float) -> np.ndarray:
+def _temperatures(cfg: AnnealConfig, t0: float, done: int, size: int) -> np.ndarray:
+    """Temperatures of sweeps ``[done, done + size)``: sweep i runs at
+    ``t0 * (tf / t0) ** (i / sweeps)`` with ``tf = min(temp_final, t0)``.
+
+    Each value is computed on its own, so any split of the sweeps into
+    batches gives the same temperatures bit for bit.
+    """
     tf = min(cfg.temp_final, t0)
-    steps = np.arange(cfg.sweeps, dtype=np.float64) / cfg.sweeps
-    if cfg.schedule == "geometric":
-        return t0 * (tf / t0) ** steps
-    return t0 + (tf - t0) * steps
+    return t0 * (tf / t0) ** (np.arange(done, done + size, dtype=np.float64) / cfg.sweeps)
 
 
 def _batch_size(time_left: float, sweep_s: float) -> int:
@@ -473,12 +465,7 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
 
     cm = compile_model(model)
     nv = cm.nv
-    best_bits = None
-    best_energy = math.inf
-    best_replica = 0
-    best_flips = 0
-    best_sweeps = 0
-    best_trace: np.ndarray | None = None
+    best: SolveResult | None = None
     deadline = None if cfg.time_limit is None else start + cfg.time_limit
     sweep_s = 0.0  # measured seconds per sweep of the latest batch
 
@@ -498,7 +485,6 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
             t0 = float(np.max(np.abs(_flip_gains(cm, *_signs(cm, bits), base_lf, s)))) if nv else 1.0
             if t0 <= 0.0:
                 t0 = 1.0
-        temps = _temperature_schedule(cfg, t0)
         offset_inc = cfg.offset_increment if cfg.offset_increment is not None \
             else cfg.temp_final / 10.0
 
@@ -514,30 +500,26 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
 
         while done < cfg.sweeps and not timed_out:
             called = time.perf_counter()
-            size = BATCH_SWEEPS if deadline is None else _batch_size(deadline - called, sweep_s)
-            batch = temps[done:done + size]
+            size = min(cfg.sweeps - done, BATCH_SWEEPS if deadline is None
+                       else _batch_size(deadline - called, sweep_s))
             offset, cur_energy, rep_best_energy, f = _python_sweeps(
-                cm, bits, base_lf, s, batch, offset, offset_inc, cur_energy,
-                rep_best_energy, rep_best_bits, draws, trace, cfg.trace_every, done)
+                cm, bits, base_lf, s, _temperatures(cfg, t0, done, size), offset, offset_inc,
+                cur_energy, rep_best_energy, rep_best_bits, draws, trace, cfg.trace_every, done)
             now = time.perf_counter()
-            sweep_s = (now - called) / len(batch)
+            sweep_s = (now - called) / size
             flips += f
-            done += len(batch)
+            done += size
             timed_out = deadline is not None and now > deadline
 
-        if rep_best_energy < best_energy:
-            best_energy = rep_best_energy
-            best_bits = rep_best_bits
-            best_replica = replica
-            best_flips = flips
-            best_sweeps = done
-            if cfg.trace_every:
-                best_trace = trace[:done // cfg.trace_every]
+        if best is None or rep_best_energy < best.best_energy:
+            best = SolveResult(
+                best_bits=rep_best_bits, best_energy=rep_best_energy, sweeps_done=done,
+                wall_time=0.0, seed=cfg.seed, replica_id=replica, flips=flips,
+                energy_trace=trace[:done // cfg.trace_every] if cfg.trace_every else None)
         if timed_out:
             break
 
-    assert best_bits is not None
-    exact = energy(model, best_bits)
-    return SolveResult(best_bits=best_bits, best_energy=exact, sweeps_done=best_sweeps,
-                       wall_time=time.perf_counter() - start, seed=cfg.seed,
-                       replica_id=best_replica, flips=best_flips, energy_trace=best_trace)
+    assert best is not None
+    best.best_energy = energy(model, best.best_bits)
+    best.wall_time = time.perf_counter() - start
+    return best

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field, fields
 from . import bestknown
 from .anneal import AnnealConfig, _derive_seed
 from .evaluate import InfeasiblePartitionError
-from .graph import Graph, GraphFormatError, load_graph_file
+from .graph import Graph, GraphFormatError, file_stem, load_graph_file
 from .pipeline import partition
 from .qubo import model_num_vars
 from .sparsify import run_sparsify_pipeline
@@ -158,11 +158,11 @@ def run_grid(cfg: GridConfig) -> list[RunRecord]:
     records: list[RunRecord | None] = []
     tasks: list[tuple[int, tuple]] = []
     for path in cfg.graphs:
+        gid = file_stem(path)  # the name load_graph_file gives the graph
         try:
             g = load_graph_file(path)
         except (OSError, GraphFormatError) as exc:
             g, err = None, f"unreadable graph: {exc}"
-        gid = g.name if g is not None else _graph_id(path)
         for k in cfg.ks:
             for eps in cfg.epsilons:
                 if g is None:
@@ -189,13 +189,6 @@ def run_grid(cfg: GridConfig) -> list[RunRecord]:
     for (idx, _), rec in zip(tasks, results):
         records[idx] = rec
     return records
-
-
-def _graph_id(path: str) -> str:
-    import os
-
-    base = os.path.basename(path)
-    return base.rsplit(".", 1)[0] if "." in base else base
 
 
 @dataclass(frozen=True)

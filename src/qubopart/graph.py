@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -468,18 +469,22 @@ def parse_matrix_market(text: str, name: str = "") -> Graph:
     return Graph.from_edges(rows, edges, name=name)
 
 
+def file_stem(path: str) -> str:
+    """The file name of ``path`` without its last suffix: the name a loaded
+    graph gets by default."""
+    base = os.path.basename(path)
+    return base.rsplit(".", 1)[0] if "." in base else base
+
+
 def load_graph_file(path: str, name: str | None = None) -> Graph:
     """Load a graph file, sniffing MatrixMarket by its banner, else adjacency list.
 
-    The graph is named after the file stem unless ``name`` overrides it.
+    The graph is named by :func:`file_stem` unless ``name`` overrides it.
     """
-    import os
-
     with open(path) as fh:
         text = fh.read()
     if name is None:
-        base = os.path.basename(path)
-        name = base.rsplit(".", 1)[0] if "." in base else base
+        name = file_stem(path)
     if text.startswith("%%MatrixMarket"):
         return parse_matrix_market(text, name=name)
     return parse_metis(text, name=name)

@@ -151,7 +151,6 @@ class QuboModel:
     penalty: float = 0.0
     k: int | None = None
     epsilon: float | None = None
-    n: int | None = None
 
     def __post_init__(self):
         self.base_linear = np.asarray(self.base_linear, dtype=np.float64)
@@ -238,9 +237,6 @@ class QuboModel:
         """Nonzero coefficient count in the expanded form (linear + quadratic)."""
         qi, _, _ = self.quadratic_terms()
         return int(np.count_nonzero(self.linear)) + len(qi)
-
-    def energy(self, bits: np.ndarray) -> float:
-        return energy(self, bits)
 
 
 def _coalesce(nv: int, qi: np.ndarray, qj: np.ndarray, qc: np.ndarray):
@@ -360,7 +356,7 @@ def _partition_model(g: Graph, indicators: np.ndarray, chains: ChainSet, nv: int
     sort: row ``v*parts + j`` holds ``u*parts + j`` for each neighbour u of
     v, and the slack rows are empty.
     """
-    n, parts = indicators.shape
+    parts = indicators.shape[1]
     weight = 1.0 if parts == 1 else 0.5
     coeff = -2.0 * weight
     deg = g.degrees
@@ -394,7 +390,7 @@ def _partition_model(g: Graph, indicators: np.ndarray, chains: ChainSet, nv: int
     # stand in for them without memory per term; neither is ever written
     model = QuboModel(num_vars=nv, base_linear=lin, base_quad_i=qi, base_quad_j=qj,
                       base_quad_c=np.broadcast_to(coeff, len(qi)), chains=chains,
-                      indicators=indicators, penalty=penalty, k=k, epsilon=float(epsilon), n=n)
+                      indicators=indicators, penalty=penalty, k=k, epsilon=float(epsilon))
     vars(model)["objective_csr"] = _read_only(indptr, rows, cols,  # fills the cached_property
                                               np.broadcast_to(coeff, len(cols)))
     return model

@@ -21,6 +21,13 @@ def gnp_graph(n: int, p: float, rng: np.random.RandomState, name: str = "") -> G
     return Graph.from_edges(n, edges, name=name or f"gnp{n}")
 
 
+def grid_graph(rows: int, cols: int) -> Graph:
+    """The rows x cols grid graph, vertex r*cols + c at row r, column c."""
+    right = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    down = [(v, v + cols) for v in range(rows * cols - cols)]
+    return Graph.from_edges(rows * cols, sorted(right + down))
+
+
 def planted_graph(n: int, k: int, deg_in: int, deg_out: int,
                   rng: np.random.RandomState) -> Graph:
     """k shuffled blocks with n*deg_in/2 edges inside blocks and n*deg_out/2 across."""

@@ -1,4 +1,3 @@
-import json
 import math
 import sys
 import threading
@@ -15,7 +14,7 @@ from qubopart.graph import Graph, cut_edges
 from qubopart.qubo import (QuboModel, _coalesce, build_bipartition_qubo, build_kway_qubo, energy,
                            parse_qubo_text, write_qubo_text)
 
-from conftest import bipartition_optimum, gnp_graph, kway_optimum, small_corpus
+from conftest import bipartition_optimum, gnp_graph, grid_graph, kway_optimum, small_corpus
 from reference import apply_flip, delta_energy, expanded_neighbors, local_fields, sweep
 
 def _random_models(seed=5):
@@ -27,7 +26,7 @@ def _random_models(seed=5):
 def test_config_validation():
     nan, inf = math.nan, math.inf
     for kwargs in ({"sweeps": 0}, {"replicas": 0}, {"temp_final": 0.0},
-                   {"temp_initial": -1.0}, {"schedule": "cosine"},
+                   {"temp_initial": -1.0},
                    {"trace_every": -1}, {"time_limit": 0.0},
                    {"temp_final": nan}, {"temp_final": inf},
                    {"temp_initial": nan}, {"temp_initial": inf},
@@ -153,16 +152,17 @@ def test_reference_sweep_matches_python_engine():
         lf = local_fields(model, bits_a, nbrs)
         base_lf = cm.base_local_fields(bits_b)
         s = model.chains.sums(bits_b)
-        temps = anneal._temperature_schedule(AnnealConfig(sweeps=400, temp_final=0.05), 4.0)
+        cfg = AnnealConfig(sweeps=400, temp_final=0.05)
         rng_a = np.random.RandomState(99)
         rng_b = anneal._BlockUniforms(np.random.RandomState(99), cm.nv)
         offset_a = offset_b = 0.0
         cur, best, best_bits = energy(model, bits_b), math.inf, bits_b.copy()
         escapes = 0
-        for sw, t in enumerate(temps):
-            flipped, offset_a = sweep(nbrs, bits_a, lf, t, rng_a, offset_a, 0.01)
+        for sw in range(cfg.sweeps):
+            temps = anneal._temperatures(cfg, 4.0, sw, 1)
+            flipped, offset_a = sweep(nbrs, bits_a, lf, temps[0], rng_a, offset_a, 0.01)
             offset_b, cur, best, _ = anneal._python_sweeps(
-                cm, bits_b, base_lf, s, temps[sw:sw + 1], offset_b, 0.01, cur, best,
+                cm, bits_b, base_lf, s, temps, offset_b, 0.01, cur, best,
                 best_bits, rng_b, None, 0, sw)
             assert np.array_equal(bits_a, bits_b), sw
             assert offset_a == offset_b, sw
@@ -171,7 +171,7 @@ def test_reference_sweep_matches_python_engine():
             assert np.allclose(s, model.chains.sums(bits_b), rtol=0, atol=1e-9), sw
             assert cur == pytest.approx(energy(model, bits_b), abs=1e-9), sw
             escapes += flipped < 0
-        assert 0 < escapes < len(temps)
+        assert 0 < escapes < cfg.sweeps
 
 
 def _run_batches(model, sweeps, sizes, rng):
@@ -180,17 +180,17 @@ def _run_batches(model, sweeps, sizes, rng):
     bits = anneal._balanced_initial_bits(model, np.random.RandomState(4))
     base_lf, s = cm.base_local_fields(bits), model.chains.sums(bits)
     t0 = float(np.max(np.abs(anneal._flip_gains(cm, *anneal._signs(cm, bits), base_lf, s))))
-    temps = anneal._temperature_schedule(AnnealConfig(sweeps=sweeps, temp_final=0.05), t0)
+    cfg = AnnealConfig(sweeps=sweeps, temp_final=0.05)
     cur = best = energy(model, bits)
     best_bits, trace = bits.copy(), np.zeros(sweeps // 10)
     offset, flips, done, call = 0.0, 0, 0, 0
     while done < sweeps:
-        batch = temps[done:done + sizes[call % len(sizes)]]
+        size = min(sizes[call % len(sizes)], sweeps - done)
         offset, cur, best, f = anneal._python_sweeps(
-            cm, bits, base_lf, s, batch, offset, 0.005, cur, best, best_bits, rng, trace,
-            10, done)
+            cm, bits, base_lf, s, anneal._temperatures(cfg, t0, done, size), offset, 0.005,
+            cur, best, best_bits, rng, trace, 10, done)
         flips += f
-        done += len(batch)
+        done += size
         call += 1
     return bits, base_lf, s, offset, cur, best, best_bits, flips, trace
 
@@ -383,15 +383,16 @@ def _decode_labels(model, bits):
     return labels.tolist()
 
 
-def _assert_time_limit_holds(model, limit):
+def _assert_time_limit_holds(model, limit, sweeps=500_000):
     start = time.perf_counter()
     solve(model, AnnealConfig(sweeps=20, seed=0))
     sweep_s = (time.perf_counter() - start) / 20  # set-up included: an upper bound
     start = time.perf_counter()
-    res = solve(model, AnnealConfig(sweeps=500_000, replicas=1, seed=0, time_limit=limit))
+    res = solve(model, AnnealConfig(sweeps=sweeps, replicas=1, seed=0, time_limit=limit))
     overshoot = time.perf_counter() - start - limit
-    assert 0 < res.sweeps_done < 500_000
+    assert 0 < res.sweeps_done < sweeps
     assert overshoot < 0.05 + sweep_s, (overshoot, sweep_s, res.sweeps_done)
+    return res
 
 
 def test_time_limit_stops_early():
@@ -407,6 +408,14 @@ def test_time_limit_holds_on_large_model():
     edges = {tuple(sorted(e)) for e in rng.randint(0, n, size=(3 * n, 2)) if e[0] != e[1]}
     model = build_kway_qubo(Graph.from_edges(n, sorted(edges)), 4)
     _assert_time_limit_holds(model, 0.2)
+
+
+def test_time_limit_holds_at_a_large_sweep_cap():
+    # a solve computes each batch's temperatures when it runs the batch, so a
+    # sweep count far beyond the limit costs nothing before the first sweep
+    res = _assert_time_limit_holds(build_bipartition_qubo(grid_graph(12, 16)), 0.1,
+                                   sweeps=10 ** 7)
+    assert res.sweeps_done >= 100
 
 
 def test_batch_size_fits_time_left():
@@ -472,21 +481,23 @@ def test_energy_trace_monotone():
 
 def test_temperature_schedule_endpoints():
     cfg = AnnealConfig(sweeps=100, temp_final=0.1)
-    temps = anneal._temperature_schedule(cfg, 50.0)
+    temps = anneal._temperatures(cfg, 50.0, 0, 100)
     assert temps[0] == 50.0 and len(temps) == 100
     assert temps[-1] == pytest.approx(50.0 * (0.1 / 50.0) ** (99 / 100))
-    lin = anneal._temperature_schedule(
-        AnnealConfig(sweeps=4, temp_final=1.0, schedule="linear"), 4.0)
-    assert np.allclose(lin, [4.0, 3.25, 2.5, 1.75])
-
-
-def test_result_to_json():
-    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    res = solve(build_bipartition_qubo(g), AnnealConfig(sweeps=50, seed=1))
-    payload = json.loads(res.to_json())
-    assert set(payload) == {"bits", "energy", "sweeps", "wall_time", "seed"}
-    assert payload["bits"] == "".join(str(int(b)) for b in res.best_bits)
-    assert payload["energy"] == res.best_energy
+    # any split into batches gives the whole-run law bit for bit, including
+    # a final temperature above t0, which holds t0 throughout
+    rng = np.random.RandomState(6)
+    for sweeps, t0, temp_final in [(2000, 37.5, 0.1), (1000, 4.0, 0.05), (333, 0.5, 0.7)]:
+        cfg = AnnealConfig(sweeps=sweeps, temp_final=temp_final)
+        tf = min(temp_final, t0)
+        whole = t0 * (tf / t0) ** (np.arange(sweeps, dtype=np.float64) / sweeps)
+        for sizes in ([1], [7], rng.randint(1, 300, size=20).tolist()):
+            batches, done = [], 0
+            while done < sweeps:
+                size = min(sizes[len(batches) % len(sizes)], sweeps - done)
+                batches.append(anneal._temperatures(cfg, t0, done, size))
+                done += size
+            assert np.array_equal(np.concatenate(batches), whole)
 
 
 def test_seed_derivation_is_stable():

@@ -11,8 +11,8 @@ vectorised, so any change to the trajectory of the sweeps shows here.
 ``k2-eps0.1-random-init`` was recomputed the same way when the epsilon > 0
 bipartition model gained its lower bound on the part-1 size: the scalar loop
 of ca84b31 solving the new model gives the digest below, and so do the
-vectorised sweeps.  The other three models have epsilon == 0 and did not
-change.
+vectorised sweeps.  The other models of that commit have epsilon == 0 and
+did not change.
 
 ``grid12x16-eps0`` (the ``bisect-grid`` benchmark's model, schedule and
 sweep count) and ``k4-above-block`` (4180 variables, more than one draw
@@ -39,22 +39,15 @@ from qubopart.anneal import AnnealConfig, solve
 from qubopart.graph import Graph
 from qubopart.qubo import build_bipartition_qubo, build_kway_qubo, energy, write_qubo_text
 
-from conftest import gnp_graph
+from conftest import gnp_graph, grid_graph
 
 GOLDEN = {
     "k2-eps0": "ea61ab9b5abf930e9fcc39224435a736802898f6ea13642f801d390c1065931b",
     "k2-eps0.1-random-init": "21415fcd0cf1e566d47cef3a0cd3e015f1be04a6f4297402813dc7661e00ea3c",
     "k3-balanced": "5dd86d6f449458de3d7ab26d0f77816ca38a3a894b83af03d0a9ba6bcc59b82f",
-    "k2-linear-t0": "01b9d0c2c3df3afc7518fecd09336a94b7c0d44f99367d903a8236a6a3268787",
     "grid12x16-eps0": "55725e559c359fb16944e3658992282659ff6114b9fedb0dbb2d5ed2855d7e37",
     "k4-above-block": "78f8842ce83bdc60f24bfff688984618639b400085749b1e5ba8ce537d314af3",
 }
-
-
-def _grid(rows, cols):
-    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
-    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
-    return Graph.from_edges(rows * cols, sorted(edges))
 
 
 def _sparse_random_graph(n, m, rng):
@@ -64,7 +57,7 @@ def _sparse_random_graph(n, m, rng):
 
 def _case(name):
     if name == "grid12x16-eps0":  # the bisect-grid benchmark's model and schedule
-        return build_bipartition_qubo(_grid(12, 16)), AnnealConfig(
+        return build_bipartition_qubo(grid_graph(12, 16)), AnnealConfig(
             seed=16, sweeps=2000, replicas=2, trace_every=100, balanced_init=True)
     if name == "k4-above-block":  # every sweep refills the draw block
         g = _sparse_random_graph(1040, 3000, np.random.RandomState(22))
@@ -77,12 +70,8 @@ def _case(name):
         return build_bipartition_qubo(g), AnnealConfig(seed=11, balanced_init=True, **common)
     if name == "k2-eps0.1-random-init":
         return build_bipartition_qubo(g, 0.1), AnnealConfig(seed=12, **common)
-    if name == "k3-balanced":
-        return build_kway_qubo(g, 3), AnnealConfig(seed=13, balanced_init=True, **common)
-    assert name == "k2-linear-t0"
-    return build_bipartition_qubo(g), AnnealConfig(
-        seed=14, schedule="linear", temp_initial=6.0, temp_final=0.05,
-        balanced_init=True, **common)
+    assert name == "k3-balanced"
+    return build_kway_qubo(g, 3), AnnealConfig(seed=13, balanced_init=True, **common)
 
 
 def _digest(res) -> str:

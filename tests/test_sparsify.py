@@ -11,7 +11,7 @@ from qubopart.sparsify import (forest_fire_scores, project_partition,
                                run_sparsify_pipeline, sparsify)
 
 import reference
-from conftest import bipartition_optimum, gnp_graph, planted_graph
+from conftest import bipartition_optimum, gnp_graph, grid_graph, planted_graph
 
 # the package attribute qubopart.sparsify is the function, not the module
 sparsify_module = sys.modules["qubopart.sparsify"]
@@ -157,12 +157,6 @@ def test_sparsify_golden():
     assert hashlib.sha256(sparse.edge_array.tobytes()).hexdigest() == SPARSIFY_GOLDEN
 
 
-def _grid(a, b):
-    right = [(v, v + 1) for v in range(a * b) if (v + 1) % b]
-    down = [(v, v + b) for v in range(a * b - b)]
-    return Graph.from_edges(a * b, sorted(right + down))
-
-
 # p = 1 - burn probability: 0.6666 and 0.6667 sit on either side of numpy's
 # switch from the inversion (p < 1/3) to the sequential-search geometric
 PARITY_BURNS = (0.0, 0.2, 0.5, 0.6666, 0.6667, 0.7, 0.95)
@@ -172,7 +166,7 @@ PARITY_GRAPHS = {
     "isolated": lambda: _fire_case("disconnected-isolated")[0],
     "star": lambda: Graph.from_edges(301, [(0, v) for v in range(1, 301)]),
     "planted": lambda: planted_graph(120, 3, 6, 2, np.random.RandomState(1)),
-    "grid": lambda: _grid(30, 50),  # 1500 vertices: restarts cross superblocks
+    "grid": lambda: grid_graph(30, 50),  # 1500 vertices: restarts cross superblocks
 }
 
 

@@ -133,7 +133,6 @@ class CompiledModel:
     nv: int
     base_lin: np.ndarray
     csr_indptr: np.ndarray
-    csr_rows: np.ndarray
     csr_cols: np.ndarray
     csr_data: np.ndarray
     rhs: np.ndarray
@@ -145,8 +144,9 @@ class CompiledModel:
     mem_const: np.ndarray  # penalty * c * c per membership
 
     def base_local_fields(self, bits: np.ndarray) -> np.ndarray:
+        rows = np.repeat(np.arange(self.nv), np.diff(self.csr_indptr))
         contrib = self.csr_data * bits[self.csr_cols]
-        return self.base_lin + np.bincount(self.csr_rows, weights=contrib, minlength=self.nv)
+        return self.base_lin + np.bincount(rows, weights=contrib, minlength=self.nv)
 
 
 def compile_model(model: QuboModel) -> CompiledModel:
@@ -157,7 +157,7 @@ def compile_model(model: QuboModel) -> CompiledModel:
     once, by sorting.  Only the chain memberships are ordered here.
     """
     nv = model.num_vars
-    indptr, rows, cols, data = model.objective_csr
+    indptr, cols, data = model.objective_csr
 
     chains, p = model.chains, model.penalty
     morder = np.lexsort((chains.chain_id, chains.var_idx))
@@ -165,9 +165,8 @@ def compile_model(model: QuboModel) -> CompiledModel:
     mem_indptr = np.zeros(nv + 1, dtype=np.int64)
     np.cumsum(np.bincount(mv, minlength=nv), out=mem_indptr[1:])
 
-    return CompiledModel(nv=nv, base_lin=model.base_linear.astype(np.float64),
-                         csr_indptr=indptr, csr_rows=rows, csr_cols=cols,
-                         csr_data=data, rhs=chains.rhs,
+    return CompiledModel(nv=nv, base_lin=model.base_linear, csr_indptr=indptr,
+                         csr_cols=cols, csr_data=data, rhs=chains.rhs,
                          mem_indptr=mem_indptr, mem_var=mv, mem_chain=mg, mem_coeff=mc,
                          mem_lin=2.0 * p * mc, mem_const=p * mc * mc)
 
@@ -310,7 +309,9 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
                    sweeps_before):
     """Run ``len(temps)`` sweeps in place.
 
-    ``draws`` is the replica's :class:`_BlockUniforms`.  Between flips the
+    ``draws`` is the replica's :class:`_BlockUniforms`; the list ``trace``
+    gets the best energy after every ``trace_every``-th sweep of the run.
+    Between flips the
     sweep keeps the sign vector and the signed memberships of
     :func:`_signs`; a flip negates variable i's entries of both, which is
     exact.  The flip gains are rebuilt by :func:`_flip_gains` only after a
@@ -382,7 +383,7 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
         else:
             offset = offset + offset_inc
         if trace_every > 0 and (sweeps_before + sw + 1) % trace_every == 0:
-            trace[(sweeps_before + sw + 1) // trace_every - 1] = best_energy
+            trace.append(best_energy)
     return offset, cur_energy, best_energy, flips
 
 
@@ -495,7 +496,7 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
         offset = 0.0
         flips = 0
         done = 0
-        trace = np.zeros(cfg.sweeps // cfg.trace_every if cfg.trace_every else 0)
+        trace: list[float] = []  # the best energy at every traced sweep
         timed_out = False
 
         while done < cfg.sweeps and not timed_out:
@@ -515,7 +516,7 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
             best = SolveResult(
                 best_bits=rep_best_bits, best_energy=rep_best_energy, sweeps_done=done,
                 wall_time=0.0, seed=cfg.seed, replica_id=replica, flips=flips,
-                energy_trace=trace[:done // cfg.trace_every] if cfg.trace_every else None)
+                energy_trace=np.array(trace, dtype=np.float64) if cfg.trace_every else None)
         if timed_out:
             break
 

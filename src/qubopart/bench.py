@@ -85,13 +85,19 @@ def load_grid_config(path: str, overrides: dict | None = None) -> GridConfig:
     import yaml
 
     with open(path) as fh:
-        raw = yaml.safe_load(fh) or {}
+        try:
+            raw = yaml.safe_load(fh) or {}
+        except yaml.YAMLError as exc:
+            raise ValueError(f"config file {path} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"config file {path} must hold a mapping")
     known = {f.name for f in fields(GridConfig)}
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key in ("graphs", "ks", "epsilons"):
+        if key in raw and not isinstance(raw[key], list):
+            raise ValueError(f"config key {key!r} must be a list, got {raw[key]!r}")
     merged = dict(raw)
     for key, val in (overrides or {}).items():
         if val is not None:

@@ -14,6 +14,7 @@ import csv
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -31,31 +32,37 @@ def _eps_key(epsilon: float) -> float:
     return round(float(epsilon) * 100.0, 4)
 
 
+def _read_registry(lines: Iterable[str], where: str
+                   ) -> dict[tuple[str, int, float], BestKnownEntry]:
+    """Registry CSV rows keyed on (graph, k, eps_pct); ``d_avg`` and
+    ``source`` may be missing or blank (0 and "user")."""
+    reader = csv.DictReader(lines)
+    missing = sorted({"graph", "n", "k", "eps_pct", "cut"} - set(reader.fieldnames or []))
+    if missing:
+        raise ValueError(f"registry CSV {where} lacks columns {missing}")
+    registry: dict[tuple[str, int, float], BestKnownEntry] = {}
+    for num, row in enumerate(reader, start=2):
+        try:
+            entry = BestKnownEntry(graph=row["graph"], n=int(row["n"]),
+                                   d_avg=float(row.get("d_avg") or 0), k=int(row["k"]),
+                                   eps_pct=float(row["eps_pct"]), cut=int(row["cut"]),
+                                   source=row.get("source") or "user")
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}:{num}: bad registry row: {exc}") from exc
+        registry[(entry.graph, entry.k, entry.eps_pct)] = entry
+    return registry
+
+
 @lru_cache(maxsize=1)
 def load_registry() -> dict[tuple[str, int, float], BestKnownEntry]:
     text = resources.files("qubopart.data").joinpath("best_known.csv").read_text()
-    registry: dict[tuple[str, int, float], BestKnownEntry] = {}
-    for row in csv.DictReader(text.splitlines()):
-        entry = BestKnownEntry(graph=row["graph"], n=int(row["n"]),
-                               d_avg=float(row["d_avg"]), k=int(row["k"]),
-                               eps_pct=float(row["eps_pct"]), cut=int(row["cut"]),
-                               source=row["source"])
-        registry[(entry.graph, entry.k, entry.eps_pct)] = entry
-    return registry
+    return _read_registry(text.splitlines(), "best_known.csv")
 
 
 def load_extra_registry(path: str) -> dict[tuple[str, int, float], BestKnownEntry]:
     """Read a user-provided registry CSV with the same columns as the built-in one."""
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    extra: dict[tuple[str, int, float], BestKnownEntry] = {}
-    for row in rows:
-        entry = BestKnownEntry(graph=row["graph"], n=int(row["n"]),
-                               d_avg=float(row.get("d_avg", 0) or 0), k=int(row["k"]),
-                               eps_pct=float(row["eps_pct"]), cut=int(row["cut"]),
-                               source=row.get("source", "user") or "user")
-        extra[(entry.graph, entry.k, entry.eps_pct)] = entry
-    return extra
+        return _read_registry(fh, path)
 
 
 def best_known(graph: str, k: int, epsilon: float,

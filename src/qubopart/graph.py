@@ -1,9 +1,9 @@
 """Graph and partition containers plus the text formats used by the toolkit.
 
 Graphs are simple undirected graphs (no self-loops, no parallel edges,
-no weights), stored as arrays: the sorted ``(m, 2)`` edge list, and the
-compressed sparse row (CSR) adjacency derived from it, the layout METIS
-itself uses.  Supported on-disk formats:
+no weights), stored as their compressed sparse row (CSR) adjacency, the
+layout METIS itself uses; the sorted ``(m, 2)`` edge list is derived from
+it.  Supported on-disk formats:
 
 * adjacency-list graph files ("n m" header, one 1-indexed neighbor line
   per vertex, '%' comment lines) for both reading and writing,
@@ -32,15 +32,16 @@ class GraphFormatError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable simple undirected graph stored as arrays.
+    """Immutable simple undirected graph stored as its CSR adjacency.
 
-    ``edge_array`` is a read-only ``(m, 2)`` int64 array of ``(u, v)`` rows
-    with ``u < v``, sorted and without repeats; it is the only stored edge
-    data.  Derived from it, each once and on first use:
+    ``indptr`` (length n + 1) and ``indices`` (length 2m) are read-only int64
+    arrays holding both directions of every edge: vertex v's neighbors are
+    ``indices[indptr[v]:indptr[v + 1]]``, sorted and without repeats.  They
+    are the only stored edge data.  Derived from them, each once and on
+    first use:
 
-    * ``indptr``/``indices``: the CSR adjacency, both directions, with each
-      vertex's neighbors sorted; vertex v's neighbors are
-      ``indices[indptr[v]:indptr[v + 1]]``;
+    * ``edge_array``: the read-only ``(m, 2)`` int64 array of the arcs with
+      ``u < v``, which the CSR order leaves sorted;
     * ``edges``: the same edge list as a sorted tuple of ``(u, v)`` tuples;
     * ``degrees``.
 
@@ -49,19 +50,17 @@ class Graph:
     """
 
     n: int
-    edge_array: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
     name: str = ""
 
-    def __post_init__(self) -> None:
-        ea = np.asarray(self.edge_array, dtype=np.int64).reshape(-1, 2)
-        ea.flags.writeable = False  # the derived views would go stale
-        object.__setattr__(self, "edge_array", ea)
-
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]], name: str = "") -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] | np.ndarray,
+                   name: str = "") -> "Graph":
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
-        ea = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        ea = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                        dtype=np.int64).reshape(-1, 2)
         u, v = ea[:, 0], ea[:, 1]
         out_of_range = (u < 0) | (u >= n) | (v < 0) | (v >= n)
         bad = out_of_range | (u == v)
@@ -70,24 +69,36 @@ class Graph:
             if out_of_range[first]:
                 raise ValueError(f"edge ({u[first]}, {v[first]}) out of range for n={n}")
             raise ValueError(f"self-loop at vertex {u[first]}")
-        keys = _unique_keys(np.minimum(u, v) * n + np.maximum(u, v))
-        return cls(n=n, edge_array=np.stack(np.divmod(keys, n), axis=1), name=name)
+        return cls._from_pairs(n, u, v, name=name)
+
+    @classmethod
+    def _from_pairs(cls, n: int, u: np.ndarray, v: np.ndarray, name: str = "") -> "Graph":
+        """Graph of the edges ``{u[i], v[i]}``, in range and without self-loops.
+
+        One sort of the keys of both directions gives the CSR order; repeats
+        merge.
+        """
+        keys = _unique_keys(np.concatenate([u * n + v, v * n + u]))
+        return cls._from_sorted_arcs(n, *np.divmod(keys, n), name=name)
 
     @classmethod
     def _from_sorted_arcs(cls, n: int, src: np.ndarray, dst: np.ndarray,
                           name: str = "") -> "Graph":
-        """Graph from the arcs ``src -> dst`` of a symmetric adjacency, sorted and unique.
-
-        Those arcs are already the CSR order, so the adjacency is stored as
-        well rather than derived again.
-        """
-        g = cls(n=n, edge_array=np.stack([src, dst], axis=1)[src < dst], name=name)
-        vars(g)["_csr"] = _csr_from_arcs(n, src, dst)  # fills the cached_property
-        return g
+        """Graph from the arcs ``src -> dst`` of a symmetric adjacency, sorted and unique."""
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        return cls(n, *_read_only(indptr, dst), name=name)
 
     @property
     def m(self) -> int:
-        return len(self.edge_array)
+        return len(self.indices) // 2
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """Read-only ``(m, 2)`` int64 rows ``(u, v)`` with ``u < v``, sorted."""
+        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        upper = src < self.indices
+        return _read_only(np.stack([src[upper], self.indices[upper]], axis=1))[0]
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -95,25 +106,8 @@ class Graph:
         return tuple(map(tuple, self.edge_array.tolist()))
 
     @cached_property
-    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
-        ea = self.edge_array
-        keys = np.sort(np.concatenate([ea[:, 0] * self.n + ea[:, 1],
-                                       ea[:, 1] * self.n + ea[:, 0]]))
-        return _csr_from_arcs(self.n, *np.divmod(keys, self.n))
-
-    @property
-    def indptr(self) -> np.ndarray:
-        """CSR row pointers, length n + 1."""
-        return self._csr[0]
-
-    @property
-    def indices(self) -> np.ndarray:
-        """CSR neighbor ids, length 2m, sorted within each vertex's row."""
-        return self._csr[1]
-
-    @cached_property
     def degrees(self) -> np.ndarray:
-        return np.bincount(self.edge_array.ravel(), minlength=self.n).astype(np.int64)
+        return _read_only(np.diff(self.indptr))[0]
 
     @property
     def max_degree(self) -> int:
@@ -135,13 +129,10 @@ def _unique_keys(keys: np.ndarray) -> np.ndarray:
     return keys[np.diff(keys, prepend=-1) != 0]
 
 
-def _csr_from_arcs(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, indices) of directed arcs already sorted by (src, dst)."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    for arr in (indptr, dst):
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
         arr.flags.writeable = False
-    return indptr, dst
+    return arrays
 
 
 def laplacian(g: Graph) -> np.ndarray:

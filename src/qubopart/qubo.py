@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import Graph, balance_bounds
+from .graph import Graph, _read_only, balance_bounds
 
 # Expanding a penalty chain over v variables materializes v*(v-1)/2 pairs, so
 # dense-chain models grow quadratically.  Refuse beyond this many pairs.
@@ -165,13 +165,13 @@ class QuboModel:
             raise ValueError("quadratic terms must be strictly upper-triangular")
 
     @cached_property
-    def objective_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Symmetric CSR ``(indptr, rows, cols, data)`` of the objective's pair terms.
+    def objective_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Symmetric CSR ``(indptr, cols, data)`` of the objective's pair terms.
 
         Each triple ``(i, j, c)``, repeats summed, is stored as ``(i, j)``
-        and ``(j, i)``, in (row, col) order; ``rows`` names every entry's
-        row.  The arrays are read-only.  Derived here with two sorts; the
-        partition builders fill it from the graph's CSR instead.
+        and ``(j, i)``, in (row, col) order.  The arrays are read-only.
+        Derived here with two sorts; the partition builders fill it from the
+        graph's CSR instead.
         """
         nv = self.num_vars
         qi, qj, qc = _coalesce(nv, self.base_quad_i, self.base_quad_j, self.base_quad_c)
@@ -181,7 +181,7 @@ class QuboModel:
         order = np.argsort(rows * nv + cols, kind="stable")  # (row, col) pairs are unique
         indptr = np.zeros(nv + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=nv), out=indptr[1:])
-        return _read_only(indptr, rows[order], cols[order], data[order])
+        return _read_only(indptr, cols[order], data[order])
 
     @property
     def linear(self) -> np.ndarray:
@@ -229,15 +229,6 @@ class QuboModel:
         keep = c != 0.0
         return i[keep], j[keep], c[keep]
 
-    def quadratic_dict(self) -> dict[tuple[int, int], float]:
-        qi, qj, qc = self.quadratic_terms()
-        return {(int(a), int(b)): float(v) for a, b, v in zip(qi, qj, qc)}
-
-    def num_terms(self) -> int:
-        """Nonzero coefficient count in the expanded form (linear + quadratic)."""
-        qi, _, _ = self.quadratic_terms()
-        return int(np.count_nonzero(self.linear)) + len(qi)
-
 
 def _coalesce(nv: int, qi: np.ndarray, qj: np.ndarray, qc: np.ndarray):
     """Sum the coefficients of repeated (i, j) pairs; pairs come out sorted."""
@@ -248,12 +239,6 @@ def _coalesce(nv: int, qi: np.ndarray, qj: np.ndarray, qc: np.ndarray):
     keys, qi, qj, qc = keys[order], qi[order], qj[order], qc[order]
     starts = np.concatenate(([0], np.flatnonzero(np.diff(keys)) + 1))
     return qi[starts], qj[starts], np.add.reduceat(qc, starts)
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
 
 
 def energy(model: QuboModel, bits: Sequence[int] | np.ndarray) -> float:
@@ -384,14 +369,13 @@ def _partition_model(g: Graph, indicators: np.ndarray, chains: ChainSet, nv: int
             cols[pos] = col
             pos += step
             col += 1
-    rows = np.repeat(np.arange(nv), np.diff(indptr))
 
     # one constant fills both coefficient arrays, so read-only broadcasts of it
     # stand in for them without memory per term; neither is ever written
     model = QuboModel(num_vars=nv, base_linear=lin, base_quad_i=qi, base_quad_j=qj,
                       base_quad_c=np.broadcast_to(coeff, len(qi)), chains=chains,
                       indicators=indicators, penalty=penalty, k=k, epsilon=float(epsilon))
-    vars(model)["objective_csr"] = _read_only(indptr, rows, cols,  # fills the cached_property
+    vars(model)["objective_csr"] = _read_only(indptr, cols,  # fills the cached_property
                                               np.broadcast_to(coeff, len(cols)))
     return model
 

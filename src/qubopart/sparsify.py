@@ -240,7 +240,8 @@ def sparsify(g: Graph, scores: EdgeScores, keep_ratio: float) -> Graph:
         raise ValueError("scores are not aligned with the graph's edges")
     keep = round(keep_ratio * g.m)
     order = np.argsort(-scores.scores, kind="stable")
-    return Graph(n=g.n, edge_array=g.edge_array[np.sort(order[:keep])], name=g.name)
+    kept = g.edge_array[np.sort(order[:keep])]
+    return Graph._from_pairs(g.n, kept[:, 0], kept[:, 1], name=g.name)
 
 
 def project_partition(original: Graph, p: Partition) -> int:

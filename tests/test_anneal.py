@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ def test_compile_model_csr_in_lexsort_order():
         qi, qj, qc = _coalesce(nv, model.base_quad_i, model.base_quad_j, model.base_quad_c)
         rows, cols = np.concatenate([qi, qj]), np.concatenate([qj, qi])
         order = np.lexsort((cols, rows))
-        assert np.array_equal(cm.csr_rows, rows[order])
+        assert np.array_equal(np.repeat(np.arange(nv), np.diff(cm.csr_indptr)), rows[order])
         assert np.array_equal(cm.csr_cols, cols[order])
         assert np.array_equal(cm.csr_data, np.concatenate([qc, qc])[order])
         assert np.array_equal(cm.csr_indptr, np.searchsorted(rows[order], np.arange(nv + 1)))
@@ -106,8 +107,7 @@ def test_compile_model_reads_the_builders_csr(monkeypatch):
     monkeypatch.setattr(qubo, "_coalesce", refuse)
     for model in models:
         cm = compile_model(model)
-        for got, want in zip((cm.csr_indptr, cm.csr_rows, cm.csr_cols, cm.csr_data),
-                             model.objective_csr):
+        for got, want in zip((cm.csr_indptr, cm.csr_cols, cm.csr_data), model.objective_csr):
             assert got is want
 
 
@@ -182,7 +182,7 @@ def _run_batches(model, sweeps, sizes, rng):
     t0 = float(np.max(np.abs(anneal._flip_gains(cm, *anneal._signs(cm, bits), base_lf, s))))
     cfg = AnnealConfig(sweeps=sweeps, temp_final=0.05)
     cur = best = energy(model, bits)
-    best_bits, trace = bits.copy(), np.zeros(sweeps // 10)
+    best_bits, trace = bits.copy(), []
     offset, flips, done, call = 0.0, 0, 0, 0
     while done < sweeps:
         size = min(sizes[call % len(sizes)], sweeps - done)
@@ -416,6 +416,22 @@ def test_time_limit_holds_at_a_large_sweep_cap():
     res = _assert_time_limit_holds(build_bipartition_qubo(grid_graph(12, 16)), 0.1,
                                    sweeps=10 ** 7)
     assert res.sweeps_done >= 100
+
+
+def test_energy_trace_grows_with_the_sweeps_run():
+    # the trace holds the sweeps actually run, not a buffer sized by the cap:
+    # one of 10**7 doubles would take 80 MB
+    model = build_bipartition_qubo(grid_graph(12, 16))
+    cfg = AnnealConfig(sweeps=10 ** 7, seed=0, time_limit=0.1, trace_every=1)
+    tracemalloc.start()
+    try:
+        res = solve(model, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
+    assert 0 < res.sweeps_done < cfg.sweeps
+    assert len(res.energy_trace) == res.sweeps_done
 
 
 def test_batch_size_fits_time_left():

@@ -263,3 +263,24 @@ def test_unsatisfiable_bounds_exit_code(tmp_path, command, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("infeasible: ") and "need more than 10 vertices" in err
+
+
+@pytest.mark.parametrize("bad, expected", [
+    ("registry", "lacks columns ['cut']"),
+    ("unclosed-bracket", "is not valid YAML"),
+    ("scalar-ks", "'ks' must be a list"),
+])
+def test_bad_bench_inputs_exit_code(graph_file, tmp_path, bad, expected, capsys):
+    argv = ["bench", "--graphs", graph_file, "--sweeps", "50", "--replicas", "1"]
+    if bad == "registry":
+        registry = tmp_path / "extra.csv"
+        registry.write_text("graph,n,k,eps_pct\ntoy,12,2,0\n")
+        argv += ["--registry", str(registry)]
+    else:
+        cfg = tmp_path / "grid.yaml"
+        cfg.write_text("graphs: [toy.graph\n" if bad == "unclosed-bracket" else "ks: 2\n")
+        argv += ["--config", str(cfg)]
+    rc = main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expected in err and "Traceback" not in err

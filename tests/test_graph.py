@@ -7,6 +7,7 @@ import qubopart.graph as graph_module
 from qubopart.graph import (Graph, GraphFormatError, Partition, balance_bounds, cut_edges,
                             laplacian, parse_matrix_market, parse_metis, parse_partition,
                             write_metis, write_partition)
+from qubopart.sparsify import forest_fire_scores, sparsify
 
 import reference
 from conftest import all_bit_rows, gnp_graph, planted_graph, small_corpus
@@ -242,6 +243,58 @@ def test_graph_from_edges_validation():
         Graph.from_edges(3, [(0, 3)])
     g = Graph.from_edges(3, [(2, 0), (0, 2), (1, 2)])  # dedup + normalize
     assert g.edges == ((0, 2), (1, 2))
+
+
+def _sparsified_planted():
+    g = planted_graph(40, 2, 5, 2, np.random.RandomState(6))
+    scores = forest_fire_scores(g, seed=3)
+    keep = round(0.6 * g.m)
+    # highest scores first, ties to the lower edge row
+    top = sorted(range(g.m), key=lambda e: (-int(scores.scores[e]), e))[:keep]
+    return sparsify(g, scores, 0.6), g.n, [g.edges[e] for e in top]
+
+
+def _parsed_matrix_market():
+    text = ("%%MatrixMarket matrix coordinate pattern general\n"
+            "5 5 6\n2 1\n1 2\n3 3\n5 3\n3 5\n1 4\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the dropped diagonal entry
+        return parse_matrix_market(text), 5, [(0, 1), (2, 4), (0, 3)]
+
+
+_REPEATS = [(3, 1), (1, 3), (0, 5), (5, 0), (0, 5), (2, 4)]
+# each builds (graph, n, the edges it should hold in any order and orientation)
+STORED_GRAPH_CASES = {
+    "from_edges-repeats-reversed": lambda: (Graph.from_edges(6, _REPEATS), 6, _REPEATS),
+    "from_edges-ndarray": lambda: (Graph.from_edges(6, np.array(_REPEATS)), 6, _REPEATS),
+    "from_edges-generator": lambda: (Graph.from_edges(4, ((i, i + 1) for i in range(3))), 4,
+                                     [(0, 1), (1, 2), (2, 3)]),
+    "from_edges-empty": lambda: (Graph.from_edges(3, []), 3, []),
+    "from_edges-no-vertices": lambda: (Graph.from_edges(0, []), 0, []),
+    # vertex 1 lists 2 twice, vertex 4 is isolated
+    "parse_metis": lambda: (parse_metis("5 4\n2 2 3\n1 3\n1 2 5\n\n3\n"), 5,
+                            [(0, 1), (0, 2), (1, 2), (2, 4)]),
+    "parse_matrix_market": _parsed_matrix_market,
+    "sparsify": _sparsified_planted,
+}
+
+
+@pytest.mark.parametrize("case", list(STORED_GRAPH_CASES))
+def test_every_constructor_stores_sorted_unique_symmetric_csr(case):
+    g, n, pairs = STORED_GRAPH_CASES[case]()
+    want = sorted({(min(u, v), max(u, v)) for u, v in pairs})
+    assert (g.n, g.m) == (n, len(want))
+    for arr in (g.indptr, g.indices, g.edge_array, g.degrees):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+    assert g.indptr.shape == (n + 1,) and g.indptr[0] == 0 and g.indptr[-1] == 2 * len(want)
+    rows = [g.indices[a:b].tolist() for a, b in zip(g.indptr, g.indptr[1:])]
+    for v, row in enumerate(rows):
+        assert row == sorted(set(row)) and v not in row, (v, row)
+        assert all(v in rows[u] for u in row), (v, row)
+    assert g.edge_array.shape == (len(want), 2) and g.edge_array.flags.c_contiguous
+    assert g.edge_array.tolist() == [list(e) for e in want]
+    assert g.edges == tuple(want)
+    assert np.array_equal(g.degrees, np.diff(g.indptr))
 
 
 def test_cut_edges_matches_direct_enumeration():

@@ -65,11 +65,12 @@ class AnnealConfig:
     Temperatures fall geometrically from the starting temperature to
     ``temp_final`` over ``sweeps`` sweeps (:func:`_temperatures`).
     ``temp_initial=None`` picks each replica's starting temperature as the
-    maximum absolute flip gain of its initial state.  ``offset_increment``
-    defaults to a tenth of the final temperature.  ``balanced_init`` starts
-    replicas from a random balanced partition instead of uniform random bits
-    (partition models only): part 1 of the bipartition model gets ceil(n/2)
-    vertices, and the one-hot model's part sizes differ by at most one.
+    maximum absolute flip gain of its initial state.  The escape offset grows
+    by a tenth of ``temp_final`` per sweep without an acceptor.
+    ``balanced_init`` starts replicas from a random balanced partition
+    instead of uniform random bits (partition models only): part 1 of the
+    bipartition model gets ceil(n/2) vertices, and the one-hot model's part
+    sizes differ by at most one.
     """
 
     sweeps: int = 2000
@@ -77,7 +78,6 @@ class AnnealConfig:
     seed: int = 0
     temp_initial: float | None = None
     temp_final: float = 0.1
-    offset_increment: float | None = None
     time_limit: float | None = None
     balanced_init: bool = False
     trace_every: int = 0
@@ -94,9 +94,6 @@ class AnnealConfig:
         if self.temp_initial is not None and not (0 < self.temp_initial < math.inf):
             raise ValueError(f"initial temperature must be finite and positive when given, "
                              f"got {self.temp_initial}")
-        if self.offset_increment is not None and not (0 <= self.offset_increment < math.inf):
-            raise ValueError(f"offset_increment must be finite and non-negative when given, "
-                             f"got {self.offset_increment}")
         if self.time_limit is not None and not (0 < self.time_limit < math.inf):
             raise ValueError(f"time limit must be finite and positive when given, "
                              f"got {self.time_limit}")
@@ -152,9 +149,10 @@ class CompiledModel:
 def compile_model(model: QuboModel) -> CompiledModel:
     """The model's arrays for the sweeps.
 
-    The objective CSR is read from ``model.objective_csr``: the partition
-    builders fill it from the graph's CSR, and other models derive it there
-    once, by sorting.  Only the chain memberships are ordered here.
+    The objective CSR is read from ``model.objective_csr``, which every model
+    stores: the partition builders fill it from the graph's CSR and
+    :meth:`~qubopart.qubo.QuboModel.from_triples` sorts triples into it.
+    Only the chain memberships are ordered here.
     """
     nv = model.num_vars
     indptr, cols, data = model.objective_csr
@@ -486,8 +484,7 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
             t0 = float(np.max(np.abs(_flip_gains(cm, *_signs(cm, bits), base_lf, s)))) if nv else 1.0
             if t0 <= 0.0:
                 t0 = 1.0
-        offset_inc = cfg.offset_increment if cfg.offset_increment is not None \
-            else cfg.temp_final / 10.0
+        offset_inc = cfg.temp_final / 10.0
 
         sweep_seed = _derive_seed(cfg.seed, replica, "sweeps")
         draws = _BlockUniforms(np.random.RandomState(sweep_seed), nv)

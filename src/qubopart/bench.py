@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from . import bestknown
 from .anneal import AnnealConfig, _derive_seed
-from .evaluate import InfeasiblePartitionError
+from .evaluate import InfeasiblePartitionError, approximation_ratio
 from .graph import Graph, GraphFormatError, file_stem, load_graph_file
 from .pipeline import partition
 from .qubo import model_num_vars
@@ -148,7 +148,7 @@ def _run_cell(g: Graph, graph_id: str, k: int, epsilon: float,
     if rec.feasible:
         ref = bestknown.best_known(graph_id, k, epsilon)
         if ref:
-            rec.approximation_ratio = rec.cut_repaired / ref
+            rec.approximation_ratio = approximation_ratio(rec.cut_repaired, ref)
     return rec
 
 

@@ -15,7 +15,7 @@ import sys
 from .anneal import AnnealConfig
 from .bench import (GridConfig, emit, ingest_external, load_grid_config, run_grid)
 from .bestknown import best_known, load_extra_registry
-from .evaluate import InfeasiblePartitionError, partition_feasibility
+from .evaluate import InfeasiblePartitionError, approximation_ratio, partition_feasibility
 from .graph import (GraphFormatError, cut_edges, load_graph_file, parse_partition,
                     write_metis, write_partition)
 from .pipeline import build_model, partition
@@ -126,7 +126,7 @@ def _solve_command(args, k: int) -> int:
     if report.partition is None:
         raise InfeasiblePartitionError(report.error)
     ref = best_known(g.name, k, args.epsilon)
-    ratio = report.cut / ref if ref else None
+    ratio = approximation_ratio(report.cut, ref) if ref else None
 
     if args.out:
         with open(args.out, "w") as fh:
@@ -215,7 +215,7 @@ def _evaluate_command(args) -> int:
     print(f"part sizes: {feas.part_sizes}")
     print(f"balanced: {feas.balance_ok}")
     if ref:
-        print(f"approximation ratio: {cut / ref:.4f} (best known {ref})")
+        print(f"approximation ratio: {approximation_ratio(cut, ref):.4f} (best known {ref})")
     return 0 if feas.feasible else 3
 
 

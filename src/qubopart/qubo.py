@@ -122,10 +122,16 @@ def _running_sum(start: float, terms: np.ndarray) -> float:
 class QuboModel:
     """Binary quadratic model: objective terms plus penalty chains.
 
-    ``base_*`` fields hold the raw objective; :attr:`linear`,
-    :attr:`constant` and :meth:`quadratic_terms` fold the chains in, each
-    weighted by ``penalty``, so the model is
+    ``base_*`` fields and :attr:`objective_csr` hold the raw objective;
+    :attr:`linear`, :attr:`constant` and :meth:`quadratic_terms` fold the
+    chains in, each weighted by ``penalty``, so the model is
     ``objective + penalty * sum_g (coeffs_g . a[var_idx_g] - rhs_g)^2``.
+
+    ``objective_csr`` is the only stored form of the objective's pair terms:
+    the read-only symmetric CSR ``(indptr, cols, data)``, holding each pair
+    ``(i, j, c)`` as ``(i, j)`` and ``(j, i)`` in (row, col) order.  The
+    partition builders fill it from the graph's CSR; :meth:`from_triples`
+    builds it from pair triples.
 
     ``indicators`` is the variable layout, an ``(n, c)`` int64 array of
     variable indices: ``c == 1`` for the bipartition model, whose bit is the
@@ -134,17 +140,11 @@ class QuboModel:
     is a slack bit at an index ``>= indicators.size``, in the tail of its
     balance chain, weighted by that chain's ``coeffs``.  It is None for models
     read from generic QUBO text, which cannot be decoded back into partitions.
-
-    The objective fields (``num_vars``, ``base_linear`` and the
-    ``base_quad_*`` triples) must not be mutated after construction:
-    :attr:`objective_csr` is built from them once and cached.
     """
 
     num_vars: int
     base_linear: np.ndarray
-    base_quad_i: np.ndarray
-    base_quad_j: np.ndarray
-    base_quad_c: np.ndarray
+    objective_csr: tuple[np.ndarray, np.ndarray, np.ndarray]
     base_constant: float = 0.0
     chains: ChainSet = field(default_factory=ChainSet.empty)
     indicators: np.ndarray | None = None
@@ -154,34 +154,38 @@ class QuboModel:
 
     def __post_init__(self):
         self.base_linear = np.asarray(self.base_linear, dtype=np.float64)
-        self.base_quad_i = np.asarray(self.base_quad_i, dtype=np.int64)
-        self.base_quad_j = np.asarray(self.base_quad_j, dtype=np.int64)
-        self.base_quad_c = np.asarray(self.base_quad_c, dtype=np.float64)
         if self.base_linear.shape != (self.num_vars,):
             raise ValueError("linear coefficient array length mismatch")
-        if not (len(self.base_quad_i) == len(self.base_quad_j) == len(self.base_quad_c)):
-            raise ValueError("quadratic term arrays differ in length")
-        if len(self.base_quad_i) and not np.all(self.base_quad_i < self.base_quad_j):
-            raise ValueError("quadratic terms must be strictly upper-triangular")
+        indptr, cols, data = self.objective_csr
+        if len(indptr) != self.num_vars + 1 or len(cols) != len(data) \
+                or indptr[-1] != len(cols):
+            raise ValueError("objective CSR arrays do not fit the variable count")
 
-    @cached_property
-    def objective_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Symmetric CSR ``(indptr, cols, data)`` of the objective's pair terms.
+    @classmethod
+    def from_triples(cls, num_vars: int, base_linear, qi, qj, qc, **rest) -> QuboModel:
+        """Model whose objective pair terms are the triples ``(qi, qj, qc)``.
 
-        Each triple ``(i, j, c)``, repeats summed, is stored as ``(i, j)``
-        and ``(j, i)``, in (row, col) order.  The arrays are read-only.
-        Derived here with two sorts; the partition builders fill it from the
-        graph's CSR instead.
+        Every pair needs ``0 <= qi < qj < num_vars``; the coefficients of
+        repeated pairs are summed in the order given.  ``rest`` holds the
+        other fields.
         """
-        nv = self.num_vars
-        qi, qj, qc = _coalesce(nv, self.base_quad_i, self.base_quad_j, self.base_quad_c)
+        qi = np.asarray(qi, dtype=np.int64)
+        qj = np.asarray(qj, dtype=np.int64)
+        qc = np.asarray(qc, dtype=np.float64)
+        if not (qi.ndim == 1 and qi.shape == qj.shape == qc.shape):
+            raise ValueError("quadratic term arrays differ in length")
+        if len(qi) and not np.all(qi < qj):
+            raise ValueError("quadratic terms must be strictly upper-triangular")
+        if len(qi) and (qi.min() < 0 or qj.max() >= num_vars):
+            raise ValueError(f"quadratic term indices must lie in [0, {num_vars})")
+        qi, qj, qc = _coalesce(num_vars, qi, qj, qc)
         rows = np.concatenate([qi, qj])
         cols = np.concatenate([qj, qi])
         data = np.concatenate([qc, qc])
-        order = np.argsort(rows * nv + cols, kind="stable")  # (row, col) pairs are unique
-        indptr = np.zeros(nv + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=nv), out=indptr[1:])
-        return _read_only(indptr, cols[order], data[order])
+        order = np.argsort(rows * num_vars + cols, kind="stable")  # (row, col) pairs are unique
+        indptr = np.zeros(num_vars + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=num_vars), out=indptr[1:])
+        return cls(num_vars, base_linear, _read_only(indptr, cols[order], data[order]), **rest)
 
     @property
     def linear(self) -> np.ndarray:
@@ -200,7 +204,7 @@ class QuboModel:
     def expansion_size(self) -> int:
         """Number of raw pair terms the full expansion would materialize."""
         v = np.diff(self.chains.indptr)
-        return len(self.base_quad_c) + int((v * (v - 1) // 2).sum())
+        return len(self.objective_csr[1]) // 2 + int((v * (v - 1) // 2).sum())
 
     def quadratic_terms(self, max_terms: int = MAX_EXPANSION_TERMS
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -213,9 +217,12 @@ class QuboModel:
         size = self.expansion_size()
         if size > max_terms:
             raise ValueError(f"expansion has {size} pair terms, above the {max_terms} cap")
-        qi = [self.base_quad_i]
-        qj = [self.base_quad_j]
-        qc = [self.base_quad_c]
+        indptr, cols, data = self.objective_csr
+        rows = np.repeat(np.arange(self.num_vars), np.diff(indptr))
+        upper = rows < cols  # the pairs once each, already sorted
+        qi = [rows[upper]]
+        qj = [cols[upper]]
+        qc = [data[upper]]
         for ch in self.chains:
             v = len(ch.var_idx)
             if v < 2:
@@ -249,8 +256,13 @@ def energy(model: QuboModel, bits: Sequence[int] | np.ndarray) -> float:
     if np.any((a != 0.0) & (a != 1.0)):
         raise ValueError("assignment must be 0/1 valued")
     e = model.base_constant + float(model.base_linear @ a)
-    if len(model.base_quad_c):
-        e += float(model.base_quad_c @ (a[model.base_quad_i] * a[model.base_quad_j]))
+    # each stored pair counts twice, once from each end, where both bits are set;
+    # a sum, not a dot, because a dot this long runs on threaded BLAS, slow to wake
+    indptr, cols, data = model.objective_csr
+    on = a != 0
+    both = np.repeat(on, np.diff(indptr))
+    both &= on[cols]
+    e += 0.5 * float(data[both].sum())
     residuals = model.chains.sums(a) - model.chains.rhs
     return _running_sum(e, model.penalty * residuals ** 2)
 
@@ -347,12 +359,7 @@ def _partition_model(g: Graph, indicators: np.ndarray, chains: ChainSet, nv: int
     deg = g.degrees
     lin = np.zeros(nv)
     lin[:indicators.size] = np.repeat(weight * deg, parts)
-    ea = g.edge_array
     offsets = np.arange(parts, dtype=np.int64)
-    # u < v guarantees qi < qj within a part block
-    qi = (ea[:, 0, None] * parts + offsets).ravel()
-    qj = (ea[:, 1, None] * parts + offsets).ravel()
-
     g_indptr, g_indices = g.indptr, g.indices
     arcs = len(g_indices)
     starts = (parts * g_indptr[:-1, None] + deg[:, None] * offsets).ravel()
@@ -370,14 +377,11 @@ def _partition_model(g: Graph, indicators: np.ndarray, chains: ChainSet, nv: int
             pos += step
             col += 1
 
-    # one constant fills both coefficient arrays, so read-only broadcasts of it
-    # stand in for them without memory per term; neither is ever written
-    model = QuboModel(num_vars=nv, base_linear=lin, base_quad_i=qi, base_quad_j=qj,
-                      base_quad_c=np.broadcast_to(coeff, len(qi)), chains=chains,
-                      indicators=indicators, penalty=penalty, k=k, epsilon=float(epsilon))
-    vars(model)["objective_csr"] = _read_only(indptr, cols,  # fills the cached_property
-                                              np.broadcast_to(coeff, len(cols)))
-    return model
+    # one constant fills the coefficients, so a read-only broadcast of it
+    # stands in for them without memory per term; it is never written
+    csr = _read_only(indptr, cols, np.broadcast_to(coeff, len(cols)))
+    return QuboModel(num_vars=nv, base_linear=lin, objective_csr=csr, chains=chains,
+                     indicators=indicators, penalty=penalty, k=k, epsilon=float(epsilon))
 
 
 def build_bipartition_qubo(g: Graph, epsilon: float = 0.0,
@@ -484,16 +488,10 @@ def parse_qubo_text(text: str) -> QuboModel:
     if len(terms) != declared:
         raise ValueError(f"declared {declared} terms, found {len(terms)}")
 
+    qi, qj, qc = np.array(terms, dtype=np.float64).reshape(-1, 3).T  # indices are exact
+    qi, qj = qi.astype(np.int64), qj.astype(np.int64)
+    diag = qi == qj
     lin = np.zeros(nv, dtype=np.float64)
-    quad: dict[tuple[int, int], float] = {}
-    for i, j, v in terms:
-        if i == j:
-            lin[i] += v
-        else:
-            quad[(i, j)] = quad.get((i, j), 0.0) + v
-    keys = sorted(quad)
-    qi = np.asarray([a for a, _ in keys], dtype=np.int64)
-    qj = np.asarray([b for _, b in keys], dtype=np.int64)
-    qc = np.asarray([quad[key] for key in keys], dtype=np.float64)
-    return QuboModel(num_vars=nv, base_linear=lin, base_quad_i=qi, base_quad_j=qj,
-                     base_quad_c=qc, base_constant=constant)
+    np.add.at(lin, qi[diag], qc[diag])  # repeats add up in file order
+    pair = ~diag
+    return QuboModel.from_triples(nv, lin, qi[pair], qj[pair], qc[pair], base_constant=constant)

@@ -31,11 +31,9 @@ def test_config_validation():
                    {"trace_every": -1}, {"time_limit": 0.0},
                    {"temp_final": nan}, {"temp_final": inf},
                    {"temp_initial": nan}, {"temp_initial": inf},
-                   {"offset_increment": -0.1}, {"offset_increment": nan},
-                   {"offset_increment": inf}, {"time_limit": nan}, {"time_limit": inf}):
+                   {"time_limit": nan}, {"time_limit": inf}):
         with pytest.raises(ValueError):
             AnnealConfig(**kwargs)
-    AnnealConfig(offset_increment=0.0)  # no escape offset is a valid choice
 
 
 def test_delta_energy_matches_recomputation():
@@ -81,12 +79,11 @@ def test_compile_model_csr_in_lexsort_order():
         count = rng.randint(0, 3 * nv)
         i = rng.randint(0, nv, size=count)
         j = rng.randint(0, nv, size=count)
-        keep = i < j  # repeats are kept: compile_model coalesces them
-        model = QuboModel(num_vars=nv, base_linear=rng.standard_normal(nv),
-                          base_quad_i=i[keep], base_quad_j=j[keep],
-                          base_quad_c=rng.standard_normal(int(keep.sum())))
+        keep = i < j  # repeats are kept: from_triples coalesces them
+        c = rng.standard_normal(int(keep.sum()))
+        model = QuboModel.from_triples(nv, rng.standard_normal(nv), i[keep], j[keep], c)
         cm = compile_model(model)
-        qi, qj, qc = _coalesce(nv, model.base_quad_i, model.base_quad_j, model.base_quad_c)
+        qi, qj, qc = _coalesce(nv, i[keep], j[keep], c)
         rows, cols = np.concatenate([qi, qj]), np.concatenate([qj, qi])
         order = np.lexsort((cols, rows))
         assert np.array_equal(np.repeat(np.arange(nv), np.diff(cm.csr_indptr)), rows[order])
@@ -330,8 +327,8 @@ def test_solve_chainless_models():
     # models read from QUBO text, or built by hand, carry no penalty chains
     path4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     parsed = parse_qubo_text(write_qubo_text(build_bipartition_qubo(path4)))
-    by_hand = QuboModel(num_vars=3, base_linear=[1.0, -2.0, 0.5], base_quad_i=[0, 1],
-                        base_quad_j=[1, 2], base_quad_c=[-3.0, 2.0], base_constant=0.25)
+    by_hand = QuboModel.from_triples(3, [1.0, -2.0, 0.5], [0, 1], [1, 2], [-3.0, 2.0],
+                                     base_constant=0.25)
     cases = ((parsed, float(bipartition_optimum(path4, 0.0))),
              (by_hand, -3.75))  # at bits (1, 1, 0)
     for model, optimum in cases:

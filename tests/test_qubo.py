@@ -129,7 +129,13 @@ def test_infeasible_assignments_cost_more_small_exhaustive():
 def test_expansion_matches_dense_evaluation():
     rng = np.random.RandomState(12)
     g = gnp_graph(12, 0.4, rng)
-    for model in (build_bipartition_qubo(g, 0.25), build_kway_qubo(g, 3, 0.34)):
+    # random non-integer pair coefficients, repeats included, off the exact-integer path
+    i, j = rng.randint(0, 9, size=(2, 30))
+    keep = i < j
+    by_hand = QuboModel.from_triples(9, rng.standard_normal(9), i[keep], j[keep],
+                                     rng.standard_normal(int(keep.sum())), base_constant=0.3,
+                                     chains=_chains([0, 3, 5], [1, 2, 7]), penalty=0.7)
+    for model in (build_bipartition_qubo(g, 0.25), build_kway_qubo(g, 3, 0.34), by_hand):
         for _ in range(25):
             bits = rng.randint(0, 2, size=model.num_vars)
             assert energy(model, bits) == pytest.approx(dense_energy(model, bits), abs=1e-9)
@@ -193,30 +199,65 @@ def test_model_num_vars_matches_builders(n, k, epsilon):
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.03, 0.1])
-def test_prefilled_objective_csr_equals_derived(epsilon):
+def test_builders_objective_csr_equals_from_triples(epsilon):
     planted = gnp_graph(40, 0.2, np.random.RandomState(4))
     graphs = small_corpus() + [
         Graph.from_edges(9, [(1, 4), (4, 7), (2, 7)], name="isolated"),
-        sparsify(planted, forest_fire_scores(planted, seed=3), 0.6),  # CSR derived on use
+        sparsify(planted, forest_fire_scores(planted, seed=3), 0.6),
     ]
     for g in graphs:
         models = [build_bipartition_qubo(g, epsilon)]
         models += [build_kway_qubo(g, k, epsilon) for k in (2, 3, 4)]
         for model in models:
-            assert "objective_csr" in vars(model), "the builder fills the cache"
-            prefilled = model.objective_csr
-            del model.objective_csr
-            derived = model.objective_csr
-            assert len(prefilled) == len(derived) == 3
-            for got, want in zip(prefilled, derived):
-                assert got.dtype == want.dtype, (g.name, model.k)
-                assert np.array_equal(got, want), (g.name, model.k)
+            # edge {u, v} couples u*parts + j and v*parts + j in every part j
+            parts = model.indicators.shape[1]
+            qi = (g.edge_array[:, :1] * parts + np.arange(parts)).ravel()
+            qj = (g.edge_array[:, 1:] * parts + np.arange(parts)).ravel()
+            coeff = -2.0 if parts == 1 else -1.0
+            want = QuboModel.from_triples(model.num_vars, model.base_linear, qi, qj,
+                                          np.full(len(qi), coeff)).objective_csr
+            assert len(model.objective_csr) == 3
+            for got, w in zip(model.objective_csr, want):
+                assert got.dtype == w.dtype, (g.name, model.k)
+                assert np.array_equal(got, w), (g.name, model.k)
+
+
+@pytest.mark.parametrize("qi, qj, qc, match", [
+    ([0, 1], [1], [5.0], "differ in length"),
+    ([0], [1], [5.0, 1.0], "differ in length"),
+    ([1], [1], [5.0], "upper-triangular"),
+    ([0, 2], [1, 1], [5.0, 1.0], "upper-triangular"),
+    ([-1], [1], [5.0], r"lie in \[0, 3\)"),
+    ([1], [7], [5.0], r"lie in \[0, 3\)"),
+    ([0], [3], [5.0], r"lie in \[0, 3\)"),
+])
+def test_from_triples_rejects_bad_pairs(qi, qj, qc, match):
+    with pytest.raises(ValueError, match=match):
+        QuboModel.from_triples(3, np.zeros(3), qi, qj, qc)
+
+
+def test_objective_csr_shape_checks():
+    ok = QuboModel.from_triples(3, np.zeros(3), [0, 1], [1, 2], [1.0, 2.0])
+    indptr, cols, data = ok.objective_csr
+    for csr in ((indptr[:-1], cols, data), (indptr, cols, data[:-1]),
+                (indptr, cols[:-1], data[:-1])):
+        with pytest.raises(ValueError, match="objective CSR"):
+            QuboModel(3, np.zeros(3), csr)
+
+
+def test_parse_qubo_text_sums_repeated_terms():
+    model = parse_qubo_text("p qubo 3 5\n1 2 0.5\n2 2 1\n1 2 0.25\n2 2 -3\n2 3 1.5\n")
+    assert model.linear.tolist() == [0.0, -2.0, 0.0]
+    qi, qj, qc = model.quadratic_terms()
+    assert (qi.tolist(), qj.tolist(), qc.tolist()) == ([0, 1], [1, 2], [0.75, 1.5])
+    assert energy(model, [1, 1, 1]) == -2.0 + 0.75 + 1.5
 
 
 def test_objective_csr_is_read_only():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4), (0, 4)])
     built = [build_bipartition_qubo(g, 0.2), build_kway_qubo(g, 3, 0.25)]
-    for model in built + [parse_qubo_text(write_qubo_text(m)) for m in built]:
+    by_hand = QuboModel.from_triples(3, np.zeros(3), [0, 0], [1, 2], [1.0, -1.0])
+    for model in built + [parse_qubo_text(write_qubo_text(m)) for m in built] + [by_hand]:
         for arr in model.objective_csr:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0

@@ -22,10 +22,11 @@ acceptor sets equal that scalar rule's exactly.  Between flips the engine
 keeps the sign vector ``1 - 2 * bits`` and the signed chain memberships,
 which a flip negates, and rebuilds the flip gains only after a flip: a sweep
 with no acceptor changes no state they depend on.  A flip updates its own
-entries of that state, its objective row of the local fields and its chain
-sums as Python scalars through memoryviews, the same double operations
-numpy would do without numpy's cost per call; objective rows longer than
-``_SCALAR_ROW_MAX`` take one numpy update instead.
+entries of that state and adds its sign times its objective row to the local
+fields and times its chain coefficients to the chain sums, one update for
+either direction, as Python scalars through memoryviews: the same double
+operations numpy would do without numpy's cost per call.  Objective rows
+longer than ``_SCALAR_ROW_MAX`` take one numpy update instead.
 Replica r of a solve seeds its stream from SHA-256 of (seed, r), making
 replicas independent and the whole solve deterministic.  Every replica owns
 its ``RandomState``, so solves share no state.
@@ -335,8 +336,6 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
     stale = True
     flips = 0
     for sw, t in enumerate(temps.tolist()):
-        if t < 1e-300:
-            t = 1e-300
         us, lo, hi = bands(nv)
         if stale:
             _flip_gains(cm, dl, mld, base_lf, s, deltas, sr, chain_gain)
@@ -345,33 +344,22 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
         if len(acceptors):
             i = int(acceptors[int(pick() * len(acceptors))])
             cur_energy = cur_energy + deltas_v[i]
+            # d is +1.0 when bit i rises, -1.0 when it falls, and x + y * d
+            # is x + y or x - y bit for bit
+            d = dl_v[i]
             a, b = csr_ptr[i], csr_ptr[i + 1]
-            # x - d == x + d * -1.0 exactly: this is base_lf += data * dl
-            if bits_v[i]:
-                if b - a > row_max:
-                    base_lf[csr_cols[a:b]] -= csr_data[a:b]
-                else:
-                    for j in range(a, b):
-                        c = cols_v[j]
-                        lf_v[c] = lf_v[c] - data_v[j]
-                for j in range(mem_ptr[i], mem_ptr[i + 1]):
-                    g = chain_v[j]
-                    s_v[g] = s_v[g] - coeff_v[j]
-                    mld_v[j] = -mld_v[j]
-                bits_v[i] = 0
+            if b - a > row_max:
+                base_lf[csr_cols[a:b]] += csr_data[a:b] * d
             else:
-                if b - a > row_max:
-                    base_lf[csr_cols[a:b]] += csr_data[a:b]
-                else:
-                    for j in range(a, b):
-                        c = cols_v[j]
-                        lf_v[c] = lf_v[c] + data_v[j]
-                for j in range(mem_ptr[i], mem_ptr[i + 1]):
-                    g = chain_v[j]
-                    s_v[g] = s_v[g] + coeff_v[j]
-                    mld_v[j] = -mld_v[j]
-                bits_v[i] = 1
-            dl_v[i] = -dl_v[i]
+                for j in range(a, b):
+                    c = cols_v[j]
+                    lf_v[c] = lf_v[c] + data_v[j] * d
+            for j in range(mem_ptr[i], mem_ptr[i + 1]):
+                g = chain_v[j]
+                s_v[g] = s_v[g] + coeff_v[j] * d
+                mld_v[j] = -mld_v[j]
+            bits_v[i] = 1 - bits_v[i]
+            dl_v[i] = -d
             stale = True
             offset = 0.0
             flips += 1
@@ -425,13 +413,16 @@ def _balanced_initial_bits(model: QuboModel, rs: np.random.RandomState) -> np.nd
 
 def _temperatures(cfg: AnnealConfig, t0: float, done: int, size: int) -> np.ndarray:
     """Temperatures of sweeps ``[done, done + size)``: sweep i runs at
-    ``t0 * (tf / t0) ** (i / sweeps)`` with ``tf = min(temp_final, t0)``.
+    ``t0 * (tf / t0) ** (i / sweeps)`` with ``tf = min(temp_final, t0)``,
+    floored at 1e-300 so that ``-eff / t`` never divides by an underflowed
+    zero.
 
     Each value is computed on its own, so any split of the sweeps into
     batches gives the same temperatures bit for bit.
     """
     tf = min(cfg.temp_final, t0)
-    return t0 * (tf / t0) ** (np.arange(done, done + size, dtype=np.float64) / cfg.sweeps)
+    temps = t0 * (tf / t0) ** (np.arange(done, done + size, dtype=np.float64) / cfg.sweeps)
+    return np.maximum(temps, 1e-300, out=temps)
 
 
 def _batch_size(time_left: float, sweep_s: float) -> int:
@@ -481,7 +472,7 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
         if cfg.temp_initial is not None:
             t0 = cfg.temp_initial
         else:
-            t0 = float(np.max(np.abs(_flip_gains(cm, *_signs(cm, bits), base_lf, s)))) if nv else 1.0
+            t0 = float(np.max(np.abs(_flip_gains(cm, *_signs(cm, bits), base_lf, s))))
             if t0 <= 0.0:
                 t0 = 1.0
         offset_inc = cfg.temp_final / 10.0

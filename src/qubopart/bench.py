@@ -80,8 +80,31 @@ class GridConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# what each config key must hold, as (test, description); YAML reads 1e3 as a string
+_VALUE_TYPES = {
+    **dict.fromkeys(("sweeps", "replicas", "seed", "max_vars", "workers", "walks", "repeats"),
+                    (_is_int, "an integer")),
+    **dict.fromkeys(("keep_ratio", "burn_probability"), (_is_number, "a number")),
+    "time_limit": (lambda v: v is None or _is_number(v), "a number or null"),
+    **dict.fromkeys(("balanced_init", "sparsify"), (lambda v: isinstance(v, bool), "true or false")),
+    "solver_id": (lambda v: isinstance(v, str), "a string"),
+    "penalty": (lambda v: v == "auto" or _is_number(v), "'auto' or a number"),
+}
+_ITEM_TYPES = {"graphs": (lambda v: isinstance(v, str), "strings"),
+               "ks": (_is_int, "integers"), "epsilons": (_is_number, "numbers")}
+
+
 def load_grid_config(path: str, overrides: dict | None = None) -> GridConfig:
-    """Read a YAML (or JSON) config file, then apply CLI overrides."""
+    """Read a YAML (or JSON) config file, check each value's type, then apply
+    CLI overrides."""
     import yaml
 
     with open(path) as fh:
@@ -95,9 +118,18 @@ def load_grid_config(path: str, overrides: dict | None = None) -> GridConfig:
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("graphs", "ks", "epsilons"):
-        if key in raw and not isinstance(raw[key], list):
-            raise ValueError(f"config key {key!r} must be a list, got {raw[key]!r}")
+    for key, val in raw.items():
+        if key in _ITEM_TYPES:
+            ok, what = _ITEM_TYPES[key]
+            if not isinstance(val, list):
+                raise ValueError(f"config key {key!r} must be a list, got {val!r}")
+            bad = [v for v in val if not ok(v)]
+            if bad:
+                raise ValueError(f"config key {key!r} must list {what}, got {bad[0]!r}")
+        else:
+            ok, what = _VALUE_TYPES[key]
+            if not ok(val):
+                raise ValueError(f"config key {key!r} must be {what}, got {val!r}")
     merged = dict(raw)
     for key, val in (overrides or {}).items():
         if val is not None:
@@ -120,8 +152,6 @@ def _run_cell(g: Graph, graph_id: str, k: int, epsilon: float,
         rec.error = f"skipped: model needs {size} variables, cap is {cfg.max_vars}"
         return rec
 
-    if isinstance(cfg.penalty, str) and cfg.penalty != "auto":
-        raise ValueError(f"penalty must be 'auto' or a number, got {cfg.penalty!r}")
     penalty = None if cfg.penalty == "auto" else float(cfg.penalty)
     anneal_cfg = AnnealConfig(sweeps=cfg.sweeps, replicas=cfg.replicas, seed=rec.seed,
                               time_limit=cfg.time_limit, balanced_init=cfg.balanced_init)

@@ -266,9 +266,7 @@ def parse_metis(text: str, name: str = "") -> Graph:
     vertex_lines = lines[1:]
     while len(vertex_lines) > n and not vertex_lines[-1].split():
         vertex_lines.pop()
-    if len(vertex_lines) < n:
-        raise GraphFormatError(f"expected {n} vertex lines, found {len(vertex_lines)}")
-    if len(vertex_lines) > n:
+    if len(vertex_lines) != n:
         raise GraphFormatError(f"expected {n} vertex lines, found {len(vertex_lines)}")
 
     skip = (1 if has_vsize else 0) + (ncon if has_vweight else 0)

@@ -160,6 +160,8 @@ class QuboModel:
         if len(indptr) != self.num_vars + 1 or len(cols) != len(data) \
                 or indptr[-1] != len(cols):
             raise ValueError("objective CSR arrays do not fit the variable count")
+        if len(cols) and (cols.min() < 0 or cols.max() >= self.num_vars):
+            raise ValueError(f"objective CSR columns must lie in [0, {self.num_vars})")
 
     @classmethod
     def from_triples(cls, num_vars: int, base_linear, qi, qj, qc, **rest) -> QuboModel:

@@ -71,8 +71,7 @@ def test_criterion_01_energy_equals_cut():
                 for j, size in enumerate(sizes):
                     labels[perm[pos:pos + size]] = j
                     pos += size
-                for v in range(n):
-                    bits[v * k + labels[v]] = 1
+                bits[model.indicators[np.arange(n), labels]] = 1
             fill_chain_slack(model, bits)
             e = energy(model, bits)
             cut = int(cut_edges(g, labels))

@@ -138,10 +138,11 @@ def test_reference_sweep_matches_python_engine():
     models, _ = _random_models(8)
     dense = gnp_graph(24, 0.9, np.random.RandomState(8))
     models += [build_bipartition_qubo(dense, 0.2), build_kway_qubo(dense, 3, 0.25)]
+    flips = set()  # (row longer than _SCALAR_ROW_MAX, new bit) of every flip
     for m, model in enumerate(models):
         cm = compile_model(model)
-        longest = np.diff(cm.csr_indptr).max()
-        assert (longest > anneal._SCALAR_ROW_MAX) == (m >= 2)
+        long_row = np.diff(cm.csr_indptr) > anneal._SCALAR_ROW_MAX
+        assert long_row.any() == (m >= 2)
         nbrs = expanded_neighbors(model)
         init = np.random.RandomState(3)
         bits_a = (init.random_sample(model.num_vars) < 0.5).astype(np.int8)
@@ -158,9 +159,12 @@ def test_reference_sweep_matches_python_engine():
         for sw in range(cfg.sweeps):
             temps = anneal._temperatures(cfg, 4.0, sw, 1)
             flipped, offset_a = sweep(nbrs, bits_a, lf, temps[0], rng_a, offset_a, 0.01)
+            before = bits_b.copy()
             offset_b, cur, best, _ = anneal._python_sweeps(
                 cm, bits_b, base_lf, s, temps, offset_b, 0.01, cur, best,
                 best_bits, rng_b, None, 0, sw)
+            flips.update((bool(long_row[i]), int(bits_b[i]))
+                         for i in np.flatnonzero(before != bits_b))
             assert np.array_equal(bits_a, bits_b), sw
             assert offset_a == offset_b, sw
             # a flip's updates keep the local fields, chain sums and energy current
@@ -169,6 +173,8 @@ def test_reference_sweep_matches_python_engine():
             assert cur == pytest.approx(energy(model, bits_b), abs=1e-9), sw
             escapes += flipped < 0
         assert 0 < escapes < cfg.sweeps
+    # bits rise and fall through both the scalar and the numpy row update
+    assert flips == {(False, 0), (False, 1), (True, 0), (True, 1)}
 
 
 def _run_batches(model, sweeps, sizes, rng):

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import qubopart.bench as bench
 import qubopart.pipeline as pipeline
 from qubopart.bench import (GridConfig, RunRecord, emit, ingest_external,
                             load_grid_config, records_from_json, records_to_csv,
@@ -59,6 +60,8 @@ def test_load_grid_config(tmp_path):
     nonmap.write_text("- 1\n- 2\n")
     with pytest.raises(ValueError, match="mapping"):
         load_grid_config(str(nonmap))
+    # every config key has its type check
+    assert {*bench._VALUE_TYPES, *bench._ITEM_TYPES} == {f.name for f in dataclasses.fields(GridConfig)}
 
 
 def test_run_grid_records(tmp_path):

@@ -269,6 +269,25 @@ def test_unsatisfiable_bounds_exit_code(tmp_path, command, capsys):
     ("registry", "lacks columns ['cut']"),
     ("unclosed-bracket", "is not valid YAML"),
     ("scalar-ks", "'ks' must be a list"),
+    # the other cases are one config line; the file is checked before the
+    # command-line overrides apply
+    ("sweeps: 1e3", "'sweeps' must be an integer"),  # YAML reads 1e3 as a string
+    ("replicas: true", "'replicas' must be an integer"),
+    ("seed: 1.5", "'seed' must be an integer"),
+    ("max_vars: many", "'max_vars' must be an integer"),
+    ("workers: two", "'workers' must be an integer"),
+    ("walks: 2.0", "'walks' must be an integer"),
+    ("repeats: [3]", "'repeats' must be an integer"),
+    ("time_limit: soon", "'time_limit' must be a number or null"),
+    ("keep_ratio: true", "'keep_ratio' must be a number"),
+    ("burn_probability: half", "'burn_probability' must be a number"),
+    ("balanced_init: 1", "'balanced_init' must be true or false"),
+    ("sparsify: 'true'", "'sparsify' must be true or false"),
+    ("solver_id: 7", "'solver_id' must be a string"),
+    ("penalty: high", "'penalty' must be 'auto' or a number"),
+    ("graphs: [0]", "'graphs' must list strings"),
+    ('ks: [2, "3"]', "'ks' must list integers"),
+    ("epsilons: [0.0, tiny]", "'epsilons' must list numbers"),
 ])
 def test_bad_bench_inputs_exit_code(graph_file, tmp_path, bad, expected, capsys):
     argv = ["bench", "--graphs", graph_file, "--sweeps", "50", "--replicas", "1"]
@@ -278,7 +297,8 @@ def test_bad_bench_inputs_exit_code(graph_file, tmp_path, bad, expected, capsys)
         argv += ["--registry", str(registry)]
     else:
         cfg = tmp_path / "grid.yaml"
-        cfg.write_text("graphs: [toy.graph\n" if bad == "unclosed-bracket" else "ks: 2\n")
+        cfg.write_text({"unclosed-bracket": "graphs: [toy.graph",
+                        "scalar-ks": "ks: 2"}.get(bad, bad) + "\n")
         argv += ["--config", str(cfg)]
     rc = main(argv)
     assert rc == 2

@@ -109,8 +109,7 @@ def test_kway_energy_equals_cut_for_one_hot_balanced():
                 labels[perm[pos:pos + size]] = j
                 pos += size
             bits = np.zeros(m.num_vars, dtype=np.int8)
-            for v in range(n):
-                bits[v * k + labels[v]] = 1
+            bits[m.indicators[np.arange(n), labels]] = 1
             fill_chain_slack(m, bits)
             assert energy(m, bits) == float(cut_edges(g, labels))
 
@@ -243,6 +242,10 @@ def test_objective_csr_shape_checks():
                 (indptr, cols[:-1], data[:-1])):
         with pytest.raises(ValueError, match="objective CSR"):
             QuboModel(3, np.zeros(3), csr)
+    # a column outside [0, num_vars) would read a wrong or missing bit
+    for col in (-1, 3):
+        with pytest.raises(ValueError, match="objective CSR columns"):
+            QuboModel(3, np.zeros(3), (np.array([0, 1, 1, 1]), np.array([col]), np.array([5.0])))
 
 
 def test_parse_qubo_text_sums_repeated_terms():

@@ -10,6 +10,11 @@ Flip gains are computed from cached local fields: the objective part is
 maintained over the sparse cut terms, the penalty part is reconstructed in
 O(1) per variable from running chain sums.  This keeps sweeps linear in the
 number of variables even though the squared penalties couple all pairs.
+A replica's start state (its local fields, chain sums and energy) is built
+in one pass over the objective rows and chain memberships of its set bits,
+as a flip updates them from its own row: a balanced one-hot start sets n of
+n*k indicators, so the pass reads about 1/k of the objective.  It equals
+the all-rows sums and :func:`~qubopart.qubo.energy` bit for bit.
 
 The sweeps run on numpy and consume each replica's MT19937 stream with a
 fixed draw discipline: one uniform per variable per sweep, plus one to pick
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubo import QuboModel, energy
+from .qubo import QuboModel, _energy_of, energy
 
 BATCH_SWEEPS = 1024  # most sweeps per batch
 # fewest uniforms a replica draws at once: 32 KiB, because larger blocks
@@ -141,11 +146,6 @@ class CompiledModel:
     mem_lin: np.ndarray  # 2 * penalty * c per membership
     mem_const: np.ndarray  # penalty * c * c per membership
 
-    def base_local_fields(self, bits: np.ndarray) -> np.ndarray:
-        rows = np.repeat(np.arange(self.nv), np.diff(self.csr_indptr))
-        contrib = self.csr_data * bits[self.csr_cols]
-        return self.base_lin + np.bincount(rows, weights=contrib, minlength=self.nv)
-
 
 def compile_model(model: QuboModel) -> CompiledModel:
     """The model's arrays for the sweeps.
@@ -168,6 +168,39 @@ def compile_model(model: QuboModel) -> CompiledModel:
                          csr_cols=cols, csr_data=data, rhs=chains.rhs,
                          mem_indptr=mem_indptr, mem_var=mv, mem_chain=mg, mem_coeff=mc,
                          mem_lin=2.0 * p * mc, mem_const=p * mc * mc)
+
+
+def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions of the entries of CSR rows ``rows``, row after row."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    firsts = np.cumsum(lengths) - lengths  # where each row's entries begin in the result
+    return np.repeat(starts - firsts, lengths) + np.arange(lengths.sum())
+
+
+def _start_state(model: QuboModel, cm: CompiledModel,
+                 bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Local fields, chain sums and energy of ``bits``, from the objective
+    rows and chain memberships of its set bits only.
+
+    The CSR is symmetric, so the set rows, taken in ascending order, add to
+    local field i the same terms in the same order as row i's set columns
+    would; the terms left out are the ``±0.0`` that a clear bit contributes,
+    and adding one never changes a sum that started at ``+0.0``.  The chain
+    sums get each set bit's coefficients in ascending variable order, as
+    :meth:`~qubopart.qubo.ChainSet.sums` adds them, and the energy sums the
+    same pair terms as :func:`~qubopart.qubo.energy`, so all three equal the
+    all-rows values bit for bit.
+    """
+    on = np.flatnonzero(bits)
+    at = _row_entries(cm.csr_indptr, on)
+    cols, data = cm.csr_cols[at], cm.csr_data[at]
+    base_lf = cm.base_lin + np.bincount(cols, weights=data, minlength=cm.nv)
+    mem = _row_entries(cm.mem_indptr, on)
+    # over no memberships bincount returns int64
+    s = np.bincount(cm.mem_chain[mem], weights=cm.mem_coeff[mem],
+                    minlength=len(cm.rhs)).astype(np.float64, copy=False)
+    return base_lf, s, _energy_of(model, on, data[bits[cols] != 0], s)
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +498,7 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
             bits = _balanced_initial_bits(model, init_rs)
         else:
             bits = (init_rs.random_sample(nv) < 0.5).astype(np.int8)
-        base_lf = cm.base_local_fields(bits)
-        s = model.chains.sums(bits)
-        cur_energy = energy(model, bits)
+        base_lf, s, cur_energy = _start_state(model, cm, bits)
 
         if cfg.temp_initial is not None:
             t0 = cfg.temp_initial

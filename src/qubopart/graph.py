@@ -135,15 +135,6 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def laplacian(g: Graph) -> np.ndarray:
-    """Dense combinatorial Laplacian (degree matrix minus adjacency), int64."""
-    lap = np.zeros((g.n, g.n), dtype=np.int64)
-    ea = g.edge_array
-    np.add.at(lap, (ea.ravel(), ea[:, ::-1].ravel()), -1)
-    lap[np.diag_indices(g.n)] = g.degrees
-    return lap
-
-
 @dataclass(frozen=True)
 class Partition:
     """Assignment of each vertex to one of k parts, labels in range(k)."""

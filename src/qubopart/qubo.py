@@ -257,16 +257,25 @@ def energy(model: QuboModel, bits: Sequence[int] | np.ndarray) -> float:
         raise ValueError(f"assignment length {a.shape} does not match {model.num_vars} variables")
     if np.any((a != 0.0) & (a != 1.0)):
         raise ValueError("assignment must be 0/1 valued")
-    e = model.base_constant + float(model.base_linear @ a)
-    # each stored pair counts twice, once from each end, where both bits are set;
-    # a sum, not a dot, because a dot this long runs on threaded BLAS, slow to wake
     indptr, cols, data = model.objective_csr
     on = a != 0
     both = np.repeat(on, np.diff(indptr))
     both &= on[cols]
-    e += 0.5 * float(data[both].sum())
-    residuals = model.chains.sums(a) - model.chains.rhs
-    return _running_sum(e, model.penalty * residuals ** 2)
+    return _energy_of(model, on, data[both], model.chains.sums(a))
+
+
+def _energy_of(model: QuboModel, on: np.ndarray, pairs: np.ndarray, sums: np.ndarray) -> float:
+    """Energy of the assignment whose set bits ``on`` selects, as a mask or
+    as ascending indices, from ``pairs``, the objective CSR values whose row
+    and column bits are both set in CSR order, and the chain sums ``sums``.
+
+    Every term is summed without BLAS, whose dot threads above 10000
+    elements and so rounds differently with the thread count.
+    """
+    e = _running_sum(model.base_constant, model.base_linear[on])
+    # each stored pair counts twice, once from each end
+    e += 0.5 * float(pairs.sum())
+    return _running_sum(e, model.penalty * (sums - model.chains.rhs) ** 2)
 
 
 def default_penalty(g: Graph) -> float:

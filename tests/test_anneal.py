@@ -1,4 +1,7 @@
 import math
+import os
+import pathlib
+import subprocess
 import sys
 import threading
 import time
@@ -68,9 +71,102 @@ def test_compiled_deltas_match_reference():
         bits = rng.randint(0, 2, size=model.num_vars).astype(np.int8)
         lf = local_fields(model, bits)
         ref = np.array([delta_energy(model, bits, i, lf) for i in range(model.num_vars)])
-        got = anneal._flip_gains(cm, *anneal._signs(cm, bits), cm.base_local_fields(bits),
-                                  model.chains.sums(bits))
+        base_lf, s, _ = anneal._start_state(model, cm, bits)
+        got = anneal._flip_gains(cm, *anneal._signs(cm, bits), base_lf, s)
         assert np.allclose(got, ref, atol=1e-9)
+
+
+def _all_rows_fields(cm, bits):
+    """Local fields summed over every objective row, a clear bit's entries
+    adding ``±0.0``: the oracle of the set-row pass in ``_start_state``."""
+    rows = np.repeat(np.arange(cm.nv), np.diff(cm.csr_indptr))
+    contrib = cm.csr_data * bits[cm.csr_cols]
+    return cm.base_lin + np.bincount(rows, weights=contrib, minlength=cm.nv)
+
+
+def _start_state_models():
+    """(name, model, has a balanced start) for the bit-for-bit start-state check."""
+    rng = np.random.RandomState(23)
+    g = gnp_graph(14, 0.35, rng)
+    models = [(f"k2-eps{eps}", build_bipartition_qubo(g, eps), True) for eps in (0.0, 0.2)]
+    models += [(f"k3-eps{eps}", build_kway_qubo(g, 3, eps), True) for eps in (0.0, 0.25)]
+    models.append(("k3-penalty2.7", build_kway_qubo(g, 3, 0.25, penalty=2.7), True))
+    nv = 30
+    i = rng.randint(0, nv - 1, size=80)
+    j = i + 1 + rng.randint(0, nv - 1 - i)
+    c = rng.standard_normal(80) / 3.0
+    c[:4] = [0.0, -0.0, 0.25, -0.25]
+    i[:4], j[:4] = [3, 5, 7, 7], [4, 6, 8, 8]  # an exact zero, a signed zero, a pair summing to 0
+    lin = rng.standard_normal(nv) / 7.0
+    models.append(("chainless", QuboModel.from_triples(nv, lin, i, j, c, base_constant=0.3), False))
+    rows = np.sort(np.array([rng.choice(nv, 6, replace=False) for _ in range(4)]), axis=1)
+    chains = qubo.ChainSet.from_blocks((rows, rng.uniform(0.2, 2.3, rows.shape), 1.7))
+    models.append(("noninteger", QuboModel.from_triples(nv, lin, i, j, c, base_constant=0.3,
+                                                         chains=chains, penalty=1.9), False))
+    return models
+
+
+_START_MODELS = _start_state_models()
+
+
+@pytest.mark.parametrize("model, balanced", [m[1:] for m in _START_MODELS],
+                         ids=[m[0] for m in _START_MODELS])
+def test_start_state_matches_all_rows_bit_for_bit(model, balanced):
+    cm = compile_model(model)
+    rng = np.random.RandomState(31)
+    nv = model.num_vars
+    states = [np.zeros(nv, dtype=np.int8), np.ones(nv, dtype=np.int8)]
+    states += [(rng.random_sample(nv) < p).astype(np.int8) for p in (0.2, 0.5, 0.8)]
+    if balanced:
+        states += [anneal._balanced_initial_bits(model, rng) for _ in range(3)]
+    for bits in states:
+        base_lf, s, e = anneal._start_state(model, cm, bits)
+        assert base_lf.dtype == s.dtype == np.float64
+        assert base_lf.tobytes() == _all_rows_fields(cm, bits).tobytes()
+        assert s.tobytes() == model.chains.sums(bits).tobytes()
+        assert e.hex() == energy(model, bits).hex()
+        assert s.flags.writeable and base_lf.flags.writeable  # the sweeps update both
+
+
+def test_solve_calls_energy_once(monkeypatch):
+    calls = []
+
+    def counted(model, bits):
+        calls.append(bits.copy())
+        return energy(model, bits)
+
+    monkeypatch.setattr(anneal, "energy", counted)
+    model = build_kway_qubo(gnp_graph(12, 0.4, np.random.RandomState(2)), 3, 0.2)
+    for balanced in (False, True):
+        calls.clear()
+        res = solve(model, AnnealConfig(sweeps=50, replicas=3, seed=4, balanced_init=balanced))
+        assert len(calls) == 1  # the reported energy, of the best bits
+        assert np.array_equal(calls[0], res.best_bits)
+
+
+_ENERGY_HEXES = """
+import numpy as np
+from qubopart.qubo import QuboModel, energy
+rng = np.random.RandomState(0)
+nv = 12024  # above the 10000 elements at which OpenBLAS threads a dot
+i = np.arange(0, nv - 1, 2)
+model = QuboModel.from_triples(nv, rng.standard_normal(nv) / 3.0, i, i + 1,
+                               rng.standard_normal(len(i)) / 7.0, base_constant=0.1)
+for p in (0.1, 0.5, 0.5, 0.9):
+    print(energy(model, (rng.random_sample(nv) < p).astype(np.int8)).hex())
+"""
+
+
+def test_energy_does_not_depend_on_blas_threads():
+    src = str(pathlib.Path(qubo.__file__).parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", _ENERGY_HEXES], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        outs.append(run.stdout.split())
+    assert len(outs[0]) == 4 and outs[0] == outs[1]
 
 
 def test_compile_model_csr_in_lexsort_order():
@@ -148,8 +244,7 @@ def test_reference_sweep_matches_python_engine():
         bits_a = (init.random_sample(model.num_vars) < 0.5).astype(np.int8)
         bits_b = bits_a.copy()
         lf = local_fields(model, bits_a, nbrs)
-        base_lf = cm.base_local_fields(bits_b)
-        s = model.chains.sums(bits_b)
+        base_lf, s, _ = anneal._start_state(model, cm, bits_b)
         cfg = AnnealConfig(sweeps=400, temp_final=0.05)
         rng_a = np.random.RandomState(99)
         rng_b = anneal._BlockUniforms(np.random.RandomState(99), cm.nv)
@@ -168,7 +263,7 @@ def test_reference_sweep_matches_python_engine():
             assert np.array_equal(bits_a, bits_b), sw
             assert offset_a == offset_b, sw
             # a flip's updates keep the local fields, chain sums and energy current
-            assert np.allclose(base_lf, cm.base_local_fields(bits_b), rtol=0, atol=1e-9), sw
+            assert np.allclose(base_lf, _all_rows_fields(cm, bits_b), rtol=0, atol=1e-9), sw
             assert np.allclose(s, model.chains.sums(bits_b), rtol=0, atol=1e-9), sw
             assert cur == pytest.approx(energy(model, bits_b), abs=1e-9), sw
             escapes += flipped < 0
@@ -181,7 +276,7 @@ def _run_batches(model, sweeps, sizes, rng):
     """Run ``sweeps`` sweeps in engine calls of ``sizes`` (cycled), one draw source."""
     cm = compile_model(model)
     bits = anneal._balanced_initial_bits(model, np.random.RandomState(4))
-    base_lf, s = cm.base_local_fields(bits), model.chains.sums(bits)
+    base_lf, s, _ = anneal._start_state(model, cm, bits)
     t0 = float(np.max(np.abs(anneal._flip_gains(cm, *anneal._signs(cm, bits), base_lf, s))))
     cfg = AnnealConfig(sweeps=sweeps, temp_final=0.05)
     cur = best = energy(model, bits)

@@ -5,8 +5,8 @@ import pytest
 
 import qubopart.graph as graph_module
 from qubopart.graph import (Graph, GraphFormatError, Partition, balance_bounds, cut_edges,
-                            laplacian, parse_matrix_market, parse_metis, parse_partition,
-                            write_metis, write_partition)
+                            parse_matrix_market, parse_metis, parse_partition, write_metis,
+                            write_partition)
 from qubopart.sparsify import forest_fire_scores, sparsify
 
 import reference
@@ -304,6 +304,15 @@ def test_cut_edges_matches_direct_enumeration():
         labels = rng.randint(0, 3, size=g.n)
         direct = sum(1 for u, v in g.edges if labels[u] != labels[v])
         assert cut_edges(g, labels) == direct
+
+
+def laplacian(g: Graph) -> np.ndarray:
+    """Dense combinatorial Laplacian (degree matrix minus adjacency), int64."""
+    lap = np.zeros((g.n, g.n), dtype=np.int64)
+    ea = g.edge_array
+    np.add.at(lap, (ea.ravel(), ea[:, ::-1].ravel()), -1)
+    lap[np.diag_indices(g.n)] = g.degrees
+    return lap
 
 
 def test_cut_equals_laplacian_quadratic_form():

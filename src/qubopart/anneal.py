@@ -16,22 +16,29 @@ as a flip updates them from its own row: a balanced one-hot start sets n of
 n*k indicators, so the pass reads about 1/k of the objective.  It equals
 the all-rows sums and :func:`~qubopart.qubo.energy` bit for bit.
 
-The sweeps run on numpy and consume each replica's MT19937 stream with a
-fixed draw discipline: one uniform per variable per sweep, plus one to pick
-among acceptors.  The uniforms are drawn from the stream in blocks, which hand
-them out in the same order as scalar draws would; each block also carries a
-band around the log of every draw.  The Metropolis test then compares
-``-eff / t`` with the bands for all variables at once, and the scalar
-``math.exp`` rule decides the rare draws that fall inside their band, so the
-acceptor sets equal that scalar rule's exactly.  Between flips the engine
-keeps the sign vector ``1 - 2 * bits`` and the signed chain memberships,
-which a flip negates, and rebuilds the flip gains only after a flip: a sweep
-with no acceptor changes no state they depend on.  A flip updates its own
-entries of that state and adds its sign times its objective row to the local
-fields and times its chain coefficients to the chain sums, one update for
-either direction, as Python scalars through memoryviews: the same double
+The sweeps run in one flat loop on numpy arrays and Python scalars, and
+consume each replica's MT19937 stream with a fixed draw discipline: one
+uniform per variable per sweep, plus one to pick among acceptors.  The
+uniforms are drawn from the stream in blocks, which the loop reads in the
+same order as scalar draws would; each block also carries a band around the
+log of every draw.  The Metropolis test then compares ``-eff / t`` with the
+bands for all variables at once, inline, and the scalar ``math.exp`` rule
+decides the rare draws that fall inside their band, so the acceptor sets
+equal that scalar rule's exactly.
+
+The chain memberships are stored as jagged diagonals: layer q holds every
+variable's q-th membership at slot ``offset_q + variable``, so the chain
+gains of all variables sum with one whole-array add per layer.  The engine
+rebuilds the flip gains only after a flip: a sweep with no acceptor changes
+no state they depend on, and the next sweep can then be ruled idle without
+its array test when the least gain cannot reach any of its draws' bands.
+Between flips it keeps ``dl = 1 - 2 * bits``, ``dl * base_lf``, the chain
+residuals ``s - rhs`` and the signed memberships; a flip updates its own
+entries of these, adds its sign times its objective row to the local fields
+and times its chain coefficients to the chain sums, one update for either
+direction, as Python scalars through memoryviews: the same double
 operations numpy would do without numpy's cost per call.  Objective rows
-longer than ``_SCALAR_ROW_MAX`` take one numpy update instead.
+longer than ``_SCALAR_ROW_MAX`` take numpy updates instead.
 Replica r of a solve seeds its stream from SHA-256 of (seed, r), making
 replicas independent and the whole solve deterministic.  Every replica owns
 its ``RandomState``, so solves share no state.
@@ -40,6 +47,7 @@ its ``RandomState``, so solves share no state.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -128,9 +136,15 @@ def _derive_seed(*parts) -> int:
 class CompiledModel:
     """Flat arrays the sweeps run on: the model's read-only
     :attr:`~qubopart.qubo.QuboModel.objective_csr`, the symmetric CSR of its
-    objective terms, plus per-variable chain membership lists, the model's
-    ``ChainSet`` entries sorted by variable, with their penalty-weighted
-    coefficients.
+    objective terms, plus the chain memberships laid out as jagged diagonals.
+
+    Layer q of the memberships holds every variable's q-th membership, in
+    chain-id order, at slot ``mem_off[q] + variable``.  Layer 0 spans all
+    variables; layer q >= 1 spans the variables up to the last one with more
+    than q memberships.  A variable with fewer memberships has a pad slot
+    there: chain 0, coefficient 0.0, so its chain gain is ``+0.0``.
+    ``mem_count`` is every variable's membership count and ``mem_var`` the
+    model's ``chains.var_idx``, one entry per membership.
     """
 
     nv: int
@@ -139,12 +153,13 @@ class CompiledModel:
     csr_cols: np.ndarray
     csr_data: np.ndarray
     rhs: np.ndarray
-    mem_indptr: np.ndarray
     mem_var: np.ndarray
+    mem_count: np.ndarray
+    mem_off: tuple[int, ...]  # layer q holds the slots mem_off[q]:mem_off[q + 1]
     mem_chain: np.ndarray
     mem_coeff: np.ndarray
-    mem_lin: np.ndarray  # 2 * penalty * c per membership
-    mem_const: np.ndarray  # penalty * c * c per membership
+    mem_lin: np.ndarray  # 2 * penalty * c per slot
+    mem_const: np.ndarray  # penalty * c * c per slot
 
 
 def compile_model(model: QuboModel) -> CompiledModel:
@@ -153,20 +168,28 @@ def compile_model(model: QuboModel) -> CompiledModel:
     The objective CSR is read from ``model.objective_csr``, which every model
     stores: the partition builders fill it from the graph's CSR and
     :meth:`~qubopart.qubo.QuboModel.from_triples` sorts triples into it.
-    Only the chain memberships are ordered here.
+    Only the chain memberships are laid out here.
     """
     nv = model.num_vars
     indptr, cols, data = model.objective_csr
 
     chains, p = model.chains, model.penalty
     morder = np.lexsort((chains.chain_id, chains.var_idx))
-    mv, mg, mc = chains.var_idx[morder], chains.chain_id[morder], chains.coeffs[morder]
-    mem_indptr = np.zeros(nv + 1, dtype=np.int64)
-    np.cumsum(np.bincount(mv, minlength=nv), out=mem_indptr[1:])
+    mv = chains.var_idx[morder]
+    count = np.bincount(mv, minlength=nv)
+    rank = np.arange(len(mv)) - (np.cumsum(count) - count)[mv]  # layer of each membership
+    depth = int(count.max(initial=0))
+    spans = [nv] + [int(np.flatnonzero(count > q)[-1]) + 1 for q in range(1, depth)]
+    off = tuple(itertools.accumulate(spans[:depth], initial=0))
+    slot = np.array(off)[rank] + mv
+    mg = np.zeros(off[-1], dtype=np.int64)
+    mg[slot] = chains.chain_id[morder]
+    mc = np.zeros(off[-1])
+    mc[slot] = chains.coeffs[morder]
 
     return CompiledModel(nv=nv, base_lin=model.base_linear, csr_indptr=indptr,
-                         csr_cols=cols, csr_data=data, rhs=chains.rhs,
-                         mem_indptr=mem_indptr, mem_var=mv, mem_chain=mg, mem_coeff=mc,
+                         csr_cols=cols, csr_data=data, rhs=chains.rhs, mem_var=chains.var_idx,
+                         mem_count=count, mem_off=off, mem_chain=mg, mem_coeff=mc,
                          mem_lin=2.0 * p * mc, mem_const=p * mc * mc)
 
 
@@ -196,7 +219,9 @@ def _start_state(model: QuboModel, cm: CompiledModel,
     at = _row_entries(cm.csr_indptr, on)
     cols, data = cm.csr_cols[at], cm.csr_data[at]
     base_lf = cm.base_lin + np.bincount(cols, weights=data, minlength=cm.nv)
-    mem = _row_entries(cm.mem_indptr, on)
+    # the set bits' membership slots, variable after variable, layer by layer
+    layers = np.array(cm.mem_off[:-1], dtype=np.int64)
+    mem = (layers + on[:, None])[np.arange(len(layers)) < cm.mem_count[on, None]]
     # over no memberships bincount returns int64
     s = np.bincount(cm.mem_chain[mem], weights=cm.mem_coeff[mem],
                     minlength=len(cm.rhs)).astype(np.float64, copy=False)
@@ -232,178 +257,220 @@ class _BlockUniforms:
     """A replica's MT19937 uniforms, drawn from its ``RandomState`` in blocks,
     each draw with its log-domain band from :func:`_log_bands`.
 
-    ``bands(n)`` and ``random_sample()`` hand out the same doubles in the same
-    order as scalar ``rs.random_sample()`` calls would, because
+    The sweeps read the draws ``us`` and their bands ``lo``, ``hi`` from
+    position ``pos`` on, store the position they reached back in ``pos``, and
+    call :meth:`refill` when too few are left.  They read the same doubles
+    in the same order as scalar ``rs.random_sample()`` calls would, because
     ``rs.random_sample(m)`` reads the stream exactly like m scalar calls.
     The buffer holds ``max(nv + 1, UNIFORM_BLOCK)`` draws, one sweep's at
-    least; a refill keeps the unread tail, if any, appends fresh draws and
-    computes their bands once.  The views returned by ``bands(n)`` stay valid.
+    least.
     """
 
     def __init__(self, rs: np.random.RandomState, nv: int):
         self._rs = rs
         self._size = max(nv + 1, UNIFORM_BLOCK)
-        self._us = self._lo = self._hi = np.empty(0)
-        self._pos = 0
+        self.us = self.lo = self.hi = np.empty(0)
+        self.pos = 0
 
-    def _refill(self, need: int) -> None:
-        pos = self._pos
-        fresh = self._rs.random_sample(max(self._size, need) - (len(self._us) - pos))
+    def refill(self, pos: int, need: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Keep the draws from ``pos`` on, append fresh ones to hold at least
+        ``need``, computing their bands once, and restart at position 0.
+        Returns the new ``(us, lo, hi)``."""
+        fresh = self._rs.random_sample(max(self._size, need) - (len(self.us) - pos))
         lo, hi = _log_bands(fresh)
-        if pos == len(self._us):  # nothing unread to keep
-            self._us, self._lo, self._hi = fresh, lo, hi
+        if pos == len(self.us):  # nothing unread to keep
+            self.us, self.lo, self.hi = fresh, lo, hi
         else:
-            self._us = np.concatenate((self._us[pos:], fresh))
-            self._lo = np.concatenate((self._lo[pos:], lo))
-            self._hi = np.concatenate((self._hi[pos:], hi))
-        self._pos = 0
-
-    def random_sample(self):
-        """The next draw."""
-        if self._pos == len(self._us):
-            self._refill(1)
-        pos = self._pos
-        self._pos = pos + 1
-        return self._us[pos]
-
-    def bands(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The next ``n`` draws and their bands, as views ``(us, lo, hi)``."""
-        if self._pos + n > len(self._us):
-            self._refill(n)
-        pos = self._pos
-        end = self._pos = pos + n
-        return self._us[pos:end], self._lo[pos:end], self._hi[pos:end]
+            self.us = np.concatenate((self.us[pos:], fresh))
+            self.lo = np.concatenate((self.lo[pos:], lo))
+            self.hi = np.concatenate((self.hi[pos:], hi))
+        self.pos = 0
+        return self.us, self.lo, self.hi
 
 
-def _acceptors(deltas: np.ndarray, offset: float, t: float, us: np.ndarray,
-               lo: np.ndarray, hi: np.ndarray, y: np.ndarray, sure: np.ndarray,
-               maybe: np.ndarray) -> np.ndarray:
-    """Indices i passing the scalar Metropolis rule
-    ``eff <= 0 or us[i] < math.exp(-eff / t)`` with ``eff = deltas[i] - offset``.
-
-    The test runs in the log domain on ``y = eff / -t``: ``y > hi[i]`` passes
-    the scalar rule for sure, ``y < lo[i]`` fails it for sure (see
-    :func:`_log_bands`), and the scalar rule itself decides the draws in
-    between.  ``y``, ``sure`` and ``maybe`` are scratch arrays of
-    ``len(deltas)``.
-    """
-    if offset == 0.0:  # x - 0.0 == x bit for bit
-        np.divide(deltas, -t, out=y)  # x / -t == -x / t exactly
-    else:
-        np.divide(np.subtract(deltas, offset, out=y), -t, out=y)
-    np.greater_equal(y, lo, out=maybe)
-    maybes = maybe.nonzero()[0]
-    if len(maybes) == 0:
-        return maybes
-    np.greater(y, hi, out=sure)
-    if np.count_nonzero(sure) == len(maybes):  # hi >= lo, so sure is a subset of maybe
-        return maybes
-    for i in maybes.tolist():
-        if not sure[i]:
-            eff = deltas[i] - offset
-            sure[i] = eff <= 0.0 or us[i] < math.exp(-eff / t)
-    return sure.nonzero()[0]
+def _gain_terms(cm: CompiledModel, dl: np.ndarray, base_lf: np.ndarray,
+                s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What :func:`_flip_gains` reads, from the sign vector ``dl = 1 - 2 * bits``:
+    ``dl * base_lf``, the signed memberships ``mem_lin * dl[variable]`` of
+    every slot, and the chain residuals ``s - rhs``."""
+    off = cm.mem_off
+    slot_dl = [dl[:b - a] for a, b in zip(off, off[1:])]
+    mld = cm.mem_lin * (np.concatenate(slot_dl) if slot_dl else dl[:0])
+    return dl * base_lf, mld, s - cm.rhs
 
 
-def _signs(cm: CompiledModel, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sign vector ``dl = 1 - 2 * bits`` and the signed memberships
-    ``mem_lin * dl[mem_var]`` that :func:`_flip_gains` reads."""
-    dl = 1.0 - 2.0 * bits
-    return dl, cm.mem_lin * dl[cm.mem_var]
-
-
-def _flip_gains(cm: CompiledModel, dl: np.ndarray, mld: np.ndarray, base_lf: np.ndarray,
-                s: np.ndarray, out=None, sr=None, chain_gain=None) -> np.ndarray:
+def _flip_gains(cm: CompiledModel, dlf: np.ndarray, mld: np.ndarray, sr: np.ndarray,
+                out=None, chain_gain=None) -> np.ndarray:
     """Flip gain of every variable,
     ``dl * base_lf + sum(2*penalty*c*dl*(s - rhs) + penalty*c*c)`` over its
-    memberships, from the state :func:`_signs` derives.
+    memberships, from the terms :func:`_gain_terms` derives.
 
-    The operations and their order are what the golden digests pin, through
-    t0 and every sweep.  ``out``, ``sr`` and ``chain_gain`` are optional
-    scratch arrays of ``nv``, ``len(s)`` and ``len(mld)``.
+    A variable's chain gains are summed layer by layer, its first
+    membership's first, which equals summing them from ``+0.0`` one
+    membership at a time: no chain gain is ``-0.0`` (``penalty >= 0``), and
+    a pad slot adds ``+0.0``.  The operations and their order are what the
+    golden digests pin, through t0 and every sweep.  ``out`` and
+    ``chain_gain`` are optional scratch arrays of ``nv`` and ``len(mld)``.
     """
-    sr = np.subtract(s, cm.rhs, out=sr)
+    off = cm.mem_off
+    if len(off) == 1:  # no chains: the chain gains sum to +0.0
+        return np.add(dlf, 0.0, out=out)
     chain_gain = np.multiply(mld, sr[cm.mem_chain], out=chain_gain)
     np.add(chain_gain, cm.mem_const, out=chain_gain)
-    out = np.multiply(dl, base_lf, out=out)
-    return np.add(out, np.bincount(cm.mem_var, chain_gain, cm.nv), out=out)
+    total = chain_gain[:cm.nv]  # layer 0, which spans every variable
+    for a, b in zip(off[1:], off[2:]):
+        total[:b - a] += chain_gain[a:b]
+    return np.add(dlf, total, out=out)
 
 
 # A flip updates objective rows of up to this many entries one scalar at a
-# time, longer ones with one numpy fancy-index update: the scalar loop costs
+# time, longer ones with numpy fancy-index updates: the scalar loop costs
 # about 0.3-0.4 us + 0.12-0.15 us an entry, the fancy-index update 1.0-2.0 us
 # whatever its length, so they cross at 6-10 entries (numpy 2.4, x86-64)
 _SCALAR_ROW_MAX = 8
 
 
+def _sweep_floors(lo: np.ndarray, pos: int, nv: int, count: int) -> list[float]:
+    """The least ``lo`` of each of ``count`` sweeps whose draws start at ``pos``."""
+    return lo[pos:pos + count * nv].reshape(count, nv).min(axis=1).tolist()
+
+
 def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_inc,
                    cur_energy, best_energy, best_bits, draws, trace, trace_every,
-                   sweeps_before):
+                   sweeps_before, gains=None):
     """Run ``len(temps)`` sweeps in place.
 
     ``draws`` is the replica's :class:`_BlockUniforms`; the list ``trace``
     gets the best energy after every ``trace_every``-th sweep of the run.
-    Between flips the
-    sweep keeps the sign vector and the signed memberships of
-    :func:`_signs`; a flip negates variable i's entries of both, which is
-    exact.  The flip gains are rebuilt by :func:`_flip_gains` only after a
-    flip: they are a pure function of ``(bits, base_lf, s)``, so a sweep with
-    no acceptor leaves them valid for the next one.  A flip's own updates
-    run on Python scalars, see the module docstring.
+    ``gains`` are the flip gains of the current state, or None to build
+    them.  Returns the offset, the current and best energies, the flip count
+    and the gains of the final state (None if its last sweep flipped).
+
+    A sweep reads its ``nv`` draws and their bands straight from the draw
+    buffer and tests every variable in the log domain:
+    ``y = (gain - offset) / -t`` above the draw's band accepts, below it
+    fails, and the scalar rule ``eff <= 0 or u < math.exp(-eff / t)``
+    decides the draws inside it, so the acceptors are exactly that rule's.
+    The gains are rebuilt by :func:`_flip_gains` only after a flip: they are
+    a pure function of ``(bits, base_lf, s)``, so a sweep with no acceptor
+    leaves them valid for the next one.  Then no ``y`` can exceed
+    ``(least gain - offset) / -t``, because rounding is monotone, and a
+    sweep whose draws all have ``lo`` above that bound accepts nothing
+    untested.  After a sweep with no acceptor, :func:`_sweep_floors` takes
+    the least ``lo`` of each coming sweep still in the buffer; a flip, which
+    reads one more draw, or a refill voids them.
+
+    Between flips the sweep keeps the terms of :func:`_gain_terms`; a flip
+    updates the entries it changes with the same double operations a
+    rebuild would do, so they stay exact.  A flip's own updates run on
+    Python scalars, see the module docstring.
     """
     nv = cm.nv
-    bands, pick = draws.bands, draws.random_sample
     # a memoryview indexes to Python ints and floats, which cost less than
     # numpy scalars, and unlike tolist() costs nothing per variable
-    csr_ptr, mem_ptr = memoryview(cm.csr_indptr), memoryview(cm.mem_indptr)
+    csr_ptr = memoryview(cm.csr_indptr)
     csr_cols, csr_data = cm.csr_cols, cm.csr_data
     cols_v, data_v = memoryview(csr_cols), memoryview(csr_data)
-    chain_v, coeff_v = memoryview(cm.mem_chain), memoryview(cm.mem_coeff)
+    count_v, layers = memoryview(cm.mem_count), cm.mem_off
+    chain_v, coeff_v, rhs_v = memoryview(cm.mem_chain), memoryview(cm.mem_coeff), memoryview(cm.rhs)
     row_max = _SCALAR_ROW_MAX
-    dl, mld = _signs(cm, bits)
-    sr, chain_gain = np.empty(len(s)), np.empty(len(mld))
-    deltas, y = np.empty(nv), np.empty(nv)
+    dl = 1.0 - 2.0 * bits
+    dlf, mld, sr = _gain_terms(cm, dl, base_lf, s)
+    chain_gain = np.empty(len(mld))
+    if gains is None:
+        gains = _flip_gains(cm, dlf, mld, sr, None, chain_gain)
+    y = np.empty(nv)
     sure, maybe = np.empty(nv, dtype=bool), np.empty(nv, dtype=bool)
-    bits_v, lf_v, s_v = memoryview(bits), memoryview(base_lf), memoryview(s)
-    dl_v, mld_v, deltas_v = memoryview(dl), memoryview(mld), memoryview(deltas)
-    stale = True
+    bits_v, lf_v, s_v, sr_v = memoryview(bits), memoryview(base_lf), memoryview(s), memoryview(sr)
+    dl_v, dlf_v, mld_v = memoryview(dl), memoryview(dlf), memoryview(mld)
+    gains_v = memoryview(gains)
+    us, lo, hi, pos = draws.us, draws.lo, draws.hi, draws.pos
+    us_v, end = memoryview(us), len(us)
+    stale = False
+    least = None  # the least gain, once a sweep without acceptors needs it
+    floors, w = [], 0  # least lo of the coming sweeps' draws; the next sweep's is floors[w]
     flips = 0
+    left = len(temps)
     for sw, t in enumerate(temps.tolist()):
-        us, lo, hi = bands(nv)
+        left -= 1
+        if pos + nv > end:
+            us, lo, hi = draws.refill(pos, nv)
+            pos, end, us_v = 0, len(us), memoryview(us)
+            floors, w = [], 0
         if stale:
-            _flip_gains(cm, dl, mld, base_lf, s, deltas, sr, chain_gain)
-            stale = False
-        acceptors = _acceptors(deltas, offset, t, us, lo, hi, y, sure, maybe)
+            _flip_gains(cm, dlf, mld, sr, gains, chain_gain)
+            stale = skip = False
+        else:
+            skip = w < len(floors) and (least - offset) / -t < floors[w]
+        nxt = pos + nv
+        acceptors = ()
+        if not skip:
+            if offset == 0.0:  # x - 0.0 == x bit for bit
+                np.divide(gains, -t, out=y)  # x / -t == -x / t exactly
+            else:
+                np.divide(np.subtract(gains, offset, out=y), -t, out=y)
+            np.greater_equal(y, lo[pos:nxt], out=maybe)
+            acceptors = maybe.nonzero()[0]
+            if len(acceptors):
+                np.greater(y, hi[pos:nxt], out=sure)
+                # hi >= lo, so sure is a subset of maybe
+                if np.count_nonzero(sure) != len(acceptors):
+                    for i in acceptors.tolist():
+                        if not sure[i]:
+                            eff = gains_v[i] - offset
+                            sure[i] = eff <= 0.0 or us_v[pos + i] < math.exp(-eff / t)
+                    acceptors = sure.nonzero()[0]
+        pos = nxt
         if len(acceptors):
-            i = int(acceptors[int(pick() * len(acceptors))])
-            cur_energy = cur_energy + deltas_v[i]
+            if pos == end:
+                us, lo, hi = draws.refill(pos, 1)
+                pos, end, us_v = 0, len(us), memoryview(us)
+            i = int(acceptors[int(us_v[pos] * len(acceptors))])
+            pos += 1
+            cur_energy = cur_energy + gains_v[i]
             # d is +1.0 when bit i rises, -1.0 when it falls, and x + y * d
             # is x + y or x - y bit for bit
             d = dl_v[i]
             a, b = csr_ptr[i], csr_ptr[i + 1]
             if b - a > row_max:
-                base_lf[csr_cols[a:b]] += csr_data[a:b] * d
+                row = csr_cols[a:b]
+                base_lf[row] += csr_data[a:b] * d
+                dlf[row] = dl[row] * base_lf[row]
             else:
                 for j in range(a, b):
                     c = cols_v[j]
-                    lf_v[c] = lf_v[c] + data_v[j] * d
-            for j in range(mem_ptr[i], mem_ptr[i + 1]):
+                    lf = lf_v[c] + data_v[j] * d
+                    lf_v[c] = lf
+                    dlf_v[c] = dl_v[c] * lf
+            for q in range(count_v[i]):
+                j = layers[q] + i
                 g = chain_v[j]
-                s_v[g] = s_v[g] + coeff_v[j] * d
+                sg = s_v[g] + coeff_v[j] * d
+                s_v[g] = sg
+                sr_v[g] = sg - rhs_v[g]
                 mld_v[j] = -mld_v[j]
             bits_v[i] = 1 - bits_v[i]
             dl_v[i] = -d
+            dlf_v[i] = -dlf_v[i]  # the objective CSR has no diagonal
             stale = True
             offset = 0.0
             flips += 1
+            least, floors, w = None, [], 0
             if cur_energy < best_energy:
                 best_energy = cur_energy
                 best_bits[:] = bits
         else:
             offset = offset + offset_inc
+            w += 1
+            if w >= len(floors):
+                ahead = min((end - pos) // nv, left)  # coming sweeps whose draws are in the buffer
+                if ahead and least is None:
+                    least = float(gains.min())
+                floors, w = _sweep_floors(lo, pos, nv, ahead), 0
         if trace_every > 0 and (sweeps_before + sw + 1) % trace_every == 0:
             trace.append(best_energy)
-    return offset, cur_energy, best_energy, flips
+    draws.pos = pos
+    return offset, cur_energy, best_energy, flips, None if stale else gains
 
 
 def _greedy_fill(need: np.ndarray, chain: np.ndarray, var_idx: np.ndarray,
@@ -499,11 +566,12 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
         else:
             bits = (init_rs.random_sample(nv) < 0.5).astype(np.int8)
         base_lf, s, cur_energy = _start_state(model, cm, bits)
+        gains = _flip_gains(cm, *_gain_terms(cm, 1.0 - 2.0 * bits, base_lf, s))  # the first sweep's
 
         if cfg.temp_initial is not None:
             t0 = cfg.temp_initial
         else:
-            t0 = float(np.max(np.abs(_flip_gains(cm, *_signs(cm, bits), base_lf, s))))
+            t0 = float(np.max(np.abs(gains)))
             if t0 <= 0.0:
                 t0 = 1.0
         offset_inc = cfg.temp_final / 10.0
@@ -522,9 +590,10 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
             called = time.perf_counter()
             size = min(cfg.sweeps - done, BATCH_SWEEPS if deadline is None
                        else _batch_size(deadline - called, sweep_s))
-            offset, cur_energy, rep_best_energy, f = _python_sweeps(
+            offset, cur_energy, rep_best_energy, f, gains = _python_sweeps(
                 cm, bits, base_lf, s, _temperatures(cfg, t0, done, size), offset, offset_inc,
-                cur_energy, rep_best_energy, rep_best_bits, draws, trace, cfg.trace_every, done)
+                cur_energy, rep_best_energy, rep_best_bits, draws, trace, cfg.trace_every, done,
+                gains)
             now = time.perf_counter()
             sweep_s = (now - called) / size
             flips += f

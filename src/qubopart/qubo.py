@@ -162,6 +162,10 @@ class QuboModel:
             raise ValueError("objective CSR arrays do not fit the variable count")
         if len(cols) and (cols.min() < 0 or cols.max() >= self.num_vars):
             raise ValueError(f"objective CSR columns must lie in [0, {self.num_vars})")
+        # a NaN or infinite penalty makes every energy NaN, and the sweeps'
+        # chain gains rely on penalty >= 0
+        if not (0.0 <= self.penalty < math.inf):
+            raise ValueError(f"penalty must be finite and non-negative, got {self.penalty}")
 
     @classmethod
     def from_triples(cls, num_vars: int, base_linear, qi, qj, qc, **rest) -> QuboModel:

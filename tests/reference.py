@@ -95,8 +95,9 @@ def sweep(nbrs: ExpandedNeighbors, bits: np.ndarray, local_field: np.ndarray,
     deltas = (1.0 - 2.0 * bits) * local_field
     eff = deltas - offset
     t = max(temperature, 1e-300)
-    acceptors = [i for i in range(nv)
-                 if eff[i] <= 0.0 or us[i] < math.exp(-min(eff[i], 700.0 * t) / t)]
+    # Python floats: -eff / t overflows to -inf, and math.exp(-inf) is 0.0
+    acceptors = [i for i, (e, u) in enumerate(zip(eff.tolist(), us.tolist()))
+                 if e <= 0.0 or u < math.exp(-e / t)]
     if not acceptors:
         return -1, offset + offset_increment
     pick = acceptors[int(rng.random_sample() * len(acceptors))]

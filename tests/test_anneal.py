@@ -64,6 +64,11 @@ def test_apply_flip_keeps_local_fields_current():
         assert np.allclose(lf, local_fields(model, bits, nbrs), atol=1e-9)
 
 
+def _gains(cm, bits, base_lf, s):
+    """The flip gains of a state, as a solve builds them for the first sweep."""
+    return anneal._flip_gains(cm, *anneal._gain_terms(cm, 1.0 - 2.0 * bits, base_lf, s))
+
+
 def test_compiled_deltas_match_reference():
     models, rng = _random_models(7)
     for model in models:
@@ -72,7 +77,7 @@ def test_compiled_deltas_match_reference():
         lf = local_fields(model, bits)
         ref = np.array([delta_energy(model, bits, i, lf) for i in range(model.num_vars)])
         base_lf, s, _ = anneal._start_state(model, cm, bits)
-        got = anneal._flip_gains(cm, *anneal._signs(cm, bits), base_lf, s)
+        got = _gains(cm, bits, base_lf, s)
         assert np.allclose(got, ref, atol=1e-9)
 
 
@@ -103,7 +108,23 @@ def _start_state_models():
     chains = qubo.ChainSet.from_blocks((rows, rng.uniform(0.2, 2.3, rows.shape), 1.7))
     models.append(("noninteger", QuboModel.from_triples(nv, lin, i, j, c, base_constant=0.3,
                                                          chains=chains, penalty=1.9), False))
+    models.append(("rising", _rising_count_model(nv, lin, i, j, c), False))
     return models
+
+
+def _rising_count_model(nv, lin, i, j, c):
+    """A model whose variables' membership counts rise, with gaps, over the
+    variables, so every membership layer after the first holds pads and the
+    last layer ends before the last variable."""
+    rows = [np.arange(nv), np.arange(5, nv, 2), np.arange(11, nv - 3, 3), np.array([2, 20])]
+    rng = np.random.RandomState(29)
+    chains = qubo.ChainSet.from_blocks(*[(r[None, :], rng.uniform(0.2, 2.3, (1, len(r))), 1.7)
+                                         for r in rows])
+    model = QuboModel.from_triples(nv, lin, i, j, c, chains=chains, penalty=0.45)
+    cm = compile_model(model)
+    assert len(cm.mem_off) == 4 and cm.mem_off[-1] > len(chains.var_idx)  # three layers, pads
+    assert cm.mem_off[-1] - cm.mem_off[-2] < nv
+    return model
 
 
 _START_MODELS = _start_state_models()
@@ -250,14 +271,15 @@ def test_reference_sweep_matches_python_engine():
         rng_b = anneal._BlockUniforms(np.random.RandomState(99), cm.nv)
         offset_a = offset_b = 0.0
         cur, best, best_bits = energy(model, bits_b), math.inf, bits_b.copy()
+        gains = None
         escapes = 0
         for sw in range(cfg.sweeps):
             temps = anneal._temperatures(cfg, 4.0, sw, 1)
             flipped, offset_a = sweep(nbrs, bits_a, lf, temps[0], rng_a, offset_a, 0.01)
             before = bits_b.copy()
-            offset_b, cur, best, _ = anneal._python_sweeps(
+            offset_b, cur, best, _, gains = anneal._python_sweeps(
                 cm, bits_b, base_lf, s, temps, offset_b, 0.01, cur, best,
-                best_bits, rng_b, None, 0, sw)
+                best_bits, rng_b, None, 0, sw, gains)
             flips.update((bool(long_row[i]), int(bits_b[i]))
                          for i in np.flatnonzero(before != bits_b))
             assert np.array_equal(bits_a, bits_b), sw
@@ -277,16 +299,17 @@ def _run_batches(model, sweeps, sizes, rng):
     cm = compile_model(model)
     bits = anneal._balanced_initial_bits(model, np.random.RandomState(4))
     base_lf, s, _ = anneal._start_state(model, cm, bits)
-    t0 = float(np.max(np.abs(anneal._flip_gains(cm, *anneal._signs(cm, bits), base_lf, s))))
+    gains = _gains(cm, bits, base_lf, s)
+    t0 = float(np.max(np.abs(gains)))
     cfg = AnnealConfig(sweeps=sweeps, temp_final=0.05)
     cur = best = energy(model, bits)
     best_bits, trace = bits.copy(), []
     offset, flips, done, call = 0.0, 0, 0, 0
     while done < sweeps:
         size = min(sizes[call % len(sizes)], sweeps - done)
-        offset, cur, best, f = anneal._python_sweeps(
+        offset, cur, best, f, gains = anneal._python_sweeps(
             cm, bits, base_lf, s, anneal._temperatures(cfg, t0, done, size), offset, 0.005,
-            cur, best, best_bits, rng, trace, 10, done)
+            cur, best, best_bits, rng, trace, 10, done, gains)
         flips += f
         done += size
         call += 1
@@ -312,27 +335,30 @@ def test_flip_update_path_changes_nothing(monkeypatch, form):
 
 
 class _RecordingDraws(anneal._BlockUniforms):
-    """A draw source that records every draw it hands out, in order."""
+    """A draw source that records every draw it takes from its stream, in
+    order, at the refill the sweeps call, and checks each draw's band."""
 
     def __init__(self, rs, nv):
         super().__init__(rs, nv)
-        self.handed = []
+        self.drawn = []
 
-    def random_sample(self):
-        u = super().random_sample()
-        self.handed.append(float(u))
-        return u
-
-    def bands(self, n):
-        us, lo, hi = super().bands(n)
-        assert len(us) == len(lo) == len(hi) == n
-        self.handed.extend(us.tolist())
-        for u, a, b in zip(us.tolist(), lo.tolist(), hi.tolist()):
+    def refill(self, pos, need):
+        unread = len(self.us) - pos
+        us, lo, hi = super().refill(pos, need)
+        assert len(us) >= need and len(us) == len(lo) == len(hi)
+        fresh = us[unread:].tolist()
+        self.drawn.extend(fresh)
+        for u, a, b in zip(fresh, lo[unread:].tolist(), hi[unread:].tolist()):
             if u > 0.0:
                 assert a < math.log(u) < b
             else:
                 assert (a, b) == (-math.inf, math.inf)
         return us, lo, hi
+
+    @property
+    def handed(self):
+        """The draws the sweeps read: all drawn but the buffer's unread tail."""
+        return self.drawn[:len(self.drawn) - (len(self.us) - self.pos)]
 
 
 @pytest.mark.parametrize("block", ["nv-below-block", "nv-above-block"])
@@ -558,8 +584,38 @@ def test_log_agrees_within_band():
     assert (lo < exact).all() and (exact < hi).all()
 
 
+class _GivenDraws(anneal._BlockUniforms):
+    """A draw source holding exactly the given draws, with their bands."""
+
+    def __init__(self, us):
+        super().__init__(None, 0)
+        self.us = us
+        self.lo, self.hi = anneal._log_bands(us)
+
+    def refill(self, pos, need):
+        raise AssertionError("the sweep read more draws than it was given")
+
+
+class _ListRandom:
+    """The reference sweep's random source, handing out the given draws in order."""
+
+    def __init__(self, us):
+        self._us = np.asarray(us)
+
+    def random_sample(self, size=None):
+        if size is None:
+            u, self._us = float(self._us[0]), self._us[1:]
+            return u
+        out, self._us = self._us[:size], self._us[size:]
+        return out
+
+
 @pytest.mark.parametrize("t, offset", [(0.73, 0.0), (0.73, 0.37), (1e-300, 0.0)])
 def test_band_acceptors_match_scalar_rule(t, offset):
+    """The sweeps accept exactly what the scalar rule of
+    ``tests/reference.py:sweep`` accepts, sweep by sweep, on draws at the
+    thresholds ``exp(-eff / t)``, at their neighbouring doubles and at the
+    extremes, with thresholds that are ordinary, subnormal or zero."""
     rng = np.random.RandomState(12)
     eff = np.concatenate([
         rng.uniform(-5.0, 0.0, 50), [0.0, -0.0],
@@ -567,21 +623,135 @@ def test_band_acceptors_match_scalar_rule(t, offset):
         rng.exponential(3.0 * t, 1000),         # ordinary thresholds at any t
         rng.uniform(708.0 * t, 746.0 * t, 50),  # subnormal and underflowing thresholds
     ])
-    deltas = eff + offset
-    eff = deltas - offset  # the rule's own eff, rounded as the engine rounds it
-    exact = np.array([math.exp(-e / t) if e > 0.0 else 1.0 for e in eff])
     nv = len(eff)
-    y, sure, maybe = np.empty(nv), np.empty(nv, dtype=bool), np.empty(nv, dtype=bool)
-    undecided = 0
-    for us in (exact, np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf),
-               np.exp(-np.maximum(eff, 0.0) / t), np.zeros(nv), rng.random_sample(nv)):
-        us = np.minimum(us, np.nextafter(1.0, 0.0))  # draws lie in [0, 1)
-        lo, hi = anneal._log_bands(us)
-        got = anneal._acceptors(deltas, offset, t, us, lo, hi, y, sure, maybe)
-        want = np.flatnonzero([e <= 0.0 or u < math.exp(-e / t) for e, u in zip(eff, us)])
-        assert np.array_equal(got, want)
-        undecided += np.count_nonzero(maybe & ~(y > hi))
-    assert undecided > 0  # the scalar rule decided some draws
+    # a chainless model without pair terms: flipping a clear bit i gains eff[i] + offset
+    model = QuboModel.from_triples(nv, eff + offset, [], [], [])
+    cm = compile_model(model)
+    nbrs = expanded_neighbors(model)
+    bits_a, bits_b = np.zeros(nv, dtype=np.int8), np.zeros(nv, dtype=np.int8)
+    lf = local_fields(model, bits_a, nbrs)
+    base_lf, s, cur = anneal._start_state(model, cm, bits_b)
+    best, best_bits = cur, bits_b.copy()
+    undecided = flips = 0
+    for kind in range(6):
+        for rep in range(3):
+            gains = _gains(cm, bits_b, base_lf, s)
+            eff = gains - offset  # the rule's own eff, rounded as the sweeps round it
+            exact = np.array([math.exp(-e / t) if e > 0.0 else 1.0 for e in eff.tolist()])
+            us = (exact, np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf),
+                  np.exp(-np.maximum(eff, 0.0) / t), np.zeros(nv), rng.random_sample(nv))[kind]
+            us = np.minimum(us, np.nextafter(1.0, 0.0))  # draws lie in [0, 1)
+            want = [i for i, (e, u) in enumerate(zip(eff.tolist(), us.tolist()))
+                    if e <= 0.0 or u < math.exp(-e / t)]
+            lo, hi = anneal._log_bands(us)
+            y = eff / -t
+            inside = (y >= lo) & ~(y > hi)
+            undecided += np.count_nonzero(inside)
+            # pick an acceptor whose draw lay inside its band, when there is one
+            picks = [k for k, i in enumerate(want) if inside[i]]
+            pick = (picks[rep % len(picks)] + 0.5) / len(want) if picks else rng.random_sample()
+            draws = np.append(us, pick)
+
+            flipped, offset_a = sweep(nbrs, bits_a, lf, t, _ListRandom(draws), offset, 0.01)
+            given = _GivenDraws(draws)
+            before = bits_b.copy()
+            offset_b, cur, best, _, _ = anneal._python_sweeps(
+                cm, bits_b, base_lf, s, np.array([t]), offset, 0.01, cur, best, best_bits,
+                given, None, 0, 0)
+            assert flipped == (want[int(pick * len(want))] if want else -1)
+            assert np.flatnonzero(before != bits_b).tolist() == ([flipped] if want else [])
+            assert np.array_equal(bits_a, bits_b) and offset_a == offset_b
+            assert given.pos == nv + bool(want)  # the pick is drawn only when something accepts
+            flips += bool(want)
+    assert undecided > 0  # the scalar rule decided some draws inside their bands
+    assert 0 < flips
+
+
+def _bincount_gains(model, bits, base_lf, s):
+    """Flip gains with each variable's chain gains summed by ``np.bincount``
+    from ``+0.0``, memberships in (variable, chain) order: the oracle of the
+    layered sums of ``_flip_gains``."""
+    ch, p = model.chains, model.penalty
+    order = np.lexsort((ch.chain_id, ch.var_idx))
+    var, chain, c = ch.var_idx[order], ch.chain_id[order], ch.coeffs[order]
+    dl = 1.0 - 2.0 * bits
+    chain_gain = 2.0 * p * c * dl[var] * (s - ch.rhs)[chain] + p * c * c
+    return dl * base_lf + np.bincount(var, chain_gain, model.num_vars)
+
+
+@pytest.mark.parametrize("model", [m[1] for m in _START_MODELS], ids=[m[0] for m in _START_MODELS])
+def test_flip_gains_match_bincount_bit_for_bit(model):
+    cm = compile_model(model)
+    rng = np.random.RandomState(41)
+    nv = model.num_vars
+    cfg = AnnealConfig(sweeps=60, temp_final=0.05)
+    for p in (0.0, 0.3, 0.7, 1.0):
+        bits = (rng.random_sample(nv) < p).astype(np.int8)
+        base_lf, s, cur = anneal._start_state(model, cm, bits)
+        gains = _gains(cm, bits, base_lf, s)
+        assert gains.tobytes() == _bincount_gains(model, bits, base_lf, s).tobytes()
+        # the terms a flip updates in place stay those a rebuild would make
+        draws = anneal._BlockUniforms(np.random.RandomState(43), nv)
+        flips = 0
+        for done in range(0, cfg.sweeps, 6):
+            _, cur, _, f, gains = anneal._python_sweeps(
+                cm, bits, base_lf, s, anneal._temperatures(cfg, 2.0, done, 6), 0.0, 0.01,
+                cur, -math.inf, bits.copy(), draws, None, 0, done, gains)
+            flips += f
+            gains = _gains(cm, bits, base_lf, s) if gains is None else gains
+            assert gains.tobytes() == _bincount_gains(model, bits, base_lf, s).tobytes()
+        assert flips > 0
+
+
+def test_idle_sweep_bound_changes_nothing(monkeypatch):
+    model = build_bipartition_qubo(grid_graph(12, 16))  # the bisect-grid benchmark's model
+    cfg = AnnealConfig(sweeps=2000, replicas=2, seed=3, balanced_init=True, trace_every=1)
+    tested = []  # sweeps that ran the array test, per solve
+    greater_equal = np.greater_equal
+
+    def counted(*args, **kwargs):
+        tested[-1] += 1
+        return greater_equal(*args, **kwargs)
+
+    monkeypatch.setattr(np, "greater_equal", counted)
+    runs = []
+    for bound in (True, False):
+        if not bound:
+            monkeypatch.setattr(anneal, "_sweep_floors", lambda lo, pos, nv, count: [])
+        tested.append(0)
+        runs.append(solve(model, cfg))
+    on, off = runs
+    assert on.best_bits.tobytes() == off.best_bits.tobytes()
+    assert on.best_energy.hex() == off.best_energy.hex()
+    assert (on.flips, on.replica_id) == (off.flips, off.replica_id)
+    assert on.energy_trace.tobytes() == off.energy_trace.tobytes()
+    assert tested[1] == cfg.replicas * cfg.sweeps  # without the bound every sweep is tested
+    assert tested[0] < tested[1]  # the bound skipped idle sweeps
+
+
+def test_first_sweep_reuses_the_start_gains(monkeypatch):
+    model = build_kway_qubo(gnp_graph(20, 0.3, np.random.RandomState(44)), 3, 0.2)
+    cfg = AnnealConfig(sweeps=600, replicas=3, seed=5, balanced_init=True, trace_every=10)
+    assert cfg.sweeps <= anneal.BATCH_SWEEPS  # one engine call per replica
+    builds = []
+    flip_gains, python_sweeps = anneal._flip_gains, anneal._python_sweeps
+
+    def counted(*args, **kwargs):
+        builds[-1] += 1
+        return flip_gains(*args, **kwargs)
+
+    monkeypatch.setattr(anneal, "_flip_gains", counted)
+    builds.append(0)
+    handed = solve(model, cfg)
+    # as the sweeps ran before: every engine call builds its gains on entry
+    monkeypatch.setattr(anneal, "_python_sweeps", lambda *args: python_sweeps(*args[:-1], None))
+    builds.append(0)
+    rebuilt = solve(model, cfg)
+    assert handed.best_bits.tobytes() == rebuilt.best_bits.tobytes()
+    assert handed.best_energy.hex() == rebuilt.best_energy.hex()
+    assert (handed.flips, handed.replica_id) == (rebuilt.flips, rebuilt.replica_id)
+    assert handed.energy_trace.tobytes() == rebuilt.energy_trace.tobytes()
+    assert builds[1] - builds[0] == cfg.replicas
 
 
 def test_energy_trace_monotone():

@@ -235,6 +235,16 @@ def test_from_triples_rejects_bad_pairs(qi, qj, qc, match):
         QuboModel.from_triples(3, np.zeros(3), qi, qj, qc)
 
 
+@pytest.mark.parametrize("penalty", [-1.0, math.nan, math.inf])
+def test_from_triples_rejects_negative_or_non_finite_penalty(penalty):
+    # a NaN or infinite penalty made energy() NaN; the sweeps need penalty >= 0
+    chains = _chains([0, 1, 2])
+    with pytest.raises(ValueError, match="penalty must be finite and non-negative"):
+        QuboModel.from_triples(3, np.zeros(3), [0], [1], [1.0], chains=chains, penalty=penalty)
+    ok = QuboModel.from_triples(3, np.zeros(3), [0], [1], [1.0], chains=chains, penalty=0.0)
+    assert energy(ok, [1, 1, 0]) == 1.0
+
+
 def test_objective_csr_shape_checks():
     ok = QuboModel.from_triples(3, np.zeros(3), [0, 1], [1, 2], [1.0, 2.0])
     indptr, cols, data = ok.objective_csr

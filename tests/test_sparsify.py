@@ -54,6 +54,26 @@ def test_sparsify_keeps_rounded_fraction():
     assert full.edges == g.edges
 
 
+@pytest.mark.parametrize("ratio", [0.0, 0.5, 1.0])
+def test_sparsify_csr_equals_from_edges(ratio):
+    # sparsify filters the graph's CSR arcs; the result must be the graph
+    # from_edges builds from the kept edges, isolated vertices included
+    rng = np.random.RandomState(8)
+    g = Graph.from_edges(30, [(u + 3, v + 3) for u, v in gnp_graph(24, 0.3, rng).edges])
+    assert (g.degrees[:3] == 0).all() and g.m > 0
+    graphs = [g, Graph.from_edges(5, []), Graph.from_edges(0, [])]
+    for graph in graphs:
+        scores = forest_fire_scores(graph, seed=4)
+        sparse = sparsify(graph, scores, ratio)
+        order = np.argsort(-scores.scores, kind="stable")[:round(ratio * graph.m)]
+        want = Graph.from_edges(graph.n, graph.edge_array[np.sort(order)])
+        assert sparse.n == want.n and sparse.name == graph.name
+        for got, exp in ((sparse.indptr, want.indptr), (sparse.indices, want.indices)):
+            assert got.dtype == exp.dtype == np.int64 and np.array_equal(got, exp)
+            assert not got.flags.writeable
+        assert sparse.edges == want.edges
+
+
 def test_sparsify_prefers_higher_scores():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     scores = forest_fire_scores(g, seed=5)

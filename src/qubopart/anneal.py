@@ -356,9 +356,10 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
     leaves them valid for the next one.  Then no ``y`` can exceed
     ``(least gain - offset) / -t``, because rounding is monotone, and a
     sweep whose draws all have ``lo`` above that bound accepts nothing
-    untested.  After a sweep with no acceptor, :func:`_sweep_floors` takes
-    the least ``lo`` of each coming sweep still in the buffer; a flip, which
-    reads one more draw, or a refill voids them.
+    untested.  Once a sweep had no acceptor, :func:`_sweep_floors` takes the
+    least ``lo`` of each coming sweep whose draws are in the buffer, and
+    takes them again when they run out; a flip, which changes the gains and
+    reads one more draw, voids them and the least gain.
 
     Between flips the sweep keeps the terms of :func:`_gain_terms`; a flip
     updates the entries it changes with the same double operations a
@@ -393,14 +394,15 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
     left = len(temps)
     for sw, t in enumerate(temps.tolist()):
         left -= 1
-        if pos + nv > end:
+        if pos + nv > end:  # no floors are left: they cover whole sweeps in the buffer
             us, lo, hi = draws.refill(pos, nv)
             pos, end, us_v = 0, len(us), memoryview(us)
-            floors, w = [], 0
         if stale:
             _flip_gains(cm, dlf, mld, sr, gains, chain_gain)
             stale = skip = False
         else:
+            if least is not None and w >= len(floors):  # the floors ran out
+                floors, w = _sweep_floors(lo, pos, nv, min((end - pos) // nv, left + 1)), 0
             skip = w < len(floors) and (least - offset) / -t < floors[w]
         nxt = pos + nv
         acceptors = ()
@@ -462,11 +464,8 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
         else:
             offset = offset + offset_inc
             w += 1
-            if w >= len(floors):
-                ahead = min((end - pos) // nv, left)  # coming sweeps whose draws are in the buffer
-                if ahead and least is None:
-                    least = float(gains.min())
-                floors, w = _sweep_floors(lo, pos, nv, ahead), 0
+            if least is None:
+                least = float(gains.min())
         if trace_every > 0 and (sweeps_before + sw + 1) % trace_every == 0:
             trace.append(best_energy)
     draws.pos = pos

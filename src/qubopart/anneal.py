@@ -26,12 +26,13 @@ bands for all variables at once, inline, and the scalar ``math.exp`` rule
 decides the rare draws that fall inside their band, so the acceptor sets
 equal that scalar rule's exactly.
 
-The chain memberships are stored as jagged diagonals: layer q holds every
-variable's q-th membership at slot ``offset_q + variable``, so the chain
-gains of all variables sum with one whole-array add per layer.  The engine
-rebuilds the flip gains only after a flip: a sweep with no acceptor changes
-no state they depend on, and the next sweep can then be ruled idle without
-its array test when the least gain cannot reach any of its draws' bands.
+The chain memberships are stored as jagged diagonals: layer q holds the
+q-th membership of every variable that has one, in variable order, so the
+chain gains of all variables sum with one whole-array add per layer.  The
+engine rebuilds the flip gains only after a flip: a sweep with no acceptor
+changes no state they depend on, and the next sweep can then be ruled idle
+without its array test when the least gain cannot reach any of its draws'
+bands.
 Between flips it keeps ``dl = 1 - 2 * bits``, ``dl * base_lf``, the chain
 residuals ``s - rhs`` and the signed memberships; a flip updates its own
 entries of these, adds its sign times its objective row to the local fields
@@ -138,13 +139,17 @@ class CompiledModel:
     :attr:`~qubopart.qubo.QuboModel.objective_csr`, the symmetric CSR of its
     objective terms, plus the chain memberships laid out as jagged diagonals.
 
-    Layer q of the memberships holds every variable's q-th membership, in
-    chain-id order, at slot ``mem_off[q] + variable``.  Layer 0 spans all
-    variables; layer q >= 1 spans the variables up to the last one with more
-    than q memberships.  A variable with fewer memberships has a pad slot
-    there: chain 0, coefficient 0.0, so its chain gain is ``+0.0``.
-    ``mem_count`` is every variable's membership count and ``mem_var`` the
-    model's ``chains.var_idx``, one entry per membership.
+    Layer q of the memberships holds the q-th membership, in chain-id order,
+    of every variable that has one, at the slots ``mem_off[q]:mem_off[q + 1]``
+    in variable order.  Layer 0 spans all variables, slot ``i`` for variable
+    ``i``; a variable without memberships has a pad slot there: chain 0,
+    coefficient 0.0, so its chain gain is ``+0.0``.  Layer q >= 1 holds only
+    the variables ``mem_at[q - 1]`` with more than q memberships, a slice
+    when they are consecutive, an index array otherwise, so there are at most
+    ``nv`` slots more than memberships however the counts are spread.
+    Variable i's slots are ``mem_slot[mem_indptr[i]:mem_indptr[i + 1]]``,
+    layer by layer.  ``mem_var`` is the model's ``chains.var_idx``, one entry
+    per membership.
     """
 
     nv: int
@@ -154,8 +159,10 @@ class CompiledModel:
     csr_data: np.ndarray
     rhs: np.ndarray
     mem_var: np.ndarray
-    mem_count: np.ndarray
+    mem_indptr: np.ndarray
+    mem_slot: np.ndarray
     mem_off: tuple[int, ...]  # layer q holds the slots mem_off[q]:mem_off[q + 1]
+    mem_at: tuple[slice | np.ndarray, ...]  # the variables of layers 1, 2, ...
     mem_chain: np.ndarray
     mem_coeff: np.ndarray
     mem_lin: np.ndarray  # 2 * penalty * c per slot
@@ -176,12 +183,20 @@ def compile_model(model: QuboModel) -> CompiledModel:
     chains, p = model.chains, model.penalty
     morder = np.lexsort((chains.chain_id, chains.var_idx))
     mv = chains.var_idx[morder]
-    count = np.bincount(mv, minlength=nv)
-    rank = np.arange(len(mv)) - (np.cumsum(count) - count)[mv]  # layer of each membership
-    depth = int(count.max(initial=0))
-    spans = [nv] + [int(np.flatnonzero(count > q)[-1]) + 1 for q in range(1, depth)]
-    off = tuple(itertools.accumulate(spans[:depth], initial=0))
-    slot = np.array(off)[rank] + mv
+    mem_indptr = np.zeros(nv + 1, dtype=np.int64)
+    np.cumsum(np.bincount(mv, minlength=nv), out=mem_indptr[1:])
+    rank = np.arange(len(mv)) - mem_indptr[mv]  # layer of each membership
+    sizes = np.bincount(rank)[1:].tolist()  # memberships of layers 1, 2, ...
+    off = tuple(itertools.accumulate([nv] + sizes, initial=0)) if len(mv) else (0,)
+    # layer 0 is indexed by variable; the later layers hold just their
+    # memberships, in (layer, variable) order
+    deep = np.lexsort((mv, rank))[rank.size - sum(sizes):]
+    slot = mv.copy()
+    slot[deep] = np.arange(nv, nv + len(deep))
+    at = []
+    for a, b in zip(off[1:], off[2:]):
+        v = mv[deep[a - nv:b - nv]]
+        at.append(slice(int(v[0]), int(v[-1]) + 1) if v[-1] - v[0] == b - a - 1 else v)
     mg = np.zeros(off[-1], dtype=np.int64)
     mg[slot] = chains.chain_id[morder]
     mc = np.zeros(off[-1])
@@ -189,8 +204,8 @@ def compile_model(model: QuboModel) -> CompiledModel:
 
     return CompiledModel(nv=nv, base_lin=model.base_linear, csr_indptr=indptr,
                          csr_cols=cols, csr_data=data, rhs=chains.rhs, mem_var=chains.var_idx,
-                         mem_count=count, mem_off=off, mem_chain=mg, mem_coeff=mc,
-                         mem_lin=2.0 * p * mc, mem_const=p * mc * mc)
+                         mem_indptr=mem_indptr, mem_slot=slot, mem_off=off, mem_at=tuple(at),
+                         mem_chain=mg, mem_coeff=mc, mem_lin=2.0 * p * mc, mem_const=p * mc * mc)
 
 
 def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -220,8 +235,7 @@ def _start_state(model: QuboModel, cm: CompiledModel,
     cols, data = cm.csr_cols[at], cm.csr_data[at]
     base_lf = cm.base_lin + np.bincount(cols, weights=data, minlength=cm.nv)
     # the set bits' membership slots, variable after variable, layer by layer
-    layers = np.array(cm.mem_off[:-1], dtype=np.int64)
-    mem = (layers + on[:, None])[np.arange(len(layers)) < cm.mem_count[on, None]]
+    mem = cm.mem_slot[_row_entries(cm.mem_indptr, on)]
     # over no memberships bincount returns int64
     s = np.bincount(cm.mem_chain[mem], weights=cm.mem_coeff[mem],
                     minlength=len(cm.rhs)).astype(np.float64, copy=False)
@@ -293,9 +307,8 @@ def _gain_terms(cm: CompiledModel, dl: np.ndarray, base_lf: np.ndarray,
     """What :func:`_flip_gains` reads, from the sign vector ``dl = 1 - 2 * bits``:
     ``dl * base_lf``, the signed memberships ``mem_lin * dl[variable]`` of
     every slot, and the chain residuals ``s - rhs``."""
-    off = cm.mem_off
-    slot_dl = [dl[:b - a] for a, b in zip(off, off[1:])]
-    mld = cm.mem_lin * (np.concatenate(slot_dl) if slot_dl else dl[:0])
+    slot_dl = [dl[at] for at in cm.mem_at]
+    mld = cm.mem_lin * (np.concatenate([dl, *slot_dl]) if len(cm.mem_off) > 1 else dl[:0])
     return dl * base_lf, mld, s - cm.rhs
 
 
@@ -318,8 +331,8 @@ def _flip_gains(cm: CompiledModel, dlf: np.ndarray, mld: np.ndarray, sr: np.ndar
     chain_gain = np.multiply(mld, sr[cm.mem_chain], out=chain_gain)
     np.add(chain_gain, cm.mem_const, out=chain_gain)
     total = chain_gain[:cm.nv]  # layer 0, which spans every variable
-    for a, b in zip(off[1:], off[2:]):
-        total[:b - a] += chain_gain[a:b]
+    for at, a, b in zip(cm.mem_at, off[1:], off[2:]):
+        total[at] += chain_gain[a:b]  # the variables of a layer are distinct
     return np.add(dlf, total, out=out)
 
 
@@ -372,7 +385,7 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
     csr_ptr = memoryview(cm.csr_indptr)
     csr_cols, csr_data = cm.csr_cols, cm.csr_data
     cols_v, data_v = memoryview(csr_cols), memoryview(csr_data)
-    count_v, layers = memoryview(cm.mem_count), cm.mem_off
+    mem_ptr, slot_v = memoryview(cm.mem_indptr), memoryview(cm.mem_slot)
     chain_v, coeff_v, rhs_v = memoryview(cm.mem_chain), memoryview(cm.mem_coeff), memoryview(cm.rhs)
     row_max = _SCALAR_ROW_MAX
     dl = 1.0 - 2.0 * bits
@@ -444,8 +457,8 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
                     lf = lf_v[c] + data_v[j] * d
                     lf_v[c] = lf
                     dlf_v[c] = dl_v[c] * lf
-            for q in range(count_v[i]):
-                j = layers[q] + i
+            for q in range(mem_ptr[i], mem_ptr[i + 1]):
+                j = slot_v[q]
                 g = chain_v[j]
                 sg = s_v[g] + coeff_v[j] * d
                 s_v[g] = sg

@@ -69,7 +69,15 @@ class Graph:
             if out_of_range[first]:
                 raise ValueError(f"edge ({u[first]}, {v[first]}) out of range for n={n}")
             raise ValueError(f"self-loop at vertex {u[first]}")
-        # one sort of the keys of both directions gives the CSR order; repeats merge
+        return cls._from_pairs(n, u, v, name=name)
+
+    @classmethod
+    def _from_pairs(cls, n: int, u: np.ndarray, v: np.ndarray, name: str = "") -> "Graph":
+        """Graph of the edges ``{u[i], v[i]}``, in range and without self-loops.
+
+        One sort of the keys of both directions gives the CSR order; repeats
+        merge.
+        """
         keys = _unique_keys(np.concatenate([u * n + v, v * n + u]))
         return cls._from_sorted_arcs(n, *np.divmod(keys, n), name=name)
 
@@ -81,14 +89,6 @@ class Graph:
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         return cls(n, *_read_only(indptr, dst), name=name)
 
-    def _edge_subgraph(self, kept: np.ndarray) -> "Graph":
-        """Graph on the same vertices with the edges whose ``kept`` flag is set,
-        one flag per row of :attr:`edge_array`: this graph's CSR arcs, filtered
-        by their edges' flags, so they stay sorted."""
-        at = np.flatnonzero(kept[self._arc_edges])
-        return Graph(self.n, *_read_only(np.searchsorted(at, self.indptr), self.indices[at]),
-                     name=self.name)
-
     @property
     def m(self) -> int:
         return len(self.indices) // 2
@@ -99,22 +99,6 @@ class Graph:
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
         upper = src < self.indices
         return _read_only(np.stack([src[upper], self.indices[upper]], axis=1))[0]
-
-    @cached_property
-    def _arc_edges(self) -> np.ndarray:
-        """Read-only row of :attr:`edge_array` that holds each CSR arc's edge.
-
-        The arcs with ``src < dst`` are the edges in order.  The arcs
-        ``(v, u)`` with ``v > u``, in CSR order, are the edges ``(u, v)``
-        ordered by ``v`` and then by row, which one sort of ``m`` keys gives.
-        """
-        m = self.m
-        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        upper = src < self.indices
-        edge = np.empty(2 * m, dtype=np.int64)
-        edge[upper] = np.arange(m)
-        edge[~upper] = np.sort(self.indices[upper] * m + np.arange(m)) % m
-        return _read_only(edge)[0]
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:

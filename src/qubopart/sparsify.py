@@ -238,9 +238,10 @@ def sparsify(g: Graph, scores: EdgeScores, keep_ratio: float) -> Graph:
         raise ValueError(f"keep ratio must lie in [0, 1], got {keep_ratio}")
     if scores.scores.shape != (g.m,):
         raise ValueError("scores are not aligned with the graph's edges")
-    kept = np.zeros(g.m, dtype=bool)
-    kept[np.argsort(-scores.scores, kind="stable")[:round(keep_ratio * g.m)]] = True
-    return g._edge_subgraph(kept)
+    keep = round(keep_ratio * g.m)
+    order = np.argsort(-scores.scores, kind="stable")
+    kept = g.edge_array[np.sort(order[:keep])]
+    return Graph._from_pairs(g.n, kept[:, 0], kept[:, 1], name=g.name)
 
 
 def project_partition(original: Graph, p: Partition) -> int:

@@ -109,21 +109,41 @@ def _start_state_models():
     models.append(("noninteger", QuboModel.from_triples(nv, lin, i, j, c, base_constant=0.3,
                                                          chains=chains, penalty=1.9), False))
     models.append(("rising", _rising_count_model(nv, lin, i, j, c), False))
+    models.append(("deep-tail", _deep_tail_model(nv, lin, i, j, c), False))
     return models
+
+
+def _chained(nv, lin, i, j, c, rows, seed):
+    """A model on the pair terms ``(i, j, c)`` with one chain over each of ``rows``."""
+    rng = np.random.RandomState(seed)
+    chains = qubo.ChainSet.from_blocks(*[(r[None, :], rng.uniform(0.2, 2.3, (1, len(r))), 1.7)
+                                         for r in rows])
+    return QuboModel.from_triples(nv, lin, i, j, c, chains=chains, penalty=0.45)
 
 
 def _rising_count_model(nv, lin, i, j, c):
     """A model whose variables' membership counts rise, with gaps, over the
-    variables, so every membership layer after the first holds pads and the
-    last layer ends before the last variable."""
+    variables, so every membership layer after the first holds scattered
+    variables and the last one ends before the last variable."""
     rows = [np.arange(nv), np.arange(5, nv, 2), np.arange(11, nv - 3, 3), np.array([2, 20])]
-    rng = np.random.RandomState(29)
-    chains = qubo.ChainSet.from_blocks(*[(r[None, :], rng.uniform(0.2, 2.3, (1, len(r))), 1.7)
-                                         for r in rows])
-    model = QuboModel.from_triples(nv, lin, i, j, c, chains=chains, penalty=0.45)
+    model = _chained(nv, lin, i, j, c, rows, 29)
     cm = compile_model(model)
-    assert len(cm.mem_off) == 4 and cm.mem_off[-1] > len(chains.var_idx)  # three layers, pads
-    assert cm.mem_off[-1] - cm.mem_off[-2] < nv
+    assert len(cm.mem_off) == 4 and cm.mem_off[-1] == len(model.chains.var_idx)  # no pads
+    assert all(isinstance(at, np.ndarray) for at in cm.mem_at) and cm.mem_at[-1][-1] < nv - 1
+    return model
+
+
+def _deep_tail_model(nv, lin, i, j, c):
+    """A model whose last variables are in many chains and two variables in
+    none: its layers after the second hold two variables each, and it has
+    only two slots more than memberships, the pads of the chainless two."""
+    rows = [np.arange(nv - 8), np.arange(nv - 6, nv), np.arange(nv - 6, nv)]
+    rows += [np.array([nv - 3, nv - 1])] * 12
+    model = _chained(nv, lin, i, j, c, rows, 31)
+    cm = compile_model(model)
+    assert len(cm.mem_off) == 15 and cm.mem_off[-1] == len(model.chains.var_idx) + 2
+    assert cm.mem_at[0] == slice(nv - 6, nv)
+    assert all(at.tolist() == [nv - 3, nv - 1] for at in cm.mem_at[1:])
     return model
 
 
@@ -612,10 +632,23 @@ class _ListRandom:
 
 @pytest.mark.parametrize("t, offset", [(0.73, 0.0), (0.73, 0.37), (1e-300, 0.0)])
 def test_band_acceptors_match_scalar_rule(t, offset):
-    """The sweeps accept exactly what the scalar rule of
-    ``tests/reference.py:sweep`` accepts, sweep by sweep, on draws at the
-    thresholds ``exp(-eff / t)``, at their neighbouring doubles and at the
-    extremes, with thresholds that are ordinary, subnormal or zero."""
+    """The sweeps accept exactly the variables that the scalar rule of
+    ``tests/reference.py:sweep`` accepts, on draws at the thresholds
+    ``exp(-eff / t)``, at their neighbouring doubles and at the extremes, with
+    thresholds that are ordinary, subnormal or zero.
+
+    A sweep shows only the acceptor its pick draw selects,
+    ``acceptors[int(pick * len(acceptors))]``.  So every state is swept from
+    a copy once per wanted acceptor k with the pick just above ``k / L`` and
+    once with it just below ``(k + 1) / L``, ``L = len(want)``: both sweeps
+    must flip ``want[k]``.  Two picks that far apart select the same index
+    only if the sweep's list holds at most L acceptors, and L distinct flips
+    need at least L, so the list is ``want`` itself.  The variables of this
+    model do not interact, so these sweeps run on blocks of 64 of them, each
+    block with its own ``want``; that keeps their cost linear in the model.
+    Then one sweep of the whole model, with a random pick, moves the state
+    on, against the reference sweep.
+    """
     rng = np.random.RandomState(12)
     eff = np.concatenate([
         rng.uniform(-5.0, 0.0, 50), [0.0, -0.0],
@@ -632,39 +665,50 @@ def test_band_acceptors_match_scalar_rule(t, offset):
     lf = local_fields(model, bits_a, nbrs)
     base_lf, s, cur = anneal._start_state(model, cm, bits_b)
     best, best_bits = cur, bits_b.copy()
-    undecided = flips = 0
+    # the variables do not interact, so each block of 64 sweeps as a model of its own
+    blocks = [(a, compile_model(QuboModel.from_triples(len(part), part, [], [], [])))
+              for a, part in zip(range(0, nv, 64), np.split(model.base_linear, range(64, nv, 64)))]
+    edge = 2.0 ** -20
+    undecided = checked = 0
     for kind in range(6):
-        for rep in range(3):
-            gains = _gains(cm, bits_b, base_lf, s)
-            eff = gains - offset  # the rule's own eff, rounded as the sweeps round it
-            exact = np.array([math.exp(-e / t) if e > 0.0 else 1.0 for e in eff.tolist()])
-            us = (exact, np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf),
-                  np.exp(-np.maximum(eff, 0.0) / t), np.zeros(nv), rng.random_sample(nv))[kind]
-            us = np.minimum(us, np.nextafter(1.0, 0.0))  # draws lie in [0, 1)
-            want = [i for i, (e, u) in enumerate(zip(eff.tolist(), us.tolist()))
-                    if e <= 0.0 or u < math.exp(-e / t)]
-            lo, hi = anneal._log_bands(us)
-            y = eff / -t
-            inside = (y >= lo) & ~(y > hi)
-            undecided += np.count_nonzero(inside)
-            # pick an acceptor whose draw lay inside its band, when there is one
-            picks = [k for k, i in enumerate(want) if inside[i]]
-            pick = (picks[rep % len(picks)] + 0.5) / len(want) if picks else rng.random_sample()
-            draws = np.append(us, pick)
+        eff = _gains(cm, bits_b, base_lf, s) - offset  # the rule's own eff, rounded as the sweeps round it
+        exact = np.array([math.exp(-e / t) if e > 0.0 else 1.0 for e in eff.tolist()])
+        us = (exact, np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf),
+              np.exp(-np.maximum(eff, 0.0) / t), np.zeros(nv), rng.random_sample(nv))[kind]
+        us = np.minimum(us, np.nextafter(1.0, 0.0))  # draws lie in [0, 1)
+        want = [i for i, (e, u) in enumerate(zip(eff.tolist(), us.tolist()))
+                if e <= 0.0 or u < math.exp(-e / t)]
+        lo, hi = anneal._log_bands(us)
+        y = eff / -t
+        undecided += np.count_nonzero((y >= lo) & ~(y > hi))
+        for a, block in blocks:
+            b = a + block.nv
+            wanted = [i - a for i in want if a <= i < b]
+            n = len(wanted)
+            picks = [((k + edge) / n, k) for k in range(n)] + [((k + 1 - edge) / n, k) for k in range(n)]
+            for pick, k in picks or [(0.5, None)]:
+                bits = bits_b[a:b].copy()
+                given = _GivenDraws(np.append(us[a:b], pick))
+                anneal._python_sweeps(block, bits, base_lf[a:b].copy(), s.copy(), np.array([t]),
+                                      offset, 0.01, 0.0, 0.0, bits.copy(), given, None, 0, 0)
+                assert np.flatnonzero(bits != bits_b[a:b]).tolist() == ([] if k is None else [wanted[k]])
+                assert given.pos == block.nv + (k is not None)
+            checked += n
 
-            flipped, offset_a = sweep(nbrs, bits_a, lf, t, _ListRandom(draws), offset, 0.01)
-            given = _GivenDraws(draws)
-            before = bits_b.copy()
-            offset_b, cur, best, _, _ = anneal._python_sweeps(
-                cm, bits_b, base_lf, s, np.array([t]), offset, 0.01, cur, best, best_bits,
-                given, None, 0, 0)
-            assert flipped == (want[int(pick * len(want))] if want else -1)
-            assert np.flatnonzero(before != bits_b).tolist() == ([flipped] if want else [])
-            assert np.array_equal(bits_a, bits_b) and offset_a == offset_b
-            assert given.pos == nv + bool(want)  # the pick is drawn only when something accepts
-            flips += bool(want)
+        pick = rng.random_sample()
+        draws = np.append(us, pick)
+        flipped, offset_a = sweep(nbrs, bits_a, lf, t, _ListRandom(draws), offset, 0.01)
+        given = _GivenDraws(draws)
+        before = bits_b.copy()
+        offset_b, cur, best, _, _ = anneal._python_sweeps(
+            cm, bits_b, base_lf, s, np.array([t]), offset, 0.01, cur, best, best_bits,
+            given, None, 0, 0)
+        assert flipped == (want[int(pick * len(want))] if want else -1)
+        assert np.flatnonzero(before != bits_b).tolist() == ([flipped] if want else [])
+        assert np.array_equal(bits_a, bits_b) and offset_a == offset_b
+        assert given.pos == nv + bool(want)  # the pick is drawn only when something accepts
     assert undecided > 0  # the scalar rule decided some draws inside their bands
-    assert 0 < flips
+    assert checked > 0  # acceptors whose sweeps were compared
 
 
 def _bincount_gains(model, bits, base_lf, s):

@@ -56,8 +56,8 @@ def test_sparsify_keeps_rounded_fraction():
 
 @pytest.mark.parametrize("ratio", [0.0, 0.5, 1.0])
 def test_sparsify_csr_equals_from_edges(ratio):
-    # sparsify filters the graph's CSR arcs; the result must be the graph
-    # from_edges builds from the kept edges, isolated vertices included
+    # the sparsified graph must be the graph from_edges builds from the kept
+    # edges, isolated vertices included
     rng = np.random.RandomState(8)
     g = Graph.from_edges(30, [(u + 3, v + 3) for u, v in gnp_graph(24, 0.3, rng).edges])
     assert (g.degrees[:3] == 0).all() and g.m > 0

@@ -40,9 +40,12 @@ and times its chain coefficients to the chain sums, one update for either
 direction, as Python scalars through memoryviews: the same double
 operations numpy would do without numpy's cost per call.  Objective rows
 longer than ``_SCALAR_ROW_MAX`` take numpy updates instead.
-Replica r of a solve seeds its stream from SHA-256 of (seed, r), making
-replicas independent and the whole solve deterministic.  Every replica owns
-its ``RandomState``, so solves share no state.
+Replica r of a solve seeds its init and sweep streams from SHA-256 of
+(seed, r, "init") and (seed, r, "sweeps"), making replicas independent and
+the whole solve deterministic.  A solve constructs one ``RandomState`` and
+reseeds it with ``rs.seed`` for each stream in turn: the legacy seeding that
+``RandomState(x)`` runs after seeding itself from OS entropy, which costs
+far more.  Solves share no state.
 """
 
 from __future__ import annotations
@@ -556,8 +559,10 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
     Under a time limit the sweeps run in batches sized from the measured time
     per sweep, so at any model size a solve ends about one sweep after the
     limit, or after its compile and replica set-up if those alone exceed it.
-    The reported energy is recomputed from the final bits, so it matches
-    :func:`qubopart.qubo.energy` exactly.
+    The reported energy equals :func:`qubopart.qubo.energy` of the returned
+    bits exactly: when the returned replica's best never dropped below its
+    start state, it is the start energy, which :func:`_start_state` computes
+    with ``energy``'s arithmetic; otherwise ``energy`` recomputes it.
     """
     cfg = cfg or AnnealConfig()
     start = time.perf_counter()
@@ -571,13 +576,15 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
     deadline = None if cfg.time_limit is None else start + cfg.time_limit
     sweep_s = 0.0  # measured seconds per sweep of the latest batch
 
+    rs = np.random.RandomState()  # reseeded per stream, see the module docstring
     for replica in range(cfg.replicas):
-        init_rs = np.random.RandomState(_derive_seed(cfg.seed, replica, "init"))
+        rs.seed(_derive_seed(cfg.seed, replica, "init"))
         if cfg.balanced_init:
-            bits = _balanced_initial_bits(model, init_rs)
+            bits = _balanced_initial_bits(model, rs)
         else:
-            bits = (init_rs.random_sample(nv) < 0.5).astype(np.int8)
+            bits = (rs.random_sample(nv) < 0.5).astype(np.int8)
         base_lf, s, cur_energy = _start_state(model, cm, bits)
+        start_energy = cur_energy
         gains = _flip_gains(cm, *_gain_terms(cm, 1.0 - 2.0 * bits, base_lf, s))  # the first sweep's
 
         if cfg.temp_initial is not None:
@@ -588,8 +595,8 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
                 t0 = 1.0
         offset_inc = cfg.temp_final / 10.0
 
-        sweep_seed = _derive_seed(cfg.seed, replica, "sweeps")
-        draws = _BlockUniforms(np.random.RandomState(sweep_seed), nv)
+        rs.seed(_derive_seed(cfg.seed, replica, "sweeps"))
+        draws = _BlockUniforms(rs, nv)
         rep_best_bits = bits.copy()
         rep_best_energy = cur_energy
         offset = 0.0
@@ -617,10 +624,15 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
                 best_bits=rep_best_bits, best_energy=rep_best_energy, sweeps_done=done,
                 wall_time=0.0, seed=cfg.seed, replica_id=replica, flips=flips,
                 energy_trace=np.array(trace, dtype=np.float64) if cfg.trace_every else None)
+            # the best only moves to a strictly lower energy, so an unmoved
+            # best holds the start bits, whose energy _start_state computed
+            # as energy() does
+            best_is_start = not rep_best_energy < start_energy
         if timed_out:
             break
 
     assert best is not None
-    best.best_energy = energy(model, best.best_bits)
+    if not best_is_start:
+        best.best_energy = energy(model, best.best_bits)
     best.wall_time = time.perf_counter() - start
     return best

@@ -238,9 +238,12 @@ def sparsify(g: Graph, scores: EdgeScores, keep_ratio: float) -> Graph:
         raise ValueError(f"keep ratio must lie in [0, 1], got {keep_ratio}")
     if scores.scores.shape != (g.m,):
         raise ValueError("scores are not aligned with the graph's edges")
-    keep = round(keep_ratio * g.m)
-    order = np.argsort(-scores.scores, kind="stable")
-    kept = g.edge_array[np.sort(order[:keep])]
+    m, keep = g.m, round(keep_ratio * g.m)
+    # the unique keys (top - score) * m + edge sort by falling score, ties by
+    # edge, as a stable argsort of -score orders the edges; _from_pairs sorts
+    # the kept edges itself
+    keys = (scores.scores.max(initial=0) - scores.scores) * m + np.arange(m)
+    kept = g.edge_array[np.sort(keys)[:keep] % m]
     return Graph._from_pairs(g.n, kept[:, 0], kept[:, 1], name=g.name)
 
 

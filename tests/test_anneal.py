@@ -18,7 +18,8 @@ from qubopart.graph import Graph, cut_edges
 from qubopart.qubo import (QuboModel, _coalesce, build_bipartition_qubo, build_kway_qubo, energy,
                            parse_qubo_text, write_qubo_text)
 
-from conftest import bipartition_optimum, gnp_graph, grid_graph, kway_optimum, small_corpus
+from conftest import (bipartition_optimum, gnp_graph, grid_graph, kway_optimum, planted_graph,
+                      small_corpus)
 from reference import apply_flip, delta_energy, expanded_neighbors, local_fields, sweep
 
 def _random_models(seed=5):
@@ -170,6 +171,8 @@ def test_start_state_matches_all_rows_bit_for_bit(model, balanced):
 
 
 def test_solve_calls_energy_once(monkeypatch):
+    # a best that moved is recounted once, on the returned bits; a best that
+    # never left its start state reports the start energy with no call
     calls = []
 
     def counted(model, bits):
@@ -177,12 +180,49 @@ def test_solve_calls_energy_once(monkeypatch):
         return energy(model, bits)
 
     monkeypatch.setattr(anneal, "energy", counted)
-    model = build_kway_qubo(gnp_graph(12, 0.4, np.random.RandomState(2)), 3, 0.2)
-    for balanced in (False, True):
+    moved = build_kway_qubo(gnp_graph(12, 0.4, np.random.RandomState(2)), 3, 0.2)
+    # a short balanced solve of a planted 4-way model, as kway-planted runs:
+    # every flip from the balanced start raises the energy
+    unmoved = build_kway_qubo(planted_graph(200, 4, 8, 2, np.random.RandomState(3)), 4, 0.03)
+    for model, cfg, want_calls in (
+            (moved, AnnealConfig(sweeps=50, replicas=3, seed=4), 1),
+            (unmoved, AnnealConfig(sweeps=20, replicas=2, seed=1, balanced_init=True), 0)):
         calls.clear()
-        res = solve(model, AnnealConfig(sweeps=50, replicas=3, seed=4, balanced_init=balanced))
-        assert len(calls) == 1  # the reported energy, of the best bits
-        assert np.array_equal(calls[0], res.best_bits)
+        res = solve(model, cfg)
+        rs = np.random.RandomState(anneal._derive_seed(cfg.seed, res.replica_id, "init"))
+        start = (anneal._balanced_initial_bits(model, rs) if cfg.balanced_init
+                 else (rs.random_sample(model.num_vars) < 0.5).astype(np.int8))
+        assert len(calls) == want_calls
+        if want_calls:
+            assert np.array_equal(calls[0], res.best_bits)
+            assert not np.array_equal(res.best_bits, start)
+        else:
+            assert res.flips > 0 and np.array_equal(res.best_bits, start)
+        assert res.best_energy.hex() == energy(model, res.best_bits).hex()
+
+
+def test_solve_constructs_one_random_state(monkeypatch):
+    # each replica reseeds the solve's one RandomState for its init and sweep
+    # streams, which draw as RandomState(seed) would
+    model = build_kway_qubo(gnp_graph(14, 0.4, np.random.RandomState(6)), 3, 0.2)
+    cfgs = [AnnealConfig(sweeps=40, replicas=r, seed=9, balanced_init=b)
+            for r in (1, 4) for b in (False, True)]
+    want = [solve(model, cfg) for cfg in cfgs]
+    made = []
+
+    class Counted(np.random.RandomState):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(np.random, "RandomState", Counted)
+    for cfg, exp in zip(cfgs, want):
+        made.clear()
+        res = solve(model, cfg)
+        assert len(made) == 1
+        assert np.array_equal(res.best_bits, exp.best_bits) and res.flips == exp.flips
+        assert res.best_energy.hex() == exp.best_energy.hex()
+        assert res.replica_id == exp.replica_id
 
 
 _ENERGY_HEXES = """

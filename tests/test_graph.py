@@ -304,6 +304,40 @@ def test_cut_edges_matches_direct_enumeration():
         labels = rng.randint(0, 3, size=g.n)
         direct = sum(1 for u, v in g.edges if labels[u] != labels[v])
         assert cut_edges(g, labels) == direct
+    # edgeless graphs, isolated vertices and every label container
+    isolated = Graph.from_edges(26, [(u + 4, v + 4) for u, v in gnp_graph(20, 0.2, rng).edges])
+    assert (isolated.degrees == 0).sum() > 4
+    for g in (Graph.from_edges(0, []), Graph.from_edges(5, []), isolated):
+        labels = rng.randint(0, 4, size=g.n)
+        direct = sum(1 for u, v in g.edges if labels[u] != labels[v])
+        for given in (labels, tuple(labels.tolist()), labels.tolist(),
+                      Partition.from_labels(labels, 4)):
+            assert cut_edges(g, given) == direct
+
+
+def test_unique_keys_skips_the_sort_of_sorted_keys():
+    sorted_keys = np.array([0, 3, 4, 9, 2**40], dtype=np.int64)
+    for keys in (sorted_keys, sorted_keys[:1], sorted_keys[:0]):
+        got = graph_module._unique_keys(keys)
+        assert got is keys  # returned unchanged, no copy
+    for keys, want in (([4, 3, 9, 0], [0, 3, 4, 9]), ([0, 3, 3, 4], [0, 3, 4]),
+                       ([7, 7], [7]), ([5, 1, 5, 1, 0], [0, 1, 5])):
+        got = graph_module._unique_keys(np.array(keys, dtype=np.int64))
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
+def test_parse_metis_unsorted_rows_and_repeated_neighbors():
+    # rows out of order and a repeated neighbor take the sorting path and
+    # give the graph of the edge set
+    text = "5 4\n3 2\n1 3 3\n2 1 4\n3\n\n"
+    g = parse_metis(text)
+    want = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 3)])
+    assert g.m == want.m == 4
+    assert g.indptr.tolist() == want.indptr.tolist()
+    assert g.indices.tolist() == want.indices.tolist()
+    assert g.edge_array.tolist() == [[0, 1], [0, 2], [1, 2], [2, 3]]
+    assert not g.indices.flags.writeable
+    assert parse_metis(write_metis(g)).indices.tolist() == g.indices.tolist()
 
 
 def laplacian(g: Graph) -> np.ndarray:

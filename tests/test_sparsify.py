@@ -82,6 +82,23 @@ def test_sparsify_prefers_higher_scores():
     assert sparse.edges == ((0, 1), (2, 3))
 
 
+def test_sparsify_keeps_the_stable_argsort_order_under_ties():
+    # few distinct scores, so nearly every cut-off falls inside a tie; the
+    # kept set must be the head of the stable argsort of -score
+    rng = np.random.RandomState(21)
+    g = planted_graph(300, 2, 6, 2, rng)
+    scores = forest_fire_scores(g, seed=3)
+    for values in (rng.randint(0, 3, size=g.m), np.zeros(g.m, dtype=np.int64),
+                   rng.randint(0, 2, size=g.m) * 10**12, scores.scores):
+        object.__setattr__(scores, "scores", values.astype(np.int64))
+        for ratio in (0.0, 0.25, 0.5, 0.61, 0.9, 1.0):
+            order = np.argsort(-scores.scores, kind="stable")[:round(ratio * g.m)]
+            want = Graph.from_edges(g.n, g.edge_array[order])
+            sparse = sparsify(g, scores, ratio)
+            assert np.array_equal(sparse.indptr, want.indptr)
+            assert np.array_equal(sparse.indices, want.indices)
+
+
 def test_sparsify_validation():
     g = gnp_graph(5, 0.5, np.random.RandomState(1))
     scores = forest_fire_scores(g, seed=0)

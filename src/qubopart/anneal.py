@@ -315,28 +315,49 @@ def _gain_terms(cm: CompiledModel, dl: np.ndarray, base_lf: np.ndarray,
     return dl * base_lf, mld, s - cm.rhs
 
 
-def _flip_gains(cm: CompiledModel, dlf: np.ndarray, mld: np.ndarray, sr: np.ndarray,
-                out=None, chain_gain=None) -> np.ndarray:
-    """Flip gain of every variable,
+def _gain_rebuild(cm: CompiledModel, dlf: np.ndarray, mld: np.ndarray, sr: np.ndarray,
+                  out=None, chain_gain=None):
+    """A no-argument function that writes the flip gain of every variable,
     ``dl * base_lf + sum(2*penalty*c*dl*(s - rhs) + penalty*c*c)`` over its
-    memberships, from the terms :func:`_gain_terms` derives.
+    memberships, into ``out`` and returns it, from the terms
+    :func:`_gain_terms` derives, as they are when it runs.
 
-    A variable's chain gains are summed layer by layer, its first
-    membership's first, which equals summing them from ``+0.0`` one
+    The arrays, the layer-0 view and each later layer's variables and
+    slots are bound here once, so a call pays only for its numpy
+    operations.  A variable's chain gains are summed layer by layer, its
+    first membership's first, which equals summing them from ``+0.0`` one
     membership at a time: no chain gain is ``-0.0`` (``penalty >= 0``), and
     a pad slot adds ``+0.0``.  The operations and their order are what the
     golden digests pin, through t0 and every sweep.  ``out`` and
-    ``chain_gain`` are optional scratch arrays of ``nv`` and ``len(mld)``.
+    ``chain_gain`` are scratch arrays of ``nv`` and ``len(mld)``, allocated
+    here when None.
     """
+    add = np.add
+    if out is None:
+        out = np.empty(cm.nv)
     off = cm.mem_off
     if len(off) == 1:  # no chains: the chain gains sum to +0.0
-        return np.add(dlf, 0.0, out=out)
-    chain_gain = np.multiply(mld, sr[cm.mem_chain], out=chain_gain)
-    np.add(chain_gain, cm.mem_const, out=chain_gain)
+        return lambda: add(dlf, 0.0, out=out)
+    multiply, mem_chain, mem_const = np.multiply, cm.mem_chain, cm.mem_const
+    if chain_gain is None:
+        chain_gain = np.empty(len(mld))
     total = chain_gain[:cm.nv]  # layer 0, which spans every variable
-    for at, a, b in zip(cm.mem_at, off[1:], off[2:]):
-        total[at] += chain_gain[a:b]  # the variables of a layer are distinct
-    return np.add(dlf, total, out=out)
+    layers = [(at, chain_gain[a:b]) for at, a, b in zip(cm.mem_at, off[1:], off[2:])]
+
+    def rebuild() -> np.ndarray:
+        multiply(mld, sr[mem_chain], out=chain_gain)
+        add(chain_gain, mem_const, out=chain_gain)
+        for at, layer in layers:
+            total[at] += layer  # the variables of a layer are distinct
+        return add(dlf, total, out=out)
+
+    return rebuild
+
+
+def _flip_gains(cm: CompiledModel, dlf: np.ndarray, mld: np.ndarray, sr: np.ndarray,
+                out=None, chain_gain=None) -> np.ndarray:
+    """Flip gain of every variable: one run of :func:`_gain_rebuild`."""
+    return _gain_rebuild(cm, dlf, mld, sr, out, chain_gain)()
 
 
 # A flip updates objective rows of up to this many entries one scalar at a
@@ -367,10 +388,11 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
     ``y = (gain - offset) / -t`` above the draw's band accepts, below it
     fails, and the scalar rule ``eff <= 0 or u < math.exp(-eff / t)``
     decides the draws inside it, so the acceptors are exactly that rule's.
-    The gains are rebuilt by :func:`_flip_gains` only after a flip: they are
-    a pure function of ``(bits, base_lf, s)``, so a sweep with no acceptor
-    leaves them valid for the next one.  Then no ``y`` can exceed
-    ``(least gain - offset) / -t``, because rounding is monotone, and a
+    The gains are rebuilt only after a flip, by one :func:`_gain_rebuild`
+    bound on entry to the terms and scratch arrays the call updates in
+    place: they are a pure function of ``(bits, base_lf, s)``, so a sweep
+    with no acceptor leaves them valid for the next one.  Then no ``y`` can
+    exceed ``(least gain - offset) / -t``, because rounding is monotone, and a
     sweep whose draws all have ``lo`` above that bound accepts nothing
     untested.  Once a sweep had no acceptor, :func:`_sweep_floors` takes the
     least ``lo`` of each coming sweep whose draws are in the buffer, and
@@ -380,7 +402,9 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
     Between flips the sweep keeps the terms of :func:`_gain_terms`; a flip
     updates the entries it changes with the same double operations a
     rebuild would do, so they stay exact.  A flip's own updates run on
-    Python scalars, see the module docstring.
+    Python scalars, see the module docstring.  The numpy functions of the
+    band test are bound to locals once per call, so a sweep or a flip pays
+    for its numpy operations and not for looking them up.
     """
     nv = cm.nv
     # a memoryview indexes to Python ints and floats, which cost less than
@@ -396,6 +420,11 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
     chain_gain = np.empty(len(mld))
     if gains is None:
         gains = _flip_gains(cm, dlf, mld, sr, None, chain_gain)
+    rebuild = _gain_rebuild(cm, dlf, mld, sr, gains, chain_gain)
+    # bound per call, not at import, so that a patched numpy function is seen
+    divide, subtract, greater_equal, greater = np.divide, np.subtract, np.greater_equal, np.greater
+    count_nonzero = np.count_nonzero
+    tracing = trace_every > 0
     y = np.empty(nv)
     sure, maybe = np.empty(nv, dtype=bool), np.empty(nv, dtype=bool)
     bits_v, lf_v, s_v, sr_v = memoryview(bits), memoryview(base_lf), memoryview(s), memoryview(sr)
@@ -414,7 +443,7 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
             us, lo, hi = draws.refill(pos, nv)
             pos, end, us_v = 0, len(us), memoryview(us)
         if stale:
-            _flip_gains(cm, dlf, mld, sr, gains, chain_gain)
+            rebuild()
             stale = skip = False
         else:
             if least is not None and w >= len(floors):  # the floors ran out
@@ -424,15 +453,15 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
         acceptors = ()
         if not skip:
             if offset == 0.0:  # x - 0.0 == x bit for bit
-                np.divide(gains, -t, out=y)  # x / -t == -x / t exactly
+                divide(gains, -t, out=y)  # x / -t == -x / t exactly
             else:
-                np.divide(np.subtract(gains, offset, out=y), -t, out=y)
-            np.greater_equal(y, lo[pos:nxt], out=maybe)
+                divide(subtract(gains, offset, out=y), -t, out=y)
+            greater_equal(y, lo[pos:nxt], out=maybe)
             acceptors = maybe.nonzero()[0]
             if len(acceptors):
-                np.greater(y, hi[pos:nxt], out=sure)
+                greater(y, hi[pos:nxt], out=sure)
                 # hi >= lo, so sure is a subset of maybe
-                if np.count_nonzero(sure) != len(acceptors):
+                if count_nonzero(sure) != len(acceptors):
                     for i in acceptors.tolist():
                         if not sure[i]:
                             eff = gains_v[i] - offset
@@ -443,7 +472,7 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
             if pos == end:
                 us, lo, hi = draws.refill(pos, 1)
                 pos, end, us_v = 0, len(us), memoryview(us)
-            i = int(acceptors[int(us_v[pos] * len(acceptors))])
+            i = acceptors.item(int(us_v[pos] * len(acceptors)))
             pos += 1
             cur_energy = cur_energy + gains_v[i]
             # d is +1.0 when bit i rises, -1.0 when it falls, and x + y * d
@@ -482,7 +511,7 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
             w += 1
             if least is None:
                 least = float(gains.min())
-        if trace_every > 0 and (sweeps_before + sw + 1) % trace_every == 0:
+        if tracing and (sweeps_before + sw + 1) % trace_every == 0:
             trace.append(best_energy)
     draws.pos = pos
     return offset, cur_energy, best_energy, flips, None if stale else gains
@@ -568,7 +597,8 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
     start = time.perf_counter()
     if model.num_vars == 0:
         return SolveResult(best_bits=np.zeros(0, dtype=np.int8), best_energy=model.constant,
-                           sweeps_done=0, wall_time=0.0, seed=cfg.seed)
+                           sweeps_done=0, wall_time=time.perf_counter() - start, seed=cfg.seed,
+                           energy_trace=np.zeros(0) if cfg.trace_every else None)
 
     cm = compile_model(model)
     nv = cm.nv

@@ -517,13 +517,18 @@ def test_solve_chainless_models():
     by_hand = QuboModel.from_triples(3, [1.0, -2.0, 0.5], [0, 1], [1, 2], [-3.0, 2.0],
                                      base_constant=0.25)
     cases = ((parsed, float(bipartition_optimum(path4, 0.0))),
-             (by_hand, -3.75))  # at bits (1, 1, 0)
+             (by_hand, -3.75),  # at bits (1, 1, 0)
+             (parse_qubo_text("p qubo 0 0\n"), 0.0))  # no variables: no sweeps to run
     for model, optimum in cases:
         assert len(model.chains) == 0
         assert model.chains.sums(np.zeros(model.num_vars)).dtype == np.float64
-        res = solve(model, AnnealConfig(sweeps=200, replicas=2, seed=4))
+        res = solve(model, AnnealConfig(sweeps=200, replicas=2, seed=4, trace_every=1))
         assert res.best_energy == energy(model, res.best_bits)
         assert res.best_energy == optimum
+        # one traced energy per sweep run, an empty float64 trace for none
+        assert res.energy_trace.dtype == np.float64
+        assert len(res.energy_trace) == res.sweeps_done == (200 if model.num_vars else 0)
+        assert res.wall_time > 0.0
 
 
 def test_balanced_initial_bits_zero_residual():
@@ -835,7 +840,34 @@ def test_first_sweep_reuses_the_start_gains(monkeypatch):
     assert handed.best_energy.hex() == rebuilt.best_energy.hex()
     assert (handed.flips, handed.replica_id) == (rebuilt.flips, rebuilt.replica_id)
     assert handed.energy_trace.tobytes() == rebuilt.energy_trace.tobytes()
+    # handed its start gains, a solve builds them once per replica, for t0:
+    # every rebuild after a flip runs the engine call's bound rebuild
+    assert builds[0] == cfg.replicas
     assert builds[1] - builds[0] == cfg.replicas
+
+
+@pytest.mark.parametrize("model", [m[1] for m in _START_MODELS], ids=[m[0] for m in _START_MODELS])
+def test_bound_rebuild_reads_the_terms_as_they_are(model):
+    # the engine binds one rebuild per call and changes the terms it reads in
+    # place between runs; each run must equal a fresh _flip_gains bit for bit
+    cm = compile_model(model)
+    rng = np.random.RandomState(47)
+    nv = model.num_vars
+
+    def terms(p):
+        bits = (rng.random_sample(nv) < p).astype(np.int8)
+        base_lf, s, _ = anneal._start_state(model, cm, bits)
+        return anneal._gain_terms(cm, 1.0 - 2.0 * bits, base_lf, s)
+
+    dlf, mld, sr = terms(0.5)
+    out, chain_gain = np.empty(nv), np.empty(len(mld))
+    rebuild = anneal._gain_rebuild(cm, dlf, mld, sr, out, chain_gain)
+    for p in (0.5, 0.0, 0.3, 1.0, 0.8):
+        fresh = terms(p)
+        for bound, new in zip((dlf, mld, sr), fresh):
+            bound[:] = new
+        assert rebuild() is out
+        assert out.tobytes() == anneal._flip_gains(cm, *fresh).tobytes()
 
 
 def test_energy_trace_monotone():

@@ -54,13 +54,14 @@ import hashlib
 import itertools
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .qubo import QuboModel, _energy_of, energy
 
-BATCH_SWEEPS = 1024  # most sweeps per batch
+BATCH_SWEEPS = 1024  # temperatures computed at once
 # fewest uniforms a replica draws at once: 32 KiB, because larger blocks
 # raise peak memory and make the sweeps no faster
 UNIFORM_BLOCK = 4096
@@ -366,6 +367,12 @@ def _flip_gains(cm: CompiledModel, dlf: np.ndarray, mld: np.ndarray, sr: np.ndar
 # whatever its length, so they cross at 6-10 entries (numpy 2.4, x86-64)
 _SCALAR_ROW_MAX = 8
 
+# The idle-sweep bound takes the floors of at most this many coming sweeps at
+# once: a flip voids them, and on a small model a buffer holds a thousand
+# sweeps' draws, so taking them all after every idle sweep that follows a
+# flip costs more than the sweeps they skip
+_FLOOR_SWEEPS = 32
+
 
 def _sweep_floors(lo: np.ndarray, pos: int, nv: int, count: int) -> list[float]:
     """The least ``lo`` of each of ``count`` sweeps whose draws start at ``pos``."""
@@ -374,13 +381,16 @@ def _sweep_floors(lo: np.ndarray, pos: int, nv: int, count: int) -> list[float]:
 
 def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_inc,
                    cur_energy, best_energy, best_bits, draws, trace, trace_every,
-                   sweeps_before, gains=None):
-    """Run ``len(temps)`` sweeps in place.
+                   sweeps_before, gains=None, deadline=None):
+    """Run one sweep per temperature of the iterable ``temps``, in place,
+    stopping early after the first sweep that ends past ``deadline``, a
+    :func:`time.perf_counter` reading, if one is given.
 
     ``draws`` is the replica's :class:`_BlockUniforms`; the list ``trace``
-    gets the best energy after every ``trace_every``-th sweep of the run.
-    ``gains`` are the flip gains of the current state, or None to build
-    them.  Returns the offset, the current and best energies, the flip count
+    gets the best energy after every ``trace_every``-th sweep, counting the
+    ``sweeps_before`` sweeps of earlier calls.  ``gains`` are the flip gains
+    of the current state, or None to build them.  Returns the number of
+    sweeps run, the offset, the current and best energies, the flip count
     and the gains of the final state (None if its last sweep flipped).
 
     A sweep reads its ``nv`` draws and their bands straight from the draw
@@ -395,9 +405,10 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
     exceed ``(least gain - offset) / -t``, because rounding is monotone, and a
     sweep whose draws all have ``lo`` above that bound accepts nothing
     untested.  Once a sweep had no acceptor, :func:`_sweep_floors` takes the
-    least ``lo`` of each coming sweep whose draws are in the buffer, and
-    takes them again when they run out; a flip, which changes the gains and
-    reads one more draw, voids them and the least gain.
+    least ``lo`` of each coming sweep whose draws are in the buffer, up to
+    ``_FLOOR_SWEEPS`` of them, and takes them again when they run out; a
+    flip, which changes the gains and reads one more draw, voids them and
+    the least gain.
 
     Between flips the sweep keeps the terms of :func:`_gain_terms`; a flip
     updates the entries it changes with the same double operations a
@@ -414,7 +425,7 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
     cols_v, data_v = memoryview(csr_cols), memoryview(csr_data)
     mem_ptr, slot_v = memoryview(cm.mem_indptr), memoryview(cm.mem_slot)
     chain_v, coeff_v, rhs_v = memoryview(cm.mem_chain), memoryview(cm.mem_coeff), memoryview(cm.rhs)
-    row_max = _SCALAR_ROW_MAX
+    row_max, floor_max = _SCALAR_ROW_MAX, _FLOOR_SWEEPS
     dl = 1.0 - 2.0 * bits
     dlf, mld, sr = _gain_terms(cm, dl, base_lf, s)
     chain_gain = np.empty(len(mld))
@@ -423,7 +434,7 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
     rebuild = _gain_rebuild(cm, dlf, mld, sr, gains, chain_gain)
     # bound per call, not at import, so that a patched numpy function is seen
     divide, subtract, greater_equal, greater = np.divide, np.subtract, np.greater_equal, np.greater
-    count_nonzero = np.count_nonzero
+    count_nonzero, perf_counter = np.count_nonzero, time.perf_counter
     tracing = trace_every > 0
     y = np.empty(nv)
     sure, maybe = np.empty(nv, dtype=bool), np.empty(nv, dtype=bool)
@@ -435,10 +446,8 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
     stale = False
     least = None  # the least gain, once a sweep without acceptors needs it
     floors, w = [], 0  # least lo of the coming sweeps' draws; the next sweep's is floors[w]
-    flips = 0
-    left = len(temps)
-    for sw, t in enumerate(temps.tolist()):
-        left -= 1
+    flips = sw = 0
+    for sw, t in enumerate(temps, 1):
         if pos + nv > end:  # no floors are left: they cover whole sweeps in the buffer
             us, lo, hi = draws.refill(pos, nv)
             pos, end, us_v = 0, len(us), memoryview(us)
@@ -447,7 +456,7 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
             stale = skip = False
         else:
             if least is not None and w >= len(floors):  # the floors ran out
-                floors, w = _sweep_floors(lo, pos, nv, min((end - pos) // nv, left + 1)), 0
+                floors, w = _sweep_floors(lo, pos, nv, min((end - pos) // nv, floor_max)), 0
             skip = w < len(floors) and (least - offset) / -t < floors[w]
         nxt = pos + nv
         acceptors = ()
@@ -511,10 +520,12 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
             w += 1
             if least is None:
                 least = float(gains.min())
-        if tracing and (sweeps_before + sw + 1) % trace_every == 0:
+        if tracing and (sweeps_before + sw) % trace_every == 0:
             trace.append(best_energy)
+        if deadline is not None and perf_counter() > deadline:
+            break
     draws.pos = pos
-    return offset, cur_energy, best_energy, flips, None if stale else gains
+    return sw, offset, cur_energy, best_energy, flips, None if stale else gains
 
 
 def _greedy_fill(need: np.ndarray, chain: np.ndarray, var_idx: np.ndarray,
@@ -555,39 +566,35 @@ def _balanced_initial_bits(model: QuboModel, rs: np.random.RandomState) -> np.nd
     return bits
 
 
-def _temperatures(cfg: AnnealConfig, t0: float, done: int, size: int) -> np.ndarray:
-    """Temperatures of sweeps ``[done, done + size)``: sweep i runs at
-    ``t0 * (tf / t0) ** (i / sweeps)`` with ``tf = min(temp_final, t0)``,
-    floored at 1e-300 so that ``-eff / t`` never divides by an underflowed
-    zero.
+def _temperatures(cfg: AnnealConfig, t0: float) -> Iterator[float]:
+    """The temperatures of the ``sweeps`` sweeps, lazily, as Python floats:
+    sweep i runs at ``t0 * (tf / t0) ** (i / sweeps)`` with
+    ``tf = min(temp_final, t0)``, floored at 1e-300 so that ``-eff / t``
+    never divides by an underflowed zero.
 
-    Each value is computed on its own, so any split of the sweeps into
-    batches gives the same temperatures bit for bit.
+    They are computed ``BATCH_SWEEPS`` at a time as the sweeps reach them,
+    so a large ``sweeps`` costs nothing before the first sweep.  Each value
+    is computed on its own, so any chunk size gives the same temperatures
+    bit for bit.
     """
-    tf = min(cfg.temp_final, t0)
-    temps = t0 * (tf / t0) ** (np.arange(done, done + size, dtype=np.float64) / cfg.sweeps)
-    return np.maximum(temps, 1e-300, out=temps)
+    tf, step = min(cfg.temp_final, t0), BATCH_SWEEPS
 
+    def chunk(done: int) -> list[float]:
+        i = np.arange(done, min(done + step, cfg.sweeps), dtype=np.float64)
+        temps = t0 * (tf / t0) ** (i / cfg.sweeps)
+        return np.maximum(temps, 1e-300, out=temps).tolist()
 
-def _batch_size(time_left: float, sweep_s: float) -> int:
-    """Sweeps for the next batch under a time limit.
-
-    The batch fills half the time left at the measured rate, so the limit
-    holds even when the machine slows down mid-batch and the final batch is
-    a single sweep; one sweep while no rate has been measured.
-    """
-    if sweep_s <= 0.0:
-        return 1
-    return int(min(BATCH_SWEEPS, max(1.0, 0.5 * time_left / sweep_s)))
+    return itertools.chain.from_iterable(map(chunk, range(0, cfg.sweeps, step)))
 
 
 def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
     """Anneal the model, best assignment over all replicas.
 
     Deterministic for a fixed config whenever the time limit does not bind.
-    Under a time limit the sweeps run in batches sized from the measured time
-    per sweep, so at any model size a solve ends about one sweep after the
-    limit, or after its compile and replica set-up if those alone exceed it.
+    Each replica's sweeps run in one call of :func:`_python_sweeps`, which
+    reads the clock after every sweep, so at any model size a solve ends
+    right after the first sweep that ends past the limit; it runs one sweep
+    even when compiling the model and setting up a replica alone overran it.
     The reported energy equals :func:`qubopart.qubo.energy` of the returned
     bits exactly: when the returned replica's best never dropped below its
     start state, it is the start energy, which :func:`_start_state` computes
@@ -604,7 +611,6 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
     nv = cm.nv
     best: SolveResult | None = None
     deadline = None if cfg.time_limit is None else start + cfg.time_limit
-    sweep_s = 0.0  # measured seconds per sweep of the latest batch
 
     rs = np.random.RandomState()  # reseeded per stream, see the module docstring
     for replica in range(cfg.replicas):
@@ -623,31 +629,14 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
             t0 = float(np.max(np.abs(gains)))
             if t0 <= 0.0:
                 t0 = 1.0
-        offset_inc = cfg.temp_final / 10.0
 
         rs.seed(_derive_seed(cfg.seed, replica, "sweeps"))
-        draws = _BlockUniforms(rs, nv)
         rep_best_bits = bits.copy()
-        rep_best_energy = cur_energy
-        offset = 0.0
-        flips = 0
-        done = 0
         trace: list[float] = []  # the best energy at every traced sweep
-        timed_out = False
-
-        while done < cfg.sweeps and not timed_out:
-            called = time.perf_counter()
-            size = min(cfg.sweeps - done, BATCH_SWEEPS if deadline is None
-                       else _batch_size(deadline - called, sweep_s))
-            offset, cur_energy, rep_best_energy, f, gains = _python_sweeps(
-                cm, bits, base_lf, s, _temperatures(cfg, t0, done, size), offset, offset_inc,
-                cur_energy, rep_best_energy, rep_best_bits, draws, trace, cfg.trace_every, done,
-                gains)
-            now = time.perf_counter()
-            sweep_s = (now - called) / size
-            flips += f
-            done += size
-            timed_out = deadline is not None and now > deadline
+        done, _, _, rep_best_energy, flips, _ = _python_sweeps(
+            cm, bits, base_lf, s, _temperatures(cfg, t0), 0.0, cfg.temp_final / 10.0,
+            cur_energy, cur_energy, rep_best_bits, _BlockUniforms(rs, nv), trace,
+            cfg.trace_every, 0, gains, deadline)
 
         if best is None or rep_best_energy < best.best_energy:
             best = SolveResult(
@@ -658,7 +647,7 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
             # best holds the start bits, whose energy _start_state computed
             # as energy() does
             best_is_start = not rep_best_energy < start_energy
-        if timed_out:
+        if deadline is not None and time.perf_counter() > deadline:
             break
 
     assert best is not None

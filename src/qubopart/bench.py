@@ -280,10 +280,6 @@ def records_to_json(records: list[RunRecord]) -> str:
     return json.dumps([asdict(r) for r in records], indent=2)
 
 
-def records_from_json(text: str) -> list[RunRecord]:
-    return [RunRecord(**row) for row in json.loads(text)]
-
-
 def _comparison_cells(records: list[RunRecord], external: list[ExternalRow]):
     cells: dict[tuple[int, float], dict[str, dict[str, int]]] = {}
     meta: dict[str, int | None] = {}

@@ -155,6 +155,11 @@ class Partition:
         if len(bad):
             i = int(bad[0])
             raise ValueError(f"label {values[i]} at vertex {i} outside range({k})")
+        if values.dtype.kind not in "biu":  # a float or object label must be whole
+            bad = np.flatnonzero((values % 1 != 0).astype(bool))
+            if len(bad):
+                i = int(bad[0])
+                raise ValueError(f"label {values[i]} at vertex {i} is not an integer")
         return cls(labels=tuple(values.astype(np.int64).tolist()), k=k)
 
     @property

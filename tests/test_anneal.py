@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -327,6 +328,7 @@ def test_reference_sweep_matches_python_engine():
         lf = local_fields(model, bits_a, nbrs)
         base_lf, s, _ = anneal._start_state(model, cm, bits_b)
         cfg = AnnealConfig(sweeps=400, temp_final=0.05)
+        temps = list(anneal._temperatures(cfg, 4.0))
         rng_a = np.random.RandomState(99)
         rng_b = anneal._BlockUniforms(np.random.RandomState(99), cm.nv)
         offset_a = offset_b = 0.0
@@ -334,12 +336,12 @@ def test_reference_sweep_matches_python_engine():
         gains = None
         escapes = 0
         for sw in range(cfg.sweeps):
-            temps = anneal._temperatures(cfg, 4.0, sw, 1)
-            flipped, offset_a = sweep(nbrs, bits_a, lf, temps[0], rng_a, offset_a, 0.01)
+            flipped, offset_a = sweep(nbrs, bits_a, lf, temps[sw], rng_a, offset_a, 0.01)
             before = bits_b.copy()
-            offset_b, cur, best, _, gains = anneal._python_sweeps(
-                cm, bits_b, base_lf, s, temps, offset_b, 0.01, cur, best,
+            ran, offset_b, cur, best, _, gains = anneal._python_sweeps(
+                cm, bits_b, base_lf, s, temps[sw:sw + 1], offset_b, 0.01, cur, best,
                 best_bits, rng_b, None, 0, sw, gains)
+            assert ran == 1, sw
             flips.update((bool(long_row[i]), int(bits_b[i]))
                          for i in np.flatnonzero(before != bits_b))
             assert np.array_equal(bits_a, bits_b), sw
@@ -361,15 +363,16 @@ def _run_batches(model, sweeps, sizes, rng):
     base_lf, s, _ = anneal._start_state(model, cm, bits)
     gains = _gains(cm, bits, base_lf, s)
     t0 = float(np.max(np.abs(gains)))
-    cfg = AnnealConfig(sweeps=sweeps, temp_final=0.05)
+    temps = list(anneal._temperatures(AnnealConfig(sweeps=sweeps, temp_final=0.05), t0))
     cur = best = energy(model, bits)
     best_bits, trace = bits.copy(), []
     offset, flips, done, call = 0.0, 0, 0, 0
     while done < sweeps:
         size = min(sizes[call % len(sizes)], sweeps - done)
-        offset, cur, best, f, gains = anneal._python_sweeps(
-            cm, bits, base_lf, s, anneal._temperatures(cfg, t0, done, size), offset, 0.005,
+        ran, offset, cur, best, f, gains = anneal._python_sweeps(
+            cm, bits, base_lf, s, temps[done:done + size], offset, 0.005,
             cur, best, best_bits, rng, trace, 10, done, gains)
+        assert ran == size
         flips += f
         done += size
         call += 1
@@ -590,8 +593,8 @@ def test_time_limit_stops_early():
 
 
 def test_time_limit_holds_on_large_model():
-    # 8000 variables: one batch of BATCH_SWEEPS sweeps takes far longer than
-    # the limit, so polling only between fixed-size batches would overshoot
+    # 8000 variables: 1024 sweeps take far longer than the limit, so reading
+    # the clock only between fixed-size batches of sweeps would overshoot
     rng = np.random.RandomState(3)
     n = 2000
     edges = {tuple(sorted(e)) for e in rng.randint(0, n, size=(3 * n, 2)) if e[0] != e[1]}
@@ -600,8 +603,8 @@ def test_time_limit_holds_on_large_model():
 
 
 def test_time_limit_holds_at_a_large_sweep_cap():
-    # a solve computes each batch's temperatures when it runs the batch, so a
-    # sweep count far beyond the limit costs nothing before the first sweep
+    # the temperatures are computed as the sweeps reach them, so a sweep
+    # count far beyond the limit costs nothing before the first sweep
     res = _assert_time_limit_holds(build_bipartition_qubo(grid_graph(12, 16)), 0.1,
                                    sweeps=10 ** 7)
     assert res.sweeps_done >= 100
@@ -623,12 +626,60 @@ def test_energy_trace_grows_with_the_sweeps_run():
     assert len(res.energy_trace) == res.sweeps_done
 
 
-def test_batch_size_fits_time_left():
-    assert anneal._batch_size(10.0, 0.0) == 1  # no rate measured yet
-    assert anneal._batch_size(1.0, 0.01) == 50
-    assert anneal._batch_size(1e6, 1e-6) == anneal.BATCH_SWEEPS
-    assert anneal._batch_size(-0.5, 0.01) == 1
-    assert anneal._batch_size(0.001, 0.01) == 1
+class _FakeClock:
+    """A ``perf_counter`` that advances one unit per reading."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        self.now += 1.0
+        return self.now
+
+
+def test_deadline_stops_after_the_sweep_that_crosses_it(monkeypatch):
+    # the solve reads the clock once at its start, the engine once after
+    # every sweep, the solve once after each replica and once for wall_time
+    model = build_bipartition_qubo(grid_graph(4, 5))
+    cfg = AnnealConfig(sweeps=1000, seed=1, trace_every=1)
+    untimed = solve(model, cfg)
+    clock, runs = _FakeClock(), []  # sweeps run by each engine call
+    python_sweeps, start_state = anneal._python_sweeps, anneal._start_state
+
+    def counted(*args):
+        out = python_sweeps(*args)
+        runs.append(out[0])
+        return out
+
+    monkeypatch.setattr(anneal.time, "perf_counter", clock)
+    monkeypatch.setattr(anneal, "_python_sweeps", counted)
+
+    # start at 1, deadline 6: the sweeps end at 2, 3, ..., 7, and 7 > 6
+    res = solve(model, replace(cfg, time_limit=5.0))
+    assert runs == [6] and res.sweeps_done == 6 and len(res.energy_trace) == 6
+    assert res.wall_time == 8.0  # the reading after the replica, then wall_time's
+    # the limit cuts the untimed trajectory short and changes nothing else
+    assert res.energy_trace.tobytes() == untimed.energy_trace[:6].tobytes()
+
+    # a replica whose last sweep ends past the deadline ends the solve
+    runs.clear()
+    res = solve(model, replace(cfg, sweeps=4, replicas=3, time_limit=3.5))
+    assert runs == [4] and res.sweeps_done == 4
+
+    # deadline 7: replica 0 sweeps until 5, replica 1 stops after ending at 8
+    runs.clear()
+    res = solve(model, replace(cfg, sweeps=4, replicas=3, time_limit=6.0))
+    assert runs == [4, 2] and res.sweeps_done in (4, 2) and res.replica_id in (0, 1)
+
+    # a set-up that overran the limit still runs one sweep, and only one replica
+    def slow_start_state(*args):
+        clock.now += 100.0
+        return start_state(*args)
+
+    monkeypatch.setattr(anneal, "_start_state", slow_start_state)
+    runs.clear()
+    res = solve(model, replace(cfg, replicas=3, time_limit=5.0))
+    assert runs == [1] and res.sweeps_done == 1 and len(res.energy_trace) == 1
 
 
 def test_log_agrees_within_band():
@@ -734,7 +785,7 @@ def test_band_acceptors_match_scalar_rule(t, offset):
             for pick, k in picks or [(0.5, None)]:
                 bits = bits_b[a:b].copy()
                 given = _GivenDraws(np.append(us[a:b], pick))
-                anneal._python_sweeps(block, bits, base_lf[a:b].copy(), s.copy(), np.array([t]),
+                anneal._python_sweeps(block, bits, base_lf[a:b].copy(), s.copy(), [t],
                                       offset, 0.01, 0.0, 0.0, bits.copy(), given, None, 0, 0)
                 assert np.flatnonzero(bits != bits_b[a:b]).tolist() == ([] if k is None else [wanted[k]])
                 assert given.pos == block.nv + (k is not None)
@@ -745,8 +796,8 @@ def test_band_acceptors_match_scalar_rule(t, offset):
         flipped, offset_a = sweep(nbrs, bits_a, lf, t, _ListRandom(draws), offset, 0.01)
         given = _GivenDraws(draws)
         before = bits_b.copy()
-        offset_b, cur, best, _, _ = anneal._python_sweeps(
-            cm, bits_b, base_lf, s, np.array([t]), offset, 0.01, cur, best, best_bits,
+        _, offset_b, cur, best, _, _ = anneal._python_sweeps(
+            cm, bits_b, base_lf, s, [t], offset, 0.01, cur, best, best_bits,
             given, None, 0, 0)
         assert flipped == (want[int(pick * len(want))] if want else -1)
         assert np.flatnonzero(before != bits_b).tolist() == ([flipped] if want else [])
@@ -773,7 +824,7 @@ def test_flip_gains_match_bincount_bit_for_bit(model):
     cm = compile_model(model)
     rng = np.random.RandomState(41)
     nv = model.num_vars
-    cfg = AnnealConfig(sweeps=60, temp_final=0.05)
+    temps = list(anneal._temperatures(AnnealConfig(sweeps=60, temp_final=0.05), 2.0))
     for p in (0.0, 0.3, 0.7, 1.0):
         bits = (rng.random_sample(nv) < p).astype(np.int8)
         base_lf, s, cur = anneal._start_state(model, cm, bits)
@@ -782,9 +833,9 @@ def test_flip_gains_match_bincount_bit_for_bit(model):
         # the terms a flip updates in place stay those a rebuild would make
         draws = anneal._BlockUniforms(np.random.RandomState(43), nv)
         flips = 0
-        for done in range(0, cfg.sweeps, 6):
-            _, cur, _, f, gains = anneal._python_sweeps(
-                cm, bits, base_lf, s, anneal._temperatures(cfg, 2.0, done, 6), 0.0, 0.01,
+        for done in range(0, len(temps), 6):
+            _, _, cur, _, f, gains = anneal._python_sweeps(
+                cm, bits, base_lf, s, temps[done:done + 6], 0.0, 0.01,
                 cur, -math.inf, bits.copy(), draws, None, 0, done, gains)
             flips += f
             gains = _gains(cm, bits, base_lf, s) if gains is None else gains
@@ -818,11 +869,32 @@ def test_idle_sweep_bound_changes_nothing(monkeypatch):
     assert tested[0] < tested[1]  # the bound skipped idle sweeps
 
 
+def test_idle_sweep_floors_come_in_chunks(monkeypatch):
+    # a small model's draw buffer holds hundreds of sweeps; the floors are
+    # taken at most _FLOOR_SWEEPS at a time and change no result
+    model = build_bipartition_qubo(grid_graph(4, 5))
+    assert anneal.UNIFORM_BLOCK // model.num_vars > anneal._FLOOR_SWEEPS
+    cfg = AnnealConfig(sweeps=2000, seed=3, balanced_init=True, trace_every=1)
+    counts, sweep_floors = [], anneal._sweep_floors
+
+    def counted(lo, pos, nv, count):
+        counts.append(count)
+        return sweep_floors(lo, pos, nv, count)
+
+    monkeypatch.setattr(anneal, "_sweep_floors", counted)
+    chunked = solve(model, cfg)
+    monkeypatch.setattr(anneal, "_sweep_floors", lambda lo, pos, nv, count: [])
+    unbound = solve(model, cfg)
+    assert max(counts) == anneal._FLOOR_SWEEPS
+    assert chunked.best_bits.tobytes() == unbound.best_bits.tobytes()
+    assert chunked.energy_trace.tobytes() == unbound.energy_trace.tobytes()
+    assert chunked.flips == unbound.flips
+
+
 def test_first_sweep_reuses_the_start_gains(monkeypatch):
     model = build_kway_qubo(gnp_graph(20, 0.3, np.random.RandomState(44)), 3, 0.2)
     cfg = AnnealConfig(sweeps=600, replicas=3, seed=5, balanced_init=True, trace_every=10)
-    assert cfg.sweeps <= anneal.BATCH_SWEEPS  # one engine call per replica
-    builds = []
+    builds, starts = [], []  # _flip_gains calls per solve; sweeps_before of each engine call
     flip_gains, python_sweeps = anneal._flip_gains, anneal._python_sweeps
 
     def counted(*args, **kwargs):
@@ -832,8 +904,12 @@ def test_first_sweep_reuses_the_start_gains(monkeypatch):
     monkeypatch.setattr(anneal, "_flip_gains", counted)
     builds.append(0)
     handed = solve(model, cfg)
-    # as the sweeps ran before: every engine call builds its gains on entry
-    monkeypatch.setattr(anneal, "_python_sweeps", lambda *args: python_sweeps(*args[:-1], None))
+
+    def rebuilding(*args):  # as the sweeps ran before: an engine call builds its gains on entry
+        starts.append(args[13])
+        return python_sweeps(*args[:-2], None, args[-1])
+
+    monkeypatch.setattr(anneal, "_python_sweeps", rebuilding)
     builds.append(0)
     rebuilt = solve(model, cfg)
     assert handed.best_bits.tobytes() == rebuilt.best_bits.tobytes()
@@ -844,6 +920,7 @@ def test_first_sweep_reuses_the_start_gains(monkeypatch):
     # every rebuild after a flip runs the engine call's bound rebuild
     assert builds[0] == cfg.replicas
     assert builds[1] - builds[0] == cfg.replicas
+    assert starts == [0] * cfg.replicas  # one engine call per replica
 
 
 @pytest.mark.parametrize("model", [m[1] for m in _START_MODELS], ids=[m[0] for m in _START_MODELS])
@@ -879,25 +956,21 @@ def test_energy_trace_monotone():
     assert res.energy_trace[-1] == pytest.approx(res.best_energy, abs=1e-6)
 
 
-def test_temperature_schedule_endpoints():
+def test_temperature_schedule_endpoints(monkeypatch):
     cfg = AnnealConfig(sweeps=100, temp_final=0.1)
-    temps = anneal._temperatures(cfg, 50.0, 0, 100)
+    temps = list(anneal._temperatures(cfg, 50.0))
     assert temps[0] == 50.0 and len(temps) == 100
+    assert all(type(t) is float for t in temps)
     assert temps[-1] == pytest.approx(50.0 * (0.1 / 50.0) ** (99 / 100))
-    # any split into batches gives the whole-run law bit for bit, including
-    # a final temperature above t0, which holds t0 throughout
-    rng = np.random.RandomState(6)
+    # any chunk size gives the whole-run law bit for bit, including a final
+    # temperature above t0, which holds t0 throughout
     for sweeps, t0, temp_final in [(2000, 37.5, 0.1), (1000, 4.0, 0.05), (333, 0.5, 0.7)]:
         cfg = AnnealConfig(sweeps=sweeps, temp_final=temp_final)
         tf = min(temp_final, t0)
         whole = t0 * (tf / t0) ** (np.arange(sweeps, dtype=np.float64) / sweeps)
-        for sizes in ([1], [7], rng.randint(1, 300, size=20).tolist()):
-            batches, done = [], 0
-            while done < sweeps:
-                size = min(sizes[len(batches) % len(sizes)], sweeps - done)
-                batches.append(anneal._temperatures(cfg, t0, done, size))
-                done += size
-            assert np.array_equal(np.concatenate(batches), whole)
+        for step in (1, 7, 299, 1024):
+            monkeypatch.setattr(anneal, "BATCH_SWEEPS", step)
+            assert np.array(list(anneal._temperatures(cfg, t0))).tobytes() == whole.tobytes()
 
 
 def test_seed_derivation_is_stable():

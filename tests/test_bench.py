@@ -7,8 +7,7 @@ import pytest
 import qubopart.bench as bench
 import qubopart.pipeline as pipeline
 from qubopart.bench import (GridConfig, RunRecord, emit, ingest_external,
-                            load_grid_config, records_from_json, records_to_csv,
-                            records_to_json, run_grid)
+                            load_grid_config, records_to_csv, records_to_json, run_grid)
 from qubopart.graph import load_graph_file, write_metis
 from qubopart.qubo import default_penalty
 
@@ -162,7 +161,7 @@ def test_run_grid_workers_match_serial(tmp_path):
 def test_records_json_round_trip():
     records = [_record(), _record(graph_id="h", feasible=False, error="x",
                                   cut_repaired=None, approximation_ratio=1.5)]
-    assert records_from_json(records_to_json(records)) == records
+    assert [RunRecord(**row) for row in json.loads(records_to_json(records))] == records
 
 
 def test_records_csv_shape():

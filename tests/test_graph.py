@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -388,6 +389,16 @@ def test_partition_basics():
     # a label beyond int64 is out of range, not an overflow
     with pytest.raises(ValueError, match=rf"label {2**70} at vertex 1 outside range\(3\)"):
         Partition.from_labels([0, 2**70, 5], 3)
+    # a label that is not an integer is rejected, not truncated
+    with pytest.raises(ValueError, match=r"label 1.5 at vertex 1 is not an integer"):
+        Partition.from_labels([0, 1.5, 1], 2)
+    with pytest.raises(ValueError, match=r"label 0.9 at vertex 0 is not an integer"):
+        Partition.from_labels(np.array([0.9, 1.0]), 2)
+    with pytest.raises(ValueError, match=r"label 1/2 at vertex 2 is not an integer"):
+        Partition.from_labels([0, 1, Fraction(1, 2)], 2)
+    # whole floats and bools are labels
+    assert Partition.from_labels([0.0, 1.0, 1], 2).labels == (0, 1, 1)
+    assert Partition.from_labels(np.array([True, False]), 2).labels == (1, 0)
     with pytest.raises(ValueError):
         cut_edges(Graph.from_edges(3, [(0, 1)]), [0, 1])
 

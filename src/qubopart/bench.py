@@ -8,12 +8,13 @@ emits CSV, JSON, or a markdown comparison table.  External solver results
 different solvers can be lined up per row, with the row minimum bolded.
 
 Re-running the same config reproduces the same records byte for byte apart
-from wall times; cells that fail (unreadable file, oversized model,
-unsatisfiable bounds) are recorded with an error note instead of numbers.
-Cells run in separate worker processes when ``workers > 1`` (results are
-assembled in grid order either way), and ``sparsify: true`` routes every
-cell through :func:`qubopart.sparsify.run_sparsify_pipeline`, where the time
-limit applies to each repeat's solve.
+from wall times.  :func:`run_grid` lists one cell per (graph, k, epsilon) in
+grid order and :func:`_run_cell` makes each cell's record; cells that fail
+(unreadable file, oversized model, unsatisfiable bounds) get an error note
+instead of numbers.  Cells run in separate worker processes when
+``workers > 1`` (their map keeps grid order), and ``sparsify: true`` routes
+every cell through :func:`qubopart.sparsify.run_sparsify_pipeline`, where
+the time limit applies to each repeat's solve.
 """
 
 from __future__ import annotations
@@ -137,13 +138,18 @@ def load_grid_config(path: str, overrides: dict | None = None) -> GridConfig:
     return GridConfig(**merged)
 
 
-def _run_cell(g: Graph, graph_id: str, k: int, epsilon: float,
+def _run_cell(g: Graph | str, graph_id: str, k: int, epsilon: float,
               cfg: GridConfig, digest: str) -> RunRecord:
-    rec = RunRecord(graph_id=graph_id, n=g.n, d_avg=round(g.d_avg, 4),
+    """The record of one grid cell; ``g`` is the loaded graph or its load error."""
+    rec = RunRecord(graph_id=graph_id, n=None, d_avg=None,
                     solver_id=cfg.solver_id, k=k, epsilon=epsilon, penalty=None,
                     seed=_derive_seed(cfg.seed, graph_id, k, f"{epsilon:g}"),
                     cut_raw=None, cut_repaired=None, feasible=None,
                     approximation_ratio=None, wall_time=None, config_digest=digest)
+    if isinstance(g, str):
+        rec.error = g
+        return rec
+    rec.n, rec.d_avg = g.n, round(g.d_avg, 4)
     if k < 2 or k > g.n:
         rec.error = f"skipped: k={k} outside 2..{g.n}"
         return rec
@@ -185,46 +191,29 @@ def _run_cell(g: Graph, graph_id: str, k: int, epsilon: float,
 def run_grid(cfg: GridConfig) -> list[RunRecord]:
     """Solve every graph at every (k, epsilon) cell; failures become error records.
 
-    Cells run in worker processes when ``workers > 1``; records come back in
-    grid order regardless, so the output is identical to a serial run.
+    Each graph file is loaded once, and an unreadable one gives an error
+    record per cell.  Cells run in worker processes when ``workers > 1``;
+    records come back in grid order either way, identical to a serial run.
     """
     if cfg.workers < 1:
         raise ValueError(f"workers must be at least 1, got {cfg.workers}")
     digest = cfg.digest()
-    records: list[RunRecord | None] = []
-    tasks: list[tuple[int, tuple]] = []
+    cells: list[tuple] = []
     for path in cfg.graphs:
         gid = file_stem(path)  # the name load_graph_file gives the graph
         try:
-            g = load_graph_file(path)
+            g: Graph | str = load_graph_file(path)
         except (OSError, GraphFormatError) as exc:
-            g, err = None, f"unreadable graph: {exc}"
-        for k in cfg.ks:
-            for eps in cfg.epsilons:
-                if g is None:
-                    records.append(RunRecord(
-                        graph_id=gid, n=None, d_avg=None, solver_id=cfg.solver_id,
-                        k=k, epsilon=eps, penalty=None,
-                        seed=_derive_seed(cfg.seed, gid, k, f"{eps:g}"),
-                        cut_raw=None, cut_repaired=None, feasible=None,
-                        approximation_ratio=None, wall_time=None,
-                        config_digest=digest, error=err))
-                else:
-                    tasks.append((len(records), (g, gid, k, eps, cfg, digest)))
-                    records.append(None)
+            g = f"unreadable graph: {exc}"
+        cells += [(g, gid, k, eps, cfg, digest) for k in cfg.ks for eps in cfg.epsilons]
 
-    cell_args = [args for _, args in tasks]
-    if cfg.workers == 1 or len(tasks) <= 1:
-        results = [_run_cell(*args) for args in cell_args]
-    else:
-        # processes, not threads: the sweeps are Python loops that hold the GIL
-        from concurrent.futures import ProcessPoolExecutor
+    if cfg.workers == 1 or len(cells) <= 1:
+        return [_run_cell(*cell) for cell in cells]
+    # processes, not threads: the sweeps are Python loops that hold the GIL
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
-            results = list(pool.map(_run_cell, *zip(*cell_args)))
-    for (idx, _), rec in zip(tasks, results):
-        records[idx] = rec
-    return records
+    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(cells))) as pool:
+        return list(pool.map(_run_cell, *zip(*cells)))
 
 
 @dataclass(frozen=True)

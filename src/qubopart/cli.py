@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 from .anneal import AnnealConfig
 from .bench import (GridConfig, emit, ingest_external, load_grid_config, run_grid)
@@ -176,10 +177,8 @@ def _pipeline_command(args) -> int:
 
 
 def _bench_command(args) -> int:
-    overrides = {key: getattr(args, key) for key in
-                 ("graphs", "ks", "epsilons", "sweeps", "replicas", "seed",
-                  "penalty", "time_limit", "solver_id",
-                  "workers", "sparsify", "keep_ratio", "repeats")}
+    # each bench flag stores its value under the GridConfig field it sets
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(GridConfig)}
     if args.config:
         cfg = load_grid_config(args.config, overrides)
     else:

@@ -248,9 +248,8 @@ def sparsify(g: Graph, scores: EdgeScores, keep_ratio: float) -> Graph:
 
 
 def project_partition(original: Graph, p: Partition) -> int:
-    """Cut of a partition found on a sparsified graph, evaluated on the original."""
-    if p.n != original.n:
-        raise ValueError(f"partition has {p.n} labels, graph has {original.n} vertices")
+    """Cut of a partition found on a sparsified graph, evaluated on the original;
+    :func:`cut_edges` rejects a partition of the wrong length."""
     return cut_edges(original, p)
 
 

@@ -534,6 +534,19 @@ def test_solve_chainless_models():
         assert res.wall_time > 0.0
 
 
+def test_zero_start_gains_start_at_temperature_one(monkeypatch):
+    # no linear terms and no pair terms: every start gain is zero, so t0 falls back to 1
+    model = QuboModel.from_triples(5, np.zeros(5), [], [], [])
+    assert len(model.chains) == 0 and len(model.objective_csr[1]) == 0
+    seen = []
+    real = anneal._temperatures
+    monkeypatch.setattr(anneal, "_temperatures",
+                        lambda cfg, t0: seen.append(t0) or real(cfg, t0))
+    res = solve(model, AnnealConfig(sweeps=20, replicas=2, seed=3))
+    assert seen == [1.0, 1.0] and all(type(t0) is float for t0 in seen)
+    assert res.best_energy == 0.0 and res.sweeps_done == 20
+
+
 def test_balanced_initial_bits_zero_residual():
     rng = np.random.RandomState(9)
     g = gnp_graph(11, 0.3, rng)

@@ -8,6 +8,7 @@ import qubopart.bench as bench
 import qubopart.pipeline as pipeline
 from qubopart.bench import (GridConfig, RunRecord, emit, ingest_external,
                             load_grid_config, records_to_csv, records_to_json, run_grid)
+from qubopart.bestknown import best_known
 from qubopart.graph import load_graph_file, write_metis
 from qubopart.qubo import default_penalty
 
@@ -144,16 +145,45 @@ def test_run_grid_sparsify_mode(tmp_path):
     assert fixed.penalty == 7.0
 
 
+def test_run_grid_sparsify_unsatisfiable_cell(tmp_path):
+    paths = _write_graphs(tmp_path, count=1, n=10)  # no 4 parts of 3 vertices fit
+    cfg = GridConfig(graphs=paths, ks=[4], epsilons=[0.03], sweeps=50, replicas=1,
+                     time_limit=None, sparsify=True, repeats=2)
+    (rec,) = run_grid(cfg)
+    assert rec.feasible is False and "need more than 10 vertices" in rec.error
+    assert rec.cut_repaired is None and rec.cut_raw is None
+    assert rec.approximation_ratio is None and rec.wall_time >= 0
+
+
+def test_run_grid_registry_graph_gets_ratio(tmp_path):
+    g = load_graph_file(_write_graphs(tmp_path, count=1, n=8)[0])
+    path = tmp_path / "uk.graph"  # same name as a registry instance
+    path.write_text(write_metis(g))
+    cfg = GridConfig(graphs=[str(path)], sweeps=100, replicas=1, time_limit=None)
+    (rec,) = run_grid(cfg)
+    assert rec.graph_id == "uk" and rec.feasible is True
+    assert rec.approximation_ratio == rec.cut_repaired / best_known("uk", 2, 0.0)
+
+
 def test_run_grid_workers_match_serial(tmp_path):
     paths = _write_graphs(tmp_path, count=2, n=10)
-    serial = GridConfig(graphs=paths, ks=[2, 3], epsilons=[0.0, 0.1],
-                        sweeps=200, replicas=2, time_limit=None)
+    missing = str(tmp_path / "missing.graph")
+    serial = GridConfig(graphs=[paths[0], missing, paths[1]], ks=[2, 3],
+                        epsilons=[0.0, 0.1], sweeps=200, replicas=2, time_limit=None)
     pooled = dataclasses.replace(serial, workers=2)
     # records line up cell for cell apart from wall times and the digest,
     # which covers the workers field itself
     strip = lambda recs: [dataclasses.replace(r, wall_time=0.0, config_digest="")
                           for r in recs]
-    assert strip(run_grid(serial)) == strip(run_grid(pooled))
+    serial_recs, pooled_recs = run_grid(serial), run_grid(pooled)
+    assert strip(serial_recs) == strip(pooled_recs)
+    # the unreadable graph's error records keep their grid position in both
+    for recs in (serial_recs, pooled_recs):
+        assert [r.graph_id for r in recs] == ["g0"] * 4 + ["missing"] * 4 + ["g1"] * 4
+        assert [(r.k, r.epsilon) for r in recs[4:8]] == [(2, 0.0), (2, 0.1), (3, 0.0), (3, 0.1)]
+        assert all(r.error.startswith("unreadable graph") and r.n is None
+                   and r.d_avg is None and r.feasible is None for r in recs[4:8])
+        assert all(r.n == 10 and r.feasible is not None for r in recs[:4] + recs[8:])
     with pytest.raises(ValueError, match="workers"):
         run_grid(dataclasses.replace(serial, workers=0))
 

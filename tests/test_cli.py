@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qubopart.bench import GridConfig
 from qubopart.cli import main
-from qubopart.graph import Graph, parse_partition, write_metis
+from qubopart.graph import Graph, load_graph_file, parse_partition, write_metis
 
 from conftest import gnp_graph
 
@@ -127,6 +128,21 @@ def test_bench_sparsify_and_workers(graph_file, tmp_path):
     assert rec["feasible"] and rec["cut_raw"] == rec["cut_repaired"]
 
 
+def test_bench_flags_reach_grid_config(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr("qubopart.cli.run_grid", lambda cfg: seen.append(cfg) or [])
+    rc = main(["bench", "--graphs", "a.graph", "b.graph", "--k", "2", "3",
+               "--epsilon", "0.1", "--sweeps", "7", "--replicas", "3", "--seed", "5",
+               "--penalty", "6", "--time-limit", "1.5", "--solver-id", "mine",
+               "--workers", "2", "--sparsify", "--keep-ratio", "0.5", "--repeats", "4",
+               "--format", "csv"])
+    assert rc == 0
+    assert seen == [GridConfig(graphs=["a.graph", "b.graph"], ks=[2, 3], epsilons=[0.1],
+                               sweeps=7, replicas=3, seed=5, penalty=6.0, time_limit=1.5,
+                               solver_id="mine", workers=2, sparsify=True, keep_ratio=0.5,
+                               repeats=4)]
+
+
 def test_evaluate_round_trip(graph_file, tmp_path, capsys):
     out = tmp_path / "toy.part"
     main(["partition", "--graph", graph_file, "--out", str(out), *FAST])
@@ -194,6 +210,41 @@ def test_non_finite_solver_flag_exit_code(graph_file, flag, value, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "finite" in err and "Traceback" not in err
+
+
+def test_partition_numeric_penalty(graph_file, capsys):
+    rc = main(["partition", "--graph", graph_file, "--penalty", "5", "--json", *FAST])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["penalty"] == 5.0
+
+
+@pytest.mark.parametrize("command", ["partition", "bench"])
+@pytest.mark.parametrize("value, expected", [("high", "'auto' or a number"),
+                                             ("inf", "finite")])
+def test_bad_penalty_flag_exit_code(graph_file, command, value, expected, capsys):
+    graph_flag = "--graph" if command == "partition" else "--graphs"
+    with pytest.raises(SystemExit) as exc:  # argparse rejects the value
+        main([command, graph_flag, graph_file, "--penalty", value, *FAST])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert expected in err and "Traceback" not in err
+
+
+def test_partition_matrix_market_file(graph_file, tmp_path, capsys):
+    # the same graph as a MatrixMarket file, recognised by its banner
+    g = load_graph_file(graph_file)
+    mtx = tmp_path / "toy.mtx"
+    mtx.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n"
+                   f"{g.n} {g.n} {g.m}\n"
+                   + "".join(f"{v + 1} {u + 1}\n" for u, v in g.edge_array))
+    cuts = []
+    for path in (graph_file, str(mtx)):
+        rc = main(["partition", "--graph", path, "--json", *FAST])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["graph"], payload["n"], payload["m"]) == ("toy", g.n, g.m)
+        cuts.append(payload["cut"])
+    assert cuts[0] == cuts[1]
 
 
 def _run_in(directory, argv, capsys, monkeypatch):

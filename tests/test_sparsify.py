@@ -116,6 +116,12 @@ def test_project_partition_counts_original_cut():
     assert project_partition(g, p) == cut_edges(g, p.labels)
 
 
+def test_project_partition_rejects_wrong_length():
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    with pytest.raises(ValueError, match="4 vertices"):
+        project_partition(g, Partition.from_labels([0, 0, 1], 2))
+
+
 def test_pipeline_deterministic_and_feasible():
     g = gnp_graph(14, 0.4, np.random.RandomState(7))
     cfg = AnnealConfig(sweeps=300, replicas=2, balanced_init=True)

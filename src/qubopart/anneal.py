@@ -21,10 +21,11 @@ consume each replica's MT19937 stream with a fixed draw discipline: one
 uniform per variable per sweep, plus one to pick among acceptors.  The
 uniforms are drawn from the stream in blocks, which the loop reads in the
 same order as scalar draws would; each block also carries a band around the
-log of every draw.  The Metropolis test then compares ``-eff / t`` with the
-bands for all variables at once, inline, and the scalar ``math.exp`` rule
-decides the rare draws that fall inside their band, so the acceptor sets
-equal that scalar rule's exactly.
+log of every draw, computed once per refill over the unread draws it keeps
+and the fresh ones together.  The Metropolis test then compares ``-eff / t``
+with the bands for all variables at once, inline, and the scalar
+``math.exp`` rule decides the rare draws that fall inside their band, so the
+acceptor sets equal that scalar rule's exactly.
 
 The chain memberships are stored as jagged diagonals: layer q holds the
 q-th membership of every variable that has one, in variable order, so the
@@ -281,7 +282,10 @@ class _BlockUniforms:
     in the same order as scalar ``rs.random_sample()`` calls would, because
     ``rs.random_sample(m)`` reads the stream exactly like m scalar calls.
     The buffer holds ``max(nv + 1, UNIFORM_BLOCK)`` draws, one sweep's at
-    least.
+    least.  A refill joins the unread draws to the fresh ones with one
+    concatenation and bands the whole block with one :func:`_log_bands`
+    call: a band depends on its draw alone, so the kept draws get the bands
+    they had.
     """
 
     def __init__(self, rs: np.random.RandomState, nv: int):
@@ -292,16 +296,13 @@ class _BlockUniforms:
 
     def refill(self, pos: int, need: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Keep the draws from ``pos`` on, append fresh ones to hold at least
-        ``need``, computing their bands once, and restart at position 0.
+        ``need``, band them all, and restart at position 0.
         Returns the new ``(us, lo, hi)``."""
-        fresh = self._rs.random_sample(max(self._size, need) - (len(self.us) - pos))
-        lo, hi = _log_bands(fresh)
-        if pos == len(self.us):  # nothing unread to keep
-            self.us, self.lo, self.hi = fresh, lo, hi
-        else:
-            self.us = np.concatenate((self.us[pos:], fresh))
-            self.lo = np.concatenate((self.lo[pos:], lo))
-            self.hi = np.concatenate((self.hi[pos:], hi))
+        us = self._rs.random_sample(max(self._size, need) - (len(self.us) - pos))
+        if pos < len(self.us):  # keep the unread draws
+            us = np.concatenate((self.us[pos:], us))
+        self.us = us
+        self.lo, self.hi = _log_bands(us)
         self.pos = 0
         return self.us, self.lo, self.hi
 

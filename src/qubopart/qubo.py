@@ -112,6 +112,25 @@ class ChainSet:
                            minlength=len(self)).astype(np.float64, copy=False)
 
 
+class _SymmetricCSR(tuple):
+    """An objective CSR ``(indptr, cols, data)`` that its builder made
+    symmetric, which :class:`QuboModel` then does not check again.  As a
+    field value it passes unchanged through :func:`dataclasses.replace`."""
+
+    __slots__ = ()
+
+
+def _is_symmetric(indptr: np.ndarray, cols: np.ndarray, data: np.ndarray) -> bool:
+    """Whether the CSR's ``(row, col, value)`` entries equal their mirrors
+    ``(col, row, value)``, as multisets; a NaN value mirrors a NaN."""
+    n = np.int64(len(indptr) - 1)
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    keys, mirrors = rows * n + cols, cols * n + rows
+    at, mirrored = np.lexsort((data, keys)), np.lexsort((data, mirrors))
+    return bool(np.array_equal(keys[at], mirrors[mirrored])
+                and np.array_equal(data[at], data[mirrored], equal_nan=True))
+
+
 def _running_sum(start: float, terms: np.ndarray) -> float:
     """``start + terms[0] + terms[1] + ...``, added left to right one at a time
     (not pairwise), so chain terms always sum to the same float."""
@@ -131,7 +150,9 @@ class QuboModel:
     the read-only symmetric CSR ``(indptr, cols, data)``, holding each pair
     ``(i, j, c)`` as ``(i, j)`` and ``(j, i)`` in (row, col) order.  The
     partition builders fill it from the graph's CSR; :meth:`from_triples`
-    builds it from pair triples.
+    builds it from pair triples.  Both are symmetric by construction; a CSR
+    built by hand is checked, because :func:`energy` and the solver's start
+    state read each pair from either end.
 
     ``indicators`` is the variable layout, an ``(n, c)`` int64 array of
     variable indices: ``c == 1`` for the bipartition model, whose bit is the
@@ -162,6 +183,10 @@ class QuboModel:
             raise ValueError("objective CSR arrays do not fit the variable count")
         if len(cols) and (cols.min() < 0 or cols.max() >= self.num_vars):
             raise ValueError(f"objective CSR columns must lie in [0, {self.num_vars})")
+        marked = isinstance(self.objective_csr, _SymmetricCSR)
+        if not (marked or _is_symmetric(indptr, cols, data)):
+            raise ValueError("objective CSR must be symmetric: every (row, col, value) entry "
+                             "needs a (col, row, value) entry")
         # a NaN or infinite penalty makes every energy NaN, and the sweeps'
         # chain gains rely on penalty >= 0
         if not (0.0 <= self.penalty < math.inf):
@@ -191,7 +216,8 @@ class QuboModel:
         order = np.argsort(rows * num_vars + cols, kind="stable")  # (row, col) pairs are unique
         indptr = np.zeros(num_vars + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=num_vars), out=indptr[1:])
-        return cls(num_vars, base_linear, _read_only(indptr, cols[order], data[order]), **rest)
+        csr = _SymmetricCSR(_read_only(indptr, cols[order], data[order]))
+        return cls(num_vars, base_linear, csr, **rest)
 
     @property
     def linear(self) -> np.ndarray:
@@ -394,7 +420,7 @@ def _partition_model(g: Graph, indicators: np.ndarray, chains: ChainSet, nv: int
 
     # one constant fills the coefficients, so a read-only broadcast of it
     # stands in for them without memory per term; it is never written
-    csr = _read_only(indptr, cols, np.broadcast_to(coeff, len(cols)))
+    csr = _SymmetricCSR(_read_only(indptr, cols, np.broadcast_to(coeff, len(cols))))
     return QuboModel(num_vars=nv, base_linear=lin, objective_csr=csr, chains=chains,
                      indicators=indicators, penalty=penalty, k=k, epsilon=float(epsilon))
 

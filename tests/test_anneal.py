@@ -713,6 +713,47 @@ def test_log_agrees_within_band():
     assert (lo < exact).all() and (exact < hi).all()
 
 
+class _ScriptedRandom:
+    """A stand-in ``RandomState`` whose ``random_sample(m)`` hands out the
+    next m of the given draws."""
+
+    def __init__(self, draws):
+        self.draws, self.taken = draws, 0
+
+    def random_sample(self, m):
+        out = self.draws[self.taken:self.taken + m]
+        assert len(out) == m
+        self.taken += m
+        return out.copy()
+
+
+@pytest.mark.parametrize("block", [8, None], ids=["block-below-nv", "default-block"])
+def test_refill_bands_cover_the_kept_tail(monkeypatch, block):
+    # a refill joins the unread tail to the fresh draws and bands them all at
+    # once; the tail's bands must be those _log_bands gives its draws, a zero
+    # draw's infinite band included
+    nv = 20
+    if block is not None:
+        monkeypatch.setattr(anneal, "UNIFORM_BLOCK", block)
+    size = max(nv + 1, anneal.UNIFORM_BLOCK)
+    assert (size == nv + 1) == (block is not None)
+    draws = np.random.RandomState(67).random_sample(8 * size)
+    draws[size - 3] = 0.0  # inside the first kept tail
+    source = anneal._BlockUniforms(_ScriptedRandom(draws), nv)
+    us, lo, hi = source.refill(0, nv)
+    read = 0  # draws handed out before the buffer's first
+    zero_kept = False
+    for keep in (5, 1, nv - 1, 0, 3, nv - 1):
+        read += len(us) - keep
+        zero_kept |= bool((us[len(us) - keep:] == 0.0).any())
+        us, lo, hi = source.refill(len(us) - keep, nv)
+        assert source.pos == 0 and len(us) == len(lo) == len(hi) >= nv
+        assert us.tobytes() == draws[read:read + len(us)].tobytes()
+        want_lo, want_hi = anneal._log_bands(draws[read:read + len(us)])
+        assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
+    assert zero_kept
+
+
 class _GivenDraws(anneal._BlockUniforms):
     """A draw source holding exactly the given draws, with their bands."""
 
@@ -958,6 +999,58 @@ def test_bound_rebuild_reads_the_terms_as_they_are(model):
             bound[:] = new
         assert rebuild() is out
         assert out.tobytes() == anneal._flip_gains(cm, *fresh).tobytes()
+
+
+def _one_chain_models():
+    """(name, model) pairs with exactly one chain: bipartitions without and
+    with slack bits, and a chain over some variables only, so the others
+    have pad slots; plus a k-way control with many chains."""
+    g = gnp_graph(24, 0.3, np.random.RandomState(53))
+    rng = np.random.RandomState(59)
+    nv = 20
+    i = rng.randint(0, nv - 1, size=40)
+    j = i + 1 + rng.randint(0, nv - 1 - i)
+    chain = np.array([[1, 4, 6, 9, 13, 17]])  # the other variables get pad slots
+    chains = qubo.ChainSet.from_blocks((chain, rng.uniform(0.2, 2.3, chain.shape), 1.7))
+    partial = QuboModel.from_triples(nv, rng.standard_normal(nv) / 7.0, i, j,
+                                     rng.standard_normal(40) / 3.0, chains=chains, penalty=0.45)
+    no_slack, slack = build_bipartition_qubo(g, 0.0), build_bipartition_qubo(g, 0.1)
+    assert no_slack.num_vars == g.n < slack.num_vars
+    assert compile_model(partial).mem_off == (0, nv) and len(chains.var_idx) < nv
+    return [("k2-eps0", no_slack), ("k2-eps0.1", slack), ("partial-chain", partial),
+            ("k3-control", build_kway_qubo(g, 3, 0.1))]
+
+
+_ONE_CHAIN_MODELS = _one_chain_models()
+
+
+@pytest.mark.parametrize("model", [m[1] for m in _ONE_CHAIN_MODELS],
+                         ids=[m[0] for m in _ONE_CHAIN_MODELS])
+def test_gain_rebuild_equals_the_residual_gather(model):
+    # the bound rebuild reads the residuals as they are at each run and
+    # equals the gather sr[mem_chain] summed by layer, pad slots included
+    cm = compile_model(model)
+    nv = model.num_vars
+    rng = np.random.RandomState(61)
+
+    def terms(p):
+        bits = (rng.random_sample(nv) < p).astype(np.int8)
+        base_lf, s, _ = anneal._start_state(model, cm, bits)
+        return anneal._gain_terms(cm, 1.0 - 2.0 * bits, base_lf, s)
+
+    dlf, mld, sr = terms(0.5)
+    rebuild = anneal._gain_rebuild(cm, dlf, mld, sr, np.empty(nv), np.empty(len(mld)))
+    signs = set()
+    for p in (0.5, 0.0, 0.3, 1.0, 0.8, 0.6):
+        for bound, new in zip((dlf, mld, sr), terms(p)):
+            bound[:] = new
+        signs.add(bool(sr[0] < 0))
+        chain_gain = mld * sr[cm.mem_chain] + cm.mem_const
+        total = chain_gain[:nv].copy()
+        for at, a, b in zip(cm.mem_at, cm.mem_off[1:], cm.mem_off[2:]):
+            total[at] += chain_gain[a:b]
+        assert rebuild().tobytes() == (dlf + total).tobytes(), p
+    assert signs == {False, True}
 
 
 def test_energy_trace_monotone():

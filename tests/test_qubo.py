@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import qubopart.qubo as qubo
 from qubopart.graph import Graph, balance_bounds, cut_edges
 from qubopart.qubo import (ChainSet, QuboModel, build_bipartition_qubo,
                            build_kway_qubo, default_penalty, encode_slack_weights,
@@ -256,6 +258,38 @@ def test_objective_csr_shape_checks():
     for col in (-1, 3):
         with pytest.raises(ValueError, match="objective CSR columns"):
             QuboModel(3, np.zeros(3), (np.array([0, 1, 1, 1]), np.array([col]), np.array([5.0])))
+
+
+def test_objective_csr_must_be_symmetric(monkeypatch):
+    # energy() and the solver's start state read each pair from either end,
+    # so an entry without its mirror was counted once: energy 1.0 here
+    for csr in ((np.array([0, 1, 1]), np.array([1]), np.array([2.0])),
+                (np.array([0, 1, 2]), np.array([1, 0]), np.array([2.0, 3.0]))):  # values differ
+        with pytest.raises(ValueError, match="objective CSR must be symmetric"):
+            QuboModel(2, np.zeros(2), csr)
+    # mirrors in any order, repeated entries included, are accepted
+    csr = (np.array([0, 2, 5, 6]), np.array([1, 1, 2, 0, 0, 1]),
+           np.array([1.0, 2.0, 0.5, 2.0, 1.0, 0.5]))
+    assert energy(QuboModel(3, np.zeros(3), csr), [1, 1, 1]) == 3.5
+    # a NaN mirrors a NaN; integer coefficients are compared as they are
+    QuboModel(2, np.zeros(2), (np.array([0, 1, 2]), np.array([1, 0]), np.array([np.nan, np.nan])))
+    QuboModel(2, np.zeros(2), (np.array([0, 1, 2]), np.array([1, 0]), np.array([3, 3])))
+    with pytest.raises(ValueError, match="objective CSR must be symmetric"):
+        QuboModel(2, np.zeros(2), (np.array([0, 1, 2]), np.array([1, 0]), np.array([np.nan, 1.0])))
+    # the builders' CSRs are symmetric by construction: they are marked, not
+    # checked, and the mark survives dataclasses.replace
+    checked = []
+    monkeypatch.setattr(qubo, "_is_symmetric", lambda *csr: checked.append(csr) or True)
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4), (0, 4)])
+    models = [build_bipartition_qubo(g, 0.2), build_kway_qubo(g, 3, 0.25),
+              QuboModel.from_triples(3, np.zeros(3), [0, 0], [1, 2], [1.0, -1.0])]
+    models += [parse_qubo_text(write_qubo_text(models[0]))]
+    models += [dataclasses.replace(m, penalty=3.0) for m in models]
+    assert checked == []
+    assert all(type(m.objective_csr) is qubo._SymmetricCSR for m in models)
+    nv = models[0].num_vars
+    QuboModel(nv, np.zeros(nv), tuple(models[0].objective_csr))
+    assert len(checked) == 1
 
 
 def test_parse_qubo_text_sums_repeated_terms():

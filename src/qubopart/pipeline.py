@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .anneal import AnnealConfig, SolveResult, solve
 from .evaluate import InfeasiblePartitionError, decode, repair
 from .graph import Graph, Partition, cut_edges
-from .qubo import QuboModel, build_bipartition_qubo, build_kway_qubo
+from .qubo import QuboModel, _checked_bounds, build_bipartition_qubo, build_kway_qubo
 
 
 @dataclass
@@ -28,6 +28,12 @@ def build_model(g: Graph, k: int, epsilon: float = 0.0,
     if k == 2:
         return build_bipartition_qubo(g, epsilon, penalty)
     return build_kway_qubo(g, k, epsilon, penalty)
+
+
+def check_model_args(n: int, k: int, epsilon: float) -> None:
+    """Raise the ValueError :func:`build_model` raises for k or epsilon on an
+    n-vertex graph, without building the model."""
+    _checked_bounds(n, k, epsilon, one_hot=k != 2)
 
 
 def partition(g: Graph, k: int, epsilon: float = 0.0, cfg: AnnealConfig | None = None,

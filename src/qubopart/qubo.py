@@ -121,10 +121,14 @@ class _SymmetricCSR(tuple):
 
 
 def _is_symmetric(indptr: np.ndarray, cols: np.ndarray, data: np.ndarray) -> bool:
-    """Whether the CSR's ``(row, col, value)`` entries equal their mirrors
-    ``(col, row, value)``, as multisets; a NaN value mirrors a NaN."""
+    """Whether the CSR has no diagonal entry and its ``(row, col, value)``
+    entries equal their mirrors ``(col, row, value)``, as multisets; a NaN
+    value mirrors a NaN.  A diagonal entry is its own mirror, but the
+    solver's flip gains leave it out."""
     n = np.int64(len(indptr) - 1)
     rows = np.repeat(np.arange(n), np.diff(indptr))
+    if np.any(rows == cols):
+        return False
     keys, mirrors = rows * n + cols, cols * n + rows
     at, mirrored = np.lexsort((data, keys)), np.lexsort((data, mirrors))
     return bool(np.array_equal(keys[at], mirrors[mirrored])
@@ -152,7 +156,8 @@ class QuboModel:
     partition builders fill it from the graph's CSR; :meth:`from_triples`
     builds it from pair triples.  Both are symmetric by construction; a CSR
     built by hand is checked, because :func:`energy` and the solver's start
-    state read each pair from either end.
+    state read each pair from either end; it may hold no diagonal entry,
+    since the flip gains leave out a pair's effect on its own bit.
 
     ``indicators`` is the variable layout, an ``(n, c)`` int64 array of
     variable indices: ``c == 1`` for the bipartition model, whose bit is the
@@ -185,8 +190,9 @@ class QuboModel:
             raise ValueError(f"objective CSR columns must lie in [0, {self.num_vars})")
         marked = isinstance(self.objective_csr, _SymmetricCSR)
         if not (marked or _is_symmetric(indptr, cols, data)):
-            raise ValueError("objective CSR must be symmetric: every (row, col, value) entry "
-                             "needs a (col, row, value) entry")
+            raise ValueError("objective CSR must be symmetric with an empty diagonal: every "
+                             "(row, col, value) entry needs a (col, row, value) entry and "
+                             "row != col")
         # a NaN or infinite penalty makes every energy NaN, and the sweeps'
         # chain gains rely on penalty >= 0
         if not (0.0 <= self.penalty < math.inf):
@@ -356,6 +362,16 @@ def _chain_bounds(n: int, k: int, epsilon: float) -> tuple[int, int]:
     return lower, upper
 
 
+def _checked_bounds(n: int, k: int, epsilon: float, one_hot: bool) -> tuple[int, int]:
+    """:func:`_chain_bounds`, after the builders' checks of n and k: the
+    one-hot model needs ``2 <= k <= n``, the bipartition model a vertex."""
+    if one_hot and not 2 <= k <= n:
+        raise ValueError(f"k must lie in 2..n={n}, got {k}")
+    if n < 1:
+        raise ValueError("graph must have at least one vertex")
+    return _chain_bounds(n, k, epsilon)
+
+
 def model_num_vars(n: int, k: int, epsilon: float = 0.0) -> int:
     """Variable count of the model the builders return, without building it."""
     lo, hi = _chain_bounds(n, k, epsilon)
@@ -434,10 +450,8 @@ def build_bipartition_qubo(g: Graph, epsilon: float = 0.0,
     vertices; epsilon == 0 pins it to ceil(n/2) with no slack.
     ``penalty=None`` selects :func:`default_penalty`.
     """
-    if g.n < 1:
-        raise ValueError("graph must have at least one vertex")
+    lo, hi = _checked_bounds(g.n, 2, epsilon, one_hot=False)
     p = _checked_penalty(g, penalty)
-    lo, hi = _chain_bounds(g.n, 2, epsilon)
     indicators = np.arange(g.n, dtype=np.int64)[:, None]
     chains = ChainSet.from_blocks(_balance_chains(indicators.T, lo, hi, g.n))
     nv = len(chains.var_idx)  # every indicator, then the slack
@@ -452,10 +466,8 @@ def build_kway_qubo(g: Graph, k: int, epsilon: float = 0.0,
     one indicator per vertex, and one balance chain per part bounds its size
     to :func:`balance_bounds`' [lower, upper].
     """
-    if k < 2 or k > g.n:
-        raise ValueError(f"k must lie in 2..n={g.n}, got {k}")
+    lo, hi = _checked_bounds(g.n, k, epsilon, one_hot=True)
     p = _checked_penalty(g, penalty)
-    lo, hi = _chain_bounds(g.n, k, epsilon)
     indicators = np.arange(g.n * k, dtype=np.int64).reshape(g.n, k)
     one_hot = (indicators, np.ones(indicators.shape), 1.0)  # one chain per vertex
     balance = _balance_chains(indicators.T, lo, hi, indicators.size)

@@ -13,7 +13,11 @@ the legacy scalar calls ``randint``, ``geometric`` and ``shuffle`` would, but
 decodes the raw words itself, which costs a fraction of a numpy call per
 draw.  ``rs.randint(0, 2**32, size=B, dtype=np.uint32)`` hands out the
 generator's next B output words unchanged; they are fetched
-``FIRE_WORD_BLOCK`` at a time, and a refill keeps the unread tail.  From the
+``FIRE_WORD_BLOCK`` at a time, and a refill keeps the unread tail.  No draw
+checks for the end of the block: a double that runs out refills and decodes
+again, and a shuffle that runs out is redone from its first word after the
+refill, which is exact because no burn mark changes during a shuffle.  The
+BFS reads its queue, the fire's list of burned vertices, in place.  From the
 words w0, w1, ... in order:
 
 * a double takes two words, ``((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53``;
@@ -42,10 +46,11 @@ import numpy as np
 from .anneal import AnnealConfig, _derive_seed
 from .evaluate import InfeasiblePartitionError
 from .graph import Graph, Partition, cut_edges
-# only partition is called here; perfbench/layers.py looks up the other names on
-# this module when it traces a run, so they must stay importable from it
-from .pipeline import (build_bipartition_qubo, build_kway_qubo, decode,  # noqa: F401
-                       partition, repair, solve)
+# only partition and check_model_args are called here; perfbench/layers.py
+# looks up the other names on this module when it traces a run, so they must
+# stay importable from it
+from .pipeline import (build_bipartition_qubo, build_kway_qubo, check_model_args,  # noqa: F401
+                       decode, partition, repair, solve)
 
 
 @dataclass(eq=False)
@@ -105,6 +110,22 @@ def _nth_unburned(free_bits: list[int], super_free: list[int], r: int) -> int:
     return (b << 6) + (bits & -bits).bit_length() - 1
 
 
+def _score_burns(g: Graph, sources: list[int], walks: int) -> np.ndarray:
+    """Per-edge burn counts, aligned with ``g.edge_array``, from ``sources``:
+    walk after walk, the vertex each vertex caught fire from, or -1."""
+    src = np.array(sources, dtype=np.int64).reshape(walks, g.n)
+    dst = np.broadcast_to(np.arange(g.n), src.shape)
+    caught = src >= 0
+    src, dst = src[caught], dst[caught]
+    # the counts do not depend on the burn order, and searchsorted runs
+    # several times faster over sorted keys
+    keys = np.minimum(src, dst) * g.n + np.maximum(src, dst)
+    keys.sort()
+    ea = g.edge_array
+    edge_ids = np.searchsorted(ea[:, 0] * g.n + ea[:, 1], keys)
+    return np.bincount(edge_ids, minlength=g.m).astype(np.int64)
+
+
 def forest_fire_scores(g: Graph, burn_probability: float = 0.7, walks: int = 10,
                        seed: int = 0) -> EdgeScores:
     """Score edges by repeated forest-fire burns.
@@ -158,21 +179,22 @@ def forest_fire_scores(g: Graph, burn_probability: float = 0.7, walks: int = 10,
             v = _nth_unburned(free_bits, super_free, r)
             burned[v] = 1
             remaining -= 1
-            fire, head = [v], 0  # the fire's vertices in burn order; BFS queue from head
-            while head < len(fire):
-                v = fire[head]
-                head += 1
+            fire = [v]  # the fire's vertices in burn order, read in place as the BFS queue
+            for v in fire:
                 nbrs = neighbors[v]
                 for u in nbrs:  # a vertex draws only with an unburned neighbor
                     if not burned[u]:
                         break
                 else:
                     continue
-                # fan-out geometric(p) - 1, from one double
-                if pos + 2 > len(words):
+                # fan-out geometric(p) - 1, from one double; a refill keeps a one-word tail
+                try:
+                    w0, w1 = words[pos], words[pos + 1]
+                except IndexError:
                     words, pos = _more_words(rs, words, pos), 0
-                x = ((words[pos] >> 5) * 67108864.0 + (words[pos + 1] >> 6)) / 9007199254740992.0
+                    w0, w1 = words[0], words[1]
                 pos += 2
+                x = ((w0 >> 5) * 67108864.0 + (w1 >> 6)) / 9007199254740992.0
                 if inversion:
                     fan_out = ceil(log1p(-x) / log_q) - 1
                 else:
@@ -184,26 +206,28 @@ def forest_fire_scores(g: Graph, burn_probability: float = 0.7, walks: int = 10,
                 if fan_out <= 0:  # the inversion gives -1 for x == 0.0
                     continue
                 # shuffle all the targets as rng.shuffle does, Fisher-Yates from
-                # the back swapping i with randint(i + 1), and burn the head
-                targets = [u for u in nbrs if not burned[u]]
-                for i in range(len(targets) - 1, 0, -1):
-                    mask = masks[i]
-                    while True:
-                        try:
-                            j = words[pos] & mask
-                        except IndexError:
-                            words, pos = _more_words(rs, words, pos), 0
-                            continue
-                        pos += 1
-                        if j <= i:
-                            break
-                    targets[i], targets[j] = targets[j], targets[i]
-                picked = targets[:fan_out]
-                for u in picked:
+                # the back swapping i with randint(i + 1), and burn the head.  A
+                # shuffle that runs out of words is redone from its first word
+                # after a refill; no burn mark changes meanwhile
+                while True:
+                    targets = [u for u in nbrs if not burned[u]]
+                    start = pos
+                    try:
+                        for i in range(len(targets) - 1, 0, -1):
+                            mask = masks[i]
+                            while (j := words[pos] & mask) > i:
+                                pos += 1
+                            pos += 1
+                            targets[i], targets[j] = targets[j], targets[i]
+                        break
+                    except IndexError:
+                        words, pos = _more_words(rs, words, start), 0
+                del targets[fan_out:]
+                for u in targets:
                     burned[u] = 1
                     source[u] = v
-                remaining -= len(picked)
-                fire.extend(picked)
+                remaining -= len(targets)
+                fire.extend(targets)
             if not remaining:
                 break
             # take the fire's burns off the restart counts: one by one, or by
@@ -216,16 +240,13 @@ def forest_fire_scores(g: Graph, burn_probability: float = 0.7, walks: int = 10,
                     super_free[u >> _SUPER_BITS] -= 1
         sources += source
 
-    src = np.array(sources, dtype=np.int64).reshape(walks, g.n)
-    dst = np.broadcast_to(np.arange(g.n), src.shape)
-    caught = src >= 0
-    src, dst = src[caught], dst[caught]
-    ea = g.edge_array
-    edge_ids = np.searchsorted(ea[:, 0] * g.n + ea[:, 1],
-                               np.minimum(src, dst) * g.n + np.maximum(src, dst))
-    scores = np.bincount(edge_ids, minlength=g.m).astype(np.int64)
-    return EdgeScores(scores=scores, burn_probability=burn_probability,
-                      walks=walks, seed=seed)
+    return EdgeScores(scores=_score_burns(g, sources, walks),
+                      burn_probability=burn_probability, walks=walks, seed=seed)
+
+
+def _check_keep_ratio(keep_ratio: float) -> None:
+    if not 0.0 <= keep_ratio <= 1.0:
+        raise ValueError(f"keep ratio must lie in [0, 1], got {keep_ratio}")
 
 
 def sparsify(g: Graph, scores: EdgeScores, keep_ratio: float) -> Graph:
@@ -234,8 +255,7 @@ def sparsify(g: Graph, scores: EdgeScores, keep_ratio: float) -> Graph:
     Score ties resolve toward lexicographically smaller edges, so the result
     is deterministic.  The vertex set is unchanged.
     """
-    if not 0.0 <= keep_ratio <= 1.0:
-        raise ValueError(f"keep ratio must lie in [0, 1], got {keep_ratio}")
+    _check_keep_ratio(keep_ratio)
     if scores.scores.shape != (g.m,):
         raise ValueError("scores are not aligned with the graph's edges")
     m, keep = g.m, round(keep_ratio * g.m)
@@ -271,10 +291,13 @@ def run_sparsify_pipeline(g: Graph, k: int, epsilon: float = 0.0,
 
     Each repeat burns with a fresh derived seed, partitions the sparsified
     instance (repairing against it, where the solution lives), and evaluates
-    the labels on the original graph.  Unsatisfiable bounds raise.
+    the labels on the original graph.  Unsatisfiable bounds raise.  A bad
+    ``keep_ratio``, k or epsilon raises before the first fire.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be positive, got {repeats}")
+    _check_keep_ratio(keep_ratio)
+    check_model_args(g.n, k, epsilon)
     anneal_cfg = anneal_cfg or AnnealConfig()
     reports, projected = [], []
     for rep in range(repeats):

@@ -292,6 +292,31 @@ def test_objective_csr_must_be_symmetric(monkeypatch):
     assert len(checked) == 1
 
 
+def test_objective_csr_must_have_an_empty_diagonal(monkeypatch):
+    # a diagonal entry is its own mirror, but the flip gains leave out its
+    # effect on the flipped bit: energy read 0.0 at [0, 0] and 1.0 at [1, 0]
+    # where the gains of bit 0 were 0.0 and -2.0
+    diagonal = [(np.array([0, 1, 1]), np.array([0]), np.array([2.0])),
+                (np.array([0, 2, 3]), np.array([0, 1, 0]), np.array([1.0, 2.0, 2.0])),
+                (np.array([0, 0, 1, 1]), np.array([1]), np.array([0.0]))]  # a zero on the diagonal
+    for csr in diagonal:
+        nv = len(csr[0]) - 1
+        with pytest.raises(ValueError, match="symmetric with an empty diagonal"):
+            QuboModel(nv, np.array([0.0, 0.5, 0.0][:nv]), csr)
+    # the same check rejects a missing mirror, and passes a symmetric CSR
+    with pytest.raises(ValueError, match="row != col"):
+        QuboModel(2, np.zeros(2), (np.array([0, 1, 1]), np.array([1]), np.array([2.0])))
+    QuboModel(2, np.zeros(2), (np.array([0, 1, 2]), np.array([1, 0]), np.array([2.0, 2.0])))
+    # the builders' marked CSR stays unchecked
+    checked = []
+    monkeypatch.setattr(qubo, "_is_symmetric", lambda *csr: checked.append(csr) or False)
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    build_bipartition_qubo(g, 0.5)
+    build_kway_qubo(g, 3, 0.25)
+    QuboModel.from_triples(3, np.zeros(3), [0], [2], [1.5])
+    assert checked == []
+
+
 def test_parse_qubo_text_sums_repeated_terms():
     model = parse_qubo_text("p qubo 3 5\n1 2 0.5\n2 2 1\n1 2 0.25\n2 2 -3\n2 3 1.5\n")
     assert model.linear.tolist() == [0.0, -2.0, 0.0]

@@ -1,5 +1,7 @@
 import hashlib
 import sys
+import traceback
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -225,12 +227,16 @@ def test_forest_fire_matches_scalar_draws(name, burn):
 
 @pytest.mark.parametrize("block", [2, 3])
 def test_forest_fire_word_refills_keep_the_unread_tail(block, monkeypatch):
-    # refills land inside shuffles of the star and between the two words of a double
-    tails = []
+    # refills land inside shuffles of the star and between the two words of a
+    # double.  A shuffle that runs out is redone after a refill that keeps the
+    # words from its first one on, `start`; the other refills keep the words
+    # from `pos` on
+    tails, redo_tails = [], []
     more_words = sparsify_module._more_words
 
     def tracked(rs, words, pos):
-        tails.append(len(words) - pos)
+        line = traceback.extract_stack(sys._getframe(1), limit=1)[0].line
+        (redo_tails if "start" in line else tails).append(len(words) - pos)
         return more_words(rs, words, pos)
 
     monkeypatch.setattr(sparsify_module, "FIRE_WORD_BLOCK", block)
@@ -241,7 +247,9 @@ def test_forest_fire_word_refills_keep_the_unread_tail(block, monkeypatch):
             got = forest_fire_scores(g, burn, walks=2, seed=3)
             want = reference.forest_fire_scores(g, burn, walks=2, seed=3)
             assert np.array_equal(got.scores, want.scores), (name, burn)
-    assert 1 in tails
+    assert 1 in tails  # a double's first word; a restart draw keeps none
+    # redone shuffles, some of which had drawn words before they ran out
+    assert len(redo_tails) >= 1 and max(redo_tails) >= 2
 
 
 @pytest.mark.parametrize("min_burns", [-10**9, 10**9], ids=["always-rebuild", "never-rebuild"])
@@ -254,3 +262,42 @@ def test_forest_fire_restart_count_paths_agree(min_burns, monkeypatch):
             got = forest_fire_scores(g, burn, walks=2, seed=5)
             want = reference.forest_fire_scores(g, burn, walks=2, seed=5)
             assert np.array_equal(got.scores, want.scores), (name, burn)
+
+
+def test_score_tally_counts_every_burn(monkeypatch):
+    # the sorted tally must count each edge's burns as a per-burn count does,
+    # whatever the order of the burns
+    tallies = []
+    score_burns = sparsify_module._score_burns
+
+    def recorded(g, sources, walks):
+        scores = score_burns(g, sources, walks)
+        tallies.append((g, list(sources), walks, scores))
+        return scores
+
+    monkeypatch.setattr(sparsify_module, "_score_burns", recorded)
+    for name in ("isolated", "star", "planted", "grid"):
+        forest_fire_scores(PARITY_GRAPHS[name](), 0.7, walks=3, seed=2)
+    for g, sources, walks, scores in tallies:
+        burns = Counter((min(s, v % g.n), max(s, v % g.n))
+                        for v, s in enumerate(sources) if s >= 0)
+        assert sum(burns.values()) > 0
+        want = [burns[e] for e in map(tuple, g.edge_array.tolist())]
+        assert scores.dtype == np.int64 and scores.tolist() == want
+        walks_reversed = sum((sources[w * g.n:(w + 1) * g.n] for w in reversed(range(walks))), [])
+        assert np.array_equal(score_burns(g, walks_reversed, walks), scores)
+
+
+@pytest.mark.parametrize("bad, match", [({"keep_ratio": 1.5}, "keep ratio"),
+                                        ({"k": 1}, "k must lie in"),
+                                        ({"k": 7}, "k must lie in"),
+                                        ({"epsilon": -1}, "epsilon must be non-negative")])
+def test_pipeline_checks_its_arguments_before_the_first_fire(bad, match, monkeypatch):
+    def no_fire(*args, **kwargs):
+        raise AssertionError("forest_fire_scores called")
+
+    monkeypatch.setattr(sparsify_module, "forest_fire_scores", no_fire)
+    g = gnp_graph(6, 0.5, np.random.RandomState(1))
+    args = {"k": 2, "epsilon": 0.0, "keep_ratio": 0.7} | bad
+    with pytest.raises(ValueError, match=match):
+        run_sparsify_pipeline(g, args.pop("k"), repeats=2, **args)

@@ -10,11 +10,14 @@ Flip gains are computed from cached local fields: the objective part is
 maintained over the sparse cut terms, the penalty part is reconstructed in
 O(1) per variable from running chain sums.  This keeps sweeps linear in the
 number of variables even though the squared penalties couple all pairs.
-A replica's start state (its local fields, chain sums and energy) is built
-in one pass over the objective rows and chain memberships of its set bits,
-as a flip updates them from its own row: a balanced one-hot start sets n of
-n*k indicators, so the pass reads about 1/k of the objective.  It equals
-the all-rows sums and :func:`~qubopart.qubo.energy` bit for bit.
+Each replica is one :class:`_Replica`, which the engine sweeps in place.  It
+builds its start state (local fields, chain sums and energy) in one pass
+over the objective rows and chain memberships of its set bits, as a flip
+updates them from its own row: a balanced one-hot start sets n of n*k
+indicators, so the pass reads about 1/k of the objective.  It equals the
+all-rows sums and :func:`~qubopart.qubo.energy` bit for bit.  It derives
+its gain terms and binds its gain rebuild once, and holds the escape
+offset and the best state seen.
 
 The sweeps run in one flat loop on numpy arrays and Python scalars, and
 consume each replica's MT19937 stream with a fixed draw discipline: one
@@ -34,8 +37,8 @@ engine rebuilds the flip gains only after a flip: a sweep with no acceptor
 changes no state they depend on, and the next sweep can then be ruled idle
 without its array test when the least gain cannot reach any of its draws'
 bands.
-Between flips it keeps ``dl = 1 - 2 * bits``, ``dl * base_lf``, the chain
-residuals ``s - rhs`` and the signed memberships; a flip updates its own
+Between flips the replica keeps ``dl = 1 - 2 * bits``, ``dl * base_lf``, the
+chain residuals ``s - rhs`` and the signed memberships; a flip updates its own
 entries of these, adds its sign times its objective row to the local fields
 and times its chain coefficients to the chain sums, one update for either
 direction, as Python scalars through memoryviews: the same double
@@ -221,32 +224,6 @@ def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.repeat(starts - firsts, lengths) + np.arange(lengths.sum())
 
 
-def _start_state(model: QuboModel, cm: CompiledModel,
-                 bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Local fields, chain sums and energy of ``bits``, from the objective
-    rows and chain memberships of its set bits only.
-
-    The CSR is symmetric, so the set rows, taken in ascending order, add to
-    local field i the same terms in the same order as row i's set columns
-    would; the terms left out are the ``±0.0`` that a clear bit contributes,
-    and adding one never changes a sum that started at ``+0.0``.  The chain
-    sums get each set bit's coefficients in ascending variable order, as
-    :meth:`~qubopart.qubo.ChainSet.sums` adds them, and the energy sums the
-    same pair terms as :func:`~qubopart.qubo.energy`, so all three equal the
-    all-rows values bit for bit.
-    """
-    on = np.flatnonzero(bits)
-    at = _row_entries(cm.csr_indptr, on)
-    cols, data = cm.csr_cols[at], cm.csr_data[at]
-    base_lf = cm.base_lin + np.bincount(cols, weights=data, minlength=cm.nv)
-    # the set bits' membership slots, variable after variable, layer by layer
-    mem = cm.mem_slot[_row_entries(cm.mem_indptr, on)]
-    # over no memberships bincount returns int64
-    s = np.bincount(cm.mem_chain[mem], weights=cm.mem_coeff[mem],
-                    minlength=len(cm.rhs)).astype(np.float64, copy=False)
-    return base_lf, s, _energy_of(model, on, data[bits[cols] != 0], s)
-
-
 # ---------------------------------------------------------------------------
 # Factored sweeps: log-domain Metropolis bands over block-drawn uniforms.
 
@@ -307,22 +284,11 @@ class _BlockUniforms:
         return self.us, self.lo, self.hi
 
 
-def _gain_terms(cm: CompiledModel, dl: np.ndarray, base_lf: np.ndarray,
-                s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What :func:`_flip_gains` reads, from the sign vector ``dl = 1 - 2 * bits``:
-    ``dl * base_lf``, the signed memberships ``mem_lin * dl[variable]`` of
-    every slot, and the chain residuals ``s - rhs``."""
-    slot_dl = [dl[at] for at in cm.mem_at]
-    mld = cm.mem_lin * (np.concatenate([dl, *slot_dl]) if len(cm.mem_off) > 1 else dl[:0])
-    return dl * base_lf, mld, s - cm.rhs
-
-
-def _gain_rebuild(cm: CompiledModel, dlf: np.ndarray, mld: np.ndarray, sr: np.ndarray,
-                  out=None, chain_gain=None):
+def _gain_rebuild(cm: CompiledModel, dlf: np.ndarray, mld: np.ndarray, sr: np.ndarray):
     """A no-argument function that writes the flip gain of every variable,
     ``dl * base_lf + sum(2*penalty*c*dl*(s - rhs) + penalty*c*c)`` over its
-    memberships, into ``out`` and returns it, from the terms
-    :func:`_gain_terms` derives, as they are when it runs.
+    memberships, into one array of its own and returns it, from the terms
+    of a :class:`_Replica` as they are when it runs.
 
     The arrays, the layer-0 view and each later layer's variables and
     slots are bound here once, so a call pays only for its numpy
@@ -330,19 +296,14 @@ def _gain_rebuild(cm: CompiledModel, dlf: np.ndarray, mld: np.ndarray, sr: np.nd
     first membership's first, which equals summing them from ``+0.0`` one
     membership at a time: no chain gain is ``-0.0`` (``penalty >= 0``), and
     a pad slot adds ``+0.0``.  The operations and their order are what the
-    golden digests pin, through t0 and every sweep.  ``out`` and
-    ``chain_gain`` are scratch arrays of ``nv`` and ``len(mld)``, allocated
-    here when None.
+    golden digests pin, through t0 and every sweep.
     """
-    add = np.add
-    if out is None:
-        out = np.empty(cm.nv)
+    add, out = np.add, np.empty(cm.nv)
     off = cm.mem_off
     if len(off) == 1:  # no chains: the chain gains sum to +0.0
         return lambda: add(dlf, 0.0, out=out)
     multiply, mem_chain, mem_const = np.multiply, cm.mem_chain, cm.mem_const
-    if chain_gain is None:
-        chain_gain = np.empty(len(mld))
+    chain_gain = np.empty(len(mld))
     total = chain_gain[:cm.nv]  # layer 0, which spans every variable
     layers = [(at, chain_gain[a:b]) for at, a, b in zip(cm.mem_at, off[1:], off[2:])]
 
@@ -356,10 +317,51 @@ def _gain_rebuild(cm: CompiledModel, dlf: np.ndarray, mld: np.ndarray, sr: np.nd
     return rebuild
 
 
-def _flip_gains(cm: CompiledModel, dlf: np.ndarray, mld: np.ndarray, sr: np.ndarray,
-                out=None, chain_gain=None) -> np.ndarray:
-    """Flip gain of every variable: one run of :func:`_gain_rebuild`."""
-    return _gain_rebuild(cm, dlf, mld, sr, out, chain_gain)()
+class _Replica:
+    """One replica's state, which :func:`_python_sweeps` updates in place.
+
+    ``bits`` is the replica's own array.  Its local fields ``base_lf``,
+    chain sums ``s`` and ``energy`` come from the objective rows and chain
+    memberships of its set bits only.  The CSR is symmetric, so the set
+    rows, taken in ascending order, add to local field i the same terms in
+    the same order as row i's set columns would; the terms left out are the
+    ``±0.0`` that a clear bit contributes, and adding one never changes a
+    sum that started at ``+0.0``.  The chain sums get each set bit's
+    coefficients in ascending variable order, as
+    :meth:`~qubopart.qubo.ChainSet.sums` adds them, and the energy sums the
+    same pair terms as :func:`~qubopart.qubo.energy`, so all three equal the
+    all-rows values bit for bit.
+
+    The flip gains are made of ``dl = 1 - 2 * bits``, ``dlf = dl * base_lf``,
+    the signed memberships ``mld = mem_lin * dl[variable]`` of every slot
+    and the chain residuals ``sr = s - rhs``.  One :func:`_gain_rebuild` is
+    bound to them as ``rebuild`` and run once for the start ``gains``;
+    ``stale`` is set while the gains lag a flip.  ``offset`` is the escape
+    offset, and ``best_bits`` and ``best_energy`` the lowest state seen.
+    """
+
+    def __init__(self, model: QuboModel, cm: CompiledModel, bits: np.ndarray):
+        on = np.flatnonzero(bits)
+        at = _row_entries(cm.csr_indptr, on)
+        cols, data = cm.csr_cols[at], cm.csr_data[at]
+        self.base_lf = cm.base_lin + np.bincount(cols, weights=data, minlength=cm.nv)
+        # the set bits' membership slots, variable after variable, layer by layer
+        mem = cm.mem_slot[_row_entries(cm.mem_indptr, on)]
+        # over no memberships bincount returns int64
+        s = np.bincount(cm.mem_chain[mem], weights=cm.mem_coeff[mem],
+                        minlength=len(cm.rhs)).astype(np.float64, copy=False)
+        self.cm, self.bits, self.s = cm, bits, s
+        self.energy = self.best_energy = _energy_of(model, on, data[bits[cols] != 0], s)
+        self.best_bits = bits.copy()
+        del at, cols, data, mem  # half the objective on a random start: freed for the gain terms
+        self.dl = dl = 1.0 - 2.0 * bits
+        self.dlf = dl * self.base_lf
+        slot_dl = [dl[layer] for layer in cm.mem_at]
+        self.mld = cm.mem_lin * (np.concatenate([dl, *slot_dl]) if len(cm.mem_off) > 1 else dl[:0])
+        self.sr = s - cm.rhs
+        self.rebuild = _gain_rebuild(cm, self.dlf, self.mld, self.sr)
+        self.gains = self.rebuild()
+        self.offset, self.stale = 0.0, False
 
 
 # A flip updates objective rows of up to this many entries one scalar at a
@@ -380,44 +382,43 @@ def _sweep_floors(lo: np.ndarray, pos: int, nv: int, count: int) -> list[float]:
     return lo[pos:pos + count * nv].reshape(count, nv).min(axis=1).tolist()
 
 
-def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_inc,
-                   cur_energy, best_energy, best_bits, draws, trace, trace_every,
-                   sweeps_before, gains=None, deadline=None):
-    """Run one sweep per temperature of the iterable ``temps``, in place,
-    stopping early after the first sweep that ends past ``deadline``, a
-    :func:`time.perf_counter` reading, if one is given.
+def _python_sweeps(rep: _Replica, temps, offset_inc, draws, trace, trace_every, deadline=None):
+    """Run one sweep of the replica ``rep`` per temperature of the iterable
+    ``temps``, in place, stopping early after the first sweep that ends past
+    ``deadline``, a :func:`time.perf_counter` reading, if one is given.
 
     ``draws`` is the replica's :class:`_BlockUniforms`; the list ``trace``
-    gets the best energy after every ``trace_every``-th sweep, counting the
-    ``sweeps_before`` sweeps of earlier calls.  ``gains`` are the flip gains
-    of the current state, or None to build them.  Returns the number of
-    sweeps run, the offset, the current and best energies, the flip count
-    and the gains of the final state (None if its last sweep flipped).
+    gets the best energy after every ``trace_every``-th sweep of this call.
+    The replica's state is bound to locals on entry, and its offset, stale
+    flag and current and best energies are written back on exit, so a
+    replica swept over several calls ends as one swept in one call.
+    Returns the number of sweeps run and of flips made.
 
     A sweep reads its ``nv`` draws and their bands straight from the draw
     buffer and tests every variable in the log domain:
     ``y = (gain - offset) / -t`` above the draw's band accepts, below it
     fails, and the scalar rule ``eff <= 0 or u < math.exp(-eff / t)``
     decides the draws inside it, so the acceptors are exactly that rule's.
-    The gains are rebuilt only after a flip, by one :func:`_gain_rebuild`
-    bound on entry to the terms and scratch arrays the call updates in
-    place: they are a pure function of ``(bits, base_lf, s)``, so a sweep
-    with no acceptor leaves them valid for the next one.  Then no ``y`` can
-    exceed ``(least gain - offset) / -t``, because rounding is monotone, and a
-    sweep whose draws all have ``lo`` above that bound accepts nothing
-    untested.  Once a sweep had no acceptor, :func:`_sweep_floors` takes the
+    The gains are rebuilt only after a flip, by the replica's bound
+    ``rebuild``, which reads the terms the sweeps update in place: they are
+    a pure function of ``(bits, base_lf, s)``, so a sweep with no acceptor
+    leaves them valid for the next one.  Then no ``y`` can exceed
+    ``(least gain - offset) / -t``, because rounding is monotone, and a sweep
+    whose draws all have ``lo`` above that bound accepts nothing untested.
+    Once a sweep had no acceptor, :func:`_sweep_floors` takes the
     least ``lo`` of each coming sweep whose draws are in the buffer, up to
     ``_FLOOR_SWEEPS`` of them, and takes them again when they run out; a
     flip, which changes the gains and reads one more draw, voids them and
     the least gain.
 
-    Between flips the sweep keeps the terms of :func:`_gain_terms`; a flip
-    updates the entries it changes with the same double operations a
-    rebuild would do, so they stay exact.  A flip's own updates run on
-    Python scalars, see the module docstring.  The numpy functions of the
-    band test are bound to locals once per call, so a sweep or a flip pays
-    for its numpy operations and not for looking them up.
+    A flip updates the entries of the replica's gain terms that it changes
+    with the same double operations a rebuild would do, so they stay exact.
+    A flip's own updates run on Python scalars, see the module docstring.
+    The numpy functions of the band test are bound to locals once per call,
+    so a sweep or a flip pays for its numpy operations and not for looking
+    them up.
     """
+    cm = rep.cm
     nv = cm.nv
     # a memoryview indexes to Python ints and floats, which cost less than
     # numpy scalars, and unlike tolist() costs nothing per variable
@@ -427,12 +428,9 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
     mem_ptr, slot_v = memoryview(cm.mem_indptr), memoryview(cm.mem_slot)
     chain_v, coeff_v, rhs_v = memoryview(cm.mem_chain), memoryview(cm.mem_coeff), memoryview(cm.rhs)
     row_max, floor_max = _SCALAR_ROW_MAX, _FLOOR_SWEEPS
-    dl = 1.0 - 2.0 * bits
-    dlf, mld, sr = _gain_terms(cm, dl, base_lf, s)
-    chain_gain = np.empty(len(mld))
-    if gains is None:
-        gains = _flip_gains(cm, dlf, mld, sr, None, chain_gain)
-    rebuild = _gain_rebuild(cm, dlf, mld, sr, gains, chain_gain)
+    bits, base_lf, s, best_bits = rep.bits, rep.base_lf, rep.s, rep.best_bits
+    dl, dlf, mld, sr, gains, rebuild = rep.dl, rep.dlf, rep.mld, rep.sr, rep.gains, rep.rebuild
+    offset, stale, cur_energy, best_energy = rep.offset, rep.stale, rep.energy, rep.best_energy
     # bound per call, not at import, so that a patched numpy function is seen
     divide, subtract, greater_equal, greater = np.divide, np.subtract, np.greater_equal, np.greater
     count_nonzero, perf_counter = np.count_nonzero, time.perf_counter
@@ -444,7 +442,6 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
     gains_v = memoryview(gains)
     us, lo, hi, pos = draws.us, draws.lo, draws.hi, draws.pos
     us_v, end = memoryview(us), len(us)
-    stale = False
     least = None  # the least gain, once a sweep without acceptors needs it
     floors, w = [], 0  # least lo of the coming sweeps' draws; the next sweep's is floors[w]
     flips = sw = 0
@@ -521,12 +518,13 @@ def _python_sweeps(cm: CompiledModel, bits, base_lf, s, temps, offset, offset_in
             w += 1
             if least is None:
                 least = float(gains.min())
-        if tracing and (sweeps_before + sw) % trace_every == 0:
+        if tracing and sw % trace_every == 0:
             trace.append(best_energy)
         if deadline is not None and perf_counter() > deadline:
             break
     draws.pos = pos
-    return sw, offset, cur_energy, best_energy, flips, None if stale else gains
+    rep.offset, rep.stale, rep.energy, rep.best_energy = offset, stale, cur_energy, best_energy
+    return sw, flips
 
 
 def _greedy_fill(need: np.ndarray, chain: np.ndarray, var_idx: np.ndarray,
@@ -598,7 +596,7 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
     even when compiling the model and setting up a replica alone overran it.
     The reported energy equals :func:`qubopart.qubo.energy` of the returned
     bits exactly: when the returned replica's best never dropped below its
-    start state, it is the start energy, which :func:`_start_state` computes
+    start state, it is the start energy, which :class:`_Replica` computes
     with ``energy``'s arithmetic; otherwise ``energy`` recomputes it.
     """
     cfg = cfg or AnnealConfig()
@@ -620,34 +618,30 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
             bits = _balanced_initial_bits(model, rs)
         else:
             bits = (rs.random_sample(nv) < 0.5).astype(np.int8)
-        base_lf, s, cur_energy = _start_state(model, cm, bits)
-        start_energy = cur_energy
-        gains = _flip_gains(cm, *_gain_terms(cm, 1.0 - 2.0 * bits, base_lf, s))  # the first sweep's
+        rep = _Replica(model, cm, bits)
+        start_energy = rep.energy
 
         if cfg.temp_initial is not None:
             t0 = cfg.temp_initial
         else:
-            t0 = float(np.max(np.abs(gains)))
+            t0 = float(np.max(np.abs(rep.gains)))
             if t0 <= 0.0:
                 t0 = 1.0
 
         rs.seed(_derive_seed(cfg.seed, replica, "sweeps"))
-        rep_best_bits = bits.copy()
         trace: list[float] = []  # the best energy at every traced sweep
-        done, _, _, rep_best_energy, flips, _ = _python_sweeps(
-            cm, bits, base_lf, s, _temperatures(cfg, t0), 0.0, cfg.temp_final / 10.0,
-            cur_energy, cur_energy, rep_best_bits, _BlockUniforms(rs, nv), trace,
-            cfg.trace_every, 0, gains, deadline)
+        done, flips = _python_sweeps(rep, _temperatures(cfg, t0), cfg.temp_final / 10.0,
+                                     _BlockUniforms(rs, nv), trace, cfg.trace_every, deadline)
 
-        if best is None or rep_best_energy < best.best_energy:
+        if best is None or rep.best_energy < best.best_energy:
             best = SolveResult(
-                best_bits=rep_best_bits, best_energy=rep_best_energy, sweeps_done=done,
+                best_bits=rep.best_bits, best_energy=rep.best_energy, sweeps_done=done,
                 wall_time=0.0, seed=cfg.seed, replica_id=replica, flips=flips,
                 energy_trace=np.array(trace, dtype=np.float64) if cfg.trace_every else None)
             # the best only moves to a strictly lower energy, so an unmoved
-            # best holds the start bits, whose energy _start_state computed
-            # as energy() does
-            best_is_start = not rep_best_energy < start_energy
+            # best holds the start bits, whose energy _Replica computed as
+            # energy() does
+            best_is_start = not rep.best_energy < start_energy
         if deadline is not None and time.perf_counter() > deadline:
             break
 

@@ -51,6 +51,7 @@ from .graph import Graph, Partition, cut_edges
 # stay importable from it
 from .pipeline import (build_bipartition_qubo, build_kway_qubo, check_model_args,  # noqa: F401
                        decode, partition, repair, solve)
+from .qubo import _checked_penalty
 
 
 @dataclass(eq=False)
@@ -292,12 +293,14 @@ def run_sparsify_pipeline(g: Graph, k: int, epsilon: float = 0.0,
     Each repeat burns with a fresh derived seed, partitions the sparsified
     instance (repairing against it, where the solution lives), and evaluates
     the labels on the original graph.  Unsatisfiable bounds raise.  A bad
-    ``keep_ratio``, k or epsilon raises before the first fire.
+    ``keep_ratio``, k, epsilon or given penalty raises before the first fire.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be positive, got {repeats}")
     _check_keep_ratio(keep_ratio)
     check_model_args(g.n, k, epsilon)
+    if penalty is not None:
+        _checked_penalty(g, penalty)
     anneal_cfg = anneal_cfg or AnnealConfig()
     reports, projected = [], []
     for rep in range(repeats):

@@ -2,7 +2,10 @@
 
 Each test prints a single PASS/FAIL line with its measured runtime and then
 asserts, so the printed record survives either way.  Budgets are wall-clock
-on a warm solver (the session fixture compiles the kernel up front).
+on a warm solver (the session fixture compiles the kernel up front), except
+criterion 07's, which is CPU time of the test process: its 100 000
+reference flips are pure Python and take most of their budget, so a
+wall-clock bound would fail whenever another process takes the CPU away.
 """
 
 import csv
@@ -253,8 +256,9 @@ def test_criterion_06_slack_coverage():
 
 
 def test_criterion_07_incremental_delta_exactness():
-    """1e5 random flips on a 500-variable model, incremental == from-scratch."""
-    start = time.perf_counter()
+    """1e5 random flips on a 500-variable model, incremental == from-scratch.
+    Timed in CPU seconds of this process, see the module docstring."""
+    start = time.process_time()
     rng = np.random.RandomState(7707)
     g = gnp_graph(500, 0.01, rng)
     model = build_bipartition_qubo(g)  # integer coefficients at the default penalty
@@ -267,10 +271,10 @@ def test_criterion_07_incremental_delta_exactness():
         running += delta_energy(model, bits, int(i), lf)
         apply_flip(nbrs, bits, int(i), lf)
         assert running == energy(model, bits)
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     _verdict(7, "incremental deltas exact over 100000 flips", elapsed < 10.0,
              f"{len(flips)} flips exact on {model.num_vars} variables, "
-             f"{elapsed:.1f}s of 10s")
+             f"{elapsed:.1f} CPU s of 10s")
 
 
 def test_criterion_08_sparsification_pipeline():

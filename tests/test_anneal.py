@@ -66,11 +66,6 @@ def test_apply_flip_keeps_local_fields_current():
         assert np.allclose(lf, local_fields(model, bits, nbrs), atol=1e-9)
 
 
-def _gains(cm, bits, base_lf, s):
-    """The flip gains of a state, as a solve builds them for the first sweep."""
-    return anneal._flip_gains(cm, *anneal._gain_terms(cm, 1.0 - 2.0 * bits, base_lf, s))
-
-
 def test_compiled_deltas_match_reference():
     models, rng = _random_models(7)
     for model in models:
@@ -78,14 +73,13 @@ def test_compiled_deltas_match_reference():
         bits = rng.randint(0, 2, size=model.num_vars).astype(np.int8)
         lf = local_fields(model, bits)
         ref = np.array([delta_energy(model, bits, i, lf) for i in range(model.num_vars)])
-        base_lf, s, _ = anneal._start_state(model, cm, bits)
-        got = _gains(cm, bits, base_lf, s)
+        got = anneal._Replica(model, cm, bits).gains
         assert np.allclose(got, ref, atol=1e-9)
 
 
 def _all_rows_fields(cm, bits):
     """Local fields summed over every objective row, a clear bit's entries
-    adding ``±0.0``: the oracle of the set-row pass in ``_start_state``."""
+    adding ``±0.0``: the oracle of the set-row pass in ``_Replica``."""
     rows = np.repeat(np.arange(cm.nv), np.diff(cm.csr_indptr))
     contrib = cm.csr_data * bits[cm.csr_cols]
     return cm.base_lin + np.bincount(rows, weights=contrib, minlength=cm.nv)
@@ -163,11 +157,13 @@ def test_start_state_matches_all_rows_bit_for_bit(model, balanced):
     if balanced:
         states += [anneal._balanced_initial_bits(model, rng) for _ in range(3)]
     for bits in states:
-        base_lf, s, e = anneal._start_state(model, cm, bits)
+        rep = anneal._Replica(model, cm, bits)
+        base_lf, s = rep.base_lf, rep.s
         assert base_lf.dtype == s.dtype == np.float64
         assert base_lf.tobytes() == _all_rows_fields(cm, bits).tobytes()
         assert s.tobytes() == model.chains.sums(bits).tobytes()
-        assert e.hex() == energy(model, bits).hex()
+        assert rep.energy.hex() == rep.best_energy.hex() == energy(model, bits).hex()
+        assert rep.best_bits.tobytes() == bits.tobytes() and rep.best_bits is not bits
         assert s.flags.writeable and base_lf.flags.writeable  # the sweeps update both
 
 
@@ -324,59 +320,65 @@ def test_reference_sweep_matches_python_engine():
         nbrs = expanded_neighbors(model)
         init = np.random.RandomState(3)
         bits_a = (init.random_sample(model.num_vars) < 0.5).astype(np.int8)
-        bits_b = bits_a.copy()
+        rep = anneal._Replica(model, cm, bits_a.copy())
         lf = local_fields(model, bits_a, nbrs)
-        base_lf, s, _ = anneal._start_state(model, cm, bits_b)
         cfg = AnnealConfig(sweeps=400, temp_final=0.05)
         temps = list(anneal._temperatures(cfg, 4.0))
         rng_a = np.random.RandomState(99)
         rng_b = anneal._BlockUniforms(np.random.RandomState(99), cm.nv)
-        offset_a = offset_b = 0.0
-        cur, best, best_bits = energy(model, bits_b), math.inf, bits_b.copy()
-        gains = None
+        offset_a = 0.0
         escapes = 0
-        for sw in range(cfg.sweeps):
+        for sw in range(cfg.sweeps):  # one sweep per engine call
             flipped, offset_a = sweep(nbrs, bits_a, lf, temps[sw], rng_a, offset_a, 0.01)
-            before = bits_b.copy()
-            ran, offset_b, cur, best, _, gains = anneal._python_sweeps(
-                cm, bits_b, base_lf, s, temps[sw:sw + 1], offset_b, 0.01, cur, best,
-                best_bits, rng_b, None, 0, sw, gains)
-            assert ran == 1, sw
-            flips.update((bool(long_row[i]), int(bits_b[i]))
-                         for i in np.flatnonzero(before != bits_b))
-            assert np.array_equal(bits_a, bits_b), sw
-            assert offset_a == offset_b, sw
+            before = rep.bits.copy()
+            ran, f = anneal._python_sweeps(rep, temps[sw:sw + 1], 0.01, rng_b, None, 0)
+            assert (ran, f) == (1, int(flipped >= 0)), sw
+            flips.update((bool(long_row[i]), int(rep.bits[i]))
+                         for i in np.flatnonzero(before != rep.bits))
+            assert np.array_equal(bits_a, rep.bits), sw
+            assert offset_a == rep.offset, sw
             # a flip's updates keep the local fields, chain sums and energy current
-            assert np.allclose(base_lf, _all_rows_fields(cm, bits_b), rtol=0, atol=1e-9), sw
-            assert np.allclose(s, model.chains.sums(bits_b), rtol=0, atol=1e-9), sw
-            assert cur == pytest.approx(energy(model, bits_b), abs=1e-9), sw
+            assert np.allclose(rep.base_lf, _all_rows_fields(cm, rep.bits), rtol=0, atol=1e-9), sw
+            assert np.allclose(rep.s, model.chains.sums(rep.bits), rtol=0, atol=1e-9), sw
+            assert rep.energy == pytest.approx(energy(model, rep.bits), abs=1e-9), sw
             escapes += flipped < 0
         assert 0 < escapes < cfg.sweeps
     # bits rise and fall through both the scalar and the numpy row update
     assert flips == {(False, 0), (False, 1), (True, 0), (True, 1)}
 
 
-def _run_batches(model, sweeps, sizes, rng):
-    """Run ``sweeps`` sweeps in engine calls of ``sizes`` (cycled), one draw source."""
+def _run_batches(model, sweeps, sizes, draws):
+    """Run ``sweeps`` sweeps of one replica in engine calls of ``sizes``
+    (cycled), from one draw source.  Returns the replica, its flip count and
+    its best energy after every sweep."""
     cm = compile_model(model)
-    bits = anneal._balanced_initial_bits(model, np.random.RandomState(4))
-    base_lf, s, _ = anneal._start_state(model, cm, bits)
-    gains = _gains(cm, bits, base_lf, s)
-    t0 = float(np.max(np.abs(gains)))
+    rep = anneal._Replica(model, cm, anneal._balanced_initial_bits(model, np.random.RandomState(4)))
+    t0 = float(np.max(np.abs(rep.gains)))
     temps = list(anneal._temperatures(AnnealConfig(sweeps=sweeps, temp_final=0.05), t0))
-    cur = best = energy(model, bits)
-    best_bits, trace = bits.copy(), []
-    offset, flips, done, call = 0.0, 0, 0, 0
+    trace, flips, done, call = [], 0, 0, 0
     while done < sweeps:
         size = min(sizes[call % len(sizes)], sweeps - done)
-        ran, offset, cur, best, f, gains = anneal._python_sweeps(
-            cm, bits, base_lf, s, temps[done:done + size], offset, 0.005,
-            cur, best, best_bits, rng, trace, 10, done, gains)
+        ran, f = anneal._python_sweeps(rep, temps[done:done + size], 0.005, draws, trace, 1)
         assert ran == size
         flips += f
         done += size
         call += 1
-    return bits, base_lf, s, offset, cur, best, best_bits, flips, trace
+    return rep, flips, trace
+
+
+def _replica_state(rep):
+    """Everything a replica carries from one engine call to the next, as bytes."""
+    arrays = (rep.bits, rep.base_lf, rep.s, rep.dl, rep.dlf, rep.mld, rep.sr, rep.gains,
+              rep.best_bits)
+    return [a.tobytes() for a in arrays] + [rep.offset.hex(), rep.energy.hex(),
+                                            rep.best_energy.hex(), rep.stale]
+
+
+def _same_runs(a, b):
+    """Two :func:`_run_batches` results are equal bit for bit."""
+    (rep_a, flips_a, trace_a), (rep_b, flips_b, trace_b) = a, b
+    return (_replica_state(rep_a) == _replica_state(rep_b) and flips_a == flips_b
+            and np.array(trace_a).tobytes() == np.array(trace_b).tobytes())
 
 
 @pytest.mark.parametrize("form", ["bipartition", "kway3"])
@@ -392,9 +394,8 @@ def test_flip_update_path_changes_nothing(monkeypatch, form):
         draws = anneal._BlockUniforms(np.random.RandomState(37), model.num_vars)
         runs.append(_run_batches(model, 400, [400], draws))
     for run in runs[1:]:
-        for a, b in zip(runs[0], run):
-            assert np.array_equal(a, b)
-    assert 0 < runs[0][7] < 400  # both flipping and escape sweeps occurred
+        assert _same_runs(runs[0], run)
+    assert 0 < runs[0][1] < 400  # both flipping and escape sweeps occurred
 
 
 class _RecordingDraws(anneal._BlockUniforms):
@@ -443,9 +444,8 @@ def test_batch_split_changes_nothing(monkeypatch, block):
     whole_draws, split_draws = source(), source()
     whole = _run_batches(model, sweeps, [sweeps], whole_draws)
     split = _run_batches(model, sweeps, [1, 7, 64], split_draws)
-    for a, b in zip(whole, split):
-        assert np.array_equal(a, b)
-    flips = whole[7]
+    assert _same_runs(whole, split)
+    flips = whole[1]
     assert 0 < flips < sweeps  # both flipping and escape sweeps occurred
     # the engine read one draw per variable per sweep plus one per flip, and
     # the block source handed them out as scalar random_sample() calls would
@@ -453,6 +453,29 @@ def test_batch_split_changes_nothing(monkeypatch, block):
     scalar = np.random.RandomState(23)
     assert split_draws.handed == [scalar.random_sample() for _ in split_draws.handed]
     assert whole_draws.handed == split_draws.handed
+
+
+@pytest.mark.parametrize("form", ["bipartition", "kway3"])
+def test_engine_calls_carry_the_replica_state(form):
+    # one replica swept in one engine call, in one call per sweep and in
+    # calls of 1, 7, 64 and the rest ends bit for bit in the same state: each
+    # call carries the offset, the stale gains and the energies on to the next
+    sweeps = 500
+    g = gnp_graph(30, 0.2, np.random.RandomState(71))
+    model = build_bipartition_qubo(g, 0.1) if form == "bipartition" else build_kway_qubo(g, 3, 0.1)
+
+    def run(sizes):
+        return _run_batches(model, sweeps, sizes,
+                            anneal._BlockUniforms(np.random.RandomState(73), model.num_vars))
+
+    whole = run([sweeps])
+    for sizes in ([1], [1, 7, 64, sweeps]):
+        assert _same_runs(whole, run(sizes)), sizes
+    _, flips, trace = whole
+    assert len(trace) == sweeps
+    # some calls of one sweep begin after a flip, with stale gains, and some
+    # after an idle sweep, with a grown offset
+    assert 0 < flips < sweeps
 
 
 def test_solve_deterministic():
@@ -657,7 +680,7 @@ def test_deadline_stops_after_the_sweep_that_crosses_it(monkeypatch):
     cfg = AnnealConfig(sweeps=1000, seed=1, trace_every=1)
     untimed = solve(model, cfg)
     clock, runs = _FakeClock(), []  # sweeps run by each engine call
-    python_sweeps, start_state = anneal._python_sweeps, anneal._start_state
+    python_sweeps, replica = anneal._python_sweeps, anneal._Replica
 
     def counted(*args):
         out = python_sweeps(*args)
@@ -685,11 +708,11 @@ def test_deadline_stops_after_the_sweep_that_crosses_it(monkeypatch):
     assert runs == [4, 2] and res.sweeps_done in (4, 2) and res.replica_id in (0, 1)
 
     # a set-up that overran the limit still runs one sweep, and only one replica
-    def slow_start_state(*args):
+    def slow_replica(*args):
         clock.now += 100.0
-        return start_state(*args)
+        return replica(*args)
 
-    monkeypatch.setattr(anneal, "_start_state", slow_start_state)
+    monkeypatch.setattr(anneal, "_Replica", slow_replica)
     runs.clear()
     res = solve(model, replace(cfg, replicas=3, time_limit=5.0))
     assert runs == [1] and res.sweeps_done == 1 and len(res.energy_trace) == 1
@@ -811,17 +834,18 @@ def test_band_acceptors_match_scalar_rule(t, offset):
     model = QuboModel.from_triples(nv, eff + offset, [], [], [])
     cm = compile_model(model)
     nbrs = expanded_neighbors(model)
-    bits_a, bits_b = np.zeros(nv, dtype=np.int8), np.zeros(nv, dtype=np.int8)
+    bits_a = np.zeros(nv, dtype=np.int8)
     lf = local_fields(model, bits_a, nbrs)
-    base_lf, s, cur = anneal._start_state(model, cm, bits_b)
-    best, best_bits = cur, bits_b.copy()
+    rep = anneal._Replica(model, cm, np.zeros(nv, dtype=np.int8))
     # the variables do not interact, so each block of 64 sweeps as a model of its own
-    blocks = [(a, compile_model(QuboModel.from_triples(len(part), part, [], [], [])))
-              for a, part in zip(range(0, nv, 64), np.split(model.base_linear, range(64, nv, 64)))]
+    blocks = [QuboModel.from_triples(len(part), part, [], [], [])
+              for part in np.split(model.base_linear, range(64, nv, 64))]
+    blocks = [(a, block, compile_model(block)) for a, block in zip(range(0, nv, 64), blocks)]
     edge = 2.0 ** -20
     undecided = checked = 0
     for kind in range(6):
-        eff = _gains(cm, bits_b, base_lf, s) - offset  # the rule's own eff, rounded as the sweeps round it
+        # the rule's own eff, rounded as the sweeps round it
+        eff = anneal._Replica(model, cm, rep.bits).gains - offset
         exact = np.array([math.exp(-e / t) if e > 0.0 else 1.0 for e in eff.tolist()])
         us = (exact, np.nextafter(exact, -np.inf), np.nextafter(exact, np.inf),
               np.exp(-np.maximum(eff, 0.0) / t), np.zeros(nv), rng.random_sample(nv))[kind]
@@ -831,31 +855,31 @@ def test_band_acceptors_match_scalar_rule(t, offset):
         lo, hi = anneal._log_bands(us)
         y = eff / -t
         undecided += np.count_nonzero((y >= lo) & ~(y > hi))
-        for a, block in blocks:
-            b = a + block.nv
+        for a, block, block_cm in blocks:
+            b = a + block_cm.nv
             wanted = [i - a for i in want if a <= i < b]
             n = len(wanted)
             picks = [((k + edge) / n, k) for k in range(n)] + [((k + 1 - edge) / n, k) for k in range(n)]
             for pick, k in picks or [(0.5, None)]:
-                bits = bits_b[a:b].copy()
+                part = anneal._Replica(block, block_cm, rep.bits[a:b].copy())
+                part.offset = offset
                 given = _GivenDraws(np.append(us[a:b], pick))
-                anneal._python_sweeps(block, bits, base_lf[a:b].copy(), s.copy(), [t],
-                                      offset, 0.01, 0.0, 0.0, bits.copy(), given, None, 0, 0)
-                assert np.flatnonzero(bits != bits_b[a:b]).tolist() == ([] if k is None else [wanted[k]])
-                assert given.pos == block.nv + (k is not None)
+                anneal._python_sweeps(part, [t], 0.01, given, None, 0)
+                moved = np.flatnonzero(part.bits != rep.bits[a:b]).tolist()
+                assert moved == ([] if k is None else [wanted[k]])
+                assert given.pos == block_cm.nv + (k is not None)
             checked += n
 
         pick = rng.random_sample()
         draws = np.append(us, pick)
         flipped, offset_a = sweep(nbrs, bits_a, lf, t, _ListRandom(draws), offset, 0.01)
         given = _GivenDraws(draws)
-        before = bits_b.copy()
-        _, offset_b, cur, best, _, _ = anneal._python_sweeps(
-            cm, bits_b, base_lf, s, [t], offset, 0.01, cur, best, best_bits,
-            given, None, 0, 0)
+        before = rep.bits.copy()
+        rep.offset = offset
+        anneal._python_sweeps(rep, [t], 0.01, given, None, 0)
         assert flipped == (want[int(pick * len(want))] if want else -1)
-        assert np.flatnonzero(before != bits_b).tolist() == ([flipped] if want else [])
-        assert np.array_equal(bits_a, bits_b) and offset_a == offset_b
+        assert np.flatnonzero(before != rep.bits).tolist() == ([flipped] if want else [])
+        assert np.array_equal(bits_a, rep.bits) and offset_a == rep.offset
         assert given.pos == nv + bool(want)  # the pick is drawn only when something accepts
     assert undecided > 0  # the scalar rule decided some draws inside their bands
     assert checked > 0  # acceptors whose sweeps were compared
@@ -864,7 +888,7 @@ def test_band_acceptors_match_scalar_rule(t, offset):
 def _bincount_gains(model, bits, base_lf, s):
     """Flip gains with each variable's chain gains summed by ``np.bincount``
     from ``+0.0``, memberships in (variable, chain) order: the oracle of the
-    layered sums of ``_flip_gains``."""
+    layered sums of ``_gain_rebuild``."""
     ch, p = model.chains, model.penalty
     order = np.lexsort((ch.chain_id, ch.var_idx))
     var, chain, c = ch.var_idx[order], ch.chain_id[order], ch.coeffs[order]
@@ -880,20 +904,17 @@ def test_flip_gains_match_bincount_bit_for_bit(model):
     nv = model.num_vars
     temps = list(anneal._temperatures(AnnealConfig(sweeps=60, temp_final=0.05), 2.0))
     for p in (0.0, 0.3, 0.7, 1.0):
-        bits = (rng.random_sample(nv) < p).astype(np.int8)
-        base_lf, s, cur = anneal._start_state(model, cm, bits)
-        gains = _gains(cm, bits, base_lf, s)
-        assert gains.tobytes() == _bincount_gains(model, bits, base_lf, s).tobytes()
+        rep = anneal._Replica(model, cm, (rng.random_sample(nv) < p).astype(np.int8))
+        assert rep.gains.tobytes() == _bincount_gains(model, rep.bits, rep.base_lf, rep.s).tobytes()
         # the terms a flip updates in place stay those a rebuild would make
         draws = anneal._BlockUniforms(np.random.RandomState(43), nv)
         flips = 0
         for done in range(0, len(temps), 6):
-            _, _, cur, _, f, gains = anneal._python_sweeps(
-                cm, bits, base_lf, s, temps[done:done + 6], 0.0, 0.01,
-                cur, -math.inf, bits.copy(), draws, None, 0, done, gains)
-            flips += f
-            gains = _gains(cm, bits, base_lf, s) if gains is None else gains
-            assert gains.tobytes() == _bincount_gains(model, bits, base_lf, s).tobytes()
+            flips += anneal._python_sweeps(rep, temps[done:done + 6], 0.01, draws, None, 0)[1]
+            if rep.stale:  # the last sweep flipped
+                rep.rebuild()
+            want = _bincount_gains(model, rep.bits, rep.base_lf, rep.s)
+            assert rep.gains.tobytes() == want.tobytes()
         assert flips > 0
 
 
@@ -946,59 +967,61 @@ def test_idle_sweep_floors_come_in_chunks(monkeypatch):
 
 
 def test_first_sweep_reuses_the_start_gains(monkeypatch):
+    # a replica binds one gain rebuild and runs it once, for t0 and the first
+    # sweep; every rebuild after a flip runs the same binding
     model = build_kway_qubo(gnp_graph(20, 0.3, np.random.RandomState(44)), 3, 0.2)
     cfg = AnnealConfig(sweeps=600, replicas=3, seed=5, balanced_init=True, trace_every=10)
-    builds, starts = [], []  # _flip_gains calls per solve; sweeps_before of each engine call
-    flip_gains, python_sweeps = anneal._flip_gains, anneal._python_sweeps
+    want = solve(model, cfg)
+    runs, at_entry = [], []  # runs of each binding; (runs, stale) as each engine call begins
+    gain_rebuild, python_sweeps = anneal._gain_rebuild, anneal._python_sweeps
 
-    def counted(*args, **kwargs):
-        builds[-1] += 1
-        return flip_gains(*args, **kwargs)
+    def counted(*args):
+        rebuild, k = gain_rebuild(*args), len(runs)
+        runs.append(0)
 
-    monkeypatch.setattr(anneal, "_flip_gains", counted)
-    builds.append(0)
-    handed = solve(model, cfg)
+        def run():
+            runs[k] += 1
+            return rebuild()
 
-    def rebuilding(*args):  # as the sweeps ran before: an engine call builds its gains on entry
-        starts.append(args[13])
-        return python_sweeps(*args[:-2], None, args[-1])
+        return run
 
-    monkeypatch.setattr(anneal, "_python_sweeps", rebuilding)
-    builds.append(0)
-    rebuilt = solve(model, cfg)
-    assert handed.best_bits.tobytes() == rebuilt.best_bits.tobytes()
-    assert handed.best_energy.hex() == rebuilt.best_energy.hex()
-    assert (handed.flips, handed.replica_id) == (rebuilt.flips, rebuilt.replica_id)
-    assert handed.energy_trace.tobytes() == rebuilt.energy_trace.tobytes()
-    # handed its start gains, a solve builds them once per replica, for t0:
-    # every rebuild after a flip runs the engine call's bound rebuild
-    assert builds[0] == cfg.replicas
-    assert builds[1] - builds[0] == cfg.replicas
-    assert starts == [0] * cfg.replicas  # one engine call per replica
+    def entered(rep, *args):
+        at_entry.append((list(runs), rep.stale))
+        return python_sweeps(rep, *args)
+
+    monkeypatch.setattr(anneal, "_gain_rebuild", counted)
+    monkeypatch.setattr(anneal, "_python_sweeps", entered)
+    got = solve(model, cfg)
+    assert got.best_bits.tobytes() == want.best_bits.tobytes()
+    assert got.best_energy.hex() == want.best_energy.hex()
+    assert (got.flips, got.replica_id) == (want.flips, want.replica_id)
+    assert got.energy_trace.tobytes() == want.energy_trace.tobytes()
+    assert len(runs) == cfg.replicas  # one binding per replica per solve
+    assert at_entry == [([*runs[:r], 1], False) for r in range(cfg.replicas)]
+    assert all(1 < n <= 1 + cfg.sweeps for n in runs)  # the flips' rebuilds ran the binding
 
 
 @pytest.mark.parametrize("model", [m[1] for m in _START_MODELS], ids=[m[0] for m in _START_MODELS])
 def test_bound_rebuild_reads_the_terms_as_they_are(model):
-    # the engine binds one rebuild per call and changes the terms it reads in
-    # place between runs; each run must equal a fresh _flip_gains bit for bit
+    # a replica binds one rebuild and the sweeps change the terms it reads in
+    # place between runs; each run must equal a fresh replica's start gains
+    # bit for bit
     cm = compile_model(model)
     rng = np.random.RandomState(47)
     nv = model.num_vars
 
-    def terms(p):
-        bits = (rng.random_sample(nv) < p).astype(np.int8)
-        base_lf, s, _ = anneal._start_state(model, cm, bits)
-        return anneal._gain_terms(cm, 1.0 - 2.0 * bits, base_lf, s)
+    def replica(p):
+        return anneal._Replica(model, cm, (rng.random_sample(nv) < p).astype(np.int8))
 
-    dlf, mld, sr = terms(0.5)
-    out, chain_gain = np.empty(nv), np.empty(len(mld))
-    rebuild = anneal._gain_rebuild(cm, dlf, mld, sr, out, chain_gain)
+    rep = replica(0.5)
+    rebuild = anneal._gain_rebuild(cm, rep.dlf, rep.mld, rep.sr)
+    out = rebuild()
     for p in (0.5, 0.0, 0.3, 1.0, 0.8):
-        fresh = terms(p)
-        for bound, new in zip((dlf, mld, sr), fresh):
+        fresh = replica(p)
+        for bound, new in zip((rep.dlf, rep.mld, rep.sr), (fresh.dlf, fresh.mld, fresh.sr)):
             bound[:] = new
         assert rebuild() is out
-        assert out.tobytes() == anneal._flip_gains(cm, *fresh).tobytes()
+        assert out.tobytes() == fresh.gains.tobytes()
 
 
 def _one_chain_models():
@@ -1034,12 +1057,11 @@ def test_gain_rebuild_equals_the_residual_gather(model):
     rng = np.random.RandomState(61)
 
     def terms(p):
-        bits = (rng.random_sample(nv) < p).astype(np.int8)
-        base_lf, s, _ = anneal._start_state(model, cm, bits)
-        return anneal._gain_terms(cm, 1.0 - 2.0 * bits, base_lf, s)
+        rep = anneal._Replica(model, cm, (rng.random_sample(nv) < p).astype(np.int8))
+        return rep.dlf, rep.mld, rep.sr
 
     dlf, mld, sr = terms(0.5)
-    rebuild = anneal._gain_rebuild(cm, dlf, mld, sr, np.empty(nv), np.empty(len(mld)))
+    rebuild = anneal._gain_rebuild(cm, dlf, mld, sr)
     signs = set()
     for p in (0.5, 0.0, 0.3, 1.0, 0.8, 0.6):
         for bound, new in zip((dlf, mld, sr), terms(p)):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import sys
 import traceback
 from collections import Counter
@@ -291,7 +292,11 @@ def test_score_tally_counts_every_burn(monkeypatch):
 @pytest.mark.parametrize("bad, match", [({"keep_ratio": 1.5}, "keep ratio"),
                                         ({"k": 1}, "k must lie in"),
                                         ({"k": 7}, "k must lie in"),
-                                        ({"epsilon": -1}, "epsilon must be non-negative")])
+                                        ({"epsilon": -1}, "epsilon must be non-negative"),
+                                        ({"penalty": -1.0}, "penalty must be finite and positive"),
+                                        ({"penalty": 0.0}, "penalty must be finite and positive"),
+                                        ({"penalty": math.nan}, "penalty must be finite and positive"),
+                                        ({"penalty": math.inf}, "penalty must be finite and positive")])
 def test_pipeline_checks_its_arguments_before_the_first_fire(bad, match, monkeypatch):
     def no_fire(*args, **kwargs):
         raise AssertionError("forest_fire_scores called")

@@ -2,7 +2,7 @@
 
 from .anneal import AnnealConfig, SolveResult, solve
 from .bestknown import best_known
-from .evaluate import Feasibility, InfeasiblePartitionError, approximation_ratio, decode, repair
+from .evaluate import Feasibility, approximation_ratio, decode, repair
 from .graph import (Graph, GraphFormatError, Partition, balance_bounds, cut_edges,
                     load_graph_file, parse_matrix_market, parse_metis, write_metis)
 from .pipeline import PartitionReport, partition
@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnealConfig", "SolveResult", "solve",
     "best_known",
-    "Feasibility", "InfeasiblePartitionError", "approximation_ratio", "decode", "repair",
+    "Feasibility", "approximation_ratio", "decode", "repair",
     "Graph", "GraphFormatError", "Partition", "balance_bounds", "cut_edges",
     "load_graph_file", "parse_matrix_market", "parse_metis", "write_metis",
     "PartitionReport", "partition",

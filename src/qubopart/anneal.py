@@ -255,14 +255,15 @@ class _BlockUniforms:
 
     The sweeps read the draws ``us`` and their bands ``lo``, ``hi`` from
     position ``pos`` on, store the position they reached back in ``pos``, and
-    call :meth:`refill` when too few are left.  They read the same doubles
-    in the same order as scalar ``rs.random_sample()`` calls would, because
-    ``rs.random_sample(m)`` reads the stream exactly like m scalar calls.
-    The buffer holds ``max(nv + 1, UNIFORM_BLOCK)`` draws, one sweep's at
-    least.  A refill joins the unread draws to the fresh ones with one
-    concatenation and bands the whole block with one :func:`_log_bands`
-    call: a band depends on its draw alone, so the kept draws get the bands
-    they had.
+    call :meth:`refill` at the start of a sweep when fewer than ``nv + 1``
+    are left, one sweep's draws and the acceptor pick's.  They read the same
+    doubles in the same order as scalar ``rs.random_sample()`` calls would,
+    because ``rs.random_sample(m)`` reads the stream exactly like m scalar
+    calls.  The buffer holds ``max(nv + 1, UNIFORM_BLOCK)`` draws, so a
+    refill leaves one sweep's and a pick's at least.  A refill joins the
+    unread draws to the fresh ones with one concatenation and bands the
+    whole block with one :func:`_log_bands` call: a band depends on its draw
+    alone, so the kept draws get the bands they had.
     """
 
     def __init__(self, rs: np.random.RandomState, nv: int):
@@ -271,11 +272,11 @@ class _BlockUniforms:
         self.us = self.lo = self.hi = np.empty(0)
         self.pos = 0
 
-    def refill(self, pos: int, need: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Keep the draws from ``pos`` on, append fresh ones to hold at least
-        ``need``, band them all, and restart at position 0.
+    def refill(self, pos: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Keep the draws from ``pos`` on, append fresh ones to fill the
+        buffer, band them all, and restart at position 0.
         Returns the new ``(us, lo, hi)``."""
-        us = self._rs.random_sample(max(self._size, need) - (len(self.us) - pos))
+        us = self._rs.random_sample(self._size - (len(self.us) - pos))
         if pos < len(self.us):  # keep the unread draws
             us = np.concatenate((self.us[pos:], us))
         self.us = us
@@ -446,8 +447,9 @@ def _python_sweeps(rep: _Replica, temps, offset_inc, draws, trace, trace_every, 
     floors, w = [], 0  # least lo of the coming sweeps' draws; the next sweep's is floors[w]
     flips = sw = 0
     for sw, t in enumerate(temps, 1):
-        if pos + nv > end:  # no floors are left: they cover whole sweeps in the buffer
-            us, lo, hi = draws.refill(pos, nv)
+        # floors taken before a refill stay valid: they are values of the same draws
+        if pos + nv >= end:  # fewer left than the sweep's draws and the pick's
+            us, lo, hi = draws.refill(pos)
             pos, end, us_v = 0, len(us), memoryview(us)
         if stale:
             rebuild()
@@ -476,9 +478,6 @@ def _python_sweeps(rep: _Replica, temps, offset_inc, draws, trace, trace_every, 
                     acceptors = sure.nonzero()[0]
         pos = nxt
         if len(acceptors):
-            if pos == end:
-                us, lo, hi = draws.refill(pos, 1)
-                pos, end, us_v = 0, len(us), memoryview(us)
             i = acceptors.item(int(us_v[pos] * len(acceptors)))
             pos += 1
             cur_energy = cur_energy + gains_v[i]

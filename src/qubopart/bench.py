@@ -9,9 +9,9 @@ different solvers can be lined up per row, with the row minimum bolded.
 
 Re-running the same config reproduces the same records byte for byte apart
 from wall times.  :func:`run_grid` lists one cell per (graph, k, epsilon) in
-grid order and :func:`_run_cell` makes each cell's record; cells that fail
-(unreadable file, oversized model, unsatisfiable bounds) get an error note
-instead of numbers.  Cells run in separate worker processes when
+grid order and :func:`_run_cell` makes each cell's record; cells that are
+not solved (unreadable file, k outside 2..n, oversized model) get an error
+note instead of numbers.  Cells run in separate worker processes when
 ``workers > 1`` (their map keeps grid order), and ``sparsify: true`` routes
 every cell through :func:`qubopart.sparsify.run_sparsify_pipeline`, where
 the time limit applies to each repeat's solve.
@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from . import bestknown
 from .anneal import AnnealConfig, _derive_seed
-from .evaluate import InfeasiblePartitionError, approximation_ratio
+from .evaluate import approximation_ratio
 from .graph import Graph, GraphFormatError, file_stem, load_graph_file
 from .pipeline import partition
 from .qubo import model_num_vars
@@ -49,7 +49,7 @@ class RunRecord:
     seed: int
     cut_raw: int | None
     cut_repaired: int | None
-    feasible: bool | None
+    feasible: bool | None  # True for every solved cell: repair meets any window
     approximation_ratio: float | None
     wall_time: float | None
     config_digest: str
@@ -163,28 +163,23 @@ def _run_cell(g: Graph | str, graph_id: str, k: int, epsilon: float,
                               time_limit=cfg.time_limit, balanced_init=cfg.balanced_init)
     start = time.perf_counter()
     if cfg.sparsify:
-        try:
-            result = run_sparsify_pipeline(g, k, epsilon, anneal_cfg,
-                                           keep_ratio=cfg.keep_ratio,
-                                           burn_probability=cfg.burn_probability,
-                                           walks=cfg.walks, repeats=cfg.repeats,
-                                           seed=rec.seed, penalty=penalty)
-        except InfeasiblePartitionError as exc:
-            rec.error = str(exc)
-        else:
-            # the pipeline repairs before it projects, so the projected cut is the final one
-            rec.penalty = result.penalty
-            rec.cut_raw = rec.cut_repaired = result.best_cut
+        result = run_sparsify_pipeline(g, k, epsilon, anneal_cfg,
+                                       keep_ratio=cfg.keep_ratio,
+                                       burn_probability=cfg.burn_probability,
+                                       walks=cfg.walks, repeats=cfg.repeats,
+                                       seed=rec.seed, penalty=penalty)
+        # the pipeline repairs before it projects, so the projected cut is the final one
+        rec.penalty = result.penalty
+        rec.cut_raw = rec.cut_repaired = result.best_cut
     else:
         report = partition(g, k, epsilon, anneal_cfg, penalty)
-        rec.penalty, rec.error = report.penalty, report.error
+        rec.penalty = report.penalty
         rec.cut_raw, rec.cut_repaired = report.cut_raw, report.cut
-    rec.feasible = rec.cut_repaired is not None
+    rec.feasible = True
     rec.wall_time = round(time.perf_counter() - start, 6)
-    if rec.feasible:
-        ref = bestknown.best_known(graph_id, k, epsilon)
-        if ref:
-            rec.approximation_ratio = approximation_ratio(rec.cut_repaired, ref)
+    ref = bestknown.best_known(graph_id, k, epsilon)
+    if ref:
+        rec.approximation_ratio = approximation_ratio(rec.cut_repaired, ref)
     return rec
 
 

@@ -11,10 +11,6 @@ from .graph import Graph, Partition, balance_bounds
 from .qubo import QuboModel
 
 
-class InfeasiblePartitionError(RuntimeError):
-    """Raised when no partition can satisfy the requested balance bounds."""
-
-
 @dataclass(frozen=True)
 class Feasibility:
     one_hot_ok: bool
@@ -90,9 +86,9 @@ def repair(g: Graph, p: Partition, k: int | None = None,
     part that has never been a source has no heap to push to, and the list
     of sources is rebuilt only after a move that can change it.
 
-    Raises ``ValueError`` when a label lies outside ``range(k)`` and
-    :class:`InfeasiblePartitionError` when the bounds are unsatisfiable
-    (k * upper < n, or for k > 2, k * lower > n).
+    Raises ``ValueError`` when a label lies outside ``range(k)``.  Every
+    window :func:`balance_bounds` gives can be met, so repair always ends
+    with the bounds met.
     """
     k = p.k if k is None else k
     if p.n != g.n:
@@ -103,12 +99,6 @@ def repair(g: Graph, p: Partition, k: int | None = None,
         v = int(outside[0])
         raise ValueError(f"label {labels[v]} at vertex {v} outside range({k})")
     lower, upper = balance_bounds(g.n, k, epsilon)
-    if k * upper < g.n:
-        raise InfeasiblePartitionError(
-            f"{k} parts of at most {upper} cannot hold {g.n} vertices")
-    if k > 2 and k * lower > g.n:
-        raise InfeasiblePartitionError(
-            f"{k} parts of at least {lower} need more than {g.n} vertices")
 
     sizes = np.bincount(labels, minlength=k).tolist()
 

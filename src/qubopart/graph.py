@@ -182,12 +182,17 @@ def cut_edges(g: Graph, partition: Partition | Sequence[int] | np.ndarray) -> in
 def balance_bounds(n: int, k: int, epsilon: float | Fraction = 0.0) -> tuple[int, int]:
     """Per-part size bounds (lower, upper) for an epsilon-imbalanced k-way partition.
 
-    With epsilon == 0 every part must hold exactly ceil(n/k) vertices at most,
-    and the bounds collapse to (ceil(n/k), ceil(n/k)).  With epsilon > 0 the
-    upper bound is floor((1+eps) * ceil(n/k)); for k == 2 only the upper bound
-    is enforced (lower = 0), for k > 2 the lower bound is
-    ceil((1-eps) * ceil(n/k)).  The k == 2 lower = 0 leaves the other part's
-    bound to the caller: the bipartition QUBO builder turns part 0's upper
+    The upper bound is floor((1+eps) * ceil(n/k)), so at epsilon == 0 no part
+    holds more than ceil(n/k) vertices.  For k > 2 the lower bound is
+    ceil((1-eps) * ceil(n/k)) when k parts of that size fit in n vertices,
+    and otherwise max(0, n - (k-1) * upper), the least a part holds when
+    every other part is full; at epsilon == 0 that leaves "no part above
+    ceil(n/k)" as the only rule.  Either way k * lower <= n <= k * upper, so
+    every window can be met.
+
+    For k == 2 only the upper bound is enforced: the lower bound is 0, or
+    ceil(n/2) at epsilon == 0, and the caller derives the other part's bound
+    from the upper one: the bipartition QUBO builder turns part 0's upper
     bound into part 1's lower bound n - upper.
 
     ``epsilon`` given as a float is interpreted through its shortest decimal
@@ -202,12 +207,12 @@ def balance_bounds(n: int, k: int, epsilon: float | Fraction = 0.0) -> tuple[int
     if eps < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     ceil_nk = -(-n // k)
-    if eps == 0:
-        return ceil_nk, ceil_nk
     upper = math.floor((1 + eps) * ceil_nk)
     if k == 2:
-        return 0, upper
+        return (ceil_nk if eps == 0 else 0), upper
     lower = max(0, math.ceil((1 - eps) * ceil_nk))
+    if k * lower > n:
+        lower = max(0, n - (k - 1) * upper)
     return lower, upper
 
 

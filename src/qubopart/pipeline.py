@@ -5,20 +5,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .anneal import AnnealConfig, SolveResult, solve
-from .evaluate import InfeasiblePartitionError, decode, repair
+from .evaluate import decode, repair
 from .graph import Graph, Partition, cut_edges
 from .qubo import QuboModel, _checked_bounds, build_bipartition_qubo, build_kway_qubo
 
 
 @dataclass
 class PartitionReport:
-    partition: Partition | None  # None when the balance bounds are unsatisfiable
+    partition: Partition
     cut_raw: int  # cut of the decoded labels, before any repair
-    cut: int | None
+    cut: int
     decoded_feasible: bool
     penalty: float
     result: SolveResult
-    error: str = ""  # why there is no partition
     repair_moves: int = 0  # vertices whose label repair changed; 0 without repair
 
 
@@ -38,10 +37,7 @@ def check_model_args(n: int, k: int, epsilon: float) -> None:
 
 def partition(g: Graph, k: int, epsilon: float = 0.0, cfg: AnnealConfig | None = None,
               penalty: float | None = None) -> PartitionReport:
-    """Build, solve and decode; repair only labels that break one-hot or balance.
-
-    Unsatisfiable bounds are reported in ``error``, not raised, after the one solve.
-    """
+    """Build, solve and decode; repair only labels that break one-hot or balance."""
     model = build_model(g, k, epsilon, penalty)
     result = solve(model, cfg or AnnealConfig())
     decoded, feas = decode(model, result.best_bits)
@@ -50,12 +46,8 @@ def partition(g: Graph, k: int, epsilon: float = 0.0, cfg: AnnealConfig | None =
                              decoded_feasible=feas.feasible, penalty=model.penalty,
                              result=result)
     if not feas.feasible:
-        try:
-            report.partition = repair(g, decoded, k, epsilon)
-        except InfeasiblePartitionError as exc:
-            report.partition, report.cut, report.error = None, None, str(exc)
-        else:
-            report.cut = cut_edges(g, report.partition)
-            report.repair_moves = sum(
-                a != b for a, b in zip(decoded.labels, report.partition.labels))
+        report.partition = repair(g, decoded, k, epsilon)
+        report.cut = cut_edges(g, report.partition)
+        report.repair_moves = sum(
+            a != b for a, b in zip(decoded.labels, report.partition.labels))
     return report

@@ -44,7 +44,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .anneal import AnnealConfig, _derive_seed
-from .evaluate import InfeasiblePartitionError
 from .graph import Graph, Partition, cut_edges
 # only partition and check_model_args are called here; perfbench/layers.py
 # looks up the other names on this module when it traces a run, so they must
@@ -292,8 +291,8 @@ def run_sparsify_pipeline(g: Graph, k: int, epsilon: float = 0.0,
 
     Each repeat burns with a fresh derived seed, partitions the sparsified
     instance (repairing against it, where the solution lives), and evaluates
-    the labels on the original graph.  Unsatisfiable bounds raise.  A bad
-    ``keep_ratio``, k, epsilon or given penalty raises before the first fire.
+    the labels on the original graph.  A bad ``keep_ratio``, k, epsilon or
+    given penalty raises before the first fire.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be positive, got {repeats}")
@@ -309,8 +308,6 @@ def run_sparsify_pipeline(g: Graph, k: int, epsilon: float = 0.0,
         sparse = sparsify(g, scores, keep_ratio)
         cfg = replace(anneal_cfg, seed=_derive_seed(seed, rep, "solve"))
         report = partition(sparse, k, epsilon, cfg, penalty)
-        if report.partition is None:
-            raise InfeasiblePartitionError(report.error)
         reports.append(report)
         projected.append(project_partition(g, report.partition))
     best = projected.index(min(projected))

@@ -23,7 +23,6 @@ from typing import Sequence
 
 import numpy as np
 
-from qubopart.evaluate import InfeasiblePartitionError
 from qubopart.graph import Graph, GraphFormatError, Partition, _strip_comment_lines, balance_bounds
 from qubopart.qubo import QuboModel
 from qubopart.sparsify import EdgeScores
@@ -189,12 +188,6 @@ def repair(g: Graph, p: Partition, k: int | None = None,
     if p.n != g.n:
         raise ValueError(f"partition has {p.n} labels, graph has {g.n} vertices")
     lower, upper = balance_bounds(g.n, k, epsilon)
-    if k * upper < g.n:
-        raise InfeasiblePartitionError(
-            f"{k} parts of at most {upper} cannot hold {g.n} vertices")
-    if k > 2 and k * lower > g.n:
-        raise InfeasiblePartitionError(
-            f"{k} parts of at least {lower} need more than {g.n} vertices")
 
     labels = np.asarray(p.labels, dtype=np.int64).copy()
     sizes = np.bincount(labels, minlength=k)

@@ -405,11 +405,13 @@ class _RecordingDraws(anneal._BlockUniforms):
     def __init__(self, rs, nv):
         super().__init__(rs, nv)
         self.drawn = []
+        self.kept = []  # the unread draws each refill kept
 
-    def refill(self, pos, need):
+    def refill(self, pos):
         unread = len(self.us) - pos
-        us, lo, hi = super().refill(pos, need)
-        assert len(us) >= need and len(us) == len(lo) == len(hi)
+        self.kept.append(unread)
+        us, lo, hi = super().refill(pos)
+        assert len(us) == len(lo) == len(hi) == self._size
         fresh = us[unread:].tolist()
         self.drawn.extend(fresh)
         for u, a, b in zip(fresh, lo[unread:].tolist(), hi[unread:].tolist()):
@@ -425,17 +427,20 @@ class _RecordingDraws(anneal._BlockUniforms):
         return self.drawn[:len(self.drawn) - (len(self.us) - self.pos)]
 
 
-@pytest.mark.parametrize("block", ["nv-below-block", "nv-above-block"])
+@pytest.mark.parametrize("block", ["nv-below-block", "nv-above-block", "two-sweeps"])
 def test_batch_split_changes_nothing(monkeypatch, block):
     sweeps = 600
     g = gnp_graph(30, 0.2, np.random.RandomState(21))
     if block == "nv-below-block":  # refills keep the unread tail of a block
         model = build_kway_qubo(g, 3, 0.1)
         assert model.num_vars + 1 < anneal.UNIFORM_BLOCK < sweeps * model.num_vars
-    else:  # the buffer holds one sweep's draws plus one
+    elif block == "nv-above-block":  # the buffer holds one sweep's draws plus one
         model = build_bipartition_qubo(g, 0.1)
         monkeypatch.setattr(anneal, "UNIFORM_BLOCK", 8)
         assert model.num_vars + 1 > anneal.UNIFORM_BLOCK
+    else:  # an idle sweep leaves exactly one sweep's draws, and no pick's
+        model = build_bipartition_qubo(g, 0.1)
+        monkeypatch.setattr(anneal, "UNIFORM_BLOCK", 2 * model.num_vars)
     nv = model.num_vars
 
     def source():
@@ -453,6 +458,8 @@ def test_batch_split_changes_nothing(monkeypatch, block):
     scalar = np.random.RandomState(23)
     assert split_draws.handed == [scalar.random_sample() for _ in split_draws.handed]
     assert whole_draws.handed == split_draws.handed
+    if block == "two-sweeps":  # a refill kept one sweep's draws, and no pick's
+        assert nv in whole_draws.kept
 
 
 @pytest.mark.parametrize("form", ["bipartition", "kway3"])
@@ -530,10 +537,12 @@ def test_solve_reaches_bipartition_optimum():
 
 
 def test_solve_reaches_kway_optimum():
-    g = gnp_graph(9, 0.5, np.random.RandomState(40))
-    model = build_kway_qubo(g, 3)
-    res = solve(model, AnnealConfig(sweeps=2000, replicas=4, seed=5, balanced_init=True))
-    assert res.best_energy == float(kway_optimum(g, 3, 0.0))
+    # at n = 7 three parts of ceil(7/3) = 3 do not fit, so parts hold 1 to 3
+    for n in (9, 7):
+        g = gnp_graph(n, 0.5, np.random.RandomState(40))
+        model = build_kway_qubo(g, 3)
+        res = solve(model, AnnealConfig(sweeps=2000, replicas=4, seed=5, balanced_init=True))
+        assert res.best_energy == float(kway_optimum(g, 3, 0.0)), n
 
 
 def test_solve_chainless_models():
@@ -763,14 +772,14 @@ def test_refill_bands_cover_the_kept_tail(monkeypatch, block):
     draws = np.random.RandomState(67).random_sample(8 * size)
     draws[size - 3] = 0.0  # inside the first kept tail
     source = anneal._BlockUniforms(_ScriptedRandom(draws), nv)
-    us, lo, hi = source.refill(0, nv)
+    us, lo, hi = source.refill(0)
     read = 0  # draws handed out before the buffer's first
     zero_kept = False
     for keep in (5, 1, nv - 1, 0, 3, nv - 1):
         read += len(us) - keep
         zero_kept |= bool((us[len(us) - keep:] == 0.0).any())
-        us, lo, hi = source.refill(len(us) - keep, nv)
-        assert source.pos == 0 and len(us) == len(lo) == len(hi) >= nv
+        us, lo, hi = source.refill(len(us) - keep)
+        assert source.pos == 0 and len(us) == len(lo) == len(hi) == size
         assert us.tobytes() == draws[read:read + len(us)].tobytes()
         want_lo, want_hi = anneal._log_bands(draws[read:read + len(us)])
         assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
@@ -785,7 +794,7 @@ class _GivenDraws(anneal._BlockUniforms):
         self.us = us
         self.lo, self.hi = anneal._log_bands(us)
 
-    def refill(self, pos, need):
+    def refill(self, pos):
         raise AssertionError("the sweep read more draws than it was given")
 
 

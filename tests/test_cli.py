@@ -307,13 +307,16 @@ def test_pinned_bench_csv(graph_file, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["kway", "sparsify-pipeline"])
 def test_unsatisfiable_bounds_exit_code(tmp_path, command, capsys):
-    # four parts of at least 3 vertices do not fit in 10
+    # four parts of ceil(0.97 * 3) = 3 vertices do not fit in 10, so each
+    # part holds between 10 - 3 * 3 = 1 and 3
     path = tmp_path / "cycle10.graph"
     path.write_text(write_metis(Graph.from_edges(10, [(i, (i + 1) % 10) for i in range(10)])))
-    rc = main([command, "--graph", str(path), "--k", "4", "--epsilon", "0.03", *FAST])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert err.startswith("infeasible: ") and "need more than 10 vertices" in err
+    out = tmp_path / "cycle10.part"
+    rc = main([command, "--graph", str(path), "--k", "4", "--epsilon", "0.03", *FAST,
+               "--out", str(out)])
+    assert rc == 0 and capsys.readouterr().err == ""
+    part, _ = parse_partition(out.read_text())
+    assert part.n == 10 and all(1 <= size <= 3 for size in part.part_sizes())
 
 
 @pytest.mark.parametrize("bad, expected", [

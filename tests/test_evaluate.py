@@ -1,9 +1,11 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from qubopart.evaluate import (Feasibility, InfeasiblePartitionError,
-                               approximation_ratio, decode, partition_feasibility,
-                               repair)
+from qubopart.evaluate import (Feasibility, approximation_ratio, decode,
+                               partition_feasibility, repair)
 from qubopart.graph import Graph, Partition, balance_bounds, cut_edges
 from qubopart.anneal import AnnealConfig, _balanced_initial_bits, solve
 from qubopart.qubo import (build_bipartition_qubo, build_kway_qubo, parse_qubo_text,
@@ -127,10 +129,7 @@ def test_repair_random_corpus_properties():
             labels = rng.randint(0, k, size=g.n)
             p = Partition.from_labels(labels.tolist(), k)
             lower, upper = balance_bounds(g.n, k, epsilon)
-            if k * upper < g.n or (k > 2 and k * lower > g.n):
-                with pytest.raises(InfeasiblePartitionError):
-                    repair(g, p, epsilon=epsilon)
-                continue
+            assert k * upper >= g.n and (k == 2 or k * lower <= g.n)
             fixed = repair(g, p, epsilon=epsilon)
             assert partition_feasibility(fixed, epsilon).feasible
             if partition_feasibility(p, epsilon).feasible:
@@ -144,11 +143,18 @@ def test_repair_fills_kway_lower_bound():
     assert fixed.part_sizes() == [3, 3, 3]
 
 
-def test_repair_unsatisfiable_raises():
-    # 5 vertices cannot fill 4 parts of exactly ceil(5/4) = 2 each
+def test_repair_meets_the_fallback_lower_bound():
+    # 4 parts of ceil(5/4) = 2 do not fit in 5 vertices, so the lower bound
+    # is max(0, 5 - 3 * 2) = 0 and sizes (2, 1, 1, 1) already meet it; from
+    # (3, 1, 1, 0) the overfull part 0 gives one vertex to the empty part 3
     g = Graph.from_edges(5, [(0, 1)])
-    with pytest.raises(InfeasiblePartitionError):
-        repair(g, Partition.from_labels([0, 1, 2, 3, 0], 4), epsilon=0.0)
+    assert balance_bounds(g.n, 4, 0.0) == (0, 2)
+    for labels, sizes in (([0, 1, 2, 3, 0], [2, 1, 1, 1]), ([0, 0, 0, 1, 2], [2, 1, 1, 1])):
+        p = Partition.from_labels(labels, 4)
+        fixed = repair(g, p, epsilon=0.0)
+        assert fixed == reference.repair(g, p, epsilon=0.0)
+        assert fixed.part_sizes() == sizes
+        assert partition_feasibility(fixed, 0.0).feasible
 
 
 def test_repair_label_length_mismatch():
@@ -167,7 +173,7 @@ def _repair_outcome(fn, g, p, k, epsilon):
     """Repaired labels, or the type and message of the exception raised."""
     try:
         return fn(g, p, k, epsilon).labels
-    except (ValueError, RuntimeError) as exc:  # InfeasiblePartitionError is a RuntimeError
+    except (ValueError, RuntimeError) as exc:
         return type(exc), str(exc)
 
 
@@ -201,14 +207,15 @@ def test_repair_matches_reference():
     k in 2..8, n up to 300, epsilon in {0, 0.03, 0.2, 0.5}: random labels,
     labels skewed into one part, all in one part, half the parts above
     ``upper`` at once, emptied parts, inputs that only break a k > 2 lower
-    bound, edgeless graphs and isolated vertices.  The reference's own
+    bound, windows whose lower bound is ``n - (k-1) * upper``, edgeless
+    graphs and isolated vertices.  The reference's own
     record of its moves shows that runs occur where several parts are
     sources at once, where a part leaves the source list while others stay,
     and where the k > 2 lower-bound phase follows the upper one.
     """
     rng = np.random.RandomState(7)
     styles = ("uniform", "skewed", "one-part", "lower-only", "several-over", "emptied")
-    seen = dict.fromkeys(styles + ("edgeless", "isolated", "raised", "k>5", "n>100",
+    seen = dict.fromkeys(styles + ("edgeless", "isolated", "fallback", "k>5", "n>100",
                                    "several-sources", "source-left", "lower-first",
                                    "upper-then-lower"), 0)
     for case in range(960):
@@ -224,12 +231,17 @@ def test_repair_matches_reference():
         want = _repair_outcome(lambda *a: reference.repair(*a, moves=moves), g, p, k, epsilon)
         got = _repair_outcome(repair, g, p, k, epsilon)
         assert got == want, (case, n, k, epsilon, style)
+        assert not isinstance(got[0], type), (case, got)  # every window can be met
 
         phases = [phase for phase, _ in moves]
         seen[style] += 1
         seen["edgeless"] += g.m == 0
         seen["isolated"] += bool(g.m) and bool((np.diff(g.indptr) == 0).any())
-        seen["raised"] += isinstance(got[0], type)
+        # k parts of ceil((1-eps) * ceil(n/k)) do not fit, so the window's
+        # lower bound is the one left when every other part is full
+        ceil_nk = -(-n // k)
+        seen["fallback"] += (k > 2 and len(moves) > 0
+                             and k * math.ceil((1 - Fraction(str(epsilon))) * ceil_nk) > n)
         seen["k>5"] += k > 5 and len(moves) > 0
         seen["n>100"] += n > 100 and len(moves) > 0
         seen["several-sources"] += any(len(sources) > 1 for _, sources in moves)

@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction
 
@@ -370,6 +371,40 @@ def test_balance_bounds_frozen_cases():
     # decimal interpretation: floor(1.03 * 100) must be 103, not 102
     assert balance_bounds(200, 2, 0.03) == (0, 103)
     assert balance_bounds(300, 3, 0.7)[1] == 170
+    # add20 at k=3, 0%: three parts of 799 do not fit in 2395 vertices, so
+    # the lower bound is what a part holds when the other two are full
+    assert balance_bounds(2395, 3, 0.0) == (797, 799)
+
+
+def _unfitted_balance_bounds(n, k, epsilon):
+    """balance_bounds without the fallback lower bound: ceil((1-eps) * ceil(n/k))
+    for k > 2 even where k such parts do not fit in n vertices."""
+    eps = Fraction(str(epsilon))
+    ceil_nk = -(-n // k)
+    if eps == 0:
+        return ceil_nk, ceil_nk
+    upper = math.floor((1 + eps) * ceil_nk)
+    if k == 2:
+        return 0, upper
+    return max(0, math.ceil((1 - eps) * ceil_nk)), upper
+
+
+def test_balance_bounds_every_window_can_be_met():
+    changed = 0
+    for n in range(1, 81):
+        for k in range(2, n + 1):
+            for epsilon in (0.0, 0.01, 0.03, 0.05, 0.1, 0.25, 0.34, 0.5, 1.5):
+                lower, upper = balance_bounds(n, k, epsilon)
+                # for k == 2 only the upper bound binds a part
+                enforced = lower if k > 2 else 0
+                assert 0 <= lower <= upper, (n, k, epsilon)
+                assert k * enforced <= n <= k * upper, (n, k, epsilon)
+                old_lower, old_upper = _unfitted_balance_bounds(n, k, epsilon)
+                if k * old_upper >= n and (k == 2 or k * old_lower <= n):
+                    assert (lower, upper) == (old_lower, old_upper), (n, k, epsilon)
+                else:
+                    changed += 1
+    assert changed > 0
 
 
 def test_balance_bounds_validation():

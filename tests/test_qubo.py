@@ -97,7 +97,9 @@ def test_bipartition_energy_equals_cut_for_zero_residual():
 
 def test_kway_energy_equals_cut_for_one_hot_balanced():
     rng = np.random.RandomState(78)
-    for n, k, epsilon in [(6, 3, 0.0), (9, 3, 0.0), (12, 4, 0.0), (12, 3, 0.34), (10, 5, 0.5)]:
+    # (10, 3, 0.0) and (10, 4, 0.03) have lower bound n - (k-1) * upper
+    for n, k, epsilon in [(6, 3, 0.0), (9, 3, 0.0), (12, 4, 0.0), (12, 3, 0.34), (10, 5, 0.5),
+                          (10, 3, 0.0), (10, 4, 0.03)]:
         g = gnp_graph(n, 0.5, rng)
         m = build_kway_qubo(g, k, epsilon)
         lower, upper = balance_bounds(n, k, epsilon)
@@ -192,6 +194,7 @@ def test_builders_reject_non_positive_or_non_finite_penalty(penalty):
     (9, 3, 0.0),                  # k>2 equality chains
     (6, 3, 1.0),                  # k>2 with lower == 0
     (12, 4, 0.34), (10, 3, 0.5),  # k>2 with 0 < lower < upper
+    (10, 3, 0.0), (5, 4, 0.2),    # k>2 with lower n - (k-1)*upper: 2, and 0
 ])
 def test_model_num_vars_matches_builders(n, k, epsilon):
     g = gnp_graph(n, 0.4, np.random.RandomState(n))

@@ -49,7 +49,6 @@ class RunRecord:
     seed: int
     cut_raw: int | None
     cut_repaired: int | None
-    feasible: bool | None  # True for every solved cell: repair meets any window
     approximation_ratio: float | None
     wall_time: float | None
     config_digest: str
@@ -144,8 +143,8 @@ def _run_cell(g: Graph | str, graph_id: str, k: int, epsilon: float,
     rec = RunRecord(graph_id=graph_id, n=None, d_avg=None,
                     solver_id=cfg.solver_id, k=k, epsilon=epsilon, penalty=None,
                     seed=_derive_seed(cfg.seed, graph_id, k, f"{epsilon:g}"),
-                    cut_raw=None, cut_repaired=None, feasible=None,
-                    approximation_ratio=None, wall_time=None, config_digest=digest)
+                    cut_raw=None, cut_repaired=None, approximation_ratio=None,
+                    wall_time=None, config_digest=digest)
     if isinstance(g, str):
         rec.error = g
         return rec
@@ -175,7 +174,6 @@ def _run_cell(g: Graph | str, graph_id: str, k: int, epsilon: float,
         report = partition(g, k, epsilon, anneal_cfg, penalty)
         rec.penalty = report.penalty
         rec.cut_raw, rec.cut_repaired = report.cut_raw, report.cut
-    rec.feasible = True
     rec.wall_time = round(time.perf_counter() - start, 6)
     ref = bestknown.best_known(graph_id, k, epsilon)
     if ref:
@@ -243,8 +241,6 @@ def ingest_external(path: str) -> list[ExternalRow]:
 def _csv_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(float(value))
     return str(value)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,16 +25,13 @@ class Feasibility:
 def partition_feasibility(p: Partition, epsilon: float = 0.0) -> Feasibility:
     """Balance check for an existing partition (one-hot holds by construction).
 
-    A partition is balanced when every part is at most the upper bound; for
-    k > 2 the lower bound is enforced as well.  For k == 2 orientation does
-    not matter: either side may be the larger one.
+    A partition is balanced when every part lies in :func:`balance_bounds`'
+    [lower, upper].
     """
     lower, upper = balance_bounds(p.n, p.k, epsilon)
     sizes = p.part_sizes()
-    balance = all(s <= upper for s in sizes)
-    if p.k > 2:
-        balance = balance and all(s >= lower for s in sizes)
-    return Feasibility(one_hot_ok=True, balance_ok=balance, part_sizes=tuple(sizes))
+    return Feasibility(one_hot_ok=True, balance_ok=all(lower <= s <= upper for s in sizes),
+                       part_sizes=tuple(sizes))
 
 
 def decode(model: QuboModel, bits: np.ndarray) -> tuple[Partition, Feasibility]:
@@ -58,9 +55,8 @@ def decode(model: QuboModel, bits: np.ndarray) -> tuple[Partition, Feasibility]:
         one_hot_ok = bool((is_set.sum(axis=1) == 1).all())
 
     partition = Partition.from_labels(labels, model.k)
-    balance = partition_feasibility(partition, model.epsilon or 0.0)
-    return partition, Feasibility(one_hot_ok=one_hot_ok, balance_ok=balance.balance_ok,
-                                  part_sizes=balance.part_sizes)
+    return partition, replace(partition_feasibility(partition, model.epsilon or 0.0),
+                              one_hot_ok=one_hot_ok)
 
 
 def repair(g: Graph, p: Partition, k: int | None = None,
@@ -70,7 +66,7 @@ def repair(g: Graph, p: Partition, k: int | None = None,
     Each move takes a vertex from a source part to the destination part:
 
     * Sources: every part above ``upper``.  When no part is above ``upper``
-      but k > 2 and some part is below ``lower``, every part above ``lower``.
+      but some part is below ``lower``, every part above ``lower``.
       When neither holds the bounds are met and repair stops.
     * Destination: the smallest part, ties toward the lowest part id.
     * Vertex: among the vertices of the source parts, the one with the least
@@ -104,7 +100,7 @@ def repair(g: Graph, p: Partition, k: int | None = None,
 
     def source_parts() -> list[int]:
         over = [j for j in range(k) if sizes[j] > upper]
-        if over or k == 2 or min(sizes) >= lower:
+        if over or min(sizes) >= lower:
             return over
         return [j for j in range(k) if sizes[j] > lower]
 

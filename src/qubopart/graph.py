@@ -182,18 +182,15 @@ def cut_edges(g: Graph, partition: Partition | Sequence[int] | np.ndarray) -> in
 def balance_bounds(n: int, k: int, epsilon: float | Fraction = 0.0) -> tuple[int, int]:
     """Per-part size bounds (lower, upper) for an epsilon-imbalanced k-way partition.
 
-    The upper bound is floor((1+eps) * ceil(n/k)), so at epsilon == 0 no part
-    holds more than ceil(n/k) vertices.  For k > 2 the lower bound is
-    ceil((1-eps) * ceil(n/k)) when k parts of that size fit in n vertices,
-    and otherwise max(0, n - (k-1) * upper), the least a part holds when
-    every other part is full; at epsilon == 0 that leaves "no part above
-    ceil(n/k)" as the only rule.  Either way k * lower <= n <= k * upper, so
-    every window can be met.
-
-    For k == 2 only the upper bound is enforced: the lower bound is 0, or
-    ceil(n/2) at epsilon == 0, and the caller derives the other part's bound
-    from the upper one: the bipartition QUBO builder turns part 0's upper
-    bound into part 1's lower bound n - upper.
+    Every part of a balanced partition holds between lower and upper
+    vertices.  The upper bound is floor((1+eps) * ceil(n/k)), so at
+    epsilon == 0 no part holds more than ceil(n/k) vertices.  For k > 2 the
+    lower bound is ceil((1-eps) * ceil(n/k)) when k parts of that size fit
+    in n vertices.  Otherwise, and always for k == 2, it is
+    max(0, n - (k-1) * upper), the least a part holds when every other part
+    is full; at epsilon == 0 that leaves "no part above ceil(n/k)" as the
+    only rule.  Either way k * lower <= n <= k * upper, so every window can
+    be met.
 
     ``epsilon`` given as a float is interpreted through its shortest decimal
     representation so that e.g. 0.03 means exactly 3/100; this keeps the
@@ -208,10 +205,8 @@ def balance_bounds(n: int, k: int, epsilon: float | Fraction = 0.0) -> tuple[int
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     ceil_nk = -(-n // k)
     upper = math.floor((1 + eps) * ceil_nk)
-    if k == 2:
-        return (ceil_nk if eps == 0 else 0), upper
     lower = max(0, math.ceil((1 - eps) * ceil_nk))
-    if k * lower > n:
+    if k == 2 or k * lower > n:
         lower = max(0, n - (k - 1) * upper)
     return lower, upper
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .anneal import AnnealConfig, SolveResult, solve
 from .evaluate import decode, repair
 from .graph import Graph, Partition, cut_edges
-from .qubo import QuboModel, _checked_bounds, build_bipartition_qubo, build_kway_qubo
+from .qubo import QuboModel, _chain_bounds, build_bipartition_qubo, build_kway_qubo
 
 
 @dataclass
@@ -32,7 +32,7 @@ def build_model(g: Graph, k: int, epsilon: float = 0.0,
 def check_model_args(n: int, k: int, epsilon: float) -> None:
     """Raise the ValueError :func:`build_model` raises for k or epsilon on an
     n-vertex graph, without building the model."""
-    _checked_bounds(n, k, epsilon, one_hot=k != 2)
+    _chain_bounds(n, k, epsilon, one_hot=k != 2)
 
 
 def partition(g: Graph, k: int, epsilon: float = 0.0, cfg: AnnealConfig | None = None,

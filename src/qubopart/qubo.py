@@ -349,32 +349,28 @@ def encode_slack_weights(span: int) -> list[int]:
     return weights
 
 
-def _chain_bounds(n: int, k: int, epsilon: float) -> tuple[int, int]:
+def _chain_bounds(n: int, k: int, epsilon: float, one_hot: bool) -> tuple[int, int]:
     """Size range [lo, hi] that one balance chain enforces on its part.
 
-    The bipartition chain counts part 1 only, so part 0's upper bound
-    becomes part 1's lower bound n - upper; at epsilon == 0 both ends are
-    ceil(n/2).
+    First checks n and k: the one-hot model needs ``2 <= k <= n``, the
+    bipartition model a vertex.  The one-hot chains
+    take :func:`balance_bounds`' window as it is.  The bipartition chain
+    counts part 1 only, and at epsilon == 0 it pins part 1 to ceil(n/2),
+    which needs no slack.
     """
-    lower, upper = balance_bounds(n, k, epsilon)
-    if k == 2:
-        lower = max(lower, n - upper)
-    return lower, upper
-
-
-def _checked_bounds(n: int, k: int, epsilon: float, one_hot: bool) -> tuple[int, int]:
-    """:func:`_chain_bounds`, after the builders' checks of n and k: the
-    one-hot model needs ``2 <= k <= n``, the bipartition model a vertex."""
     if one_hot and not 2 <= k <= n:
         raise ValueError(f"k must lie in 2..n={n}, got {k}")
     if n < 1:
         raise ValueError("graph must have at least one vertex")
-    return _chain_bounds(n, k, epsilon)
+    lower, upper = balance_bounds(n, k, epsilon)
+    if not one_hot and epsilon == 0:
+        lower = upper
+    return lower, upper
 
 
 def model_num_vars(n: int, k: int, epsilon: float = 0.0) -> int:
     """Variable count of the model the builders return, without building it."""
-    lo, hi = _chain_bounds(n, k, epsilon)
+    lo, hi = _chain_bounds(n, k, epsilon, one_hot=k != 2)
     slack = len(encode_slack_weights(hi - lo))
     return n + slack if k == 2 else k * (n + slack)
 
@@ -445,12 +441,12 @@ def build_bipartition_qubo(g: Graph, epsilon: float = 0.0,
                            penalty: float | None = None) -> QuboModel:
     """QUBO for balanced bipartitioning; variable i indicates vertex i in part 1.
 
-    One balance chain bounds the part-1 size to [max(0, n - upper), upper]
-    with upper from :func:`balance_bounds`, so both parts hold at most upper
-    vertices; epsilon == 0 pins it to ceil(n/2) with no slack.
+    One balance chain bounds the part-1 size to :func:`balance_bounds`'
+    [lower, upper], where lower = max(0, n - upper), so both parts hold at
+    most upper vertices; epsilon == 0 pins it to ceil(n/2) with no slack.
     ``penalty=None`` selects :func:`default_penalty`.
     """
-    lo, hi = _checked_bounds(g.n, 2, epsilon, one_hot=False)
+    lo, hi = _chain_bounds(g.n, 2, epsilon, one_hot=False)
     p = _checked_penalty(g, penalty)
     indicators = np.arange(g.n, dtype=np.int64)[:, None]
     chains = ChainSet.from_blocks(_balance_chains(indicators.T, lo, hi, g.n))
@@ -466,7 +462,7 @@ def build_kway_qubo(g: Graph, k: int, epsilon: float = 0.0,
     one indicator per vertex, and one balance chain per part bounds its size
     to :func:`balance_bounds`' [lower, upper].
     """
-    lo, hi = _checked_bounds(g.n, k, epsilon, one_hot=True)
+    lo, hi = _chain_bounds(g.n, k, epsilon, one_hot=True)
     p = _checked_penalty(g, penalty)
     indicators = np.arange(g.n * k, dtype=np.int64).reshape(g.n, k)
     one_hot = (indicators, np.ones(indicators.shape), 1.0)  # one chain per vertex

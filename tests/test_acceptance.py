@@ -205,8 +205,19 @@ def _exhaustive_optimum_check(model, indicators_feasible, optimum: int) -> None:
         assert decode(model, row.astype(np.int8))[1].feasible
 
 
+def _one_hot_in_window(n: int, k: int, lower: int, upper: int):
+    """Rows whose one-hot indicators hold, with every part size in [lower, upper]."""
+    def check(rows):
+        ind = rows[:, :k * n].reshape(len(rows), n, k)  # variable k*v+j: v in part j
+        sizes = ind.sum(axis=1)
+        return ((ind.sum(axis=2) == 1).all(axis=1)
+                & (sizes >= lower).all(axis=1) & (sizes <= upper).all(axis=1))
+    return check
+
+
 def test_criterion_05_optimum_feasible_with_imbalance():
-    """Exhaustive at epsilon > 0: the model optimum is a valid partition."""
+    """Exhaustive: the model optimum is a valid partition at epsilon > 0, and
+    for the one-hot model of k = 2 at epsilon == 0 on odd n."""
     start = time.perf_counter()
     cases = 0
     for g in (g for g in small_corpus() if g.n <= 10):
@@ -224,20 +235,17 @@ def test_criterion_05_optimum_feasible_with_imbalance():
     three_way_graphs = [gnp_graph(4, 0.5, rng), gnp_graph(4, 0.8, rng),
                         gnp_graph(5, 0.5, rng),
                         Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])]
-    for g in three_way_graphs:
-        lower, upper = balance_bounds(g.n, 3, 0.5)
-
-        def three_way(rows, n=g.n, lower=lower, upper=upper):
-            ind = rows[:, :3 * n].reshape(len(rows), n, 3)  # variable 3v+j: v in part j
-            sizes = ind.sum(axis=1)
-            return ((ind.sum(axis=2) == 1).all(axis=1)
-                    & (sizes >= lower).all(axis=1) & (sizes <= upper).all(axis=1))
-
-        _exhaustive_optimum_check(build_kway_qubo(g, 3, 0.5), three_way,
-                                  kway_optimum(g, 3, 0.5))
+    # odd n at epsilon == 0: each one-hot part holds floor(n/2) or ceil(n/2)
+    odd_graphs = [Graph.from_edges(5, [(i, i + 1) for i in range(4)]),
+                  gnp_graph(3, 0.7, rng), gnp_graph(5, 0.5, rng)]
+    for g, k, epsilon in ([(g, 3, 0.5) for g in three_way_graphs]
+                          + [(g, 2, 0.0) for g in odd_graphs]):
+        window = _one_hot_in_window(g.n, k, *balance_bounds(g.n, k, epsilon))
+        _exhaustive_optimum_check(build_kway_qubo(g, k, epsilon), window,
+                                  kway_optimum(g, k, epsilon))
         cases += 1
     elapsed = time.perf_counter() - start
-    _verdict(5, "model optimum is a valid partition at epsilon > 0",
+    _verdict(5, "model optimum is a valid partition at epsilon > 0 and one-hot k=2",
              elapsed < 60.0,
              f"{cases} models exhaustively checked, slack included, {elapsed:.1f}s of 60s")
 

@@ -29,8 +29,7 @@ def _write_graphs(tmp_path, count=2, n=12):
 def _record(**kwargs):
     base = dict(graph_id="g", n=10, d_avg=2.0, solver_id="anneal", k=2,
                 epsilon=0.0, penalty=4.0, seed=1, cut_raw=5, cut_repaired=5,
-                feasible=True, approximation_ratio=None, wall_time=0.1,
-                config_digest="abc")
+                approximation_ratio=None, wall_time=0.1, config_digest="abc")
     base.update(kwargs)
     return RunRecord(**base)
 
@@ -71,7 +70,7 @@ def test_run_grid_records(tmp_path):
     records = run_grid(cfg)
     assert len(records) == 2
     for rec in records:
-        assert rec.feasible is True and rec.error == ""
+        assert rec.error == ""
         assert rec.cut_repaired is not None and rec.cut_repaired >= 0
         assert rec.cut_raw == rec.cut_repaired  # decode was already balanced
         assert rec.config_digest == cfg.digest()
@@ -115,7 +114,7 @@ def test_run_grid_unsatisfiable_bounds_solve_once(tmp_path, monkeypatch):
                      time_limit=None)
     (rec,) = run_grid(cfg)
     assert len(solves) == 1
-    assert rec.feasible is True and rec.error == ""
+    assert rec.error == ""
     assert rec.cut_repaired is not None and rec.cut_raw is not None
     assert rec.penalty == default_penalty(load_graph_file(paths[0]))
 
@@ -134,7 +133,7 @@ def test_run_grid_sparsify_mode(tmp_path):
                      replicas=2, time_limit=None, sparsify=True, repeats=3,
                      keep_ratio=0.6)
     (rec,) = run_grid(cfg)
-    assert rec.feasible is True and not rec.error
+    assert not rec.error
     # the pipeline projects and repairs internally, so both cuts coincide
     assert rec.cut_raw == rec.cut_repaired and rec.cut_raw >= 0
     # auto mode: the best repeat's model penalty, derived from its sparsified graph
@@ -152,7 +151,7 @@ def test_run_grid_sparsify_unsatisfiable_cell(tmp_path):
     cfg = GridConfig(graphs=paths, ks=[4], epsilons=[0.03], sweeps=50, replicas=1,
                      time_limit=None, sparsify=True, repeats=2)
     (rec,) = run_grid(cfg)
-    assert rec.feasible is True and rec.error == ""
+    assert rec.error == ""
     assert rec.cut_repaired == rec.cut_raw and rec.cut_raw >= 0
     assert rec.approximation_ratio is None and rec.wall_time >= 0
 
@@ -163,7 +162,7 @@ def test_run_grid_registry_graph_gets_ratio(tmp_path):
     path.write_text(write_metis(g))
     cfg = GridConfig(graphs=[str(path)], sweeps=100, replicas=1, time_limit=None)
     (rec,) = run_grid(cfg)
-    assert rec.graph_id == "uk" and rec.feasible is True
+    assert rec.graph_id == "uk" and rec.error == "" and rec.cut_repaired >= 0
     assert rec.approximation_ratio == rec.cut_repaired / best_known("uk", 2, 0.0)
 
 
@@ -184,15 +183,16 @@ def test_run_grid_workers_match_serial(tmp_path):
         assert [r.graph_id for r in recs] == ["g0"] * 4 + ["missing"] * 4 + ["g1"] * 4
         assert [(r.k, r.epsilon) for r in recs[4:8]] == [(2, 0.0), (2, 0.1), (3, 0.0), (3, 0.1)]
         assert all(r.error.startswith("unreadable graph") and r.n is None
-                   and r.d_avg is None and r.feasible is None for r in recs[4:8])
-        assert all(r.n == 10 and r.feasible is not None for r in recs[:4] + recs[8:])
+                   and r.d_avg is None and r.cut_repaired is None for r in recs[4:8])
+        assert all(r.n == 10 and r.error == "" and r.cut_repaired is not None
+                   for r in recs[:4] + recs[8:])
     with pytest.raises(ValueError, match="workers"):
         run_grid(dataclasses.replace(serial, workers=0))
 
 
 def test_records_json_round_trip():
-    records = [_record(), _record(graph_id="h", feasible=False, error="x",
-                                  cut_repaired=None, approximation_ratio=1.5)]
+    records = [_record(), _record(graph_id="h", error="x", cut_repaired=None,
+                                  approximation_ratio=1.5)]
     assert [RunRecord(**row) for row in json.loads(records_to_json(records))] == records
 
 
@@ -202,7 +202,7 @@ def test_records_csv_shape():
     assert lines[0].startswith("graph_id,")
     assert "1.25" in lines[1] and len(lines) == 2
     assert "\r" not in text
-    assert ",true," in lines[1]
+    assert lines[1].endswith(",abc,")  # an empty error is an empty cell
 
 
 def test_ingest_external(tmp_path):

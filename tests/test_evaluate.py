@@ -129,7 +129,7 @@ def test_repair_random_corpus_properties():
             labels = rng.randint(0, k, size=g.n)
             p = Partition.from_labels(labels.tolist(), k)
             lower, upper = balance_bounds(g.n, k, epsilon)
-            assert k * upper >= g.n and (k == 2 or k * lower <= g.n)
+            assert k * upper >= g.n and k * lower <= g.n
             fixed = repair(g, p, epsilon=epsilon)
             assert partition_feasibility(fixed, epsilon).feasible
             if partition_feasibility(p, epsilon).feasible:

@@ -364,12 +364,12 @@ def test_cut_equals_laplacian_quadratic_form():
 
 def test_balance_bounds_frozen_cases():
     assert balance_bounds(10, 2, 0.0) == (5, 5)
-    assert balance_bounds(5, 2, 0.0) == (3, 3)
-    assert balance_bounds(2395, 2, 0.01) == (0, 1209)
+    assert balance_bounds(5, 2, 0.0) == (2, 3)
+    assert balance_bounds(2395, 2, 0.01) == (1186, 1209)
     assert balance_bounds(9, 3, 0.0) == (3, 3)
     assert balance_bounds(12, 3, 0.5) == (2, 6)
     # decimal interpretation: floor(1.03 * 100) must be 103, not 102
-    assert balance_bounds(200, 2, 0.03) == (0, 103)
+    assert balance_bounds(200, 2, 0.03) == (97, 103)
     assert balance_bounds(300, 3, 0.7)[1] == 170
     # add20 at k=3, 0%: three parts of 799 do not fit in 2395 vertices, so
     # the lower bound is what a part holds when the other two are full
@@ -378,15 +378,10 @@ def test_balance_bounds_frozen_cases():
 
 def _unfitted_balance_bounds(n, k, epsilon):
     """balance_bounds without the fallback lower bound: ceil((1-eps) * ceil(n/k))
-    for k > 2 even where k such parts do not fit in n vertices."""
+    even where k such parts do not fit in n vertices."""
     eps = Fraction(str(epsilon))
     ceil_nk = -(-n // k)
-    if eps == 0:
-        return ceil_nk, ceil_nk
-    upper = math.floor((1 + eps) * ceil_nk)
-    if k == 2:
-        return 0, upper
-    return max(0, math.ceil((1 - eps) * ceil_nk)), upper
+    return max(0, math.ceil((1 - eps) * ceil_nk)), math.floor((1 + eps) * ceil_nk)
 
 
 def test_balance_bounds_every_window_can_be_met():
@@ -395,12 +390,12 @@ def test_balance_bounds_every_window_can_be_met():
         for k in range(2, n + 1):
             for epsilon in (0.0, 0.01, 0.03, 0.05, 0.1, 0.25, 0.34, 0.5, 1.5):
                 lower, upper = balance_bounds(n, k, epsilon)
-                # for k == 2 only the upper bound binds a part
-                enforced = lower if k > 2 else 0
                 assert 0 <= lower <= upper, (n, k, epsilon)
-                assert k * enforced <= n <= k * upper, (n, k, epsilon)
+                assert k * lower <= n <= k * upper, (n, k, epsilon)
                 old_lower, old_upper = _unfitted_balance_bounds(n, k, epsilon)
-                if k * old_upper >= n and (k == 2 or k * old_lower <= n):
+                if k == 2:  # the least a part holds when the other one is full
+                    assert (lower, upper) == (max(0, n - old_upper), old_upper), (n, epsilon)
+                elif k * old_upper >= n and k * old_lower <= n:
                     assert (lower, upper) == (old_lower, old_upper), (n, k, epsilon)
                 else:
                     changed += 1

@@ -99,13 +99,12 @@ def test_kway_energy_equals_cut_for_one_hot_balanced():
     rng = np.random.RandomState(78)
     # (10, 3, 0.0) and (10, 4, 0.03) have lower bound n - (k-1) * upper
     for n, k, epsilon in [(6, 3, 0.0), (9, 3, 0.0), (12, 4, 0.0), (12, 3, 0.34), (10, 5, 0.5),
-                          (10, 3, 0.0), (10, 4, 0.03)]:
+                          (10, 3, 0.0), (10, 4, 0.03), (9, 2, 0.0)]:
         g = gnp_graph(n, 0.5, rng)
         m = build_kway_qubo(g, k, epsilon)
         lower, upper = balance_bounds(n, k, epsilon)
-        lo = lower if k > 2 else 0
         for _ in range(10):
-            sizes = feasible_sizes(n, k, lo, upper, rng)
+            sizes = feasible_sizes(n, k, lower, upper, rng)
             perm = rng.permutation(n)
             labels = np.zeros(n, dtype=int)
             pos = 0

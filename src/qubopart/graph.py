@@ -6,7 +6,8 @@ layout METIS itself uses; the sorted ``(m, 2)`` edge list is derived from
 it.  Supported on-disk formats:
 
 * adjacency-list graph files ("n m" header, one 1-indexed neighbor line
-  per vertex, '%' comment lines) for both reading and writing,
+  per vertex whose tokens are runs of ASCII decimal digits separated by
+  spaces and tabs, '%' comment lines) for both reading and writing,
 * MatrixMarket coordinate files (read only, pattern extracted).
 
 Vertices are 0-indexed in memory; files stay 1-indexed on disk.
@@ -14,7 +15,6 @@ Vertices are 0-indexed in memory; files stay 1-indexed on disk.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import warnings
@@ -226,13 +226,11 @@ def parse_metis(text: str, name: str = "") -> Graph:
     weight variants (1, 10, 11, and the 3-digit forms) are accepted but all
     weights are discarded with a warning.  Neighbor ids are 1-indexed.
 
-    When the vertex lines hold only ASCII digits, spaces and tabs, and no
-    token is longer than 18 digits, one byte scan over the whole body finds
-    the tokens and numpy reads them in one call.  Any other body, such as
-    one with ``+3``, ``1_0``, ``3.0``, non-ASCII digits or other Unicode
-    blanks, is read with Python's ``int()`` per token, which accepts what
-    ``int()`` accepts and names the line of the first token it rejects.
-    Both paths give the same graphs, errors and warnings.
+    A vertex line holds runs of ASCII decimal digits separated by spaces
+    and tabs, and nothing else: ``+3``, ``1_0``, ``3.0``, ``-2``, a
+    non-ASCII digit or any other blank is a non-integer token, reported for
+    its line after the checks of the lines before it.  One byte scan over
+    the whole body finds the tokens and numpy reads them in one call.
     """
     lines = _strip_comment_lines(text)
     while lines and not lines[0].split():
@@ -267,12 +265,7 @@ def parse_metis(text: str, name: str = "") -> Graph:
         raise GraphFormatError(f"expected {n} vertex lines, found {len(vertex_lines)}")
 
     skip = (1 if has_vsize else 0) + (ncon if has_vweight else 0)
-    scanned = _scan_digit_rows(vertex_lines)
-    if scanned is not None:
-        values, counts = scanned
-        ids, bad_line, bad_exc = values, None, None
-    else:
-        values, ids, counts, bad_line, bad_exc = _split_int_rows(vertex_lines, n)
+    ids, counts, bad_line, long_values = _scan_digit_rows(vertex_lines, n)
     row_id = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
 
     # a line's tokens: vertex size, ncon weights, then neighbors (each
@@ -291,12 +284,13 @@ def parse_metis(text: str, name: str = "") -> Graph:
     if len(odd) and (not len(wrong) or odd[0] <= row[wrong[0]]):
         raise GraphFormatError(f"vertex {odd[0] + 1}: odd token count with edge weights")
     if len(wrong):
-        i, value = row[wrong[0]] + 1, int(values[nbr_at[wrong[0]]])
-        if not 1 <= value <= n:
+        i, at = row[wrong[0]] + 1, nbr_at[wrong[0]]
+        if not 1 <= ids[at] <= n:
+            value = long_values.get(at, ids[at])
             raise GraphFormatError(f"vertex {i} lists neighbor {value} outside 1..{n}")
         raise GraphFormatError(f"self-loop at vertex {i}")
-    if bad_exc is not None:
-        raise GraphFormatError(f"non-integer token on vertex line {bad_line + 1}") from bad_exc
+    if bad_line < len(vertex_lines):
+        raise GraphFormatError(f"non-integer token on vertex line {bad_line + 1}")
 
     if has_vsize or has_vweight or has_eweight:
         warnings.warn("weighted graph file: all weights discarded", stacklevel=2)
@@ -317,75 +311,42 @@ def parse_metis(text: str, name: str = "") -> Graph:
 _MAX_SCAN_DIGITS = 18  # every 18-digit token fits in int64
 
 
-def _scan_digit_rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
-    """All tokens of ``lines`` as int64, and each line's token count.
+def _scan_digit_rows(lines: list[str], n: int) -> tuple[
+        np.ndarray, np.ndarray, int, dict[int, int]]:
+    """Tokens of ``lines``: ``(ids, counts, bad_line, long_values)``.
 
-    One byte scan finds the tokens and ``np.fromstring`` reads them, when
-    the lines hold only ASCII digits, spaces and tabs and no token is
-    longer than 18 digits.  ``None`` otherwise, or when the scan and the
-    read disagree on the number of tokens: such lines are left to
-    ``int()``, which reports the bad token.
+    A token is a run of ASCII decimal digits; spaces and tabs separate
+    them.  One byte scan over the joined lines finds the tokens and
+    ``np.fromstring`` reads them into the int64 ``ids``; ``counts`` holds
+    each line's token count.  ``bad_line`` is the index of the first line
+    holding any other character, ``len(lines)`` when there is none; only the
+    lines before it are read.  A token longer than 18 digits is read from
+    its own text into ``long_values``, keyed by its index in ``ids``, and
+    clipped to ``[0, n + 1]`` in ``ids``, which keeps every range verdict.
     """
-    if not lines:  # the joined body could not tell them from one blank line
-        return None
     body = "\n".join(lines)
-    if not body.isascii():
-        return None
-    raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    # one byte per character: a non-ASCII one becomes '?', which no rule allows
+    raw = np.frombuffer(body.encode("ascii", "replace"), dtype=np.uint8)
     digit = (raw >= ord("0")) & (raw <= ord("9"))
-    if not (digit | (raw == ord(" ")) | (raw == ord("\t")) | (raw == ord("\n"))).all():
-        return None
+    allowed = digit | (raw == ord(" ")) | (raw == ord("\t")) | (raw == ord("\n"))
+    bad_line = len(lines)
+    if not allowed.all():
+        first = int(allowed.argmin())
+        bad_line = body.count("\n", 0, first)
+        end = max(body.rfind("\n", 0, first), 0)
+        body, raw, digit = body[:end], raw[:end], digit[:end]
     # digit runs start and end where the padded mask changes, alternately
     edges = np.flatnonzero(np.diff(np.concatenate(([False], digit, [False]))))
     starts, ends = edges[0::2], edges[1::2]
-    if len(starts) and (ends - starts).max() > _MAX_SCAN_DIGITS:
-        return None
-    values = np.fromstring(body, dtype=np.int64, sep=" ")
-    if len(values) != len(starts):  # a blank-only body reads as [0]
-        return None
+    # numpy reads a blank-only body as [0]
+    ids = np.fromstring(body, dtype=np.int64, sep=" ") if len(starts) else np.empty(0, np.int64)
+    long_values = {}
+    for at in np.flatnonzero(ends - starts > _MAX_SCAN_DIGITS).tolist():
+        long_values[at] = int(body[starts[at]:ends[at]])
+        ids[at] = min(long_values[at], n + 1)
     cuts = np.searchsorted(starts, np.flatnonzero(raw == ord("\n")))
-    return values, np.diff(cuts, prepend=0, append=len(starts))
-
-
-def _split_int_rows(lines: list[str], n: int) -> tuple[
-        list[int], np.ndarray, np.ndarray, int | None, ValueError | None]:
-    """Tokens of ``lines`` read by ``int()``: ``(values, ids, counts, bad_line, bad_exc)``.
-
-    ``values`` are the Python ints and ``ids`` the same clipped to int64;
-    ``counts`` holds each line's token count.  When a token is not an
-    integer, only the lines before its line ``bad_line`` are read, and
-    ``bad_exc`` is the error ``int()`` raised.
-    """
-    rows = [ln.split() for ln in lines]
-    bad_line = bad_exc = None
-    try:
-        values = list(map(int, itertools.chain.from_iterable(rows)))
-    except ValueError:
-        # the rows before the first bad one are checked first, as a
-        # line-by-line reader would
-        bad_line, bad_exc = _first_non_integer_row(rows)
-        rows = rows[:bad_line]
-        values = list(map(int, itertools.chain.from_iterable(rows)))
-    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    try:
-        ids = np.array(values, dtype=np.int64)
-    except OverflowError:
-        # clipping to [0, n + 1] keeps every in-range and out-of-range verdict
-        ids = np.array(values, dtype=object).clip(0, n + 1).astype(np.int64)
-    return values, ids, counts, bad_line, bad_exc
-
-
-def _first_non_integer_row(rows: list[list[str]]) -> tuple[int, ValueError | None]:
-    """Index of the first row holding a token ``int()`` rejects, and its error.
-
-    ``(len(rows), None)`` when every token converts.
-    """
-    for i, row in enumerate(rows):
-        try:
-            list(map(int, row))
-        except ValueError as exc:
-            return i, exc
-    return len(rows), None
+    # [:bad_line]: an empty body holds no line, not one blank line
+    return ids, np.diff(cuts, prepend=0, append=len(starts))[:bad_line], bad_line, long_values
 
 
 def write_metis(g: Graph) -> str:

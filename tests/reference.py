@@ -145,10 +145,10 @@ def parse_metis(text: str, name: str = "") -> Graph:
     skip = (1 if has_vsize else 0) + (ncon if has_vweight else 0)
     directed: set[tuple[int, int]] = set()
     for i, line in enumerate(vertex_lines):
-        try:
-            tokens = [int(t) for t in line.split()]
-        except ValueError as exc:
-            raise GraphFormatError(f"non-integer token on vertex line {i + 1}") from exc
+        # tokens are runs of ASCII decimal digits between spaces and tabs
+        if line.strip("0123456789 \t"):
+            raise GraphFormatError(f"non-integer token on vertex line {i + 1}")
+        tokens = [int(t) for t in line.split()]
         rest = tokens[skip:]
         if has_eweight:
             if len(rest) % 2:

@@ -115,8 +115,8 @@ def test_golden_noninteger_penalty():
 @pytest.mark.parametrize("name", ["k2-eps0", "k3-balanced", "grid12x16-eps0",
                                   "k4-above-block"])
 def test_golden_under_nonbinding_time_limit(name):
-    """A time limit that does not bind splits the sweeps into batches sized
-    from the measured rate, starting with one-sweep batches; the trajectory
+    """A time limit that does not bind makes each replica's single
+    ``_python_sweeps`` call read the clock after every sweep; the trajectory
     must not change."""
     model, cfg = _case(name)
     cfg.time_limit = 3600.0

@@ -201,6 +201,18 @@ def test_malformed_graph_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# a vertex line holds ASCII decimal digits, spaces and tabs only
+@pytest.mark.parametrize("body, line", [("2\n1 +2\n", 2), ("\u0663\n1\n", 1)],
+                         ids=["plus-sign", "arabic-indic-digit"])
+def test_malformed_graph_exit_code_non_integer_token(tmp_path, body, line, capsys):
+    bad = tmp_path / "bad.graph"
+    bad.write_text("2 1\n" + body, encoding="utf-8")
+    rc = main(["partition", "--graph", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2 and "Traceback" not in err
+    assert f"error: non-integer token on vertex line {line}\n" in err
+
+
 @pytest.mark.parametrize("flag, value", [("--penalty", "nan"), ("--penalty", "inf"),
                                          ("--time-limit", "nan")])
 def test_non_finite_solver_flag_exit_code(graph_file, flag, value, capsys):
@@ -307,7 +319,7 @@ def test_pinned_bench_csv(graph_file, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["kway", "sparsify-pipeline"])
-def test_unsatisfiable_bounds_exit_code(tmp_path, command, capsys):
+def test_tight_window_is_met_exit_0(tmp_path, command, capsys):
     # four parts of ceil(0.97 * 3) = 3 vertices do not fit in 10, so each
     # part holds between 10 - 3 * 3 = 1 and 3
     path = tmp_path / "cycle10.graph"

@@ -211,12 +211,28 @@ def balance_bounds(n: int, k: int, epsilon: float | Fraction = 0.0) -> tuple[int
     return lower, upper
 
 
+def _split_lines(text: str) -> list[str]:
+    """Lines of ``text``, broken at ``\\n``, ``\\r\\n`` and ``\\r`` only.
+
+    ``str.splitlines`` also breaks at ``\\v``, ``\\f``, ``\\x1c``-``\\x1e``,
+    ``\\x85``, ``\\u2028`` and ``\\u2029``, which would turn one malformed line
+    into two.  A final line break ends the last line, as there.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def _strip_comment_lines(text: str) -> list[str]:
     # '%' lines are comments; blank lines are kept because a line with no
     # tokens is a legal vertex row (isolated vertex).
+    lines = _split_lines(text)
     if "%" not in text:
-        return text.splitlines()
-    return [ln for ln in text.splitlines() if not ln.lstrip().startswith("%")]
+        return lines
+    return [ln for ln in lines if not ln.lstrip().startswith("%")]
 
 
 def parse_metis(text: str, name: str = "") -> Graph:
@@ -447,7 +463,7 @@ def parse_partition(text: str) -> tuple[Partition, dict]:
     """Parse a partition file; returns the partition and its header metadata."""
     meta: dict = {}
     labels: list[int] = []
-    for ln in text.splitlines():
+    for ln in _split_lines(text):
         stripped = ln.strip()
         if not stripped:
             continue

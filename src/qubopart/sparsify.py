@@ -8,37 +8,25 @@ the rest are dropped.  Partitioning the sparsified graph with
 :func:`qubopart.pipeline.partition` and projecting the labels back gives a
 cheap upper bound on the original graph's cut.
 
-The fire draws from the MT19937 stream of ``RandomState(seed)`` exactly as
-the legacy scalar calls ``randint``, ``geometric`` and ``shuffle`` would, but
-decodes the raw words itself, which costs a fraction of a numpy call per
-draw.  ``rs.randint(0, 2**32, size=B, dtype=np.uint32)`` hands out the
-generator's next B output words unchanged; they are fetched
-``FIRE_WORD_BLOCK`` at a time, and a refill keeps the unread tail.  No draw
-checks for the end of the block: a double that runs out refills and decodes
-again, and a shuffle that runs out is redone from its first word after the
-refill, which is exact because no burn mark changes during a shuffle.  The
-BFS reads its queue, the fire's list of burned vertices, in place.  From the
-words w0, w1, ... in order:
+Each walk draws its randomness in bulk from ``RandomState(seed)``, in this
+order: ``order = permutation(n)``; one fan-out per vertex,
+``geometric(1 - burn_probability, size=n) - 1``; and one 32-bit key per arc,
+which orders each vertex's neighbors by a stable sort.  A fire starts at the
+next vertex of ``order`` that has not burned, and a burning vertex burns the
+first fan-out of its still-unburned neighbors in key order.  This is the
+process of the scalar-call loop (``randint`` over the unburned vertices,
+``geometric`` and ``shuffle`` per burning vertex):
 
-* a double takes two words, ``((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53``;
-* ``geometric(p)`` takes one double u: ``ceil(log1p(-u) / log(1 - p))`` for
-  p below 1/3, else the least x with ``p + p*q + ... + p*q**(x-1) >= u``,
-  summed in that order;
-* an integer in [0, hi] is the first word whose low ``hi.bit_length()`` bits,
-  read as a number, are at most hi; hi == 0 reads no word.  Restart picks and
-  the Fisher-Yates swaps of the shuffle (for i = len - 1 down to 1) draw so.
-
-numpy's compatibility policy freezes the legacy stream, so the scores equal
-those of the scalar calls bit for bit, with one deliberate difference: a
-double of exactly 0.0 (odds 2**-53 per draw) makes the inversion's fan-out
--1, which burns nothing here, where the scalar-call loop once sliced
-``targets[:-1]`` and miscounted the unburned vertices.
-``tests/reference.py`` keeps that loop, with the same clamp, as the oracle.
+* the first unburned vertex of a uniform permutation is uniform over the
+  unburned vertices, because every vertex before it has burned;
+* a vertex burns once per walk, so it uses its fan-out and its neighbor
+  order at most once;
+* a uniform order of all of a vertex's neighbors, restricted to those still
+  unburned, is a uniform order of those.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,53 +49,6 @@ class EdgeScores:
     burn_probability: float
     walks: int
     seed: int
-
-
-FIRE_WORD_BLOCK = 512  # raw MT19937 words fetched per refill; larger blocks raised peak RSS
-_GEOMETRIC_SEARCH_MIN_P = 0.333333333333333333333333  # legacy geometric searches from here up
-_SUPER_BITS = 10  # restart counts: per 1024-vertex superblock, over 64-vertex bit masks
-# a rebuild of the restart counts costs about 8 us + 1 ns a vertex, a per-vertex
-# update 0.2-0.3 us a burn (numpy 2.4, x86-64): fires of more than 64 + n/256
-# vertices rebuild
-_REBUILD_MIN_BURNS = 64
-
-
-def _more_words(rs: np.random.RandomState, words: list[int], pos: int) -> list[int]:
-    """The unread words ``words[pos:]``, then ``FIRE_WORD_BLOCK`` fresh raw words of ``rs``."""
-    return words[pos:] + rs.randint(0, 2**32, size=FIRE_WORD_BLOCK, dtype=np.uint32).tolist()
-
-
-def _unburned_counts(burned: bytearray) -> tuple[list[int], list[int]]:
-    """The restart counts, rebuilt from the burn marks in O(n).
-
-    Per 64-vertex block a mask with bit i set when vertex 64 * block + i is
-    unburned, and per superblock of ``2**_SUPER_BITS`` vertices the number
-    of unburned ones.
-    """
-    n = len(burned)
-    free = np.zeros(-(-n // (1 << _SUPER_BITS)) << _SUPER_BITS, dtype=np.uint8)
-    free[:n] = np.frombuffer(burned, dtype=np.uint8) ^ 1
-    bits = np.packbits(free, bitorder="little").view("<u8")[:-(-n // 64)]
-    return bits.tolist(), free.reshape(-1, 1 << _SUPER_BITS).sum(axis=1).tolist()
-
-
-def _nth_unburned(free_bits: list[int], super_free: list[int], r: int) -> int:
-    """The r-th unburned vertex in vertex order: find its superblock, block, then bit."""
-    s = 0
-    while r >= super_free[s]:
-        r -= super_free[s]
-        s += 1
-    b = s << (_SUPER_BITS - 6)
-    while True:
-        bits = free_bits[b]
-        c = bits.bit_count()
-        if r < c:
-            break
-        r -= c
-        b += 1
-    for _ in range(r):
-        bits &= bits - 1  # clear the lowest set bit
-    return (b << 6) + (bits & -bits).bit_length() - 1
 
 
 def _score_burns(g: Graph, sources: list[int], walks: int) -> np.ndarray:
@@ -135,109 +76,44 @@ def forest_fire_scores(g: Graph, burn_probability: float = 0.7, walks: int = 10,
     ``geometric(1 - burn_probability) - 1`` of its unburned neighbors
     (chosen uniformly without replacement), restarting from a fresh vertex
     whenever the frontier dies out.  Every traversed edge gains one point.
-    Deterministic for a fixed seed: the draws are those of the legacy
-    ``RandomState(seed)`` scalar calls, decoded from raw words as the module
-    docstring describes.
+    Deterministic for a fixed seed: each walk draws its start order,
+    fan-outs and neighbor orders in bulk, as the module docstring describes.
     """
     if not 0.0 <= burn_probability < 1.0:
         raise ValueError(f"burn probability must lie in [0, 1), got {burn_probability}")
     if walks < 1:
         raise ValueError(f"walk count must be positive, got {walks}")
     rs = np.random.RandomState(seed)
-    words: list[int] = []  # raw words of rs; words[pos] is the next one to decode
-    pos = 0
-    p = 1.0 - burn_probability
-    q = 1.0 - p
-    inversion = p < _GEOMETRIC_SEARCH_MIN_P
-    log_q = math.log(q) if inversion else 0.0
-    ceil, log1p = math.ceil, math.log1p
-    ptr, ind = g.indptr.tolist(), g.indices.tolist()
-    neighbors = [ind[a:b] for a, b in zip(ptr, ptr[1:])]
-    # bit masks of the shuffle's swap draws, masks[i] for an index in [0, i]
-    masks = [(1 << i.bit_length()) - 1 for i in range(max(map(len, neighbors), default=0))]
+    n, ptr = g.n, g.indptr.tolist()
+    arc_row = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr)) << 32
     sources: list[int] = []  # per walk and vertex: the vertex it caught fire from, or -1
 
     for _ in range(walks):
-        burned = bytearray(g.n)
-        source = [-1] * g.n
-        free_bits, super_free = _unburned_counts(burned)
-        remaining = g.n
-        while remaining:
-            # restart from the r-th unburned vertex, r = randint(remaining)
-            hi, r = remaining - 1, 0
-            if hi:
-                mask = (1 << hi.bit_length()) - 1
-                while True:
-                    try:
-                        r = words[pos] & mask
-                    except IndexError:
-                        words, pos = _more_words(rs, words, pos), 0
-                        continue
-                    pos += 1
-                    if r <= hi:
-                        break
-            v = _nth_unburned(free_bits, super_free, r)
-            burned[v] = 1
-            remaining -= 1
-            fire = [v]  # the fire's vertices in burn order, read in place as the BFS queue
+        order = rs.permutation(n).tolist()
+        fan = (rs.geometric(1.0 - burn_probability, size=n) - 1).tolist()
+        key = rs.randint(0, 2**32, size=len(g.indices), dtype=np.int64)
+        # stable, so equal keys keep arc order on every sort dispatch path; the
+        # view makes Python ints only of the arcs the fire reads
+        nbrs = memoryview(g.indices[np.argsort(arc_row | key, kind="stable")])
+        burned = bytearray(n)
+        source = [-1] * n
+        for start in order:
+            if burned[start]:
+                continue
+            burned[start] = 1
+            fire = [start]  # the fire's vertices in burn order, read in place as the BFS queue
             for v in fire:
-                nbrs = neighbors[v]
-                for u in nbrs:  # a vertex draws only with an unburned neighbor
+                fan_out = fan[v]
+                if fan_out <= 0:  # -1 only where geometric read a double of exactly 0.0
+                    continue
+                for u in nbrs[ptr[v]:ptr[v + 1]]:
                     if not burned[u]:
-                        break
-                else:
-                    continue
-                # fan-out geometric(p) - 1, from one double; a refill keeps a one-word tail
-                try:
-                    w0, w1 = words[pos], words[pos + 1]
-                except IndexError:
-                    words, pos = _more_words(rs, words, pos), 0
-                    w0, w1 = words[0], words[1]
-                pos += 2
-                x = ((w0 >> 5) * 67108864.0 + (w1 >> 6)) / 9007199254740992.0
-                if inversion:
-                    fan_out = ceil(log1p(-x) / log_q) - 1
-                else:
-                    fan_out, prod, total = 0, p, p
-                    while x > total:
-                        prod *= q
-                        total += prod
-                        fan_out += 1
-                if fan_out <= 0:  # the inversion gives -1 for x == 0.0
-                    continue
-                # shuffle all the targets as rng.shuffle does, Fisher-Yates from
-                # the back swapping i with randint(i + 1), and burn the head.  A
-                # shuffle that runs out of words is redone from its first word
-                # after a refill; no burn mark changes meanwhile
-                while True:
-                    targets = [u for u in nbrs if not burned[u]]
-                    start = pos
-                    try:
-                        for i in range(len(targets) - 1, 0, -1):
-                            mask = masks[i]
-                            while (j := words[pos] & mask) > i:
-                                pos += 1
-                            pos += 1
-                            targets[i], targets[j] = targets[j], targets[i]
-                        break
-                    except IndexError:
-                        words, pos = _more_words(rs, words, start), 0
-                del targets[fan_out:]
-                for u in targets:
-                    burned[u] = 1
-                    source[u] = v
-                remaining -= len(targets)
-                fire.extend(targets)
-            if not remaining:
-                break
-            # take the fire's burns off the restart counts: one by one, or by
-            # a rebuild once that is cheaper, so a burn costs O(1) either way
-            if len(fire) > _REBUILD_MIN_BURNS + (g.n >> 8):
-                free_bits, super_free = _unburned_counts(burned)
-            else:
-                for u in fire:
-                    free_bits[u >> 6] ^= 1 << (u & 63)
-                    super_free[u >> _SUPER_BITS] -= 1
+                        burned[u] = 1
+                        source[u] = v
+                        fire.append(u)
+                        fan_out -= 1
+                        if not fan_out:
+                            break
         sources += source
 
     return EdgeScores(scores=_score_burns(g, sources, walks),

@@ -9,13 +9,16 @@
   :func:`qubopart.graph.parse_metis`.
 * The O(n)-per-move balance repair loop, the oracle for the heap-driven
   :func:`qubopart.evaluate.repair`.
-* A forest fire drawing through ``RandomState``'s scalar calls, the oracle
-  for the word-decoding :func:`qubopart.sparsify.forest_fire_scores`.
+* A deque forest fire over the same bulk draws, the oracle for
+  :func:`qubopart.sparsify.forest_fire_scores`, and the legacy fire drawing
+  through ``RandomState``'s scalar calls, the textbook process both must
+  match in distribution.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -23,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from qubopart.graph import Graph, GraphFormatError, Partition, _strip_comment_lines, balance_bounds
+from qubopart.graph import Graph, GraphFormatError, Partition, balance_bounds
 from qubopart.qubo import QuboModel
 from qubopart.sparsify import EdgeScores
 
@@ -110,7 +113,12 @@ def parse_metis(text: str, name: str = "") -> Graph:
     Same contract as :func:`qubopart.graph.parse_metis`: the same graphs,
     the same errors with the same messages, the same weights warning.
     """
-    lines = _strip_comment_lines(text)
+    # lines break at \n, \r\n and \r only; a final break ends the last line
+    lines = re.split(r"\r\n|\r|\n", text)
+    if not lines[-1]:
+        lines.pop()
+    # '%' lines are comments; a blank line is an isolated vertex's row
+    lines = [ln for ln in lines if not ln.lstrip().startswith("%")]
     while lines and not lines[0].split():
         lines.pop(0)
     if not lines:
@@ -226,11 +234,59 @@ def repair(g: Graph, p: Partition, k: int | None = None,
 
 def forest_fire_scores(g: Graph, burn_probability: float = 0.7, walks: int = 10,
                        seed: int = 0) -> EdgeScores:
+    """Deque forest fire over the bulk draws of :func:`qubopart.sparsify.forest_fire_scores`.
+
+    Same contract and the same draws per walk: ``permutation(n)``, one
+    ``geometric - 1`` fan-out per vertex and one 32-bit key per arc.  Each
+    vertex's neighbors are sorted by (key, arc position), restarts scan the
+    permutation linearly, and the burns are tallied in a dict by edge.
+    """
+    if not 0.0 <= burn_probability < 1.0:
+        raise ValueError(f"burn probability must lie in [0, 1), got {burn_probability}")
+    if walks < 1:
+        raise ValueError(f"walk count must be positive, got {walks}")
+    rng = np.random.RandomState(seed)
+    ptr, ind = g.indptr.tolist(), g.indices.tolist()
+    tally: dict[tuple[int, int], int] = {}
+
+    for _ in range(walks):
+        order = rng.permutation(g.n).tolist()
+        fan = [int(x) - 1 for x in rng.geometric(1.0 - burn_probability, size=g.n)]
+        key = rng.randint(0, 2**32, size=len(ind), dtype=np.int64).tolist()
+        burned = [False] * g.n
+        next_start = 0
+        while True:
+            while next_start < g.n and burned[order[next_start]]:
+                next_start += 1
+            if next_start == g.n:
+                break
+            start = order[next_start]
+            burned[start] = True
+            frontier = deque([start])
+            while frontier:
+                v = frontier.popleft()
+                arcs = sorted(range(ptr[v], ptr[v + 1]), key=lambda a: (key[a], a))
+                targets = [ind[a] for a in arcs if not burned[ind[a]]]
+                for u in targets[:max(fan[v], 0)]:
+                    burned[u] = True
+                    frontier.append(u)
+                    edge = (min(u, v), max(u, v))
+                    tally[edge] = tally.get(edge, 0) + 1
+    scores = np.array([tally.get(e, 0) for e in map(tuple, g.edge_array.tolist())],
+                      dtype=np.int64)
+    return EdgeScores(scores=scores, burn_probability=burn_probability,
+                      walks=walks, seed=seed)
+
+
+def legacy_forest_fire_scores(g: Graph, burn_probability: float = 0.7, walks: int = 10,
+                              seed: int = 0) -> EdgeScores:
     """Forest fire drawing with ``rng.randint``, ``rng.geometric`` and ``rng.shuffle``.
 
-    Same contract as :func:`qubopart.sparsify.forest_fire_scores`: the same
-    burns in the same order, so the same scores.  Each restart rescans all
-    n vertices for the unburned ones.
+    The textbook process, one scalar call per draw: a restart picks a
+    uniform unburned vertex, each burning vertex with unburned neighbors
+    draws its fan-out and shuffles them.  Its draws differ from those of
+    :func:`qubopart.sparsify.forest_fire_scores`, so the two agree in
+    distribution only.
     """
     if not 0.0 <= burn_probability < 1.0:
         raise ValueError(f"burn probability must lie in [0, 1), got {burn_probability}")
@@ -254,8 +310,7 @@ def forest_fire_scores(g: Graph, burn_probability: float = 0.7, walks: int = 10,
                 if not targets:
                     continue
                 fan_out = min(int(rng.geometric(1.0 - burn_probability)) - 1, len(targets))
-                # geometric returns 0 for a double of exactly 0.0; the loop this
-                # oracle keeps then sliced targets[:-1], so clamp as the code does
+                # geometric returns 0 for a double of exactly 0.0, which burns nothing
                 if fan_out <= 0:
                     continue
                 # rng.choice(len(targets), fan_out, replace=False) makes the same swaps

@@ -202,8 +202,8 @@ def test_malformed_graph_exit_code(tmp_path, capsys):
 
 
 # a vertex line holds ASCII decimal digits, spaces and tabs only
-@pytest.mark.parametrize("body, line", [("2\n1 +2\n", 2), ("\u0663\n1\n", 1)],
-                         ids=["plus-sign", "arabic-indic-digit"])
+@pytest.mark.parametrize("body, line", [("2\n1 +2\n", 2), ("\u0663\n1\n", 1), ("2\v1\n1\n", 1)],
+                         ids=["plus-sign", "arabic-indic-digit", "vertical-tab"])
 def test_malformed_graph_exit_code_non_integer_token(tmp_path, body, line, capsys):
     bad = tmp_path / "bad.graph"
     bad.write_text("2 1\n" + body, encoding="utf-8")
@@ -283,8 +283,8 @@ PINNED_JSON = [
       "cut_raw": 14, "cut": 19, "decoded_feasible": False, "approximation_ratio": None,
       "energy": 329.0, "sweeps": 10, "seed": 0}),
     (["sparsify-pipeline", "--repeats", "2", "--json", *FAST],
-     {"graph": "toy", "k": 2, "epsilon": 0.0, "projected_cuts": [10, 10], "best_cut": 10,
-      "best_repeat": 0}),
+     {"graph": "toy", "k": 2, "epsilon": 0.0, "projected_cuts": [11, 10], "best_cut": 10,
+      "best_repeat": 1}),
 ]
 
 

@@ -163,9 +163,13 @@ PARSE_EDGE_TEXTS = {
     "18-digit": f"2 1\n{'9' * 18}\n1\n",
     "mixed-blanks": "3 2\n \t 2\t\t\n1 \t  3   \n\t2\n",
     "crlf": "3 2\r\n2\r\n1 3\r\n2\r\n",
+    "cr": "3 2\r2\r1 3\r2\r",
     "form-feed": "3 2\n2\n1\f3\n2\n",
     "vertical-tab": "3 2\n2\n1\v3\n2\n",
     "unit-separator": "3 2\n2\n1\x1f3\n2\n",
+    # str.splitlines would break these lines in two and read a 2-vertex graph
+    "vertical-tab-break": "2 1\n2\v1\n",
+    "file-separator-break": "2 1\n2\x1c1\n",
     "arabic-indic-digit": "3 2\n2\n1 \u0663\n2\n",
     "plus-underscore": "3 2\n+2\n1 0_3\n2\n",
     "plus-then-bad": "3 2\n+2\n1 3\n7\n",
@@ -444,8 +448,13 @@ def test_partition_file_round_trip():
     assert q == p
     assert meta["graph"] == "toy"
     assert meta["epsilon"] == 0.03
+    for newline in ("\r\n", "\r"):
+        assert parse_partition(text.replace("\n", newline)) == (q, meta)
     with pytest.raises(GraphFormatError):
         parse_partition("% k=2\n0\nx\n")
+    # lines break at \n, \r\n and \r only, so \x1c is inside the label's line
+    with pytest.raises(GraphFormatError, match="bad partition line"):
+        parse_partition("% k=2\n0\x1c1\n")
 
 
 def test_cut_complement_symmetry():

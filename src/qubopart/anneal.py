@@ -46,10 +46,17 @@ operations numpy would do without numpy's cost per call.  Objective rows
 longer than ``_SCALAR_ROW_MAX`` take numpy updates instead.
 Replica r of a solve seeds its init and sweep streams from SHA-256 of
 (seed, r, "init") and (seed, r, "sweeps"), making replicas independent and
-the whole solve deterministic.  A solve constructs one ``RandomState`` and
-reseeds it with ``rs.seed`` for each stream in turn: the legacy seeding that
-``RandomState(x)`` runs after seeding itself from OS entropy, which costs
-far more.  Solves share no state.
+the whole solve deterministic.  Each worker of a solve constructs one
+``RandomState`` and reseeds it with ``rs.seed`` for each stream in turn: the
+legacy seeding that ``RandomState(x)`` runs after seeding itself from OS
+entropy, which costs far more.  Solves share no state.
+
+A solve splits its replicas across one process per usable CPU, at most one
+per replica: the calling process and children made with ``os.fork``, which
+inherit the compiled model and send back only their best replica.  The
+sweeps are Python loops that hold the interpreter lock, so threads would
+run them one at a time.  Which replica runs where changes no draw, so the
+result does not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -57,9 +64,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import os
+import pickle
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -585,33 +595,28 @@ def _temperatures(cfg: AnnealConfig, t0: float) -> Iterator[float]:
     return itertools.chain.from_iterable(map(chunk, range(0, cfg.sweeps, step)))
 
 
-def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
-    """Anneal the model, best assignment over all replicas.
+def _worker_count(replicas: int) -> int:
+    """Processes a solve splits its replicas across: one per CPU this process
+    may run on, at most one per replica, and 1 where that set of CPUs cannot
+    be read."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(replicas, len(os.sched_getaffinity(0)))
 
-    Deterministic for a fixed config whenever the time limit does not bind.
-    Each replica's sweeps run in one call of :func:`_python_sweeps`, which
-    reads the clock after every sweep, so at any model size a solve ends
-    right after the first sweep that ends past the limit; it runs one sweep
-    even when compiling the model and setting up a replica alone overran it.
-    The reported energy equals :func:`qubopart.qubo.energy` of the returned
-    bits exactly: when the returned replica's best never dropped below its
-    start state, it is the start energy, which :class:`_Replica` computes
-    with ``energy``'s arithmetic; otherwise ``energy`` recomputes it.
+
+def _run_share(model: QuboModel, cm: CompiledModel, cfg: AnnealConfig, first: int, step: int,
+               deadline: float | None) -> tuple[SolveResult, bool]:
+    """Run replicas ``first, first + step, ...`` of the solve, in order, and
+    return the best of them with whether its best state is its start state.
+
+    The best moves only to a strictly lower energy, so ties go to the lowest
+    replica id.  The share stops after the first replica that ends past the
+    deadline.
     """
-    cfg = cfg or AnnealConfig()
-    start = time.perf_counter()
-    if model.num_vars == 0:
-        return SolveResult(best_bits=np.zeros(0, dtype=np.int8), best_energy=model.constant,
-                           sweeps_done=0, wall_time=time.perf_counter() - start, seed=cfg.seed,
-                           energy_trace=np.zeros(0) if cfg.trace_every else None)
-
-    cm = compile_model(model)
     nv = cm.nv
     best: SolveResult | None = None
-    deadline = None if cfg.time_limit is None else start + cfg.time_limit
-
     rs = np.random.RandomState()  # reseeded per stream, see the module docstring
-    for replica in range(cfg.replicas):
+    for replica in range(first, cfg.replicas, step):
         rs.seed(_derive_seed(cfg.seed, replica, "init"))
         if cfg.balanced_init:
             bits = _balanced_initial_bits(model, rs)
@@ -643,8 +648,115 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
             best_is_start = not rep.best_energy < start_energy
         if deadline is not None and time.perf_counter() > deadline:
             break
-
     assert best is not None
+    return best, best_is_start
+
+
+def _fork_share(model: QuboModel, cm: CompiledModel, cfg: AnnealConfig, first: int, step: int,
+                deadline: float | None) -> tuple[int, BinaryIO]:
+    """Fork a process that runs the share of :func:`_run_share` and writes
+    it back, pickled, on a pipe; return its pid and the pipe's read end.
+
+    The child inherits the model and its compiled arrays, so only the
+    share's result crosses the pipe.  An exception in the share goes back
+    with its traceback's text, as a ``RuntimeError`` of its text when it
+    does not survive pickling.  The child leaves through ``os._exit`` on
+    every path, with exit code 0 only once it wrote its result, so it never
+    returns into the caller, runs none of its ``finally`` blocks or exit
+    handlers and flushes none of its buffers.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return pid, open(read_end, "rb")
+    status = 1
+    try:
+        os.close(read_end)
+        try:
+            out = (True, _run_share(model, cm, cfg, first, step, deadline))
+        except BaseException as exc:
+            import traceback
+
+            text = traceback.format_exc()
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            out = (False, exc, text)
+        with open(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps(out))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
+    """Anneal the model, best assignment over all replicas.
+
+    Deterministic for a fixed config whenever the time limit does not bind.
+    The replicas are split across ``W = _worker_count(replicas)`` processes:
+    worker w runs replicas ``w, w + W, ...`` in order, worker 0 in the
+    calling process and the others in children forked from it (see
+    :func:`_fork_share`); with ``W = 1`` nothing forks.  Every replica's
+    streams derive from the seed and its id alone, so the replicas and the
+    returned one do not depend on W: it is the one of strictly lowest
+    energy, ties going to the lowest id.  An exception in a child's share is
+    raised again here, and no child outlives the call.
+
+    Each replica's sweeps run in one call of :func:`_python_sweeps`, which
+    reads the clock after every sweep, so at any model size a worker stops
+    right after the first sweep that ends past the limit and runs no further
+    replica; it runs one sweep even when compiling the model and setting up a
+    replica alone overran the limit.
+    The reported energy equals :func:`qubopart.qubo.energy` of the returned
+    bits exactly: when the returned replica's best never dropped below its
+    start state, it is the start energy, which :class:`_Replica` computes
+    with ``energy``'s arithmetic; otherwise ``energy`` recomputes it.
+    """
+    cfg = cfg or AnnealConfig()
+    start = time.perf_counter()
+    if model.num_vars == 0:
+        return SolveResult(best_bits=np.zeros(0, dtype=np.int8), best_energy=model.constant,
+                           sweeps_done=0, wall_time=time.perf_counter() - start, seed=cfg.seed,
+                           energy_trace=np.zeros(0) if cfg.trace_every else None)
+
+    cm = compile_model(model)
+    deadline = None if cfg.time_limit is None else start + cfg.time_limit
+    workers = _worker_count(cfg.replicas)
+    children: list[tuple[int, BinaryIO]] = []  # (pid, pipe) of workers 1, 2, ...
+    payloads: list[bytes] = []  # what each child wrote, read to its end
+    try:
+        for w in range(1, workers):
+            children.append(_fork_share(model, cm, cfg, w, workers, deadline))
+        shares = [_run_share(model, cm, cfg, 0, workers, deadline)]
+        payloads = [pipe.read() for _, pipe in children]
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if len(payloads) < len(children):  # the shares are no longer wanted
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+
+    for w, payload, status in zip(range(1, workers), payloads, statuses):
+        share = ", ".join(map(str, range(w, cfg.replicas, workers)))
+        if status or not payload:
+            raise RuntimeError(f"the worker process for replicas {share} sent no result "
+                               f"(exit code {os.waitstatus_to_exitcode(status)})")
+        ok, *out = pickle.loads(payload)  # bytes only our own child wrote
+        if not ok:
+            exc, text = out
+            raise exc from RuntimeError(f"in the worker process for replicas {share}:\n{text}")
+        shares.append(out[0])
+
+    best, best_is_start = min(shares, key=lambda s: (s[0].best_energy, s[0].replica_id))
     if not best_is_start:
         best.best_energy = energy(model, best.best_bits)
     best.wall_time = time.perf_counter() - start

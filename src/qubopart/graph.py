@@ -226,6 +226,16 @@ def _split_lines(text: str) -> list[str]:
     return lines
 
 
+# the characters other than \n and \r at which str.splitlines breaks a line
+_OTHER_BREAKS = frozenset("\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def _holds_other_break(line: str) -> bool:
+    """Whether ``line`` holds a character that ``str.splitlines`` would break
+    it at, which ``str.split`` would then read as a blank."""
+    return not _OTHER_BREAKS.isdisjoint(line)
+
+
 def _strip_comment_lines(text: str) -> list[str]:
     # '%' lines are comments; blank lines are kept because a line with no
     # tokens is a legal vertex row (isolated vertex).
@@ -379,7 +389,7 @@ def parse_matrix_market(text: str, name: str = "") -> Graph:
     dropped with a warning, duplicates merge silently, and any numeric values
     are discarded (with a warning for non-pattern fields).
     """
-    lines = text.splitlines()
+    lines = _split_lines(text)
     if not lines or not lines[0].startswith("%%MatrixMarket"):
         raise GraphFormatError("missing %%MatrixMarket banner")
     banner = lines[0].split()
@@ -396,6 +406,9 @@ def parse_matrix_market(text: str, name: str = "") -> Graph:
     body = [ln for ln in lines[1:] if ln.split() and not ln.lstrip().startswith("%")]
     if not body:
         raise GraphFormatError("missing dimensions line")
+    bad = next((ln for ln in [lines[0], *body] if _holds_other_break(ln)), None)
+    if bad is not None:
+        raise GraphFormatError(f"line break other than \\n, \\r\\n or \\r in line {bad!r}")
     dims = body[0].split()
     if len(dims) != 3:
         raise GraphFormatError(f"dimensions line must be 'rows cols nnz', got {body[0]!r}")

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import Graph, _read_only, balance_bounds
+from .graph import Graph, _holds_other_break, _read_only, _split_lines, balance_bounds
 
 # Expanding a penalty chain over v variables materializes v*(v-1)/2 pairs, so
 # dense-chain models grow quadratically.  Refuse beyond this many pairs.
@@ -508,10 +508,12 @@ def parse_qubo_text(text: str) -> QuboModel:
     constant = 0.0
     header: tuple[int, int] | None = None
     terms: list[tuple[int, int, float]] = []
-    for ln in text.splitlines():
+    for ln in _split_lines(text):
         tokens = ln.split()
         if not tokens:
             continue
+        if _holds_other_break(ln):
+            raise ValueError(f"line break other than \\n, \\r\\n or \\r in line {ln!r}")
         if tokens[0] == "c":
             if len(tokens) == 3 and tokens[1] == "offset":
                 constant = float(tokens[2])

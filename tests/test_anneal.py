@@ -23,6 +23,11 @@ from conftest import (bipartition_optimum, gnp_graph, grid_graph, kway_optimum, 
                       small_corpus)
 from reference import apply_flip, delta_energy, expanded_neighbors, local_fields, sweep
 
+def _one_worker(monkeypatch):
+    """Run every solve's replicas in this process, where the spies count."""
+    monkeypatch.setattr(anneal, "_worker_count", lambda replicas: 1)
+
+
 def _random_models(seed=5):
     rng = np.random.RandomState(seed)
     g = gnp_graph(10, 0.4, rng)
@@ -199,6 +204,7 @@ def test_solve_calls_energy_once(monkeypatch):
 
 
 def test_solve_constructs_one_random_state(monkeypatch):
+    _one_worker(monkeypatch)
     # each replica reseeds the solve's one RandomState for its init and sweep
     # streams, which draw as RandomState(seed) would
     model = build_kway_qubo(gnp_graph(14, 0.4, np.random.RandomState(6)), 3, 0.2)
@@ -567,6 +573,7 @@ def test_solve_chainless_models():
 
 
 def test_zero_start_gains_start_at_temperature_one(monkeypatch):
+    _one_worker(monkeypatch)
     # no linear terms and no pair terms: every start gain is zero, so t0 falls back to 1
     model = QuboModel.from_triples(5, np.zeros(5), [], [], [])
     assert len(model.chains) == 0 and len(model.objective_csr[1]) == 0
@@ -620,12 +627,12 @@ def _decode_labels(model, bits):
     return labels.tolist()
 
 
-def _assert_time_limit_holds(model, limit, sweeps=500_000):
+def _assert_time_limit_holds(model, limit, sweeps=500_000, replicas=1):
     start = time.perf_counter()
     solve(model, AnnealConfig(sweeps=20, seed=0))
     sweep_s = (time.perf_counter() - start) / 20  # set-up included: an upper bound
     start = time.perf_counter()
-    res = solve(model, AnnealConfig(sweeps=sweeps, replicas=1, seed=0, time_limit=limit))
+    res = solve(model, AnnealConfig(sweeps=sweeps, replicas=replicas, seed=0, time_limit=limit))
     overshoot = time.perf_counter() - start - limit
     assert 0 < res.sweeps_done < sweeps
     assert overshoot < 0.05 + sweep_s, (overshoot, sweep_s, res.sweeps_done)
@@ -653,6 +660,14 @@ def test_time_limit_holds_at_a_large_sweep_cap():
     res = _assert_time_limit_holds(build_bipartition_qubo(grid_graph(12, 16)), 0.1,
                                    sweeps=10 ** 7)
     assert res.sweeps_done >= 100
+
+
+def test_time_limit_holds_across_workers():
+    # each worker stops after its first replica, which ends past the limit,
+    # and the solve waits for them all
+    res = _assert_time_limit_holds(build_bipartition_qubo(grid_graph(12, 16)), 0.2,
+                                   sweeps=10 ** 7, replicas=4)
+    assert res.replica_id < anneal._worker_count(4)
 
 
 def test_energy_trace_grows_with_the_sweeps_run():
@@ -683,6 +698,7 @@ class _FakeClock:
 
 
 def test_deadline_stops_after_the_sweep_that_crosses_it(monkeypatch):
+    _one_worker(monkeypatch)
     # the solve reads the clock once at its start, the engine once after
     # every sweep, the solve once after each replica and once for wall_time
     model = build_bipartition_qubo(grid_graph(4, 5))
@@ -928,6 +944,7 @@ def test_flip_gains_match_bincount_bit_for_bit(model):
 
 
 def test_idle_sweep_bound_changes_nothing(monkeypatch):
+    _one_worker(monkeypatch)
     model = build_bipartition_qubo(grid_graph(12, 16))  # the bisect-grid benchmark's model
     cfg = AnnealConfig(sweeps=2000, replicas=2, seed=3, balanced_init=True, trace_every=1)
     tested = []  # sweeps that ran the array test, per solve
@@ -976,6 +993,7 @@ def test_idle_sweep_floors_come_in_chunks(monkeypatch):
 
 
 def test_first_sweep_reuses_the_start_gains(monkeypatch):
+    _one_worker(monkeypatch)
     # a replica binds one gain rebuild and runs it once, for t0 and the first
     # sweep; every rebuild after a flip runs the same binding
     model = build_kway_qubo(gnp_graph(20, 0.3, np.random.RandomState(44)), 3, 0.2)

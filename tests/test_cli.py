@@ -213,6 +213,16 @@ def test_malformed_graph_exit_code_non_integer_token(tmp_path, body, line, capsy
     assert f"error: non-integer token on vertex line {line}\n" in err
 
 
+def test_matrix_market_line_break_exit_code(tmp_path, capsys):
+    # one entry line holding a file separator, which str.splitlines breaks at
+    bad = tmp_path / "bad.mtx"
+    bad.write_text("%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1 2\x1c2 3\n")
+    rc = main(["partition", "--graph", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2 and "Traceback" not in err
+    assert "error: line break other than" in err
+
+
 @pytest.mark.parametrize("flag, value", [("--penalty", "nan"), ("--penalty", "inf"),
                                          ("--time-limit", "nan")])
 def test_non_finite_solver_flag_exit_code(graph_file, flag, value, capsys):

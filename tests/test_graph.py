@@ -235,6 +235,23 @@ def test_parse_matrix_market_errors():
         parse_matrix_market("%%MatrixMarket matrix array real general\n3 3\n1.0\n")
 
 
+_MM_PATTERN = "%%MatrixMarket matrix coordinate pattern general\n"
+
+
+@pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_parse_matrix_market_breaks_lines_at_newlines_only(brk):
+    # str.splitlines would read each of these as two lines: for the first,
+    # two entries (1, 2) and (2, 3) from one entry line
+    for text in (f"{_MM_PATTERN}3 3 2\n1 2{brk}2 3\n", f"{_MM_PATTERN}3 3 1\n1 2{brk}\n",
+                 f"{_MM_PATTERN}3 3{brk}1\n1 2\n", _MM_PATTERN.replace(" pattern", brk + "pattern")
+                 + "3 3 1\n1 2\n"):
+        with pytest.raises(GraphFormatError, match="line break other than"):
+            parse_matrix_market(text)
+    for newline in ("\r\n", "\r"):
+        text = f"{_MM_PATTERN}% c{brk}\n3 3 2\n1 2\n2 3\n".replace("\n", newline)
+        assert parse_matrix_market(text).edges == ((0, 1), (1, 2))
+
+
 def test_graph_from_edges_validation():
     with pytest.raises(ValueError, match="self-loop"):
         Graph.from_edges(3, [(1, 1)])

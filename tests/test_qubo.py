@@ -357,6 +357,18 @@ def test_qubo_text_parse_errors():
         parse_qubo_text("p qubo 2 1\n2 1 1\n")
 
 
+@pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_parse_qubo_text_breaks_lines_at_newlines_only(brk):
+    # str.splitlines would read the first as the two terms it declares
+    for text in (f"p qubo 2 2\n1 1 1.0{brk}2 2 1.0\n", f"p qubo 2 1\n1 1 1.0{brk}\n",
+                 f"p qubo 2{brk}1\n1 1 1.0\n", f"p qubo 2 1\nc offset 1.5{brk}\n1 1 1.0\n"):
+        with pytest.raises(ValueError, match="line break other than"):
+            parse_qubo_text(text)
+    for newline in ("\r\n", "\r"):
+        model = parse_qubo_text("p qubo 2 2\n1 1 1.0\n2 2 -1.0\n".replace("\n", newline))
+        assert model.base_linear.tolist() == [1.0, -1.0]
+
+
 def test_energy_validation():
     g = Graph.from_edges(3, [(0, 1)])
     m = build_bipartition_qubo(g)

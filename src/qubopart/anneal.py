@@ -52,11 +52,12 @@ legacy seeding that ``RandomState(x)`` runs after seeding itself from OS
 entropy, which costs far more.  Solves share no state.
 
 A solve splits its replicas across one process per usable CPU, at most one
-per replica: the calling process and children made with ``os.fork``, which
-inherit the compiled model and send back only their best replica.  The
-sweeps are Python loops that hold the interpreter lock, so threads would
-run them one at a time.  Which replica runs where changes no draw, so the
-result does not depend on the number of workers.
+per replica, through :func:`_fork_map`: the calling process and children
+made with ``os.fork``, which inherit the compiled model and send back only
+their best replica.  The sparsify pipeline splits its repeats through the
+same map.  The sweeps are Python loops that hold the interpreter lock, so
+threads would run them one at a time.  Which replica runs where changes no
+draw, so the result does not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -66,10 +67,11 @@ import itertools
 import math
 import os
 import pickle
+import threading
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from typing import BinaryIO
+from typing import BinaryIO, NoReturn, TypeVar
 
 import numpy as np
 
@@ -595,13 +597,117 @@ def _temperatures(cfg: AnnealConfig, t0: float) -> Iterator[float]:
     return itertools.chain.from_iterable(map(chunk, range(0, cfg.sweeps, step)))
 
 
-def _worker_count(replicas: int) -> int:
-    """Processes a solve splits its replicas across: one per CPU this process
-    may run on, at most one per replica, and 1 where that set of CPUs cannot
-    be read."""
-    if not hasattr(os, "sched_getaffinity"):
+T = TypeVar("T")
+
+# ``_inline.on`` is true in a thread that runs a fork map, in the one thread
+# of the map's children, and in a bench pool worker: its solves and
+# pipelines then run every share in place, so processes already side by side
+# fork no more of their own.  Per thread, so that solves in two threads of
+# one process do not switch each other's forks on or off.
+_inline = threading.local()
+
+
+def _worker_count(items: int) -> int:
+    """Processes a fork map splits ``items`` across: one per CPU this process
+    may run on, at most one per item, and 1 where that set of CPUs cannot be
+    read or the thread runs inline (see :func:`_run_inline`)."""
+    if getattr(_inline, "on", False) or not hasattr(os, "sched_getaffinity"):
         return 1
-    return min(replicas, len(os.sched_getaffinity(0)))
+    return min(items, len(os.sched_getaffinity(0)))
+
+
+def _run_inline() -> None:
+    """Fork no workers from this thread: every later solve and pipeline in it
+    runs on one worker.  The bench grid's pool workers start with this."""
+    _inline.on = True
+
+
+def _fork_map(share: Callable[[int], T], workers: int, items: int, noun: str) -> list[T]:
+    """``[share(0), ..., share(workers - 1)]``, side by side.
+
+    Share w covers items ``w, w + workers, ...`` of ``items``, which errors
+    name as ``noun``.  Share 0 runs in the calling process, the others in
+    children made with ``os.fork``, which inherit everything the share reads
+    and write back only its pickled result on a pipe; with one worker
+    nothing forks.  While the map runs, :func:`_worker_count` returns 1 in
+    the calling thread and in the children, so a share forks no workers of
+    its own.
+
+    An exception in a child's share is raised again here, with the child's
+    traceback text as its cause, or as a ``RuntimeError`` of its text when
+    it does not survive pickling; a child that sends no result raises
+    ``RuntimeError``.  An exception in the calling process's share kills the
+    children.  Every child is reaped before the map returns or raises.  A
+    child leaves through ``os._exit`` on every path, with exit code 0 only
+    once it wrote its result, so it never returns into the caller, runs none
+    of its ``finally`` blocks or exit handlers and flushes none of its
+    buffers.
+    """
+    if workers == 1:
+        return [share(0)]
+    outer, _inline.on = getattr(_inline, "on", False), True
+    children: list[tuple[int, BinaryIO]] = []  # (pid, pipe) of workers 1, 2, ...
+    payloads: list[bytes] = []  # what each child wrote, read to its end
+    try:
+        for w in range(1, workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if not pid:
+                _share_in_child(share, w, read_end, write_end)
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        results = [share(0)]
+        payloads = [pipe.read() for _, pipe in children]
+    finally:
+        _inline.on = outer
+        for pid, pipe in children:
+            pipe.close()
+            if len(payloads) < len(children):  # the shares are no longer wanted
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+
+    for w, payload, status in zip(range(1, workers), payloads, statuses):
+        name = f"{noun} " + ", ".join(map(str, range(w, items, workers)))
+        if status or not payload:
+            raise RuntimeError(f"the worker process for {name} sent no result "
+                               f"(exit code {os.waitstatus_to_exitcode(status)})")
+        ok, *out = pickle.loads(payload)  # bytes only our own child wrote
+        if not ok:
+            exc, text = out
+            raise exc from RuntimeError(f"in the worker process for {name}:\n{text}")
+        results.append(out[0])
+    return results
+
+
+def _share_in_child(share: Callable[[int], object], w: int, read_end: int,
+                    write_end: int) -> NoReturn:
+    """The body of a fork map's child: run share w, write it back, exit."""
+    status = 1
+    try:
+        os.close(read_end)
+        try:
+            out = (True, share(w))
+        except BaseException as exc:
+            import traceback
+
+            text = traceback.format_exc()
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            out = (False, exc, text)
+        with open(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps(out))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _run_share(model: QuboModel, cm: CompiledModel, cfg: AnnealConfig, first: int, step: int,
@@ -652,50 +758,6 @@ def _run_share(model: QuboModel, cm: CompiledModel, cfg: AnnealConfig, first: in
     return best, best_is_start
 
 
-def _fork_share(model: QuboModel, cm: CompiledModel, cfg: AnnealConfig, first: int, step: int,
-                deadline: float | None) -> tuple[int, BinaryIO]:
-    """Fork a process that runs the share of :func:`_run_share` and writes
-    it back, pickled, on a pipe; return its pid and the pipe's read end.
-
-    The child inherits the model and its compiled arrays, so only the
-    share's result crosses the pipe.  An exception in the share goes back
-    with its traceback's text, as a ``RuntimeError`` of its text when it
-    does not survive pickling.  The child leaves through ``os._exit`` on
-    every path, with exit code 0 only once it wrote its result, so it never
-    returns into the caller, runs none of its ``finally`` blocks or exit
-    handlers and flushes none of its buffers.
-    """
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid:
-        os.close(write_end)
-        return pid, open(read_end, "rb")
-    status = 1
-    try:
-        os.close(read_end)
-        try:
-            out = (True, _run_share(model, cm, cfg, first, step, deadline))
-        except BaseException as exc:
-            import traceback
-
-            text = traceback.format_exc()
-            try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:
-                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-            out = (False, exc, text)
-        with open(write_end, "wb") as pipe:
-            pipe.write(pickle.dumps(out))
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
     """Anneal the model, best assignment over all replicas.
 
@@ -703,7 +765,7 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
     The replicas are split across ``W = _worker_count(replicas)`` processes:
     worker w runs replicas ``w, w + W, ...`` in order, worker 0 in the
     calling process and the others in children forked from it (see
-    :func:`_fork_share`); with ``W = 1`` nothing forks.  Every replica's
+    :func:`_fork_map`); with ``W = 1`` nothing forks.  Every replica's
     streams derive from the seed and its id alone, so the replicas and the
     returned one do not depend on W: it is the one of strictly lowest
     energy, ties going to the lowest id.  An exception in a child's share is
@@ -729,33 +791,8 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
     cm = compile_model(model)
     deadline = None if cfg.time_limit is None else start + cfg.time_limit
     workers = _worker_count(cfg.replicas)
-    children: list[tuple[int, BinaryIO]] = []  # (pid, pipe) of workers 1, 2, ...
-    payloads: list[bytes] = []  # what each child wrote, read to its end
-    try:
-        for w in range(1, workers):
-            children.append(_fork_share(model, cm, cfg, w, workers, deadline))
-        shares = [_run_share(model, cm, cfg, 0, workers, deadline)]
-        payloads = [pipe.read() for _, pipe in children]
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            if len(payloads) < len(children):  # the shares are no longer wanted
-                import signal
-
-                os.kill(pid, signal.SIGKILL)
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-
-    for w, payload, status in zip(range(1, workers), payloads, statuses):
-        share = ", ".join(map(str, range(w, cfg.replicas, workers)))
-        if status or not payload:
-            raise RuntimeError(f"the worker process for replicas {share} sent no result "
-                               f"(exit code {os.waitstatus_to_exitcode(status)})")
-        ok, *out = pickle.loads(payload)  # bytes only our own child wrote
-        if not ok:
-            exc, text = out
-            raise exc from RuntimeError(f"in the worker process for replicas {share}:\n{text}")
-        shares.append(out[0])
-
+    shares = _fork_map(lambda w: _run_share(model, cm, cfg, w, workers, deadline),
+                       workers, cfg.replicas, "replicas")
     best, best_is_start = min(shares, key=lambda s: (s[0].best_energy, s[0].replica_id))
     if not best_is_start:
         best.best_energy = energy(model, best.best_bits)

@@ -12,7 +12,8 @@ from wall times.  :func:`run_grid` lists one cell per (graph, k, epsilon) in
 grid order and :func:`_run_cell` makes each cell's record; cells that are
 not solved (unreadable file, k outside 2..n, oversized model) get an error
 note instead of numbers.  Cells run in separate worker processes when
-``workers > 1`` (their map keeps grid order), and ``sparsify: true`` routes
+``workers > 1`` (their map keeps grid order), each cell's solve or pipeline
+then forking no workers of its own, and ``sparsify: true`` routes
 every cell through :func:`qubopart.sparsify.run_sparsify_pipeline`, where
 the time limit applies to each repeat's solve.
 """
@@ -29,7 +30,7 @@ import warnings
 from dataclasses import asdict, dataclass, field, fields
 
 from . import bestknown
-from .anneal import AnnealConfig, _derive_seed
+from .anneal import AnnealConfig, _derive_seed, _run_inline
 from .evaluate import approximation_ratio
 from .graph import Graph, GraphFormatError, file_stem, load_graph_file
 from .pipeline import partition
@@ -202,11 +203,18 @@ def run_grid(cfg: GridConfig) -> list[RunRecord]:
 
     if cfg.workers == 1 or len(cells) <= 1:
         return [_run_cell(*cell) for cell in cells]
+    with _cell_pool(min(cfg.workers, len(cells))) as pool:
+        return list(pool.map(_run_cell, *zip(*cells)))
+
+
+def _cell_pool(workers: int):
+    """The process pool that runs a grid's cells.  Its processes already run
+    side by side, so each runs its cells' solves and pipelines inline rather
+    than fork workers of its own onto the same CPUs."""
     # processes, not threads: the sweeps are Python loops that hold the GIL
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(cells))) as pool:
-        return list(pool.map(_run_cell, *zip(*cells)))
+    return ProcessPoolExecutor(max_workers=workers, initializer=_run_inline)
 
 
 @dataclass(frozen=True)

@@ -31,13 +31,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import anneal
 from .anneal import AnnealConfig, _derive_seed
 from .graph import Graph, Partition, cut_edges
-# only partition and check_model_args are called here; perfbench/layers.py
-# looks up the other names on this module when it traces a run, so they must
-# stay importable from it
-from .pipeline import (build_bipartition_qubo, build_kway_qubo, check_model_args,  # noqa: F401
-                       decode, partition, repair, solve)
+# only partition and check_model_args are called here, and PartitionReport
+# names a type; perfbench/layers.py looks up the other names on this module
+# when it traces a run, so they must stay importable from it
+from .pipeline import (PartitionReport, build_bipartition_qubo, build_kway_qubo,  # noqa: F401
+                       check_model_args, decode, partition, repair, solve)
 from .qubo import _checked_penalty
 
 
@@ -67,6 +68,13 @@ def _score_burns(g: Graph, sources: list[int], walks: int) -> np.ndarray:
     return np.bincount(edge_ids, minlength=g.m).astype(np.int64)
 
 
+def _check_fire_args(burn_probability: float, walks: int) -> None:
+    if not 0.0 <= burn_probability < 1.0:
+        raise ValueError(f"burn probability must lie in [0, 1), got {burn_probability}")
+    if walks < 1:
+        raise ValueError(f"walk count must be positive, got {walks}")
+
+
 def forest_fire_scores(g: Graph, burn_probability: float = 0.7, walks: int = 10,
                        seed: int = 0) -> EdgeScores:
     """Score edges by repeated forest-fire burns.
@@ -79,10 +87,7 @@ def forest_fire_scores(g: Graph, burn_probability: float = 0.7, walks: int = 10,
     Deterministic for a fixed seed: each walk draws its start order,
     fan-outs and neighbor orders in bulk, as the module docstring describes.
     """
-    if not 0.0 <= burn_probability < 1.0:
-        raise ValueError(f"burn probability must lie in [0, 1), got {burn_probability}")
-    if walks < 1:
-        raise ValueError(f"walk count must be positive, got {walks}")
+    _check_fire_args(burn_probability, walks)
     rs = np.random.RandomState(seed)
     n, ptr = g.n, g.indptr.tolist()
     arc_row = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr)) << 32
@@ -167,26 +172,39 @@ def run_sparsify_pipeline(g: Graph, k: int, epsilon: float = 0.0,
 
     Each repeat burns with a fresh derived seed, partitions the sparsified
     instance (repairing against it, where the solution lives), and evaluates
-    the labels on the original graph.  A bad ``keep_ratio``, k, epsilon or
-    given penalty raises before the first fire.
+    the labels on the original graph.  The repeats are split across
+    ``W = _worker_count(repeats)`` processes, as a solve splits its replicas
+    (:func:`qubopart.anneal._fork_map`): worker w runs repeats
+    ``w, w + W, ...``.  A repeat's seeds derive from ``seed`` and its index
+    alone, so the result does not depend on W.  A bad ``keep_ratio``,
+    ``burn_probability``, ``walks``, k, epsilon or given penalty raises
+    before the first fire.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be positive, got {repeats}")
     _check_keep_ratio(keep_ratio)
+    _check_fire_args(burn_probability, walks)
     check_model_args(g.n, k, epsilon)
     if penalty is not None:
         _checked_penalty(g, penalty)
     anneal_cfg = anneal_cfg or AnnealConfig()
-    reports, projected = [], []
-    for rep in range(repeats):
-        scores = forest_fire_scores(g, burn_probability, walks,
-                                    seed=_derive_seed(seed, rep, "fire"))
-        sparse = sparsify(g, scores, keep_ratio)
-        cfg = replace(anneal_cfg, seed=_derive_seed(seed, rep, "solve"))
-        report = partition(sparse, k, epsilon, cfg, penalty)
-        reports.append(report)
-        projected.append(project_partition(g, report.partition))
+
+    def share(w: int) -> list[tuple[PartitionReport, int]]:
+        out = []
+        for rep in range(w, repeats, workers):
+            scores = forest_fire_scores(g, burn_probability, walks,
+                                        seed=_derive_seed(seed, rep, "fire"))
+            sparse = sparsify(g, scores, keep_ratio)
+            cfg = replace(anneal_cfg, seed=_derive_seed(seed, rep, "solve"))
+            report = partition(sparse, k, epsilon, cfg, penalty)
+            out.append((report, project_partition(g, report.partition)))
+        return out
+
+    workers = anneal._worker_count(repeats)
+    shares = anneal._fork_map(share, workers, repeats, "repeats")
+    outcomes = [shares[rep % workers][rep // workers] for rep in range(repeats)]
+    projected = [cut for _, cut in outcomes]
     best = projected.index(min(projected))
-    return PipelineResult(best_cut=projected[best], best_partition=reports[best].partition,
-                          best_repeat=best, projected_cuts=projected,
-                          penalty=reports[best].penalty)
+    report = outcomes[best][0]
+    return PipelineResult(best_cut=projected[best], best_partition=report.partition,
+                          best_repeat=best, projected_cuts=projected, penalty=report.penalty)

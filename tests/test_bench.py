@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
+import qubopart.anneal as anneal
 import qubopart.bench as bench
 import qubopart.pipeline as pipeline
 from qubopart.bench import (GridConfig, RunRecord, emit, ingest_external,
@@ -117,6 +119,13 @@ def test_run_grid_unsatisfiable_bounds_solve_once(tmp_path, monkeypatch):
     assert rec.error == ""
     assert rec.cut_repaired is not None and rec.cut_raw is not None
     assert rec.penalty == default_penalty(load_graph_file(paths[0]))
+
+
+def test_pool_workers_fork_no_workers_of_their_own(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    with bench._cell_pool(2) as pool:
+        assert list(pool.map(anneal._worker_count, [8, 8, 8])) == [1, 1, 1]
+    assert anneal._worker_count(8) == 3  # the calling process is untouched
 
 
 def test_run_grid_size_cap(tmp_path):

@@ -295,7 +295,9 @@ def test_score_tally_counts_every_burn(monkeypatch):
                                         ({"penalty": -1.0}, "penalty must be finite and positive"),
                                         ({"penalty": 0.0}, "penalty must be finite and positive"),
                                         ({"penalty": math.nan}, "penalty must be finite and positive"),
-                                        ({"penalty": math.inf}, "penalty must be finite and positive")])
+                                        ({"penalty": math.inf}, "penalty must be finite and positive"),
+                                        ({"walks": 0}, "walk count"),
+                                        ({"burn_probability": 1.0}, "burn probability")])
 def test_pipeline_checks_its_arguments_before_the_first_fire(bad, match, monkeypatch):
     def no_fire(*args, **kwargs):
         raise AssertionError("forest_fire_scores called")

@@ -55,9 +55,11 @@ A solve splits its replicas across one process per usable CPU, at most one
 per replica, through :func:`_fork_map`: the calling process and children
 made with ``os.fork``, which inherit the compiled model and send back only
 their best replica.  The sparsify pipeline splits its repeats through the
-same map.  The sweeps are Python loops that hold the interpreter lock, so
-threads would run them one at a time.  Which replica runs where changes no
-draw, so the result does not depend on the number of workers.
+same map, and each repeat's solve forks onto the CPUs its worker's share
+leaves it, so nested maps fill the CPUs and no more.  The sweeps are
+Python loops that hold the interpreter lock, so threads would run them one
+at a time.  Which replica runs where changes no draw, so the result does
+not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -599,27 +601,39 @@ def _temperatures(cfg: AnnealConfig, t0: float) -> Iterator[float]:
 
 T = TypeVar("T")
 
-# ``_inline.on`` is true in a thread that runs a fork map, in the one thread
-# of the map's children, and in a bench pool worker: its solves and
-# pipelines then run every share in place, so processes already side by side
-# fork no more of their own.  Per thread, so that solves in two threads of
-# one process do not switch each other's forks on or off.
-_inline = threading.local()
+# ``_budget.cpus``, where set, is how many CPUs a thread's fork maps may
+# fill: a fork map gives its calling thread and its children the CPUs it
+# leaves each worker, and a bench pool worker gets its share of the pool's.
+# So processes already side by side fork only onto CPUs nobody else uses.
+# Per thread, so that solves in two threads of one process do not change
+# each other's count.
+_budget = threading.local()
 
 
-def _worker_count(items: int) -> int:
-    """Processes a fork map splits ``items`` across: one per CPU this process
-    may run on, at most one per item, and 1 where that set of CPUs cannot be
-    read or the thread runs inline (see :func:`_run_inline`)."""
-    if getattr(_inline, "on", False) or not hasattr(os, "sched_getaffinity"):
+def _usable_cpus() -> int:
+    """CPUs this thread's fork maps may fill: its budget where one is set,
+    otherwise every CPU this process may run on, and 1 where that set of
+    CPUs cannot be read."""
+    cpus = getattr(_budget, "cpus", None)
+    if cpus is not None:
+        return cpus
+    if not hasattr(os, "sched_getaffinity"):
         return 1
-    return min(items, len(os.sched_getaffinity(0)))
+    return len(os.sched_getaffinity(0))
 
 
-def _run_inline() -> None:
-    """Fork no workers from this thread: every later solve and pipeline in it
-    runs on one worker.  The bench grid's pool workers start with this."""
-    _inline.on = True
+def _worker_count(items: int, cpus_each: int = 1) -> int:
+    """Processes a fork map splits ``items`` across, when each item may itself
+    fork onto ``cpus_each`` CPUs: as many as the usable CPUs hold at
+    ``min(cpus_each, cpus)`` apiece, at least 1 and at most one per item."""
+    cpus = _usable_cpus()
+    return min(items, max(1, cpus // min(cpus_each, cpus)))
+
+
+def _limit_cpus(cpus: int) -> None:
+    """Let later fork maps in this thread fill at most ``cpus`` CPUs.  The
+    bench grid's pool workers start with this."""
+    _budget.cpus = cpus
 
 
 def _fork_map(share: Callable[[int], T], workers: int, items: int, noun: str) -> list[T]:
@@ -629,9 +643,10 @@ def _fork_map(share: Callable[[int], T], workers: int, items: int, noun: str) ->
     name as ``noun``.  Share 0 runs in the calling process, the others in
     children made with ``os.fork``, which inherit everything the share reads
     and write back only its pickled result on a pipe; with one worker
-    nothing forks.  While the map runs, :func:`_worker_count` returns 1 in
-    the calling thread and in the children, so a share forks no workers of
-    its own.
+    nothing forks.  While the map runs, the calling thread and the children
+    may fill ``cpus // workers`` of its usable CPUs each (at least 1; see
+    :func:`_usable_cpus`), so a share forks workers of its own only onto
+    CPUs the map leaves free.
 
     An exception in a child's share is raised again here, with the child's
     traceback text as its cause, or as a ``RuntimeError`` of its text when
@@ -645,7 +660,8 @@ def _fork_map(share: Callable[[int], T], workers: int, items: int, noun: str) ->
     """
     if workers == 1:
         return [share(0)]
-    outer, _inline.on = getattr(_inline, "on", False), True
+    outer = getattr(_budget, "cpus", None)
+    _budget.cpus = max(1, _usable_cpus() // workers)
     children: list[tuple[int, BinaryIO]] = []  # (pid, pipe) of workers 1, 2, ...
     payloads: list[bytes] = []  # what each child wrote, read to its end
     try:
@@ -664,7 +680,7 @@ def _fork_map(share: Callable[[int], T], workers: int, items: int, noun: str) ->
         results = [share(0)]
         payloads = [pipe.read() for _, pipe in children]
     finally:
-        _inline.on = outer
+        _budget.cpus = outer
         for pid, pipe in children:
             pipe.close()
             if len(payloads) < len(children):  # the shares are no longer wanted

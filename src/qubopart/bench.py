@@ -13,7 +13,8 @@ grid order and :func:`_run_cell` makes each cell's record; cells that are
 not solved (unreadable file, k outside 2..n, oversized model) get an error
 note instead of numbers.  Cells run in separate worker processes when
 ``workers > 1`` (their map keeps grid order), each cell's solve or pipeline
-then forking no workers of its own, and ``sparsify: true`` routes
+then forking onto at most its process's share of the CPUs, and
+``sparsify: true`` routes
 every cell through :func:`qubopart.sparsify.run_sparsify_pipeline`, where
 the time limit applies to each repeat's solve.
 """
@@ -30,7 +31,7 @@ import warnings
 from dataclasses import asdict, dataclass, field, fields
 
 from . import bestknown
-from .anneal import AnnealConfig, _derive_seed, _run_inline
+from .anneal import AnnealConfig, _derive_seed, _limit_cpus, _usable_cpus
 from .evaluate import approximation_ratio
 from .graph import Graph, GraphFormatError, file_stem, load_graph_file
 from .pipeline import partition
@@ -209,12 +210,14 @@ def run_grid(cfg: GridConfig) -> list[RunRecord]:
 
 def _cell_pool(workers: int):
     """The process pool that runs a grid's cells.  Its processes already run
-    side by side, so each runs its cells' solves and pipelines inline rather
-    than fork workers of its own onto the same CPUs."""
+    side by side, so each one's solves and pipelines fork workers of their
+    own onto at most its share of the usable CPUs, ``cpus // workers`` (at
+    least 1)."""
     # processes, not threads: the sweeps are Python loops that hold the GIL
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=workers, initializer=_run_inline)
+    return ProcessPoolExecutor(max_workers=workers, initializer=_limit_cpus,
+                               initargs=(max(1, _usable_cpus() // workers),))
 
 
 @dataclass(frozen=True)

@@ -173,9 +173,12 @@ def run_sparsify_pipeline(g: Graph, k: int, epsilon: float = 0.0,
     Each repeat burns with a fresh derived seed, partitions the sparsified
     instance (repairing against it, where the solution lives), and evaluates
     the labels on the original graph.  The repeats are split across
-    ``W = _worker_count(repeats)`` processes, as a solve splits its replicas
+    ``W`` processes, as a solve splits its replicas
     (:func:`qubopart.anneal._fork_map`): worker w runs repeats
-    ``w, w + W, ...``.  A repeat's seeds derive from ``seed`` and its index
+    ``w, w + W, ...``.  W leaves each repeat's solve the CPUs its replicas
+    could fill, ``W = min(repeats, cpus // min(replicas, cpus))`` (at least
+    1), so a pipeline forks its repeats only onto CPUs its solves would
+    leave idle.  A repeat's seeds derive from ``seed`` and its index
     alone, so the result does not depend on W.  A bad ``keep_ratio``,
     ``burn_probability``, ``walks``, k, epsilon or given penalty raises
     before the first fire.
@@ -200,7 +203,7 @@ def run_sparsify_pipeline(g: Graph, k: int, epsilon: float = 0.0,
             out.append((report, project_partition(g, report.partition)))
         return out
 
-    workers = anneal._worker_count(repeats)
+    workers = anneal._worker_count(repeats, anneal_cfg.replicas)
     shares = anneal._fork_map(share, workers, repeats, "repeats")
     outcomes = [shares[rep % workers][rep // workers] for rep in range(repeats)]
     projected = [cut for _, cut in outcomes]

@@ -71,18 +71,33 @@ def test_one_fork_per_worker_past_the_first(monkeypatch):
     model = MODELS["k3"]
     cfg = AnnealConfig(sweeps=100, replicas=5, seed=2)
     forked, fork = [], os.fork
+    fork_map, run_share = anneal._fork_map, anneal._run_share
+    shares = []
 
     def counted():
         pid = fork()
         forked.append(pid)  # in the child, to its own copy of the list
         return pid
 
+    def share_named(model, cm, cfg, first, step, deadline):
+        return (first, step), run_share(model, cm, cfg, first, step, deadline)
+
+    def shares_named(share, workers, items, noun):
+        # each worker's share says which replicas it ran, from its own process
+        out = fork_map(share, workers, items, noun)
+        shares.append([name for name, _ in out])
+        return [result for _, result in out]
+
     monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(anneal, "_run_share", share_named)
+    monkeypatch.setattr(anneal, "_fork_map", shares_named)
     for count in (1, 2, 3):
         _workers(monkeypatch, count)
         forked.clear()
+        shares.clear()
         solve(model, cfg)
         assert len(forked) == count - 1 and all(forked)
+        assert shares == [[(w, count) for w in range(count)]]
     _assert_no_child_left()
 
 

@@ -121,11 +121,12 @@ def test_run_grid_unsatisfiable_bounds_solve_once(tmp_path, monkeypatch):
     assert rec.penalty == default_penalty(load_graph_file(paths[0]))
 
 
-def test_pool_workers_fork_no_workers_of_their_own(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    with bench._cell_pool(2) as pool:
-        assert list(pool.map(anneal._worker_count, [8, 8, 8])) == [1, 1, 1]
-    assert anneal._worker_count(8) == 3  # the calling process is untouched
+@pytest.mark.parametrize("cpus, workers, each", [(8, 2, 4), (8, 3, 2), (3, 2, 1), (2, 4, 1)])
+def test_pool_workers_fork_onto_their_share_of_the_cpus(monkeypatch, cpus, workers, each):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    with bench._cell_pool(workers) as pool:
+        assert list(pool.map(anneal._worker_count, [8] * 6)) == [each] * 6
+    assert anneal._worker_count(8) == min(8, cpus)  # the calling process is untouched
 
 
 def test_run_grid_size_cap(tmp_path):

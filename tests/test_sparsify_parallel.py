@@ -1,7 +1,8 @@
 """The sparsify pipeline's repeats split across forked worker processes.
 
 The worker count is forced through the set of usable CPUs, which leaves
-:func:`qubopart.anneal._worker_count`'s own rule for nested maps in place.
+:func:`qubopart.anneal._worker_count`'s own rule for nested maps in place:
+a pipeline of W workers forks each repeat's replicas onto ``cpus // W``.
 The results are compared with the pipeline on one worker, which runs every
 repeat in this process and forks nothing.  Each test ends with no child
 process of this one left.
@@ -75,7 +76,7 @@ def _run(monkeypatch, k, replicas):
 def test_parallel_equals_serial(monkeypatch, k, replicas):
     got = {None: _run(monkeypatch, k, replicas)}  # as many workers as the CPUs allow
     for count in (1, 2, 3, REPEATS):  # 2 and 3 give uneven shares
-        _cpus(monkeypatch, count)
+        _cpus(monkeypatch, count * replicas)  # room for count repeats' replicas
         got[count] = _run(monkeypatch, k, replicas)
         assert got[count][0] == count
     serial = got[1][1:]
@@ -83,17 +84,19 @@ def test_parallel_equals_serial(monkeypatch, k, replicas):
     _assert_no_child_left()
 
 
-def test_fork_map_runs_each_share_on_one_worker(monkeypatch):
-    _cpus(monkeypatch, 4)
-    assert anneal._fork_map(lambda w: (w, anneal._worker_count(8)), 3, 3, "items") == \
-        [(0, 1), (1, 1), (2, 1)]
-    assert anneal._worker_count(8) == 4  # the map is over
+def test_fork_map_shares_its_cpus_between_its_workers(monkeypatch):
+    _cpus(monkeypatch, 8)
+    for workers, each in ((2, 4), (3, 2), (9, 1)):
+        got = anneal._fork_map(lambda w: (w, anneal._worker_count(8)), workers, workers, "items")
+        assert got == [(w, each) for w in range(workers)]
+        assert anneal._worker_count(8) == 8  # the map is over
     _assert_no_child_left()
 
 
 def test_fork_maps_in_two_threads_leave_each_other_alone(monkeypatch):
     # thread a's map starts first and ends first, while thread b's runs: a
-    # flag shared by the threads would be left on by b, which found it on
+    # CPU count shared by the threads would be halved twice, and left halved
+    # by b, which found it so
     _cpus(monkeypatch, 4)
     a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
     seen = {}
@@ -119,17 +122,17 @@ def test_fork_maps_in_two_threads_leave_each_other_alone(monkeypatch):
     for th in (a, b):
         th.join(30)
         assert not th.is_alive()
-    assert seen == {"a": 1, "b": 1, "a map": [0, 1], "b map": [0, 1],
+    assert seen == {"a": 2, "b": 2, "a map": [0, 1], "b map": [0, 1],
                     "a after": 4, "b after": 4}
     assert anneal._worker_count(8) == 4
     _assert_no_child_left()
 
 
 def test_pipelines_in_threads_match_one_worker(monkeypatch):
-    # more threads than CPUs, each forking its repeats, with the interpreter
-    # lock handed over often: every result is the one-worker result, and no
-    # thread leaves the worker count at 1 for the others
-    _cpus(monkeypatch, 2)
+    # more threads than CPUs, each forking its repeats and their replicas,
+    # with the interpreter lock handed over often: every result is the
+    # one-worker result, and no thread leaves its CPU count to the others
+    _cpus(monkeypatch, 4)
     cfg = AnnealConfig(sweeps=60, replicas=2, balanced_init=True)
     jobs = [(k, seed) for k in (2, 3) for seed in (1, 2)]
 
@@ -154,23 +157,54 @@ def test_pipelines_in_threads_match_one_worker(monkeypatch):
     finally:
         sys.setswitchinterval(switch)
     assert results == serial
-    assert anneal._worker_count(8) == 2
+    assert anneal._worker_count(8) == 4
     _assert_no_child_left()
 
 
-def test_repeat_solves_fork_no_workers(monkeypatch):
-    # every repeat's solve, in this process or a child, runs its replicas inline
-    _cpus(monkeypatch, 2)
+@pytest.mark.parametrize("cpus, replicas, workers, each", [
+    (2, 1, 2, 1),  # one CPU per repeat
+    (2, 3, 1, 2),  # the replicas alone fill the CPUs: the repeats run in turn
+    (4, 2, 2, 2),  # two repeats side by side, two replicas each
+    (8, 2, 3, 2),  # one worker per repeat, two CPUs left idle
+])
+def test_repeat_solves_fork_onto_the_cpus_left_free(monkeypatch, cpus, replicas, workers, each):
+    # every repeat's solve, in this process or a child, may fork onto its
+    # worker's share of the CPUs
+    _cpus(monkeypatch, cpus)
+    assert anneal._worker_count(3, replicas) == workers
     partition = sparsify_module.partition
 
-    def inline_only(*args):
-        assert anneal._worker_count(8) == 1, "a repeat's solve may fork"
+    def checked(*args):
+        assert anneal._usable_cpus() == each, "a repeat's solve may fork onto taken CPUs"
         return partition(*args)
 
-    monkeypatch.setattr(sparsify_module, "partition", inline_only)
-    cfg = AnnealConfig(sweeps=50, replicas=3)
+    monkeypatch.setattr(sparsify_module, "partition", checked)
+    cfg = AnnealConfig(sweeps=50, replicas=replicas)
     res = run_sparsify_pipeline(_G, 2, anneal_cfg=cfg, walks=2, repeats=3, seed=1)
     assert len(res.projected_cuts) == 3
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_binding_time_limit_runs_one_replica_per_solve_worker(monkeypatch, tmp_path, cpus):
+    # each solve worker stops after its first replica when the limit binds,
+    # so how many replicas run shows how many workers each repeat's solve
+    # had: as many as one solve alone would get, min(replicas, cpus)
+    _cpus(monkeypatch, cpus)
+    log = os.open(tmp_path / "replicas", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    sweeps = anneal._python_sweeps
+
+    def logged(*args):
+        os.write(log, b"r")  # from this process or a child
+        return sweeps(*args)
+
+    monkeypatch.setattr(anneal, "_python_sweeps", logged)
+    cfg = AnnealConfig(sweeps=10 ** 6, replicas=4, time_limit=1e-9)
+    try:
+        run_sparsify_pipeline(_G, 2, anneal_cfg=cfg, walks=2, repeats=2, seed=1)
+    finally:
+        os.close(log)
+    assert (tmp_path / "replicas").read_bytes() == b"r" * (2 * min(4, cpus))
     _assert_no_child_left()
 
 

@@ -10,7 +10,7 @@ Flip gains are computed from cached local fields: the objective part is
 maintained over the sparse cut terms, the penalty part is reconstructed in
 O(1) per variable from running chain sums.  This keeps sweeps linear in the
 number of variables even though the squared penalties couple all pairs.
-Each replica is one :class:`_Replica`, which the engine sweeps in place.  It
+Each replica is one :class:`_Replica`, which the sweeps update in place.  It
 builds its start state (local fields, chain sums and energy) in one pass
 over the objective rows and chain memberships of its set bits, as a flip
 updates them from its own row: a balanced one-hot start sets n of n*k
@@ -19,21 +19,26 @@ all-rows sums and :func:`~qubopart.qubo.energy` bit for bit.  It derives
 its gain terms and binds its gain rebuild once, and holds the escape
 offset and the best state seen.
 
-The sweeps run in one flat loop on numpy arrays and Python scalars, and
-consume each replica's MT19937 stream with a fixed draw discipline: one
-uniform per variable per sweep, plus one to pick among acceptors.  The
-uniforms are drawn from the stream in blocks, which the loop reads in the
-same order as scalar draws would; each block also carries a band around the
-log of every draw, computed once per refill over the unread draws it keeps
-and the fresh ones together.  The Metropolis test then compares ``-eff / t``
-with the bands for all variables at once, inline, and the scalar
-``math.exp`` rule decides the rare draws that fall inside their band, so the
-acceptor sets equal that scalar rule's exactly.
+The sweeps are a driver and a trial.  The driver, :func:`_python_sweeps`,
+runs the temperatures, the escape offset, the current and best energies,
+the trace and the deadline.  The trial, :func:`_da_trial`, is the digital
+annealer's rule: a Metropolis test of every variable at once, one uniform
+pick among the acceptors, and the flip.  It runs on numpy arrays and Python
+scalars, tells the driver per sweep only the energy change of its flip or
+that nothing accepted, and consumes the replica's MT19937 stream with a
+fixed draw discipline: one uniform per variable per sweep, plus one to pick
+among acceptors.  The uniforms are drawn from the stream in blocks, which
+the trial reads in the same order as scalar draws would; each block also
+carries a band around the log of every draw, computed once per refill over
+the unread draws it keeps and the fresh ones together.  The Metropolis test
+then compares ``-eff / t`` with the bands for all variables at once, and the
+scalar ``math.exp`` rule decides the rare draws that fall inside their band,
+so the acceptor sets equal that scalar rule's exactly.
 
 The chain memberships are stored as jagged diagonals: layer q holds the
 q-th membership of every variable that has one, in variable order, so the
 chain gains of all variables sum with one whole-array add per layer.  The
-engine rebuilds the flip gains only after a flip: a sweep with no acceptor
+trial rebuilds the flip gains only after a flip: a sweep with no acceptor
 changes no state they depend on, and the next sweep can then be ruled idle
 without its array test when the least gain cannot reach any of its draws'
 bands.
@@ -67,6 +72,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 import os
 import pickle
 import threading
@@ -120,6 +126,12 @@ class AnnealConfig:
     trace_every: int = 0
 
     def __post_init__(self):
+        for name in ("sweeps", "replicas", "trace_every"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)  # ints and numpy integers, not floats
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.sweeps < 1:
             raise ValueError(f"sweeps must be at least 1, got {self.sweeps}")
         if self.replicas < 1:
@@ -333,7 +345,8 @@ def _gain_rebuild(cm: CompiledModel, dlf: np.ndarray, mld: np.ndarray, sr: np.nd
 
 
 class _Replica:
-    """One replica's state, which :func:`_python_sweeps` updates in place.
+    """One replica's state, which the driver and the trial of
+    :func:`_python_sweeps` update in place.
 
     ``bits`` is the replica's own array.  Its local fields ``base_lf``,
     chain sums ``s`` and ``energy`` come from the objective rows and chain
@@ -350,9 +363,11 @@ class _Replica:
     The flip gains are made of ``dl = 1 - 2 * bits``, ``dlf = dl * base_lf``,
     the signed memberships ``mld = mem_lin * dl[variable]`` of every slot
     and the chain residuals ``sr = s - rhs``.  One :func:`_gain_rebuild` is
-    bound to them as ``rebuild`` and run once for the start ``gains``;
-    ``stale`` is set while the gains lag a flip.  ``offset`` is the escape
-    offset, and ``best_bits`` and ``best_energy`` the lowest state seen.
+    bound to them as ``rebuild`` and run once for the start ``gains``.
+    The trial flips ``bits``, updates the gain terms and sets ``stale``
+    while the gains lag a flip.  The driver keeps the escape offset
+    ``offset``, the current ``energy``, and ``best_bits`` and
+    ``best_energy``, the lowest state seen.
     """
 
     def __init__(self, model: QuboModel, cm: CompiledModel, bits: np.ndarray):
@@ -402,26 +417,69 @@ def _python_sweeps(rep: _Replica, temps, offset_inc, draws, trace, trace_every, 
     ``temps``, in place, stopping early after the first sweep that ends past
     ``deadline``, a :func:`time.perf_counter` reading, if one is given.
 
-    ``draws`` is the replica's :class:`_BlockUniforms`; the list ``trace``
-    gets the best energy after every ``trace_every``-th sweep of this call.
-    The replica's state is bound to locals on entry, and its offset, stale
-    flag and current and best energies are written back on exit, so a
+    This is the driver.  Each sweep is one trial of the :func:`_da_trial`
+    it binds to ``rep`` and ``draws``, the replica's :class:`_BlockUniforms`,
+    for the whole call.  The driver sends the trial each temperature with
+    the escape offset, which grows by ``offset_inc`` after a trial without
+    an acceptor and returns to 0.0 after a flip.  It adds each flip's gain
+    to the current energy, copies the bits to ``best_bits`` when that energy
+    is strictly the lowest yet, and appends the best energy to the list
+    ``trace`` after every ``trace_every``-th sweep of this call.  The offset
+    and the current and best energies are read from the replica on entry
+    and written back on exit, as the trial does with its own state, so a
     replica swept over several calls ends as one swept in one call.
     Returns the number of sweeps run and of flips made.
+    """
+    trial = _da_trial(rep, draws)
+    send = trial.send
+    send(None)  # binds the trial's locals
+    bits, best_bits = rep.bits, rep.best_bits
+    offset, cur_energy, best_energy = rep.offset, rep.energy, rep.best_energy
+    perf_counter = time.perf_counter
+    flips = sw = 0
+    for sw, t in enumerate(temps, 1):
+        gain = send((t, offset))
+        if gain is None:
+            offset = offset + offset_inc
+        else:
+            cur_energy = cur_energy + gain
+            offset = 0.0
+            flips += 1
+            if cur_energy < best_energy:
+                best_energy = cur_energy
+                best_bits[:] = bits
+        if trace_every and sw % trace_every == 0:
+            trace.append(best_energy)
+        if deadline is not None and perf_counter() > deadline:
+            break
+    trial.close()
+    rep.offset, rep.energy, rep.best_energy = offset, cur_energy, best_energy
+    return sw, flips
 
-    A sweep reads its ``nv`` draws and their bands straight from the draw
+
+def _da_trial(rep: _Replica, draws: _BlockUniforms):
+    """The digital annealer's trial on the replica ``rep``, as a generator:
+    sent ``(t, offset)``, it runs one trial at temperature ``t`` with escape
+    offset ``offset`` and yields the energy change of the flip it made, or
+    ``None`` when no variable accepted.  Closing it writes back the replica's
+    stale flag and the position reached in ``draws``.  A generator keeps the
+    bound arrays and the trial's own state in fast locals from one trial to
+    the next, where a closure would reach them through cells.
+
+    A trial reads its ``nv`` draws and their bands straight from the draw
     buffer and tests every variable in the log domain:
     ``y = (gain - offset) / -t`` above the draw's band accepts, below it
     fails, and the scalar rule ``eff <= 0 or u < math.exp(-eff / t)``
     decides the draws inside it, so the acceptors are exactly that rule's.
+    One acceptor, picked by one more draw, flips.
     The gains are rebuilt only after a flip, by the replica's bound
-    ``rebuild``, which reads the terms the sweeps update in place: they are
-    a pure function of ``(bits, base_lf, s)``, so a sweep with no acceptor
+    ``rebuild``, which reads the terms the flips update in place: they are
+    a pure function of ``(bits, base_lf, s)``, so a trial with no acceptor
     leaves them valid for the next one.  Then no ``y`` can exceed
-    ``(least gain - offset) / -t``, because rounding is monotone, and a sweep
+    ``(least gain - offset) / -t``, because rounding is monotone, and a trial
     whose draws all have ``lo`` above that bound accepts nothing untested.
-    Once a sweep had no acceptor, :func:`_sweep_floors` takes the
-    least ``lo`` of each coming sweep whose draws are in the buffer, up to
+    Once a trial had no acceptor, :func:`_sweep_floors` takes the
+    least ``lo`` of each coming trial whose draws are in the buffer, up to
     ``_FLOOR_SWEEPS`` of them, and takes them again when they run out; a
     flip, which changes the gains and reads one more draw, voids them and
     the least gain.
@@ -429,9 +487,9 @@ def _python_sweeps(rep: _Replica, temps, offset_inc, draws, trace, trace_every, 
     A flip updates the entries of the replica's gain terms that it changes
     with the same double operations a rebuild would do, so they stay exact.
     A flip's own updates run on Python scalars, see the module docstring.
-    The numpy functions of the band test are bound to locals once per call,
-    so a sweep or a flip pays for its numpy operations and not for looking
-    them up.
+    The replica's arrays and the numpy functions of the band test are bound
+    to the generator's locals once, so a trial or a flip pays for its numpy
+    operations and not for looking them up.
     """
     cm = rep.cm
     nv = cm.nv
@@ -443,13 +501,11 @@ def _python_sweeps(rep: _Replica, temps, offset_inc, draws, trace, trace_every, 
     mem_ptr, slot_v = memoryview(cm.mem_indptr), memoryview(cm.mem_slot)
     chain_v, coeff_v, rhs_v = memoryview(cm.mem_chain), memoryview(cm.mem_coeff), memoryview(cm.rhs)
     row_max, floor_max = _SCALAR_ROW_MAX, _FLOOR_SWEEPS
-    bits, base_lf, s, best_bits = rep.bits, rep.base_lf, rep.s, rep.best_bits
+    bits, base_lf, s, stale = rep.bits, rep.base_lf, rep.s, rep.stale
     dl, dlf, mld, sr, gains, rebuild = rep.dl, rep.dlf, rep.mld, rep.sr, rep.gains, rep.rebuild
-    offset, stale, cur_energy, best_energy = rep.offset, rep.stale, rep.energy, rep.best_energy
-    # bound per call, not at import, so that a patched numpy function is seen
+    # bound per generator, not at import, so that a patched numpy function is seen
     divide, subtract, greater_equal, greater = np.divide, np.subtract, np.greater_equal, np.greater
-    count_nonzero, perf_counter = np.count_nonzero, time.perf_counter
-    tracing = trace_every > 0
+    count_nonzero = np.count_nonzero
     y = np.empty(nv)
     sure, maybe = np.empty(nv, dtype=bool), np.empty(nv, dtype=bool)
     bits_v, lf_v, s_v, sr_v = memoryview(bits), memoryview(base_lf), memoryview(s), memoryview(sr)
@@ -457,44 +513,51 @@ def _python_sweeps(rep: _Replica, temps, offset_inc, draws, trace, trace_every, 
     gains_v = memoryview(gains)
     us, lo, hi, pos = draws.us, draws.lo, draws.hi, draws.pos
     us_v, end = memoryview(us), len(us)
-    least = None  # the least gain, once a sweep without acceptors needs it
-    floors, w = [], 0  # least lo of the coming sweeps' draws; the next sweep's is floors[w]
-    flips = sw = 0
-    for sw, t in enumerate(temps, 1):
-        # floors taken before a refill stay valid: they are values of the same draws
-        if pos + nv >= end:  # fewer left than the sweep's draws and the pick's
-            us, lo, hi = draws.refill(pos)
-            pos, end, us_v = 0, len(us), memoryview(us)
-        if stale:
-            rebuild()
-            stale = skip = False
-        else:
-            if least is not None and w >= len(floors):  # the floors ran out
-                floors, w = _sweep_floors(lo, pos, nv, min((end - pos) // nv, floor_max)), 0
-            skip = w < len(floors) and (least - offset) / -t < floors[w]
-        nxt = pos + nv
-        acceptors = ()
-        if not skip:
-            if offset == 0.0:  # x - 0.0 == x bit for bit
-                divide(gains, -t, out=y)  # x / -t == -x / t exactly
+    least = None  # the least gain, once a trial without acceptors needs it
+    floors, w = [], 0  # least lo of the coming trials' draws; the next trial's is floors[w]
+    gain = None
+    try:
+        while True:
+            t, offset = yield gain
+            # floors taken before a refill stay valid: they are values of the same draws
+            if pos + nv >= end:  # fewer left than the trial's draws and the pick's
+                us, lo, hi = draws.refill(pos)
+                pos, end, us_v = 0, len(us), memoryview(us)
+            if stale:
+                rebuild()
+                stale = skip = False
             else:
-                divide(subtract(gains, offset, out=y), -t, out=y)
-            greater_equal(y, lo[pos:nxt], out=maybe)
-            acceptors = maybe.nonzero()[0]
-            if len(acceptors):
-                greater(y, hi[pos:nxt], out=sure)
-                # hi >= lo, so sure is a subset of maybe
-                if count_nonzero(sure) != len(acceptors):
-                    for i in acceptors.tolist():
-                        if not sure[i]:
-                            eff = gains_v[i] - offset
-                            sure[i] = eff <= 0.0 or us_v[pos + i] < math.exp(-eff / t)
-                    acceptors = sure.nonzero()[0]
-        pos = nxt
-        if len(acceptors):
+                if least is not None and w >= len(floors):  # the floors ran out
+                    floors, w = _sweep_floors(lo, pos, nv, min((end - pos) // nv, floor_max)), 0
+                skip = w < len(floors) and (least - offset) / -t < floors[w]
+            nxt = pos + nv
+            acceptors = ()
+            if not skip:
+                if offset == 0.0:  # x - 0.0 == x bit for bit
+                    divide(gains, -t, out=y)  # x / -t == -x / t exactly
+                else:
+                    divide(subtract(gains, offset, out=y), -t, out=y)
+                greater_equal(y, lo[pos:nxt], out=maybe)
+                acceptors = maybe.nonzero()[0]
+                if len(acceptors):
+                    greater(y, hi[pos:nxt], out=sure)
+                    # hi >= lo, so sure is a subset of maybe
+                    if count_nonzero(sure) != len(acceptors):
+                        for i in acceptors.tolist():
+                            if not sure[i]:
+                                eff = gains_v[i] - offset
+                                sure[i] = eff <= 0.0 or us_v[pos + i] < math.exp(-eff / t)
+                        acceptors = sure.nonzero()[0]
+            pos = nxt
+            if not len(acceptors):
+                gain = None
+                w += 1
+                if least is None:
+                    least = float(gains.min())
+                continue
             i = acceptors.item(int(us_v[pos] * len(acceptors)))
             pos += 1
-            cur_energy = cur_energy + gains_v[i]
+            gain = gains_v[i]
             # d is +1.0 when bit i rises, -1.0 when it falls, and x + y * d
             # is x + y or x - y bit for bit
             d = dl_v[i]
@@ -520,24 +583,9 @@ def _python_sweeps(rep: _Replica, temps, offset_inc, draws, trace, trace_every, 
             dl_v[i] = -d
             dlf_v[i] = -dlf_v[i]  # the objective CSR has no diagonal
             stale = True
-            offset = 0.0
-            flips += 1
             least, floors, w = None, [], 0
-            if cur_energy < best_energy:
-                best_energy = cur_energy
-                best_bits[:] = bits
-        else:
-            offset = offset + offset_inc
-            w += 1
-            if least is None:
-                least = float(gains.min())
-        if tracing and sw % trace_every == 0:
-            trace.append(best_energy)
-        if deadline is not None and perf_counter() > deadline:
-            break
-    draws.pos = pos
-    rep.offset, rep.stale, rep.energy, rep.best_energy = offset, stale, cur_energy, best_energy
-    return sw, flips
+    finally:
+        draws.pos, rep.stale = pos, stale
 
 
 def _greedy_fill(need: np.ndarray, chain: np.ndarray, var_idx: np.ndarray,
@@ -787,8 +835,9 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
     energy, ties going to the lowest id.  An exception in a child's share is
     raised again here, and no child outlives the call.
 
-    Each replica's sweeps run in one call of :func:`_python_sweeps`, which
-    reads the clock after every sweep, so at any model size a worker stops
+    Each replica's sweeps run in one call of the sweep driver,
+    :func:`_python_sweeps`, which reads the clock after every trial of its
+    :func:`_da_trial`, so at any model size a worker stops
     right after the first sweep that ends past the limit and runs no further
     replica; it runs one sweep even when compiling the model and setting up a
     replica alone overran the limit.

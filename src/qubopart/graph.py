@@ -20,7 +20,6 @@ import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,6 +27,32 @@ import numpy as np
 
 class GraphFormatError(ValueError):
     """Raised when a graph or partition file violates its format."""
+
+
+class _cached_property:
+    """``functools.cached_property`` without its lock: the first read computes
+    the value and stores it in the instance's ``__dict__``, which later reads
+    find first.
+
+    Before Python 3.12 the functools one holds a lock per property, shared
+    by every instance, while it computes.  A fork map that forks while
+    another thread holds that lock leaves a child that waits for it
+    forever, since the thread that holds it does not exist in the child.
+    Two threads that both compute a value store equal values, so no lock
+    is needed.
+    """
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,19 +118,19 @@ class Graph:
     def m(self) -> int:
         return len(self.indices) // 2
 
-    @cached_property
+    @_cached_property
     def edge_array(self) -> np.ndarray:
         """Read-only ``(m, 2)`` int64 rows ``(u, v)`` with ``u < v``, sorted."""
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
         upper = src < self.indices
         return _read_only(np.stack([src[upper], self.indices[upper]], axis=1))[0]
 
-    @cached_property
+    @_cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Sorted ``(u, v)`` tuples with ``u < v``: a view of ``edge_array``."""
         return tuple(map(tuple, self.edge_array.tolist()))
 
-    @cached_property
+    @_cached_property
     def degrees(self) -> np.ndarray:
         return _read_only(np.diff(self.indptr))[0]
 

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import Graph, _holds_other_break, _read_only, _split_lines, balance_bounds
+from .graph import (Graph, _holds_other_break, _read_only, _split_lines, balance_bounds,
+                    _cached_property)
 
 # Expanding a penalty chain over v variables materializes v*(v-1)/2 pairs, so
 # dense-chain models grow quadratically.  Refuse beyond this many pairs.
@@ -100,7 +100,7 @@ class ChainSet:
         span = slice(self.indptr[g], self.indptr[g + 1])
         return Chain(self.var_idx[span], self.coeffs[span], float(self.rhs[g]))
 
-    @cached_property
+    @_cached_property
     def chain_id(self) -> np.ndarray:
         """Chain index of every entry of the flat arrays."""
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))

@@ -7,6 +7,7 @@ import threading
 import time
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from reference import apply_flip, delta_energy, expanded_neighbors, local_fields
 
 def _one_worker(monkeypatch):
     """Run every solve's replicas in this process, where the spies count."""
-    monkeypatch.setattr(anneal, "_worker_count", lambda replicas: 1)
+    monkeypatch.setattr(anneal, "_worker_count", lambda items, cpus_each=1: 1)
 
 
 def _random_models(seed=5):
@@ -44,6 +45,14 @@ def test_config_validation():
                    {"time_limit": nan}, {"time_limit": inf}):
         with pytest.raises(ValueError):
             AnnealConfig(**kwargs)
+    # counts must be integers: a float count would fail deep inside a solve,
+    # or, for trace_every, trace at a stride nobody asked for
+    for name, value in (("sweeps", 100.0), ("replicas", 2.0), ("trace_every", 1.5),
+                        ("sweeps", "100"), ("replicas", None)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            AnnealConfig(**{name: value})
+    cfg = AnnealConfig(sweeps=np.int64(20), replicas=np.int32(2), trace_every=np.uint8(5))
+    assert solve(build_bipartition_qubo(grid_graph(2, 4)), cfg).sweeps_done == 20
 
 
 def test_delta_energy_matches_recomputation():
@@ -741,6 +750,76 @@ def test_deadline_stops_after_the_sweep_that_crosses_it(monkeypatch):
     runs.clear()
     res = solve(model, replace(cfg, replicas=3, time_limit=5.0))
     assert runs == [1] and res.sweeps_done == 1 and len(res.energy_trace) == 1
+
+
+def _scripted_trial(script, sent, closed):
+    """A stand-in for ``anneal._da_trial`` that runs ``script``: ``None`` is
+    a trial without an acceptor, ``(i, gain)`` flips bit i with that energy
+    change.  It appends each ``(t, offset)`` it is sent to ``sent``, with
+    the best bits as the driver left them after the trial before, and
+    appends to ``closed`` when the driver closes it.  It keeps each trial
+    it makes alive, so only the driver's own close can close one."""
+    made = []
+
+    def run(rep, draws):
+        assert draws is None  # the driver hands the draws on unread
+        try:
+            got = yield
+            for step in script:
+                sent.append((got, rep.best_bits.tolist()))
+                if step is not None:
+                    i, _ = step
+                    rep.bits[i] = 1 - rep.bits[i]
+                got = yield None if step is None else step[1]
+        finally:
+            closed.append(True)
+
+    def trial(rep, draws):
+        made.append(run(rep, draws))
+        return made[-1]
+
+    return trial
+
+
+def test_driver_runs_the_schedule_offset_best_state_and_trace(monkeypatch):
+    # the driver alone, on a scripted trial and a replica that has no gain
+    # terms, draws or model: it sends each temperature with the escape
+    # offset, adds the gains, tracks the best state and traces it
+    script = [(0, -1.0), None, None, (1, 2.0), (2, -2.0), None, (3, -4.0), None]
+    temps = [8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0]
+
+    def run(trace_every, deadline=None):
+        rep = SimpleNamespace(bits=np.zeros(4, dtype=np.int8), best_bits=np.zeros(4, dtype=np.int8),
+                              offset=0.5, energy=10.0, best_energy=10.0)
+        sent, closed, trace = [], [], []
+        monkeypatch.setattr(anneal, "_da_trial", _scripted_trial(script, sent, closed))
+        out = anneal._python_sweeps(rep, iter(temps), 0.25, None, trace, trace_every, deadline)
+        assert closed == [True]
+        return rep, out, sent, trace
+
+    rep, out, sent, trace = run(1)
+    assert out == (8, 4)  # (sweeps, flips)
+    # the offset starts where the replica left it, grows by offset_inc per
+    # idle trial and returns to 0.0 after a flip
+    assert [s[0] for s in sent] == list(zip(temps, [0.5, 0.0, 0.25, 0.5, 0.0, 0.0, 0.25, 0.0]))
+    assert rep.offset == 0.25
+    # energies 9, 9, 9, 11, 9, 9, 5, 5: the best moves only to a strictly
+    # lower energy, so the return to 9 after trial 4 keeps the bits of trial 0
+    assert trace == [9.0, 9.0, 9.0, 9.0, 9.0, 9.0, 5.0, 5.0]
+    assert [s[1] for s in sent] == [[0, 0, 0, 0]] + [[1, 0, 0, 0]] * 6 + [[1, 1, 1, 1]]
+    assert rep.bits.tolist() == rep.best_bits.tolist() == [1, 1, 1, 1]
+    assert (rep.energy, rep.best_energy) == (5.0, 5.0)
+
+    # the trace gets the best energy after every trace_every-th sweep only
+    assert run(3)[3] == [9.0, 9.0]
+    assert run(0)[3] == []
+
+    # the clock is read once after every sweep: deadline 3 stops after the
+    # fourth sweep, the first to end past it (at 4)
+    monkeypatch.setattr(anneal.time, "perf_counter", _FakeClock())
+    rep, out, sent, trace = run(1, deadline=3.0)
+    assert out == (4, 2) and len(sent) == 4 and trace == [9.0, 9.0, 9.0, 9.0]
+    assert (rep.energy, rep.best_energy, rep.offset) == (11.0, 9.0, 0.0)
 
 
 def test_log_agrees_within_band():

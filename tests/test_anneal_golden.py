@@ -115,9 +115,9 @@ def test_golden_noninteger_penalty():
 @pytest.mark.parametrize("name", ["k2-eps0", "k3-balanced", "grid12x16-eps0",
                                   "k4-above-block"])
 def test_golden_under_nonbinding_time_limit(name):
-    """A time limit that does not bind makes each replica's single
-    ``_python_sweeps`` call read the clock after every sweep; the trajectory
-    must not change."""
+    """A time limit that does not bind makes the sweep driver,
+    ``_python_sweeps``, read the clock after every trial in each replica's
+    single call; the trajectory must not change."""
     model, cfg = _case(name)
     cfg.time_limit = 3600.0
     assert _digest(solve(model, cfg)) == GOLDEN[name]

@@ -45,7 +45,7 @@ def _fields(res):
 
 def _workers(monkeypatch, count):
     """Run every solve on at most ``count`` workers, whatever the CPUs."""
-    monkeypatch.setattr(anneal, "_worker_count", lambda replicas: min(replicas, count))
+    monkeypatch.setattr(anneal, "_worker_count", lambda items, cpus_each=1: min(items, count))
 
 
 def _assert_no_child_left():

@@ -9,6 +9,7 @@ process of this one left.
 """
 
 import os
+import signal
 import sys
 import threading
 
@@ -17,6 +18,7 @@ import pytest
 
 import qubopart.anneal as anneal
 from qubopart.anneal import AnnealConfig, _derive_seed
+from qubopart.qubo import ChainSet
 from qubopart.sparsify import run_sparsify_pipeline
 
 from conftest import planted_graph
@@ -158,6 +160,44 @@ def test_pipelines_in_threads_match_one_worker(monkeypatch):
         sys.setswitchinterval(switch)
     assert results == serial
     assert anneal._worker_count(8) == 4
+    _assert_no_child_left()
+
+
+def test_child_forked_while_a_thread_computes_a_cached_property(monkeypatch):
+    # a thread stalls inside ChainSet.chain_id while the fork map forks; the
+    # child must read chain_id of its own chain set without waiting for that
+    # thread, which does not exist in the child (functools.cached_property
+    # before Python 3.12 holds a lock there, and the child waited forever).
+    # A hung child is ended by its alarm, which fails the map instead of
+    # hanging the test.
+    inside, release = threading.Event(), threading.Event()
+    repeat = np.repeat
+
+    def stalled(*args, **kwargs):
+        if threading.current_thread() is reader:
+            inside.set()
+            release.wait(30)
+        return repeat(*args, **kwargs)
+
+    def chains():
+        return ChainSet.from_blocks((np.arange(6).reshape(2, 3), np.ones((2, 3)), 1.0))
+
+    def share(w):
+        if not w:
+            return None
+        signal.alarm(10)
+        return chains().chain_id.tolist()
+
+    monkeypatch.setattr(np, "repeat", stalled)
+    reader = threading.Thread(target=lambda: chains().chain_id)
+    reader.start()
+    try:
+        assert inside.wait(30)
+        assert anneal._fork_map(share, 2, 2, "items") == [None, [0, 0, 0, 1, 1, 1]]
+    finally:
+        release.set()
+        reader.join(30)
+    assert not reader.is_alive()
     _assert_no_child_left()
 
 

@@ -59,12 +59,12 @@ entropy, which costs far more.  Solves share no state.
 A solve splits its replicas across one process per usable CPU, at most one
 per replica, through :func:`_fork_map`: the calling process and children
 made with ``os.fork``, which inherit the compiled model and send back only
-their best replica.  The sparsify pipeline splits its repeats through the
-same map, and each repeat's solve forks onto the CPUs its worker's share
-leaves it, so nested maps fill the CPUs and no more.  The sweeps are
-Python loops that hold the interpreter lock, so threads would run them one
-at a time.  Which replica runs where changes no draw, so the result does
-not depend on the number of workers.
+their best replica.  The sparsify pipeline splits its repeats and the bench
+grid its cells through the same map, and each repeat's or cell's solve
+forks onto the CPUs its worker's share leaves it, so nested maps fill the
+CPUs and no more.  The sweeps are Python loops that hold the interpreter
+lock, so threads would run them one at a time.  Which replica runs where
+changes no draw, so the result does not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -651,8 +651,8 @@ T = TypeVar("T")
 
 # ``_budget.cpus``, where set, is how many CPUs a thread's fork maps may
 # fill: a fork map gives its calling thread and its children the CPUs it
-# leaves each worker, and a bench pool worker gets its share of the pool's.
-# So processes already side by side fork only onto CPUs nobody else uses.
+# leaves each worker.  So processes already side by side fork only onto
+# CPUs nobody else uses.
 # Per thread, so that solves in two threads of one process do not change
 # each other's count.
 _budget = threading.local()
@@ -676,12 +676,6 @@ def _worker_count(items: int, cpus_each: int = 1) -> int:
     ``min(cpus_each, cpus)`` apiece, at least 1 and at most one per item."""
     cpus = _usable_cpus()
     return min(items, max(1, cpus // min(cpus_each, cpus)))
-
-
-def _limit_cpus(cpus: int) -> None:
-    """Let later fork maps in this thread fill at most ``cpus`` CPUs.  The
-    bench grid's pool workers start with this."""
-    _budget.cpus = cpus
 
 
 def _fork_map(share: Callable[[int], T], workers: int, items: int, noun: str) -> list[T]:

@@ -11,10 +11,10 @@ Re-running the same config reproduces the same records byte for byte apart
 from wall times.  :func:`run_grid` lists one cell per (graph, k, epsilon) in
 grid order and :func:`_run_cell` makes each cell's record; cells that are
 not solved (unreadable file, k outside 2..n, oversized model) get an error
-note instead of numbers.  Cells run in separate worker processes when
-``workers > 1`` (their map keeps grid order), each cell's solve or pipeline
-then forking onto at most its process's share of the CPUs, and
-``sparsify: true`` routes
+note instead of numbers.  The cells run on ``workers`` processes forked
+through :func:`qubopart.anneal._fork_map`, each taking the next cell when it
+is free, and come back in grid order; each cell's solve or pipeline forks
+onto at most its worker's share of the CPUs.  ``sparsify: true`` routes
 every cell through :func:`qubopart.sparsify.run_sparsify_pipeline`, where
 the time limit applies to each repeat's solve.
 """
@@ -26,12 +26,13 @@ import hashlib
 import io
 import json
 import math
+import os
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 
 from . import bestknown
-from .anneal import AnnealConfig, _derive_seed, _limit_cpus, _usable_cpus
+from .anneal import AnnealConfig, _derive_seed, _fork_map
 from .evaluate import approximation_ratio
 from .graph import Graph, GraphFormatError, file_stem, load_graph_file
 from .pipeline import partition
@@ -187,8 +188,8 @@ def run_grid(cfg: GridConfig) -> list[RunRecord]:
     """Solve every graph at every (k, epsilon) cell; failures become error records.
 
     Each graph file is loaded once, and an unreadable one gives an error
-    record per cell.  Cells run in worker processes when ``workers > 1``;
-    records come back in grid order either way, identical to a serial run.
+    record per cell.  Cells run on ``workers`` forked processes, each taking
+    the next cell when free; records come back in grid order as on one worker.
     """
     if cfg.workers < 1:
         raise ValueError(f"workers must be at least 1, got {cfg.workers}")
@@ -202,22 +203,24 @@ def run_grid(cfg: GridConfig) -> list[RunRecord]:
             g = f"unreadable graph: {exc}"
         cells += [(g, gid, k, eps, cfg, digest) for k in cfg.ks for eps in cfg.epsilons]
 
-    if cfg.workers == 1 or len(cells) <= 1:
-        return [_run_cell(*cell) for cell in cells]
-    with _cell_pool(min(cfg.workers, len(cells))) as pool:
-        return list(pool.map(_run_cell, *zip(*cells)))
-
-
-def _cell_pool(workers: int):
-    """The process pool that runs a grid's cells.  Its processes already run
-    side by side, so each one's solves and pipelines fork workers of their
-    own onto at most its share of the usable CPUs, ``cpus // workers`` (at
-    least 1)."""
     # processes, not threads: the sweeps are Python loops that hold the GIL
-    from concurrent.futures import ProcessPoolExecutor
+    workers = max(1, min(cfg.workers, len(cells)))
+    # the pipe holds the next cell's index; while one worker reads it, others wait
+    take, put = (open(fd, mode, buffering=0) for fd, mode in zip(os.pipe(), ("rb", "wb")))
 
-    return ProcessPoolExecutor(max_workers=workers, initializer=_limit_cpus,
-                               initargs=(max(1, _usable_cpus() // workers),))
+    def share(w: int) -> list[tuple[int, RunRecord]]:
+        done = []
+        while (i := int.from_bytes(take.read(8), "little")) < len(cells):
+            put.write((i + 1).to_bytes(8, "little"))
+            done.append((i, _run_cell(*cells[i])))
+        put.write(i.to_bytes(8, "little"))  # for the other workers
+        return done
+
+    with take, put:
+        put.write(bytes(8))  # cell 0 first
+        shares = _fork_map(share, workers, workers, "cell worker")
+    records = dict(pair for done in shares for pair in done)
+    return [records[i] for i in range(len(cells))]
 
 
 @dataclass(frozen=True)

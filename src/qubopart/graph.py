@@ -225,6 +225,8 @@ def balance_bounds(n: int, k: int, epsilon: float | Fraction = 0.0) -> tuple[int
         raise ValueError(f"k must be at least 2, got {k}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    if not isinstance(epsilon, Fraction) and not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
     eps = epsilon if isinstance(epsilon, Fraction) else Fraction(str(epsilon))
     if eps < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")

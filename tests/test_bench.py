@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -121,12 +122,116 @@ def test_run_grid_unsatisfiable_bounds_solve_once(tmp_path, monkeypatch):
     assert rec.penalty == default_penalty(load_graph_file(paths[0]))
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _six_cells(monkeypatch, tmp_path, workers, cell):
+    """A grid of six cells, k = 2..7 of one unreadable graph, each of which
+    returns ``cell(k)`` instead of its record."""
+    monkeypatch.setattr(bench, "_run_cell", lambda g, gid, k, eps, cfg, digest: cell(k))
+    return GridConfig(graphs=[str(tmp_path / "missing.graph")], ks=list(range(2, 8)),
+                      workers=workers)
+
+
+def _wait_until(ready, seconds=10.0):
+    """Whether ``ready()`` turns true before ``seconds`` pass; the grid's
+    workers are processes, so they meet through files."""
+    end = time.monotonic() + seconds
+    while not ready():
+        if time.monotonic() > end:
+            return False
+        time.sleep(0.005)
+    return True
+
+
 @pytest.mark.parametrize("cpus, workers, each", [(8, 2, 4), (8, 3, 2), (3, 2, 1), (2, 4, 1)])
-def test_pool_workers_fork_onto_their_share_of_the_cpus(monkeypatch, cpus, workers, each):
+def test_grid_cells_fork_onto_their_share_of_the_cpus(monkeypatch, tmp_path, cpus, workers, each):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    with bench._cell_pool(workers) as pool:
-        assert list(pool.map(anneal._worker_count, [8] * 6)) == [each] * 6
+    started = tmp_path / "started"
+    started.mkdir()
+
+    def cell(k):
+        # each worker's first cell waits until every worker holds one
+        (started / str(os.getpid())).touch()
+        all_met = _wait_until(lambda: len(os.listdir(started)) >= workers)
+        return k, os.getpid(), anneal._worker_count(8), all_met
+
+    out = run_grid(_six_cells(monkeypatch, tmp_path, workers, cell))
+    assert [(k, n, met) for k, _, n, met in out] == [(k, each, True) for k in range(2, 8)]
+    pids = [pid for _, pid, _, _ in out]
+    assert len(set(pids[:workers])) == workers and set(pids) == set(pids[:workers])
+    assert os.getpid() in pids  # worker 0 is this process
     assert anneal._worker_count(8) == min(8, cpus)  # the calling process is untouched
+    _assert_no_child_left()
+
+
+def test_grid_workers_take_the_next_cell_when_free(monkeypatch, tmp_path):
+    # the first cell waits for the third: a split fixed in advance would give
+    # both to one worker, and the wait would run out
+    def cell(k):
+        if k == 4:
+            (tmp_path / "third").touch()
+        return k, k != 2 or _wait_until((tmp_path / "third").exists)
+
+    out = run_grid(_six_cells(monkeypatch, tmp_path, 2, cell))
+    assert out == [(k, True) for k in range(2, 8)]
+    _assert_no_child_left()
+
+
+def test_grid_workers_racing_for_cells_run_each_once(monkeypatch, tmp_path):
+    # five workers, more than a small machine's CPUs, take 400 cells: a lost
+    # or repeated index would skip a cell or run one twice
+    runs = tmp_path / "runs"
+    runs.mkdir()
+
+    def cell(k):
+        (runs / str(k)).touch(exist_ok=False)
+        return k
+
+    cfg = dataclasses.replace(_six_cells(monkeypatch, tmp_path, 5, cell), ks=list(range(2, 402)))
+    assert run_grid(cfg) == list(range(2, 402))
+    assert len(os.listdir(runs)) == 400
+    _assert_no_child_left()
+
+
+class _CellError(Exception):
+    pass
+
+
+def test_grid_cell_error_in_a_child_keeps_its_type_and_traceback(monkeypatch, tmp_path):
+    parent = os.getpid()
+
+    def cell(k):
+        if os.getpid() == parent:  # wait for the child, so that it runs a cell
+            return _wait_until((tmp_path / "raised").exists)
+        (tmp_path / "raised").touch()
+        raise _CellError(f"cell k={k} in a child")
+
+    with pytest.raises(_CellError, match=r"cell k=\d in a child") as info:
+        run_grid(_six_cells(monkeypatch, tmp_path, 2, cell))
+    cause = str(info.value.__cause__)
+    assert "in the worker process for cell worker 1" in cause
+    assert "Traceback" in cause and "in cell" in cause and "_CellError" in cause
+    _assert_no_child_left()
+
+
+def test_grid_error_in_the_calling_process_ends_the_children(monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    parent = os.getpid()
+
+    def cell(k):
+        if os.getpid() == parent:
+            raise ValueError(f"own cell k={k}")
+        time.sleep(60)  # until the map kills this child
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"own cell k=\d"):
+        run_grid(_six_cells(monkeypatch, tmp_path, 3, cell))
+    assert time.perf_counter() - start < 30
+    assert anneal._worker_count(8) == 3  # the map is over
+    _assert_no_child_left()
 
 
 def test_run_grid_size_cap(tmp_path):
@@ -181,15 +286,18 @@ def test_run_grid_workers_match_serial(tmp_path):
     missing = str(tmp_path / "missing.graph")
     serial = GridConfig(graphs=[paths[0], missing, paths[1]], ks=[2, 3],
                         epsilons=[0.0, 0.1], sweeps=200, replicas=2, time_limit=None)
-    pooled = dataclasses.replace(serial, workers=2)
     # records line up cell for cell apart from wall times and the digest,
     # which covers the workers field itself
     strip = lambda recs: [dataclasses.replace(r, wall_time=0.0, config_digest="")
                           for r in recs]
-    serial_recs, pooled_recs = run_grid(serial), run_grid(pooled)
-    assert strip(serial_recs) == strip(pooled_recs)
-    # the unreadable graph's error records keep their grid position in both
-    for recs in (serial_recs, pooled_recs):
+    serial_recs = run_grid(serial)
+    runs = [serial_recs]
+    for workers in (2, 3, 13):  # the last is more workers than the 12 cells
+        runs.append(run_grid(dataclasses.replace(serial, workers=workers)))
+        assert strip(runs[-1]) == strip(serial_recs)
+        _assert_no_child_left()
+    # the unreadable graph's error records keep their grid position in every run
+    for recs in runs:
         assert [r.graph_id for r in recs] == ["g0"] * 4 + ["missing"] * 4 + ["g1"] * 4
         assert [(r.k, r.epsilon) for r in recs[4:8]] == [(2, 0.0), (2, 0.1), (3, 0.0), (3, 0.1)]
         assert all(r.error.startswith("unreadable graph") and r.n is None

@@ -235,6 +235,20 @@ def test_non_finite_solver_flag_exit_code(graph_file, flag, value, capsys):
     assert "finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, value, shown", [("partition", "nan", "nan"),
+                                                   ("kway", "1e400", "inf"),
+                                                   ("bench", "inf", "inf"),
+                                                   ("partition", "-inf", "-inf")])
+def test_non_finite_epsilon_exit_code(graph_file, command, value, shown, capsys):
+    graph_flag = "--graphs" if command == "bench" else "--graph"
+    k_flag = ["--k", "2"] if command == "kway" else []
+    rc = main([command, graph_flag, graph_file, *k_flag, f"--epsilon={value}", *FAST])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"epsilon must be finite and non-negative, got {shown}" in err
+    assert "Traceback" not in err
+
+
 def test_partition_numeric_penalty(graph_file, capsys):
     rc = main(["partition", "--graph", graph_file, "--penalty", "5", "--json", *FAST])
     assert rc == 0

@@ -423,6 +423,9 @@ def test_balance_bounds_validation():
         balance_bounds(0, 2, 0.0)
     with pytest.raises(ValueError):
         balance_bounds(10, 2, -0.1)
+    for eps in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=rf"^epsilon must be finite and non-negative, got {eps}$"):
+            balance_bounds(10, 2, eps)
 
 
 def test_partition_basics():

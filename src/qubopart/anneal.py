@@ -101,6 +101,15 @@ _TINY = np.finfo(np.float64).tiny  # smallest normal double
 HAVE_NUMBA = False
 
 
+def _check_integer(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an int or numpy
+    integer; a float would otherwise reach a ``range`` as a bare TypeError."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass
 class AnnealConfig:
     """Solver parameters.
@@ -127,11 +136,7 @@ class AnnealConfig:
 
     def __post_init__(self):
         for name in ("sweeps", "replicas", "trace_every"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)  # ints and numpy integers, not floats
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            _check_integer(name, getattr(self, name))
         if self.sweeps < 1:
             raise ValueError(f"sweeps must be at least 1, got {self.sweeps}")
         if self.replicas < 1:

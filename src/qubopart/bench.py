@@ -32,7 +32,7 @@ import warnings
 from dataclasses import asdict, dataclass, field, fields
 
 from . import bestknown
-from .anneal import AnnealConfig, _derive_seed, _fork_map
+from .anneal import AnnealConfig, _check_integer, _derive_seed, _fork_map
 from .evaluate import approximation_ratio
 from .graph import Graph, GraphFormatError, file_stem, load_graph_file
 from .pipeline import partition
@@ -191,6 +191,7 @@ def run_grid(cfg: GridConfig) -> list[RunRecord]:
     record per cell.  Cells run on ``workers`` forked processes, each taking
     the next cell when free; records come back in grid order as on one worker.
     """
+    _check_integer("workers", cfg.workers)
     if cfg.workers < 1:
         raise ValueError(f"workers must be at least 1, got {cfg.workers}")
     digest = cfg.digest()

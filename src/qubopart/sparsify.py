@@ -11,11 +11,11 @@ cheap upper bound on the original graph's cut.
 Each walk draws its randomness in bulk from ``RandomState(seed)``, in this
 order: ``order = permutation(n)``; one fan-out per vertex,
 ``geometric(1 - burn_probability, size=n) - 1``; and one 32-bit key per arc,
-which orders each vertex's neighbors by a stable sort.  A fire starts at the
-next vertex of ``order`` that has not burned, and a burning vertex burns the
-first fan-out of its still-unburned neighbors in key order.  This is the
-process of the scalar-call loop (``randint`` over the unburned vertices,
-``geometric`` and ``shuffle`` per burning vertex):
+which orders each vertex's neighbors by (key, arc position).  A fire starts
+at the next vertex of ``order`` that has not burned, and a burning vertex
+burns the first fan-out of its still-unburned neighbors in that order.  This
+is the process of the scalar-call loop (``randint`` over the unburned
+vertices, ``geometric`` and ``shuffle`` per burning vertex):
 
 * the first unburned vertex of a uniform permutation is uniform over the
   unburned vertices, because every vertex before it has burned;
@@ -23,6 +23,15 @@ process of the scalar-call loop (``randint`` over the unburned vertices,
   order at most once;
 * a uniform order of all of a vertex's neighbors, restricted to those still
   unburned, is a uniform order of those.
+
+One ``np.sort`` of int64 words ``row << (32 + b) | key << b | neighbor``, with
+b bits per vertex id, puts the arcs in that order: a CSR row holds its
+neighbors sorted and once each, so the neighbor breaks key ties as the arc
+position does, and the words are unique, so every sort kernel orders them
+alike.  The neighbor is the word's low b bits.  Past 2**15 vertices the
+fields need more than 63 bits, and a stable argsort of ``row << 32 | key``
+orders the arcs instead.  Each walk writes its burn sources into its slice
+of one int64 array, which :func:`_score_burns` tallies.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import anneal
-from .anneal import AnnealConfig, _derive_seed
+from .anneal import AnnealConfig, _check_integer, _derive_seed
 from .graph import Graph, Partition, cut_edges
 # only partition and check_model_args are called here, and PartitionReport
 # names a type; perfbench/layers.py looks up the other names on this module
@@ -52,10 +61,11 @@ class EdgeScores:
     seed: int
 
 
-def _score_burns(g: Graph, sources: list[int], walks: int) -> np.ndarray:
+def _score_burns(g: Graph, sources: np.ndarray, walks: int) -> np.ndarray:
     """Per-edge burn counts, aligned with ``g.edge_array``, from ``sources``:
-    walk after walk, the vertex each vertex caught fire from, or -1."""
-    src = np.array(sources, dtype=np.int64).reshape(walks, g.n)
+    ``walks * n`` int64 entries, walk after walk the vertex each vertex caught
+    fire from, or -1.  An int64 array is read in place, without a copy."""
+    src = np.asarray(sources, dtype=np.int64).reshape(walks, g.n)
     dst = np.broadcast_to(np.arange(g.n), src.shape)
     caught = src >= 0
     src, dst = src[caught], dst[caught]
@@ -69,6 +79,7 @@ def _score_burns(g: Graph, sources: list[int], walks: int) -> np.ndarray:
 
 
 def _check_fire_args(burn_probability: float, walks: int) -> None:
+    _check_integer("walks", walks)
     if not 0.0 <= burn_probability < 1.0:
         raise ValueError(f"burn probability must lie in [0, 1), got {burn_probability}")
     if walks < 1:
@@ -90,18 +101,31 @@ def forest_fire_scores(g: Graph, burn_probability: float = 0.7, walks: int = 10,
     _check_fire_args(burn_probability, walks)
     rs = np.random.RandomState(seed)
     n, ptr = g.n, g.indptr.tolist()
-    arc_row = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr)) << 32
-    sources: list[int] = []  # per walk and vertex: the vertex it caught fire from, or -1
+    bits = max(n - 1, 0).bit_length()  # of a vertex id
+    packed = 2 * bits + 32 <= 63
+    arc_row = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.indptr))
+    # each arc's sort word but for its key
+    arc_word = (arc_row << (32 + bits)) | g.indices if packed else arc_row << 32
+    # per walk and vertex: the vertex it caught fire from, or -1
+    sources = np.full(walks * n, -1, np.int64)
 
-    for _ in range(walks):
+    for w in range(walks):
         order = rs.permutation(n).tolist()
         fan = (rs.geometric(1.0 - burn_probability, size=n) - 1).tolist()
         key = rs.randint(0, 2**32, size=len(g.indices), dtype=np.int64)
-        # stable, so equal keys keep arc order on every sort dispatch path; the
-        # view makes Python ints only of the arcs the fire reads
-        nbrs = memoryview(g.indices[np.argsort(arc_row | key, kind="stable")])
+        # the views make Python ints only of the arcs the fire reads, and
+        # write the burns straight into this walk's slice of sources
+        if packed:
+            key <<= bits
+            key |= arc_word
+            key.sort()
+            key &= (1 << bits) - 1
+            nbrs = memoryview(key)
+        else:
+            # stable, so equal keys keep arc order on every sort dispatch path
+            nbrs = memoryview(g.indices[np.argsort(arc_word | key, kind="stable")])
+        source = memoryview(sources)[w * n:(w + 1) * n]
         burned = bytearray(n)
-        source = [-1] * n
         for start in order:
             if burned[start]:
                 continue
@@ -119,7 +143,6 @@ def forest_fire_scores(g: Graph, burn_probability: float = 0.7, walks: int = 10,
                         fan_out -= 1
                         if not fan_out:
                             break
-        sources += source
 
     return EdgeScores(scores=_score_burns(g, sources, walks),
                       burn_probability=burn_probability, walks=walks, seed=seed)
@@ -139,11 +162,14 @@ def sparsify(g: Graph, scores: EdgeScores, keep_ratio: float) -> Graph:
     _check_keep_ratio(keep_ratio)
     if scores.scores.shape != (g.m,):
         raise ValueError("scores are not aligned with the graph's edges")
+    if not np.issubdtype(scores.scores.dtype, np.integer):
+        raise ValueError(f"scores must be integer counts, got dtype {scores.scores.dtype}")
     m, keep = g.m, round(keep_ratio * g.m)
+    score = scores.scores.astype(np.int64, copy=False)  # unsigned and narrow ones too
     # the unique keys (top - score) * m + edge sort by falling score, ties by
     # edge, as a stable argsort of -score orders the edges; _from_pairs sorts
     # the kept edges itself
-    keys = (scores.scores.max(initial=0) - scores.scores) * m + np.arange(m)
+    keys = (score.max(initial=0) - score) * m + np.arange(m)
     kept = g.edge_array[np.sort(keys)[:keep] % m]
     return Graph._from_pairs(g.n, kept[:, 0], kept[:, 1], name=g.name)
 
@@ -183,6 +209,7 @@ def run_sparsify_pipeline(g: Graph, k: int, epsilon: float = 0.0,
     ``burn_probability``, ``walks``, k, epsilon or given penalty raises
     before the first fire.
     """
+    _check_integer("repeats", repeats)
     if repeats < 1:
         raise ValueError(f"repeats must be positive, got {repeats}")
     _check_keep_ratio(keep_ratio)

@@ -308,6 +308,16 @@ def test_run_grid_workers_match_serial(tmp_path):
         run_grid(dataclasses.replace(serial, workers=0))
 
 
+def test_run_grid_rejects_a_non_integer_worker_count_before_forking(monkeypatch, tmp_path):
+    def no_fork(*args):
+        raise AssertionError("_fork_map called")
+
+    monkeypatch.setattr(bench, "_fork_map", no_fork)
+    cfg = GridConfig(graphs=_write_graphs(tmp_path, count=1), ks=[2, 3], workers=2.0)
+    with pytest.raises(ValueError, match=r"workers must be an integer, got 2\.0"):
+        run_grid(cfg)
+
+
 def test_records_json_round_trip():
     records = [_record(), _record(graph_id="h", error="x", cut_repaired=None,
                                   approximation_ratio=1.5)]

@@ -35,6 +35,10 @@ def test_scores_validation():
         forest_fire_scores(g, burn_probability=1.0)
     with pytest.raises(ValueError, match="walk"):
         forest_fire_scores(g, walks=0)
+    with pytest.raises(ValueError, match=r"walks must be an integer, got 2\.5"):
+        forest_fire_scores(g, walks=2.5)
+    assert np.array_equal(forest_fire_scores(g, walks=np.int64(2)).scores,
+                          forest_fire_scores(g, walks=2).scores)
 
 
 def test_zero_burn_probability_scores_nothing():
@@ -109,6 +113,14 @@ def test_sparsify_validation():
     other = forest_fire_scores(gnp_graph(9, 0.5, np.random.RandomState(2)), seed=0)
     with pytest.raises(ValueError, match="aligned"):
         sparsify(g, other, 0.5)
+    counts = scores.scores
+    object.__setattr__(scores, "scores", counts + 0.5)
+    with pytest.raises(ValueError, match="integer counts, got dtype float64"):
+        sparsify(g, scores, 0.5)
+    # narrow and unsigned counts keep the int64 counts' edges
+    object.__setattr__(scores, "scores", counts.astype(np.uint8))
+    want = sparsify(g, forest_fire_scores(g, seed=0), 0.5)
+    assert sparsify(g, scores, 0.5).edges == want.edges
 
 
 def test_project_partition_counts_original_cut():
@@ -244,6 +256,79 @@ def test_forest_fire_matches_the_legacy_process_in_distribution(name, burn):
         assert (gap <= 5 * se).all(), (name, burn, (gap / se).max())
 
 
+class TieKeys(np.random.RandomState):
+    """RandomState whose randint draws are reduced mod 4, so that most of a
+    vertex's arcs share their key with another arc of its row.  Patched in
+    after the test graph is drawn: the graph generators would loop on it."""
+
+    def randint(self, *args, **kwargs):
+        return super().randint(*args, **kwargs) % 4
+
+
+def _count_argsorts(monkeypatch):
+    calls = []
+    argsort = np.argsort
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("kind"))
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    return calls
+
+
+# vertex ids past 2**15 leave too few of an int64's 63 bits for the key
+PAST_PACKING = 2**15 + 1
+
+
+def _past_packing_graph():
+    # the planted graph sits on the highest vertex ids, where a word that
+    # packed the row above bit 47 would overflow into the sign bit; a star
+    # on vertex 0 reaches across the id range
+    small = planted_graph(120, 3, 6, 2, np.random.RandomState(1))
+    top = PAST_PACKING - small.n
+    edges = [(u + top, v + top) for u, v in small.edge_array.tolist()]
+    edges += [(0, v) for v in range(1, PAST_PACKING, 997)]
+    return Graph.from_edges(PAST_PACKING, edges)
+
+
+@pytest.mark.parametrize("name", ["isolated", "star", "planted", "grid"])
+def test_forest_fire_ties_keep_arc_order(name, monkeypatch):
+    # with keys in 0..3 the packed sort must order tied arcs by arc position,
+    # as the reference's sort by (key, arc) does, and the stable argsort
+    # must not run at all
+    g = PARITY_GRAPHS[name]()
+    monkeypatch.setattr(np.random, "RandomState", TieKeys)
+    argsorts = _count_argsorts(monkeypatch)
+    for burn in (0.5, 0.95):
+        for seed in (0, 11):
+            got = forest_fire_scores(g, burn, walks=3, seed=seed)
+            want = reference.forest_fire_scores(g, burn, walks=3, seed=seed)
+            assert np.array_equal(got.scores, want.scores), (name, burn, seed)
+    assert argsorts == []
+
+
+@pytest.mark.parametrize("keys", ["unique", "ties"])
+def test_forest_fire_past_the_packing_limit_runs_the_stable_argsort(keys, monkeypatch):
+    g = _past_packing_graph()
+    if keys == "ties":
+        monkeypatch.setattr(np.random, "RandomState", TieKeys)
+    argsorts = _count_argsorts(monkeypatch)
+    for seed in (0, 11):
+        got = forest_fire_scores(g, 0.95, walks=2, seed=seed)
+        want = reference.forest_fire_scores(g, 0.95, walks=2, seed=seed)
+        assert got.scores.sum() > 0 and np.array_equal(got.scores, want.scores), seed
+    assert argsorts == ["stable"] * 4
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, PAST_PACKING])
+def test_forest_fire_scores_edgeless_graphs(n):
+    g = Graph.from_edges(n, [])
+    got = forest_fire_scores(g, 0.7, walks=2, seed=3)
+    assert got.scores.dtype == np.int64 and got.scores.shape == (0,)
+    assert np.array_equal(got.scores, reference.forest_fire_scores(g, 0.7, walks=2, seed=3).scores)
+
+
 def test_forest_fire_reads_each_burn_mark_once_per_restart_scan_and_arc(monkeypatch):
     # restarts continue the walk's scan of `order` where the last one stopped,
     # and a burning vertex reads each of its arcs at most once, so a walk
@@ -297,13 +382,19 @@ def test_score_tally_counts_every_burn(monkeypatch):
                                         ({"penalty": math.nan}, "penalty must be finite and positive"),
                                         ({"penalty": math.inf}, "penalty must be finite and positive"),
                                         ({"walks": 0}, "walk count"),
-                                        ({"burn_probability": 1.0}, "burn probability")])
+                                        ({"burn_probability": 1.0}, "burn probability"),
+                                        ({"walks": 2.5}, r"walks must be an integer, got 2\.5"),
+                                        ({"repeats": 2.0}, r"repeats must be an integer, got 2\.0")])
 def test_pipeline_checks_its_arguments_before_the_first_fire(bad, match, monkeypatch):
     def no_fire(*args, **kwargs):
         raise AssertionError("forest_fire_scores called")
 
+    def no_fork(*args):
+        raise AssertionError("_fork_map called")
+
     monkeypatch.setattr(sparsify_module, "forest_fire_scores", no_fire)
+    monkeypatch.setattr(sparsify_module.anneal, "_fork_map", no_fork)
     g = gnp_graph(6, 0.5, np.random.RandomState(1))
-    args = {"k": 2, "epsilon": 0.0, "keep_ratio": 0.7} | bad
+    args = {"k": 2, "epsilon": 0.0, "keep_ratio": 0.7, "repeats": 2} | bad
     with pytest.raises(ValueError, match=match):
-        run_sparsify_pipeline(g, args.pop("k"), repeats=2, **args)
+        run_sparsify_pipeline(g, args.pop("k"), **args)

@@ -37,18 +37,28 @@ so the acceptor sets equal that scalar rule's exactly.
 
 The chain memberships are stored as jagged diagonals: layer q holds the
 q-th membership of every variable that has one, in variable order, so the
-chain gains of all variables sum with one whole-array add per layer.  The
-trial rebuilds the flip gains only after a flip: a sweep with no acceptor
-changes no state they depend on, and the next sweep can then be ruled idle
-without its array test when the least gain cannot reach any of its draws'
-bands.
+chain gains of all variables sum with one whole-array add per layer; a
+replica's start gains are summed so.  After a flip there are two paths,
+chosen once per model by :func:`compile_model`.  On a model whose sums are
+exact (:func:`_exact_sums`: every partition model the builders make at an
+integer or half-integer penalty), the flip updates only the gains it
+changes, its own, its objective row's and its chains' members'; an exact
+sum is the same in any order, so they equal a rebuild bit for bit, and the
+energy the driver tracks by adding flip gains equals
+:func:`~qubopart.qubo.energy`.  On any other model the trial rebuilds all
+the gains at the next trial after a flip.  Either way a sweep with no
+acceptor changes no state the gains depend on, and the next sweep can then
+be ruled idle without its array test when the least gain cannot reach any
+of its draws' bands.
 Between flips the replica keeps ``dl = 1 - 2 * bits``, ``dl * base_lf``, the
 chain residuals ``s - rhs`` and the signed memberships; a flip updates its own
 entries of these, adds its sign times its objective row to the local fields
 and times its chain coefficients to the chain sums, one update for either
 direction, as Python scalars through memoryviews: the same double
 operations numpy would do without numpy's cost per call.  Objective rows
-longer than ``_SCALAR_ROW_MAX`` take numpy updates instead.
+longer than ``_SCALAR_ROW_MAX`` take numpy updates instead, and so do the
+exact gain updates of longer chains: a slice for a run of consecutive
+variables, index arrays for any other chain.
 Replica r of a solve seeds its init and sweep streams from SHA-256 of
 (seed, r, "init") and (seed, r, "sweeps"), making replicas independent and
 the whole solve deterministic.  Each worker of a solve constructs one
@@ -188,7 +198,14 @@ class CompiledModel:
     ``nv`` slots more than memberships however the counts are spread.
     Variable i's slots are ``mem_slot[mem_indptr[i]:mem_indptr[i + 1]]``,
     layer by layer.  ``mem_var`` is the model's ``chains.var_idx``, one entry
-    per membership.
+    per membership, and ``chain_slot`` the slot of each, so chain g's members
+    are ``mem_var[a:b]`` at the slots ``chain_slot[a:b]``, with
+    ``a, b = chain_ptr[g], chain_ptr[g + 1]``.  ``chain_run[g]`` says its
+    members are the consecutive variables ``mem_var[a]`` on, each at its
+    layer-0 slot, which is the variable itself.
+
+    ``exact`` says every sum the sweeps and :func:`~qubopart.qubo.energy`
+    form over the model is exact, see :func:`_exact_sums`.
     """
 
     nv: int
@@ -206,6 +223,57 @@ class CompiledModel:
     mem_coeff: np.ndarray
     mem_lin: np.ndarray  # 2 * penalty * c per slot
     mem_const: np.ndarray  # penalty * c * c per slot
+    chain_ptr: np.ndarray
+    chain_slot: np.ndarray
+    chain_run: np.ndarray
+    exact: bool
+
+
+def _exact_sums(model: QuboModel, layers: int) -> bool:
+    """Whether every sum the sweeps and :func:`~qubopart.qubo.energy` form
+    over ``model``, whose variables have at most ``layers`` chain
+    memberships each, is exact, in whatever order it is added.
+
+    The sums are exact when every value of the model (``base_linear``, the
+    objective CSR, the chain coefficients, ``rhs``, ``penalty`` and
+    ``base_constant``) is a multiple of ``2**-m`` and ``4 * bound < 2**(52 -
+    3m)``: each term is then a multiple of ``2**-(3m + 1)`` (a chain gain
+    multiplies three values) and every partial sum is below ``2 * bound``,
+    so it has at most 53 significant bits.  ``bound`` adds the largest
+    possible objective and chain energies and a bound on a variable's chain
+    gains; energies, gains, their terms and the sweeps' partial sums all lie
+    within twice it.  ``m`` is the largest the bound allows, which tests
+    every value at once, and a model needing ``m < 0`` is not exact.  A
+    broadcast CSR value is tested once.
+
+    A ``base_constant`` of ``-0.0`` fails too: it is the only start from
+    which an energy could sum to ``-0.0``, which the sweeps' own sums,
+    started at a ``+0.0`` gain, never reach.
+    """
+    data = model.objective_csr[2]
+    ch, p, bc = model.chains, model.penalty, float(model.base_constant)
+    if bc == 0.0 and math.copysign(1.0, bc) < 0.0:
+        return False
+    values = data[:1] if data.strides == (0,) else data  # one value, broadcast
+    data_abs = float(np.abs(values).sum()) * (len(data) if values is not data else 1)
+    coeff_abs = np.abs(ch.coeffs)
+    chain_abs = np.abs(ch.rhs)
+    filled = ch.indptr[1:] > ch.indptr[:-1]  # reduceat would read an empty chain's next entry
+    if filled.any():
+        chain_abs[filled] += np.add.reduceat(coeff_abs, ch.indptr[:-1][filled])
+    cmax, chain_max = float(coeff_abs.max(initial=0.0)), float(chain_abs.max(initial=0.0))
+    bound = (abs(bc) + float(np.abs(model.base_linear).sum()) + data_abs
+             + p * (float((chain_abs * chain_abs).sum()) + 2.0 * cmax
+                    + 3.0 * layers * cmax * chain_max))
+    if not 4.0 * bound < 2.0 ** 52:  # also false for NaN
+        return False
+    scale = 2.0 ** ((52 - math.frexp(4.0 * bound)[1]) // 3)
+
+    def whole(x) -> bool:
+        y = np.multiply(x, scale)
+        return bool(np.array_equal(y, np.floor(y)))
+
+    return all(whole(x) for x in (p, bc, ch.rhs, values, ch.coeffs, model.base_linear))
 
 
 def compile_model(model: QuboModel) -> CompiledModel:
@@ -214,37 +282,51 @@ def compile_model(model: QuboModel) -> CompiledModel:
     The objective CSR is read from ``model.objective_csr``, which every model
     stores: the partition builders fill it from the graph's CSR and
     :meth:`~qubopart.qubo.QuboModel.from_triples` sorts triples into it.
-    Only the chain memberships are laid out here.
+    Only the chain memberships are laid out here, and whether the model's
+    sums are exact is decided here, once.
     """
     nv = model.num_vars
     indptr, cols, data = model.objective_csr
 
     chains, p = model.chains, model.penalty
-    morder = np.lexsort((chains.chain_id, chains.var_idx))
-    mv = chains.var_idx[morder]
+    var = chains.var_idx
+    morder = np.lexsort((chains.chain_id, var))
+    mv = var[morder]
     mem_indptr = np.zeros(nv + 1, dtype=np.int64)
     np.cumsum(np.bincount(mv, minlength=nv), out=mem_indptr[1:])
     rank = np.arange(len(mv)) - mem_indptr[mv]  # layer of each membership
     sizes = np.bincount(rank)[1:].tolist()  # memberships of layers 1, 2, ...
     off = tuple(itertools.accumulate([nv] + sizes, initial=0)) if len(mv) else (0,)
+    exact = _exact_sums(model, len(off) - 1)
     # layer 0 is indexed by variable; the later layers hold just their
-    # memberships, in (layer, variable) order
-    deep = np.lexsort((mv, rank))[rank.size - sum(sizes):]
-    slot = mv.copy()
-    slot[deep] = np.arange(nv, nv + len(deep))
+    # memberships, in (layer, variable) order; deep lists them in chain order
+    deep = morder[np.lexsort((mv, rank))[rank.size - sum(sizes):]]
+    chain_slot = var.copy()
+    chain_slot[deep] = np.arange(nv, nv + len(deep))
     at = []
     for a, b in zip(off[1:], off[2:]):
-        v = mv[deep[a - nv:b - nv]]
+        v = var[deep[a - nv:b - nv]]
         at.append(slice(int(v[0]), int(v[-1]) + 1) if v[-1] - v[0] == b - a - 1 else v)
     mg = np.zeros(off[-1], dtype=np.int64)
-    mg[slot] = chains.chain_id[morder]
+    mg[chain_slot] = chains.chain_id
     mc = np.zeros(off[-1])
-    mc[slot] = chains.coeffs[morder]
+    mc[chain_slot] = chains.coeffs
 
+    # a chain is a run when its last member is its first plus its length
+    # less one and none of its members lies past layer 0; the flips never
+    # ask about an empty chain
+    ptr = chains.indptr
+    run = np.zeros(len(chains), dtype=bool)
+    if len(var):
+        first, last = var[np.minimum(ptr[:-1], len(var) - 1)], var[np.maximum(ptr[1:] - 1, 0)]
+        run = last - first == np.diff(ptr) - 1
+        run[chains.chain_id[deep]] = False
     return CompiledModel(nv=nv, base_lin=model.base_linear, csr_indptr=indptr,
-                         csr_cols=cols, csr_data=data, rhs=chains.rhs, mem_var=chains.var_idx,
-                         mem_indptr=mem_indptr, mem_slot=slot, mem_off=off, mem_at=tuple(at),
-                         mem_chain=mg, mem_coeff=mc, mem_lin=2.0 * p * mc, mem_const=p * mc * mc)
+                         csr_cols=cols, csr_data=data, rhs=chains.rhs, mem_var=var,
+                         mem_indptr=mem_indptr, mem_slot=chain_slot[morder], mem_off=off,
+                         mem_at=tuple(at), mem_chain=mg, mem_coeff=mc, mem_lin=2.0 * p * mc,
+                         mem_const=p * mc * mc, chain_ptr=ptr, chain_slot=chain_slot,
+                         chain_run=run, exact=exact)
 
 
 def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -369,8 +451,10 @@ class _Replica:
     the signed memberships ``mld = mem_lin * dl[variable]`` of every slot
     and the chain residuals ``sr = s - rhs``.  One :func:`_gain_rebuild` is
     bound to them as ``rebuild`` and run once for the start ``gains``.
-    The trial flips ``bits``, updates the gain terms and sets ``stale``
-    while the gains lag a flip.  The driver keeps the escape offset
+    The trial flips ``bits`` and updates the gain terms.  On an exact model
+    (``cm.exact``) it updates ``gains`` in place too, and they never lag;
+    on any other it sets ``stale`` while the gains lag a flip, and runs
+    ``rebuild`` before the next trial.  The driver keeps the escape offset
     ``offset``, the current ``energy``, and ``best_bits`` and
     ``best_energy``, the lowest state seen.
     """
@@ -477,10 +561,19 @@ def _da_trial(rep: _Replica, draws: _BlockUniforms):
     fails, and the scalar rule ``eff <= 0 or u < math.exp(-eff / t)``
     decides the draws inside it, so the acceptors are exactly that rule's.
     One acceptor, picked by one more draw, flips.
-    The gains are rebuilt only after a flip, by the replica's bound
-    ``rebuild``, which reads the terms the flips update in place: they are
-    a pure function of ``(bits, base_lf, s)``, so a trial with no acceptor
-    leaves them valid for the next one.  Then no ``y`` can exceed
+    On a model whose sums are exact, the flip updates the gains it changes
+    in place: the flipped variable's gain ``g`` becomes ``0.0 - g`` (``-g``
+    would make ``+0.0`` into ``-0.0``, which no rebuild gives), each entry
+    of its objective row moves by its change in ``dl * base_lf``, and each
+    member of each of its chains by its ``mld`` times the chain sum's step.
+    Chains of up to ``_SCALAR_ROW_MAX`` members update one scalar at a
+    time, runs of consecutive variables at their layer-0 slots through
+    slices taken at their first update, and other chains through the
+    compiled model's index arrays.  On any other model the gains are
+    rebuilt at the next trial after a flip, by the replica's bound
+    ``rebuild``, which reads the terms the flips update in place.  The gains
+    are a pure function of ``(bits, base_lf, s)``, so a trial with no
+    acceptor leaves them valid for the next one.  Then no ``y`` can exceed
     ``(least gain - offset) / -t``, because rounding is monotone, and a trial
     whose draws all have ``lo`` above that bound accepts nothing untested.
     Once a trial had no acceptor, :func:`_sweep_floors` takes the
@@ -490,7 +583,8 @@ def _da_trial(rep: _Replica, draws: _BlockUniforms):
     the least gain.
 
     A flip updates the entries of the replica's gain terms that it changes
-    with the same double operations a rebuild would do, so they stay exact.
+    with the same double operations a rebuild would do, so they stay those
+    a rebuild reads.
     A flip's own updates run on Python scalars, see the module docstring.
     The replica's arrays and the numpy functions of the band test are bound
     to the generator's locals once, so a trial or a flip pays for its numpy
@@ -505,12 +599,15 @@ def _da_trial(rep: _Replica, draws: _BlockUniforms):
     cols_v, data_v = memoryview(csr_cols), memoryview(csr_data)
     mem_ptr, slot_v = memoryview(cm.mem_indptr), memoryview(cm.mem_slot)
     chain_v, coeff_v, rhs_v = memoryview(cm.mem_chain), memoryview(cm.mem_coeff), memoryview(cm.rhs)
+    exact, mem_var, chain_slot = cm.exact, cm.mem_var, cm.chain_slot
+    cptr_v, run_v = memoryview(cm.chain_ptr), memoryview(cm.chain_run)
+    cvar_v, cslot_v = memoryview(mem_var), memoryview(chain_slot)
     row_max, floor_max = _SCALAR_ROW_MAX, _FLOOR_SWEEPS
     bits, base_lf, s, stale = rep.bits, rep.base_lf, rep.s, rep.stale
     dl, dlf, mld, sr, gains, rebuild = rep.dl, rep.dlf, rep.mld, rep.sr, rep.gains, rep.rebuild
     # bound per generator, not at import, so that a patched numpy function is seen
     divide, subtract, greater_equal, greater = np.divide, np.subtract, np.greater_equal, np.greater
-    count_nonzero = np.count_nonzero
+    add, count_nonzero = np.add, np.count_nonzero
     y = np.empty(nv)
     sure, maybe = np.empty(nv, dtype=bool), np.empty(nv, dtype=bool)
     bits_v, lf_v, s_v, sr_v = memoryview(bits), memoryview(base_lf), memoryview(s), memoryview(sr)
@@ -518,6 +615,7 @@ def _da_trial(rep: _Replica, draws: _BlockUniforms):
     gains_v = memoryview(gains)
     us, lo, hi, pos = draws.us, draws.lo, draws.hi, draws.pos
     us_v, end = memoryview(us), len(us)
+    run_views = {}  # a run chain's slices of gains and mld, taken at its first update
     least = None  # the least gain, once a trial without acceptors needs it
     floors, w = [], 0  # least lo of the coming trials' draws; the next trial's is floors[w]
     gain = None
@@ -570,24 +668,47 @@ def _da_trial(rep: _Replica, draws: _BlockUniforms):
             if b - a > row_max:
                 row = csr_cols[a:b]
                 base_lf[row] += csr_data[a:b] * d
-                dlf[row] = dl[row] * base_lf[row]
+                lf = dl[row] * base_lf[row]
+                if exact:
+                    gains[row] += lf - dlf[row]
+                dlf[row] = lf
             else:
                 for j in range(a, b):
                     c = cols_v[j]
                     lf = lf_v[c] + data_v[j] * d
                     lf_v[c] = lf
-                    dlf_v[c] = dl_v[c] * lf
+                    lf = dl_v[c] * lf
+                    if exact:
+                        gains_v[c] += lf - dlf_v[c]
+                    dlf_v[c] = lf
             for q in range(mem_ptr[i], mem_ptr[i + 1]):
                 j = slot_v[q]
                 g = chain_v[j]
-                sg = s_v[g] + coeff_v[j] * d
+                step = coeff_v[j] * d
+                sg = s_v[g] + step
                 s_v[g] = sg
                 sr_v[g] = sg - rhs_v[g]
                 mld_v[j] = -mld_v[j]
+                if exact:  # each member's chain gain moves by its mld times the step
+                    a, b = cptr_v[g], cptr_v[g + 1]
+                    if b - a <= row_max:
+                        for e in range(a, b):
+                            gains_v[cvar_v[e]] += mld_v[cslot_v[e]] * step
+                    elif run_v[g]:
+                        views = run_views.get(g)
+                        if views is None:
+                            a, b = cvar_v[a], cvar_v[a] + b - a
+                            views = run_views[g] = gains[a:b], mld[a:b]
+                        add(views[0], views[1] * step, out=views[0])
+                    else:
+                        gains[mem_var[a:b]] += mld[chain_slot[a:b]] * step
             bits_v[i] = 1 - bits_v[i]
             dl_v[i] = -d
             dlf_v[i] = -dlf_v[i]  # the objective CSR has no diagonal
-            stale = True
+            if exact:
+                gains_v[i] = 0.0 - gain  # 0.0 - x, unlike -x, is +0.0 for x = +0.0
+            else:
+                stale = True
             least, floors, w = None, [], 0
     finally:
         draws.pos, rep.stale = pos, stale
@@ -841,9 +962,12 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
     replica; it runs one sweep even when compiling the model and setting up a
     replica alone overran the limit.
     The reported energy equals :func:`qubopart.qubo.energy` of the returned
-    bits exactly: when the returned replica's best never dropped below its
-    start state, it is the start energy, which :class:`_Replica` computes
-    with ``energy``'s arithmetic; otherwise ``energy`` recomputes it.
+    bits exactly.  On a model whose sums are exact it is the best energy the
+    sweep driver tracked, the start energy plus flip gains, all exact.  On
+    any other model, when the returned replica's best never dropped below
+    its start state, it is the start energy, which :class:`_Replica`
+    computes with ``energy``'s arithmetic; otherwise ``energy`` recomputes
+    it, the solve's one call of ``energy``.
     """
     cfg = cfg or AnnealConfig()
     start = time.perf_counter()
@@ -858,7 +982,7 @@ def solve(model: QuboModel, cfg: AnnealConfig | None = None) -> SolveResult:
     shares = _fork_map(lambda w: _run_share(model, cm, cfg, w, workers, deadline),
                        workers, cfg.replicas, "replicas")
     best, best_is_start = min(shares, key=lambda s: (s[0].best_energy, s[0].replica_id))
-    if not best_is_start:
+    if not (cm.exact or best_is_start):
         best.best_energy = energy(model, best.best_bits)
     best.wall_time = time.perf_counter() - start
     return best

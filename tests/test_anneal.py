@@ -182,8 +182,10 @@ def test_start_state_matches_all_rows_bit_for_bit(model, balanced):
 
 
 def test_solve_calls_energy_once(monkeypatch):
-    # a best that moved is recounted once, on the returned bits; a best that
-    # never left its start state reports the start energy with no call
+    # a model whose sums are inexact recounts a best that moved once, on the
+    # returned bits; an exact model reports the energy the sweeps tracked;
+    # a best that never left its start state reports the start energy; in
+    # every case the energy equals energy() bit for bit
     calls = []
 
     def counted(model, bits):
@@ -191,13 +193,18 @@ def test_solve_calls_energy_once(monkeypatch):
         return energy(model, bits)
 
     monkeypatch.setattr(anneal, "energy", counted)
-    moved = build_kway_qubo(gnp_graph(12, 0.4, np.random.RandomState(2)), 3, 0.2)
+    g = gnp_graph(12, 0.4, np.random.RandomState(2))
+    moved_inexact = build_kway_qubo(g, 3, 0.2, penalty=0.3)
+    moved_exact = build_kway_qubo(g, 3, 0.2)
     # a short balanced solve of a planted 4-way model, as kway-planted runs:
     # every flip from the balanced start raises the energy
     unmoved = build_kway_qubo(planted_graph(200, 4, 8, 2, np.random.RandomState(3)), 4, 0.03)
-    for model, cfg, want_calls in (
-            (moved, AnnealConfig(sweeps=50, replicas=3, seed=4), 1),
-            (unmoved, AnnealConfig(sweeps=20, replicas=2, seed=1, balanced_init=True), 0)):
+    moved_cfg = AnnealConfig(sweeps=50, replicas=3, seed=4)
+    for model, cfg, want_calls, moves in (
+            (moved_inexact, moved_cfg, 1, True),
+            (moved_exact, moved_cfg, 0, True),
+            (unmoved, AnnealConfig(sweeps=20, replicas=2, seed=1, balanced_init=True), 0, False)):
+        assert compile_model(model).exact == (model is not moved_inexact)
         calls.clear()
         res = solve(model, cfg)
         rs = np.random.RandomState(anneal._derive_seed(cfg.seed, res.replica_id, "init"))
@@ -206,6 +213,7 @@ def test_solve_calls_energy_once(monkeypatch):
         assert len(calls) == want_calls
         if want_calls:
             assert np.array_equal(calls[0], res.best_bits)
+        if moves:
             assert not np.array_equal(res.best_bits, start)
         else:
             assert res.flips > 0 and np.array_equal(res.best_bits, start)
@@ -1071,14 +1079,18 @@ def test_idle_sweep_floors_come_in_chunks(monkeypatch):
     assert chunked.flips == unbound.flips
 
 
-def test_first_sweep_reuses_the_start_gains(monkeypatch):
+def _counted_rebuild_solve(monkeypatch, penalty):
+    """Solve a k-way model at ``penalty`` twice, the second time counting the
+    runs of each replica's gain rebuild binding and recording ``(runs,
+    stale)`` as each engine call begins and ``stale`` as it ends; check that
+    the counting changed nothing.  Returns the model, the config, the runs
+    and the exit records."""
     _one_worker(monkeypatch)
-    # a replica binds one gain rebuild and runs it once, for t0 and the first
-    # sweep; every rebuild after a flip runs the same binding
-    model = build_kway_qubo(gnp_graph(20, 0.3, np.random.RandomState(44)), 3, 0.2)
+    model = build_kway_qubo(gnp_graph(20, 0.3, np.random.RandomState(44)), 3, 0.2,
+                            penalty=penalty)
     cfg = AnnealConfig(sweeps=600, replicas=3, seed=5, balanced_init=True, trace_every=10)
     want = solve(model, cfg)
-    runs, at_entry = [], []  # runs of each binding; (runs, stale) as each engine call begins
+    runs, at_entry, at_exit = [], [], []
     gain_rebuild, python_sweeps = anneal._gain_rebuild, anneal._python_sweeps
 
     def counted(*args):
@@ -1093,7 +1105,9 @@ def test_first_sweep_reuses_the_start_gains(monkeypatch):
 
     def entered(rep, *args):
         at_entry.append((list(runs), rep.stale))
-        return python_sweeps(rep, *args)
+        done = python_sweeps(rep, *args)
+        at_exit.append(rep.stale)
+        return done
 
     monkeypatch.setattr(anneal, "_gain_rebuild", counted)
     monkeypatch.setattr(anneal, "_python_sweeps", entered)
@@ -1104,7 +1118,198 @@ def test_first_sweep_reuses_the_start_gains(monkeypatch):
     assert got.energy_trace.tobytes() == want.energy_trace.tobytes()
     assert len(runs) == cfg.replicas  # one binding per replica per solve
     assert at_entry == [([*runs[:r], 1], False) for r in range(cfg.replicas)]
+    assert got.flips > 0
+    return model, cfg, runs, at_exit
+
+
+def test_first_sweep_reuses_the_start_gains(monkeypatch):
+    # a replica binds one gain rebuild and runs it once, for t0 and the first
+    # sweep; on a model whose sums are inexact every rebuild after a flip
+    # runs the same binding
+    model, cfg, runs, _ = _counted_rebuild_solve(monkeypatch, 0.3)
+    assert not compile_model(model).exact
     assert all(1 < n <= 1 + cfg.sweeps for n in runs)  # the flips' rebuilds ran the binding
+
+
+def test_exact_flips_run_no_rebuild(monkeypatch):
+    # on a model whose sums are exact the flips update the gains in place:
+    # they never set stale, and the run for t0 and the first sweep is the
+    # binding's only one
+    model, cfg, runs, at_exit = _counted_rebuild_solve(monkeypatch, None)
+    assert compile_model(model).exact
+    assert runs == [1] * cfg.replicas and at_exit == [False] * cfg.replicas
+
+
+def _half_integer_model():
+    """A ``from_triples`` model whose values are all multiples of 1/2, with
+    an objective row and two chains longer than ``_SCALAR_ROW_MAX``: a run
+    of variables at their layer-0 slots and a strided chain, also at layer
+    0, which must not be taken for a run; a long chain and a short one over
+    variables at later layers; and four free variables, whose flip gains
+    are +0.0."""
+    long = anneal._SCALAR_ROW_MAX + 4
+    nv = 64
+    rng = np.random.RandomState(83)
+    lin = rng.randint(-4, 5, size=nv) / 2.0
+    lin[nv - 4:] = 0.0  # the free variables: no pair, no chain
+    i = np.concatenate([np.zeros(long + 2, dtype=np.int64), rng.randint(1, 40, size=80)])
+    j = np.concatenate([np.arange(1, long + 3), rng.randint(41, nv - 4, size=80)])
+    c = rng.randint(-6, 7, size=len(i)) / 2.0
+    chains = qubo.ChainSet(
+        np.cumsum([0, long, long, long + 4, 4]),
+        np.concatenate([np.arange(10, 10 + long),               # the run, chain 0
+                        np.arange(30, 30 + 2 * long, 2),        # strided, chain 1
+                        np.arange(0, 3 * (long + 4), 3),        # later layers, chain 2
+                        [5, 12, 31, 44]]),                      # short, chain 3
+        rng.randint(1, 5, size=3 * long + 8) / 2.0, [3.5, 2.0, 4.5, 1.0])
+    return QuboModel.from_triples(nv, lin, i, j, c, chains=chains, penalty=1.5)
+
+
+def _exact_models():
+    g = gnp_graph(24, 0.35, np.random.RandomState(81))
+    k3, k5 = build_kway_qubo(g, 3, 0.2), build_kway_qubo(g, 5, 0.3, penalty=2.5)
+    slack = build_bipartition_qubo(g, 0.2)
+    assert slack.num_vars > g.n and k3.num_vars > 3 * g.n and k5.num_vars > 5 * g.n
+    return [("k2-eps0", build_bipartition_qubo(g)), ("k2-eps0.2", slack), ("k3-eps0.2", k3),
+            ("k5-eps0.3-p2.5", k5), ("half-integer", _half_integer_model())]
+
+
+_EXACT_MODELS = _exact_models()
+
+
+@pytest.mark.parametrize("model", [m[1] for m in _EXACT_MODELS], ids=[m[0] for m in _EXACT_MODELS])
+def test_exact_flip_gains_equal_a_rebuild(model):
+    # on an exact model a flip updates only the gains it changes; after
+    # every flip they equal a fresh rebuild of the replica's terms bit for
+    # bit, hold no -0.0, and the tracked energy equals energy()
+    cm = compile_model(model)
+    assert cm.exact
+    nv = model.num_vars
+    rng = np.random.RandomState(87)
+    rep = anneal._Replica(model, cm, (rng.random_sample(nv) < 0.5).astype(np.int8))
+    t0 = float(np.max(np.abs(rep.gains)))
+    temps = list(anneal._temperatures(AnnealConfig(sweeps=400, temp_final=t0 / 20), t0))
+    draws = anneal._BlockUniforms(np.random.RandomState(89), nv)
+    flipped, zero_gain_flips = set(), 0
+    for t in temps:
+        before, energy_before = rep.bits.copy(), rep.energy
+        if not anneal._python_sweeps(rep, [t], 0.01, draws, None, 0)[1]:
+            continue
+        flipped.update(np.flatnonzero(before != rep.bits).tolist())
+        zero_gain_flips += rep.energy == energy_before
+        assert not rep.stale
+        fresh = anneal._gain_rebuild(cm, rep.dlf, rep.mld, rep.sr)()
+        assert rep.gains.tobytes() == fresh.tobytes()
+        assert not np.signbit(rep.gains[rep.gains == 0.0]).any()
+        assert rep.energy.hex() == energy(model, rep.bits).hex()
+    assert len(flipped) > nv // 2
+    if model.indicators is None:  # the half-integer model
+        ptr, var = model.chains.indptr, model.chains.var_idx
+        assert np.diff(cm.csr_indptr).max() > anneal._SCALAR_ROW_MAX
+        assert (cm.chain_slot[ptr[1]:ptr[2]] < nv).all()  # the strided chain is at layer 0
+        assert cm.chain_run.tolist() == [True, False, False, False]
+        assert zero_gain_flips > 0  # flips of +0.0 gains, which -gain would make -0.0
+        for g in range(4):  # each chain's members flipped, and the long row's owner
+            assert flipped & set(var[ptr[g]:ptr[g + 1]].tolist()), g
+        assert 0 in flipped and flipped & set(range(nv - 4, nv))
+
+
+def _parsed_text_model():
+    g = gnp_graph(10, 0.4, np.random.RandomState(91))
+    return parse_qubo_text(write_qubo_text(build_kway_qubo(g, 3, 0.2, penalty=0.3)))
+
+
+def _inexact_models():
+    g = gnp_graph(14, 0.4, np.random.RandomState(93))
+    nv = 12
+    tenth = QuboModel.from_triples(nv, np.arange(nv) - 5.0, [0, 2, 4], [1, 3, 11], [1.0, 0.1, -2.0])
+    # a -0.0 constant is the only start from which energy() could sum to
+    # -0.0, where every set bit and pair adds -0.0, and no tracked sum can
+    negative_zero = QuboModel.from_triples(nv, np.where(np.arange(nv) % 3, -0.0, 2.0),
+                                           [0, 1, 4], [1, 2, 5], [-0.0, 3.0, -0.0],
+                                           base_constant=-0.0)
+    return [("penalty-0.3", build_kway_qubo(g, 3, 0.2, penalty=0.3)),
+            ("triples-0.1", tenth), ("qubo-text", _parsed_text_model()),
+            ("penalty-2**50", build_bipartition_qubo(g, 0.1, penalty=2.0 ** 50)),
+            ("constant--0.0", negative_zero)]
+
+
+_INEXACT_MODELS = _inexact_models()
+
+
+@pytest.mark.parametrize("model", [m[1] for m in _INEXACT_MODELS],
+                         ids=[m[0] for m in _INEXACT_MODELS])
+def test_inexact_models_rebuild_and_recount(monkeypatch, model):
+    # a value that is no multiple of a small power of two, or an energy
+    # bound past 2**53 units, keeps the rebuild after every flip and the
+    # energy recount of a moved best
+    _one_worker(monkeypatch)
+    assert not compile_model(model).exact
+    calls, rebuilds = [], []
+    gain_rebuild = anneal._gain_rebuild
+
+    def counted(model, bits):
+        calls.append(bits.copy())
+        return energy(model, bits)
+
+    def bound(*args):
+        rebuild = gain_rebuild(*args)
+
+        def run():
+            rebuilds.append(1)
+            return rebuild()
+
+        return run
+
+    monkeypatch.setattr(anneal, "energy", counted)
+    monkeypatch.setattr(anneal, "_gain_rebuild", bound)
+    # at this seed every model's best leaves its start state
+    res = solve(model, AnnealConfig(sweeps=200, replicas=2, seed=7))
+    assert res.flips > 0 and len(rebuilds) > 2  # the flips' rebuilds ran
+    assert len(calls) == 1 and np.array_equal(calls[0], res.best_bits)
+    assert res.best_energy.hex() == energy(model, res.best_bits).hex()
+
+
+def test_builder_models_are_exact():
+    # every builder model at the default, an integer or a half-integer
+    # penalty sums exactly; so does QUBO text of such a model, since the
+    # gate reads the values alone
+    graphs = small_corpus(count=16) + [grid_graph(12, 16),
+                                       planted_graph(400, 4, 8, 2, np.random.RandomState(95))]
+    for g in graphs:
+        for penalty in (None, 1.0, 2.5, 7.0, 0.5):
+            for eps in (0.0, 0.1, 0.3):
+                models = [build_bipartition_qubo(g, eps, penalty)]
+                if g.n >= 3:
+                    models.append(build_kway_qubo(g, 3, eps, penalty))
+                for model in models:
+                    assert compile_model(model).exact, (g.name, penalty, eps, model.k)
+    text = write_qubo_text(build_kway_qubo(small_corpus(count=1)[0], 3, 0.2))
+    assert compile_model(parse_qubo_text(text)).exact
+
+
+def test_zero_energy_optimum_reports_positive_zero(monkeypatch):
+    # two equal disjoint triangles split with no cut and no imbalance: the
+    # energy the sweeps tracked and the recount both report +0.0
+    _one_worker(monkeypatch)
+    calls = []
+
+    def counted(model, bits):
+        calls.append(1)
+        return energy(model, bits)
+
+    monkeypatch.setattr(anneal, "energy", counted)
+    g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    for penalty, exact in ((None, True), (0.3, False)):
+        model = build_bipartition_qubo(g, 0.0, penalty)
+        assert compile_model(model).exact == exact
+        calls.clear()
+        res = solve(model, AnnealConfig(sweeps=300, replicas=4, seed=8))
+        rs = np.random.RandomState(anneal._derive_seed(8, res.replica_id, "init"))
+        assert not np.array_equal(res.best_bits, rs.random_sample(6) < 0.5)  # the best moved
+        assert len(calls) == (not exact)
+        assert res.best_energy.hex() == (0.0).hex() == energy(model, res.best_bits).hex()
+        assert cut_edges(g, decode(model, res.best_bits)[0]) == 0
 
 
 @pytest.mark.parametrize("model", [m[1] for m in _START_MODELS], ids=[m[0] for m in _START_MODELS])

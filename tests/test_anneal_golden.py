@@ -22,9 +22,16 @@ test with ``np.exp`` plus a scalar ``math.exp`` re-check.
 
 ``test_golden_noninteger_penalty`` pins a model at penalty 0.3, whose
 chain terms are inexact in binary floating point, so a change in the order
-in which the expansion, the energy or the solver sums them shows there; the
-integer-penalty models above sum exactly in any order.  Its digests were
-computed at commit e795d03, before the chains were stored flat.
+in which the expansion, the energy or the solver sums them shows there.
+Its digests were computed at commit e795d03, before the chains were stored
+flat.  The solver rebuilds that model's flip gains after every flip and
+recounts the energy of a best that moved.
+
+The integer-penalty models above sum exactly in any order, so the solver
+takes its exact path on them: a flip updates only the gains it changes and
+the solve reports the energy its sweeps tracked.  Their digests, computed
+when every flip rebuilt the gains and every moved best was recounted, pin
+that the exact path gives the same trajectories bit for bit.
 
 The module uses only the public API so that it can run against older
 versions of the package unchanged.

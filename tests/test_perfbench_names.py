@@ -3,10 +3,15 @@ and a traced partition must count the model it built."""
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import qubopart as qp
+
+from conftest import planted_graph
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
 
@@ -64,3 +69,35 @@ def test_traced_partition_counts_model(monkeypatch):
     assert counts["anneal.memberships"] == counts["qubo.chain_terms"]
     assert counts["qubo.models"] == counts["anneal.compiles"] == counts["evaluate.decodes"] == 1
     assert counts["anneal.sweeps"] == 50
+
+
+def test_traced_pipeline_counts_are_ints_and_repeat(monkeypatch):
+    # the traced run writes each pass's counts with json.dumps and fails when
+    # its two passes count differently: a pipeline of 3 repeats, run twice
+    # as perfbench/run.py:partition runs it, must count in Python ints, the
+    # same both times; so must a solve's counts
+    layers = _load_layers(monkeypatch)
+    tracer = layers.Tracer()
+    g = qp.parse_metis(qp.write_metis(planted_graph(120, 2, 7, 2, np.random.RandomState(5))))
+    cfg = qp.AnnealConfig(sweeps=100, seed=3, balanced_init=True)
+    for pid in (0, 1, 2):
+        tracer.begin_partition(pid)
+        tracer.install()
+        try:
+            if pid < 2:
+                qp.run_sparsify_pipeline(g, 2, 0.0, cfg, seed=3, keep_ratio=0.7, walks=10,
+                                         repeats=3)
+            else:
+                qp.solve(qp.build_bipartition_qubo(g), cfg)
+        finally:
+            tracer.uninstall()
+    counts = [layers.pass_counts(tracer, [pid]) for pid in (0, 1, 2)]
+    assert counts[0] == counts[1]
+    for key in ("anneal.compiles", "anneal.csr_nnz", "anneal.memberships",
+                "sparsify.burned_edges", "sparsify.kept_edges"):
+        assert counts[0][key] > 0, key
+    for key in ("anneal.compiles", "anneal.csr_nnz", "anneal.memberships", "anneal.sweeps",
+                "anneal.flips", "qubo.models"):
+        assert counts[2][key] > 0, key
+    assert all(type(value) is int for c in counts for value in c.values()), counts
+    json.dumps(counts)
